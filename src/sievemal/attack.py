@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -190,6 +190,26 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     return trace
 
 
+def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,
+                  rule_probe=None):
+    """(row, trace) for one attacked sample; a row holds the clean and best
+    adversarial scores, the best payload, the queries spent, the rules firing
+    on the best candidate and whether it evaded cfg.success_threshold."""
+    clean_score = float(score_fn(raw))
+    trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
+    best_payload = 0 if trace.best_s is None else payload_size(pool, trace.best_s)
+    row = {
+        "clean_score": clean_score,
+        "adv_score": trace.best_score,
+        "payload_kb": best_payload / 1024.0,
+        "queries": trace.queries_used,
+        "fired_on_best": list(trace.fired_on_best),
+        "evaded": bool(trace.best_score is not None
+                       and trace.best_score < cfg.success_threshold),
+    }
+    return row, trace
+
+
 def attack_grid(targets: dict, malware_subsets: dict, pools: dict,
                 base_cfg: AttackConfig, budgets=None, lambdas=None) -> list:
     """Cross product of {pool source} x {section count via pools} x {target} x
@@ -201,35 +221,18 @@ def attack_grid(targets: dict, malware_subsets: dict, pools: dict,
     rows = []
     for (source, k), pool in sorted(pools.items()):
         for target_name, (score_fn, rule_probe, threshold) in sorted(targets.items()):
+            cfg = replace(
+                base_cfg, k=k,
+                query_budget=(budgets or {}).get(target_name, base_cfg.query_budget),
+                lam=(lambdas or {}).get((source, k), base_cfg.lam),
+                success_threshold=threshold)
             for split, items in sorted(malware_subsets.items()):
                 for sha, raw in items:
-                    cfg = AttackConfig(
-                        k=k,
-                        query_budget=(budgets or {}).get(target_name, base_cfg.query_budget),
-                        lam=(lambdas or {}).get((source, k), base_cfg.lam),
-                        population=base_cfg.population,
-                        mutation_sigma=base_cfg.mutation_sigma,
-                        seed=int(hashlib.sha256(
-                            f"{source}:{k}:{target_name}:{split}:{sha}:{base_cfg.seed}"
-                            .encode()).hexdigest()[:8], 16),
-                        success_threshold=threshold,
-                    )
-                    clean_score = float(score_fn(raw))
-                    trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
-                    best_payload = (0 if trace.best_s is None
-                                    else payload_size(pool, trace.best_s))
-                    rows.append({
-                        "source": source,
-                        "k": k,
-                        "target": target_name,
-                        "split": split,
-                        "sha256": sha,
-                        "clean_score": clean_score,
-                        "adv_score": trace.best_score,
-                        "payload_kb": best_payload / 1024.0,
-                        "queries": trace.queries_used,
-                        "fired_on_best": list(trace.fired_on_best),
-                        "evaded": bool(trace.best_score is not None
-                                       and trace.best_score < threshold),
-                    })
+                    seed = int(hashlib.sha256(
+                        f"{source}:{k}:{target_name}:{split}:{sha}:{base_cfg.seed}"
+                        .encode()).hexdigest()[:8], 16)
+                    row, _ = attack_sample(score_fn, raw, pool, replace(cfg, seed=seed),
+                                           rule_probe)
+                    rows.append({"source": source, "k": k, "target": target_name,
+                                 "split": split, "sha256": sha, **row})
     return rows

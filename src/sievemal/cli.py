@@ -164,23 +164,20 @@ def cmd_eval(args) -> int:
     system = pipeline_mod.load_system(args.system)
     manifest = corpus_mod.read_manifest(args.corpus)
     samples = manifest.samples(epoch=args.split)
-    pairs = []
+    routes, bare_scores = [], []
     for s in samples:
         with open(s.path, "rb") as fh:
-            pairs.append((fh.read(), s.label))
-    composite = evaluation.composite_roc(system, pairs)
-
-    scores, labels = [], []
-    for raw, label in pairs:
-        _, score, _ = pipeline_mod.AiSystem(
-            allowlist=RuleSet(rules=(), role="allowlist"),
-            blocklist=RuleSet(rules=(), role="blocklist"),
-            model=system.model, threshold=system.threshold).stage(raw)
-        scores.append(1.0 if score is None else score)
-        labels.append(label)
-    bare = evaluation.roc(scores, labels)
-
-    stats = evaluation.rule_stats(samples, system.allowlist, system.blocklist)
+            raw = fh.read()
+        route = system.stage(raw)
+        # the bare model's score; rule routes never ran the model
+        score = (route.score if route.stage == "ml"
+                 else pipeline_mod.model_score(system.model, raw))
+        routes.append(route)
+        bare_scores.append(1.0 if score is None else score)
+    labels = [s.label for s in samples]
+    composite = evaluation.composite_roc(routes, labels)
+    bare = evaluation.roc(bare_scores, labels)
+    stats = evaluation.rule_stats(routes, labels, [s.epoch for s in samples])
     report = {
         "split": args.split,
         "threshold": system.threshold,
@@ -206,13 +203,8 @@ def cmd_attack(args) -> int:
         model = load_model(args.model)
 
         def score_fn(raw):
-            from .features import extract_features as ef
-
-            try:
-                pe = parse_pe(raw)
-                return float(pipeline_mod.score_model(model, ef(pe, raw)[None, :])[0])
-            except SievemalError:
-                return 1.0
+            score = pipeline_mod.model_score(model, raw)
+            return 1.0 if score is None else score
 
         rule_probe = None
         threshold = args.threshold
@@ -220,6 +212,9 @@ def cmd_attack(args) -> int:
     pool_manifest = corpus_mod.read_manifest(args.pool_source)
     goodware = [r for r in pool_manifest.records if r.label == 0]
     pool = attack_mod.harvest_sections(goodware, args.sections, args.seed)
+    cfg = attack_mod.AttackConfig(
+        k=args.sections, query_budget=args.budget, lam=getattr(args, "lambda"),
+        seed=args.seed, success_threshold=threshold)
 
     malware_manifest = corpus_mod.read_manifest(args.malware)
     os.makedirs(args.out, exist_ok=True)
@@ -229,20 +224,9 @@ def cmd_attack(args) -> int:
             continue
         with open(r.path, "rb") as fh:
             raw = fh.read()
-        cfg = attack_mod.AttackConfig(
-            k=args.sections, query_budget=args.budget, lam=getattr(args, "lambda"),
-            seed=args.seed, success_threshold=threshold)
-        trace = attack_mod.gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
+        row, trace = attack_mod.attack_sample(score_fn, raw, pool, cfg, rule_probe)
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
-        best_payload = (0 if trace.best_s is None
-                        else attack_mod.payload_size(pool, trace.best_s))
-        rows.append({
-            "sha256": r.sha256, "clean_score": float(score_fn(raw)),
-            "adv_score": trace.best_score, "payload_kb": best_payload / 1024.0,
-            "queries": trace.queries_used,
-            "fired_on_best": list(trace.fired_on_best),
-            "evaded": bool(trace.best_score is not None and trace.best_score < threshold),
-        })
+        rows.append({"sha256": r.sha256, **row})
     with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8") as fh:
         json.dump({"threshold": threshold, "sections": args.sections,
                    "rows": rows}, fh, indent=2, sort_keys=True)

@@ -42,10 +42,6 @@ class DegenerateLabels(SievemalError):
     """A metric needs both classes but the labels contain only one."""
 
 
-class IoFailure(SievemalError):
-    """A corpus file could not be read; recorded and skipped."""
-
-
 class SpecInvalid(SievemalError):
     """A corpus specification fails validation."""
 

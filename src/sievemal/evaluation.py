@@ -28,18 +28,23 @@ class RocCurve:
 
 def roc(scores, labels) -> RocCurve:
     """Sort-and-sweep ROC; tied scores produce a single diagonal step."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("both classes are required for a ROC curve")
+    return _sweep(scores, labels, 0, 0, n_pos, n_neg)
 
+
+def _sweep(scores, labels, tp, fp, n_pos, n_neg) -> RocCurve:
+    """Curve from the operating point (fp, tp) down through the scores, highest
+    first; each distinct score adds one point."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
+    points = [(fp / n_neg, tp / n_pos, float("inf"))]
     i = 0
     n = len(s)
     while i < n:
@@ -64,10 +69,11 @@ def tpr_at_fpr(curve: RocCurve, target_fpr: float):
     return tpr, thr
 
 
-def composite_roc(system, samples) -> RocCurve:
+def composite_roc(routes, labels) -> RocCurve:
     """Pipeline ROC: rule verdicts fix TPR/FPR offsets, the ML threshold sweeps.
 
-    samples: iterable of (raw_bytes, label). Allowlisted malware is undetectable
+    routes: per-sample (stage, score, fired) records, as AiSystem.stage returns
+    them; labels: the matching 0/1 labels. Allowlisted malware is undetectable
     at every threshold; the minimum-FPR point sits at the blocklist's goodware
     fire rate (the horizontal-floor phenomenon).
     """
@@ -75,12 +81,11 @@ def composite_roc(system, samples) -> RocCurve:
     m_rules = f_rules = 0
     ml_scores = []
     ml_labels = []
-    for raw, label in samples:
+    for (stage, score, _), label in zip(routes, labels):
         if label == 1:
             m_total += 1
         else:
             g_total += 1
-        stage, score, _ = system.stage(raw)
         if stage == "allowlist":
             continue  # permanent negative
         if stage == "blocklist":
@@ -93,25 +98,7 @@ def composite_roc(system, samples) -> RocCurve:
         ml_labels.append(label)
     if m_total == 0 or g_total == 0:
         raise DegenerateLabels("both classes are required for a composite ROC")
-
-    ml_scores = np.asarray(ml_scores)
-    ml_labels = np.asarray(ml_labels)
-    points = [(f_rules / g_total, m_rules / m_total, float("inf"))]
-    order = np.argsort(-ml_scores, kind="stable")
-    s = ml_scores[order]
-    y = ml_labels[order]
-    tp, fp = m_rules, f_rules
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            tp += int(y[j] == 1)
-            fp += int(y[j] == 0)
-            j += 1
-        points.append((fp / g_total, tp / m_total, float(s[i])))
-        i = j
-    return RocCurve(points=tuple(points))
+    return _sweep(ml_scores, ml_labels, m_rules, f_rules, m_total, g_total)
 
 
 @dataclass
@@ -143,26 +130,19 @@ class RuleStats:
         return out
 
 
-def rule_stats(samples, allow, block) -> RuleStats:
-    """Exact counting per split; samples provide .path, .label, .epoch.
+def rule_stats(routes, labels, epochs) -> RuleStats:
+    """Exact counting per split from per-sample routes, labels and epochs.
 
-    Precedence matches the pipeline: a sample matched by the allowlist never
-    reaches the blocklist.
+    A sample the allowlist decided never counts as a blocklist hit: the routes
+    carry the pipeline's precedence.
     """
-    from .rules.engine import scan  # local import keeps module deps one-way
-
     stats = RuleStats()
-    for sample in samples:
-        with open(sample.path, "rb") as fh:
-            raw = fh.read()
-        c = stats._split(sample.epoch)
-        key = "malware" if sample.label == 1 else "goodware"
+    for (stage, _, _), label, epoch in zip(routes, labels, epochs):
+        c = stats._split(epoch)
+        key = "malware" if label == 1 else "goodware"
         c[f"{key}_total"] += 1
-        if allow is not None and len(allow.rules) and scan(raw, allow).verdict:
-            c[f"allowlist_{key}"] += 1
-            continue
-        if block is not None and len(block.rules) and scan(raw, block).verdict:
-            c[f"blocklist_{key}"] += 1
+        if stage in ("allowlist", "blocklist"):
+            c[f"{stage}_{key}"] += 1
     return stats
 
 

@@ -11,10 +11,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateData, FeatureFailure, IoFailure, MalformedPe
+from .errors import DegenerateData, FeatureFailure, MalformedPe
 from .features import extract_features
 from .learners import (
     GbdtModel,
@@ -40,6 +41,14 @@ class Sample:
     path: str
     label: int                    # goodware 0 | malware 1
     epoch: str                    # present-train | present-test | future
+
+
+class Route(NamedTuple):
+    """How one sample was routed: the deciding stage, the model score and the
+    rules that fired."""
+    stage: str                    # allowlist | blocklist | ml
+    score: float | None           # ml only; None when extraction failed
+    fired: tuple                  # rule names; empty for ml
 
 
 @dataclass(frozen=True)
@@ -96,23 +105,31 @@ class AiSystem:
         if self.allowlist.role != "allowlist" or self.blocklist.role != "blocklist":
             raise ValueError("ruleset roles do not match their slots")
 
-    def stage(self, raw: bytes):
-        """(stage, score, fired) with stage in allowlist|blocklist|ml."""
-        if len(self.allowlist.rules):
-            res = scan(raw, self.allowlist)
+    def stage(self, raw: bytes) -> Route:
+        """Rules first; the model scores only what no rule decides."""
+        return (route_rules(raw, self.allowlist, self.blocklist)
+                or Route("ml", model_score(self.model, raw), ()))
+
+
+def route_rules(raw: bytes, allow: RuleSet, block: RuleSet) -> Route | None:
+    """The allowlist -> blocklist precedence: the route of the first ruleset
+    that fires on raw, or None when neither does."""
+    for stage, rs in (("allowlist", allow), ("blocklist", block)):
+        if len(rs.rules):
+            res = scan(raw, rs)
             if res.verdict:
-                return "allowlist", None, res.rule_names
-        if len(self.blocklist.rules):
-            res = scan(raw, self.blocklist)
-            if res.verdict:
-                return "blocklist", None, res.rule_names
-        try:
-            pe = parse_pe(raw)
-            vec = extract_features(pe, raw)
-        except (MalformedPe, FeatureFailure):
-            return "ml", None, ()
-        score = float(score_model(self.model, vec[None, :])[0])
-        return "ml", score, ()
+                return Route(stage, None, res.rule_names)
+    return None
+
+
+def model_score(model, raw: bytes) -> float | None:
+    """The model's score for one file, or None when it cannot be parsed or
+    featurized."""
+    try:
+        vec = extract_features(parse_pe(raw), raw)
+    except (MalformedPe, FeatureFailure):
+        return None
+    return float(score_model(model, vec[None, :])[0])
 
 
 def predict(system: AiSystem, raw: bytes) -> Verdict:
@@ -138,21 +155,16 @@ def filter_training(corpus, allow: RuleSet, block: RuleSet):
         except OSError as exc:
             report.io_failures.append(f"{sample.path}: {exc}")
             continue
-        if len(allow.rules):
-            res = scan(raw, allow)
-            if res.verdict:
-                report.removed_by_allowlist += 1
-                for name in res.rule_names:
-                    report.per_rule[name] = report.per_rule.get(name, 0) + 1
-                continue
-        if len(block.rules):
-            res = scan(raw, block)
-            if res.verdict:
-                report.removed_by_blocklist += 1
-                for name in res.rule_names:
-                    report.per_rule[name] = report.per_rule.get(name, 0) + 1
-                continue
-        survivors.append(sample)
+        route = route_rules(raw, allow, block)
+        if route is None:
+            survivors.append(sample)
+            continue
+        if route.stage == "allowlist":
+            report.removed_by_allowlist += 1
+        else:
+            report.removed_by_blocklist += 1
+        for name in route.fired:
+            report.per_rule[name] = report.per_rule.get(name, 0) + 1
     report.survivors = len(survivors)
     return survivors, report
 
@@ -224,13 +236,11 @@ def make_oracle(system: AiSystem):
         stage, score, _ = system.stage(raw)
         if stage == "allowlist":
             return 0.0
-        if stage == "blocklist":
-            return 1.0
-        return 1.0 if score is None else score
+        return 1.0 if score is None else score  # blocklist routes carry no score
 
     def rule_probe(raw: bytes):
-        _, _, fired = system.stage(raw)
-        return fired
+        route = route_rules(raw, system.allowlist, system.blocklist)
+        return route.fired if route else ()
 
     return score_fn, rule_probe
 

@@ -102,7 +102,7 @@ class CompiledRuleSet:
     """A RuleSet prepared for scanning: shared text automaton + per-pattern matchers."""
 
     def __init__(self, rs: RuleSet):
-        self.ruleset = rs
+        self.rules = rs.rules        # not rs itself: rs holds this object
         self.compiled = {}           # (rule_name, pattern_id) -> _CompiledPattern
         self.has_nocase_text = False
         case_needles, case_keys = [], []
@@ -143,7 +143,7 @@ class CompiledRuleSet:
         text_hits = self._text_offsets(data, folded)
         ctx = _EvalContext(data)
         fired = []
-        for rule in self.ruleset.rules:
+        for rule in self.rules:
             offsets = {}
             for p in rule.strings:
                 cp = self.compiled[(rule.name, p.id)]
@@ -204,16 +204,14 @@ def _eval(node, offsets: dict, ctx: _EvalContext) -> bool:
     raise TypeError(f"unknown condition node {node!r}")
 
 
-_COMPILE_CACHE: dict[int, CompiledRuleSet] = {}
-
-
 def compile_ruleset(rs: RuleSet) -> CompiledRuleSet:
-    """Compile (and memoize by identity) a RuleSet for repeated scans."""
-    cached = _COMPILE_CACHE.get(id(rs))
-    if cached is None or cached.ruleset is not rs:
-        cached = CompiledRuleSet(rs)
-        _COMPILE_CACHE[id(rs)] = cached
-    return cached
+    """Compile a RuleSet for repeated scans, once: the compiled form is kept on
+    rs itself, so it lives exactly as long as rs does."""
+    compiled = vars(rs).get("_compiled")
+    if compiled is None:
+        compiled = CompiledRuleSet(rs)
+        object.__setattr__(rs, "_compiled", compiled)  # RuleSet is frozen
+    return compiled
 
 
 def scan(data: bytes, rs: RuleSet) -> MatchResult:

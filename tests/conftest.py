@@ -7,7 +7,10 @@ from sievemal.corpus import (
     emit_allowlist,
     emit_rules_from_bank,
     synthesize_corpus,
+    write_manifest,
 )
+from sievemal.learners import TrainConfig
+from sievemal.pipeline import save_system, train_system
 from sievemal.rules import RuleSet, parse_rules
 
 # small corpus with exact plant counts: 120*0.3=36, 40*0.3=12, 40*0.45=18
@@ -38,6 +41,23 @@ def unit_blocklist(unit_spec):
 @pytest.fixture(scope="session")
 def unit_allowlist(unit_corpus):
     return parse_rules(emit_allowlist(unit_corpus), role="allowlist")
+
+
+@pytest.fixture(scope="session")
+def unit_system_dir(unit_corpus, unit_spec, tmp_path_factory):
+    """The unit corpus's manifest.csv and a rule-filtered system saved under
+    one directory, as the CLI reads them."""
+    root = tmp_path_factory.mktemp("unit-system")
+    write_manifest(unit_corpus, str(root / "manifest.csv"))
+    allow_text = emit_allowlist(unit_corpus)
+    block_text = emit_rules_from_bank(unit_spec)
+    system = train_system(
+        unit_corpus.samples("present-train"),
+        parse_rules(allow_text, role="allowlist"), parse_rules(block_text),
+        TrainConfig(kind="gbdt", seed=0, n_trees=10),
+        allow_text=allow_text, block_text=block_text)
+    save_system(system, str(root / "system"))
+    return root
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,14 @@ from sievemal.learners.common import log_loss, logistic_grad_hess
 from sievemal.learners.gbdt import predict_gbdt, train_gbdt
 from sievemal.learners.svm import predict_svm_rbf, train_svm_rbf
 from sievemal.pe import inject_section, parse_pe, serialize_pe
-from sievemal.pipeline import AiSystem, make_oracle, score_model, train_system
+from sievemal.pipeline import (
+    AiSystem,
+    Route,
+    make_oracle,
+    route_rules,
+    score_model,
+    train_system,
+)
 from sievemal.rules import RuleSet, parse_rules, scan
 
 DATA = 0xC0000040
@@ -135,7 +142,10 @@ def test_c3_rule_stats_exact_counts(default_corpus):
     spec, manifest = default_corpus
     block = parse_rules(emit_rules_from_bank(spec))
     allow = parse_rules(emit_allowlist(manifest), role="allowlist")
-    stats = rule_stats(manifest.samples(), allow, block)
+    samples = manifest.samples()
+    routes = [route_rules(read(s.path), allow, block) or Route("ml", None, ())
+              for s in samples]
+    stats = rule_stats(routes, [s.label for s in samples], [s.epoch for s in samples])
 
     # by-count equality, zero tolerance
     c = stats.counts
@@ -191,20 +201,14 @@ def test_c4_composite_roc_floor(default_corpus, bare_model):
                 f_rules += 1
     assert 0 < f_rules < g_total   # the floor is real and nontrivial
 
-    curve = composite_roc(system, pairs)
+    curve = composite_roc([system.stage(raw) for raw, _ in pairs],
+                          [label for _, label in pairs])
     floor_fpr = f_rules / g_total
     assert all(p[0] >= floor_fpr for p in curve.points)
     min_fpr_points = [p for p in curve.points if p[0] == floor_fpr]
     assert min(p[1] for p in min_fpr_points) == m_rules / m_total
 
     # 20-sample constructed instance vs exhaustive threshold enumeration
-    class Stub:
-        def __init__(self, table):
-            self.table = table
-
-        def stage(self, raw):
-            return self.table[raw]
-
     rng = random.Random(4)
     table, samples20 = {}, []
     for i in range(20):
@@ -226,7 +230,8 @@ def test_c4_composite_roc_floor(default_corpus, bare_model):
         tp = mr + sum(1 for s, y in ml if s >= t and y == 1)
         fp = fr + sum(1 for s, y in ml if s >= t and y == 0)
         expected.add((fp / gt, tp / mt))
-    got = {(p[0], p[1]) for p in composite_roc(Stub(table), samples20).points}
+    got = {(p[0], p[1]) for p in composite_roc([table[r] for r, _ in samples20],
+                                               [y for _, y in samples20]).points}
     assert got == expected
     assert time.perf_counter() - start < 10
 
@@ -248,7 +253,8 @@ def test_c5_filtered_training_parity_under_drift(default_corpus, bare_model):
                                    - report["removed_by_blocklist"])
 
     pairs = [(read(s.path), s.label) for s in manifest.samples("future")]
-    filtered_tpr, _ = tpr_at_fpr(composite_roc(filtered, pairs), 0.01)
+    filtered_tpr, _ = tpr_at_fpr(composite_roc([filtered.stage(raw) for raw, _ in pairs],
+                                               [label for _, label in pairs]), 0.01)
 
     score = bare_score_fn(bare_model)
     scores = [score(raw) for raw, _ in pairs]

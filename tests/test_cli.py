@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -122,6 +123,38 @@ def test_eval_command(workdir, tmp_path):
     assert 0.0 <= doc["composite_tpr_at_1fpr"] <= 1.0
     assert (tmp_path / "eval.composite.dat").exists()
     assert (tmp_path / "eval.gnuplot").exists()
+
+
+def count_calls(monkeypatch, original, key, counts):
+    """Counts calls to `original` made through any sievemal module attribute;
+    key(args) names the counter a call adds to."""
+    def counted(*args, **kwargs):
+        counts[key(args)] = counts.get(key(args), 0) + 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "sievemal" or name.startswith("sievemal.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_eval_reads_routes_and_features_once_per_file(unit_system_dir, unit_corpus,
+                                                      tmp_path, monkeypatch):
+    import sievemal.features
+    import sievemal.rules.engine
+
+    counts = {}
+    count_calls(monkeypatch, sievemal.rules.engine.scan, lambda a: a[1].role, counts)
+    count_calls(monkeypatch, sievemal.features.extract_features,
+                lambda a: "extract", counts)
+    assert main(["eval", "--system", str(unit_system_dir / "system"),
+                 "--corpus", str(unit_system_dir / "manifest.csv"),
+                 "--split", "present-test", "--report", str(tmp_path / "eval.json")]) == 0
+    files = len(unit_corpus.by_epoch("present-test"))
+    assert 0 < counts["allowlist"] <= files
+    assert 0 < counts["blocklist"] <= files
+    assert counts["extract"] == files
 
 
 def test_attack_and_report_commands(workdir, tmp_path):

@@ -19,6 +19,7 @@ from sievemal.evaluation import (
     write_curve_files,
     write_report,
 )
+from sievemal.pipeline import Route, route_rules
 
 
 def brute_force_roc_points(scores, labels):
@@ -121,14 +122,10 @@ def test_tpr_at_fpr_full_confidence_tie():
 
 # --- composite pipeline roc --------------------------------------------------
 
-class StubSystem:
-    """Routes by a lookup table instead of scanning real files."""
-
-    def __init__(self, table):
-        self.table = table  # raw -> (stage, score, fired)
-
-    def stage(self, raw):
-        return self.table[raw]
+def routed(table, samples):
+    """(routes, labels) looked up in a table (raw -> (stage, score, fired))
+    instead of routing real files."""
+    return [table[raw] for raw, _ in samples], [label for _, label in samples]
 
 
 def exhaustive_composite_points(samples, table):
@@ -175,7 +172,7 @@ def test_composite_roc_matches_exhaustive_enumeration():
         if len(set(labels)) < 2:
             continue
         hit += 1
-        curve = composite_roc(StubSystem(table), samples)
+        curve = composite_roc(*routed(table, samples))
         got = sorted({(p[0], p[1]) for p in curve.points})
         assert got == exhaustive_composite_points(samples, table)
     assert hit >= 20
@@ -187,7 +184,7 @@ def test_composite_roc_floor_point():
     g_total = len(samples) - m_total
     m_rules = sum(1 for r, y in samples if table[r][0] == "blocklist" and y == 1)
     f_rules = sum(1 for r, y in samples if table[r][0] == "blocklist" and y == 0)
-    curve = composite_roc(StubSystem(table), samples)
+    curve = composite_roc(*routed(table, samples))
     first = curve.points[0]
     assert first == (f_rules / g_total, m_rules / m_total, float("inf"))
     assert all(p[0] >= f_rules / g_total for p in curve.points)
@@ -200,7 +197,7 @@ def test_composite_roc_allowlisted_malware_never_detected():
         b"m": ("ml", 0.99, ()),
         b"g": ("ml", 0.01, ()),
     }
-    curve = composite_roc(StubSystem(table), samples)
+    curve = composite_roc(*routed(table, samples))
     # even at the loosest threshold half the malware stays invisible
     assert max(p[1] for p in curve.points) == 0.5
 
@@ -208,14 +205,26 @@ def test_composite_roc_allowlisted_malware_never_detected():
 def test_composite_roc_extraction_failure_scores_positive():
     samples = [(b"broken", 1), (b"g", 0)]
     table = {b"broken": ("ml", None, ()), b"g": ("ml", 0.2, ())}
-    curve = composite_roc(StubSystem(table), samples)
+    curve = composite_roc(*routed(table, samples))
     assert (0.0, 1.0, 1.0) in curve.points
 
 
 # --- rule performance table --------------------------------------------------
 
+def rule_routes(samples, allow, block):
+    """Routes of sample files through the rules alone; a file no rule decides
+    goes to the model, which rule statistics never consult."""
+    routes = []
+    for s in samples:
+        with open(s.path, "rb") as fh:
+            routes.append(route_rules(fh.read(), allow, block) or Route("ml", None, ()))
+    return routes
+
+
 def test_rule_stats_exact_counts(unit_corpus, unit_blocklist, unit_allowlist):
-    stats = rule_stats(unit_corpus.samples(), unit_allowlist, unit_blocklist)
+    samples = unit_corpus.samples()
+    stats = rule_stats(rule_routes(samples, unit_allowlist, unit_blocklist),
+                       [s.label for s in samples], [s.epoch for s in samples])
     c = stats.counts
     assert c["present-train"]["malware_total"] == 120
     assert c["present-train"]["goodware_total"] == 80
@@ -232,20 +241,17 @@ def test_rule_stats_exact_counts(unit_corpus, unit_blocklist, unit_allowlist):
     assert d["future"]["tpr"] == pytest.approx(0.45)
 
 
-def test_rule_stats_allowlist_precedence(tmp_path):
-    from sievemal.pipeline import Sample
+def test_rule_stats_allowlist_precedence():
     from sievemal.rules import parse_rules
 
-    p = tmp_path / "f.bin"
-    p.write_bytes(b"token-both-lists")
     import hashlib
     digest = hashlib.sha256(b"token-both-lists").hexdigest()
     allow = parse_rules(
         'rule a { condition: hash.sha256(0, filesize) == "%s" }' % digest,
         role="allowlist")
     block = parse_rules('rule b { strings: $t = "token" condition: $t }')
-    s = Sample(sha256=digest, path=str(p), label=0, epoch="present-test")
-    stats = rule_stats([s], allow, block)
+    route = route_rules(b"token-both-lists", allow, block)
+    stats = rule_stats([route], [0], ["present-test"])
     c = stats.counts["present-test"]
     assert c["allowlist_goodware"] == 1
     assert c["blocklist_goodware"] == 0

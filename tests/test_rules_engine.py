@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -7,7 +9,7 @@ import fuzz_gen
 import naive_rules
 from sievemal.rules import parse_rules
 from sievemal.rules.aho import AhoCorasick
-from sievemal.rules.engine import count_matches, scan
+from sievemal.rules.engine import compile_ruleset, count_matches, scan
 from sievemal.rules.model import PatternDef
 
 
@@ -210,3 +212,13 @@ def test_empty_ruleset_never_fires():
     rs = parse_rules("")
     assert rs.rules == ()
     assert not scan(b"anything", rs).verdict
+
+
+def test_compiled_form_lives_as_long_as_its_ruleset():
+    rs = one_rule('$a = "needle"', "$a")
+    scan(b"needle", rs)
+    assert compile_ruleset(rs) is compile_ruleset(rs)   # compiled once per set
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
