@@ -19,8 +19,7 @@ from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import extract_features, read_feature_file, write_feature_file
-from .learners import TrainConfig, load_model, save_model
-from .pe import parse_pe
+from .learners import TrainConfig, load_model, save_model, train_model
 from .rules import RuleSet, parse_rules
 
 
@@ -35,13 +34,7 @@ def _write_runconfig(out_dir, command, args_dict):
 
 
 def _load_ruleset(path, role) -> RuleSet:
-    if not path:
-        return RuleSet(rules=(), role=role)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        return RuleSet(rules=(), role=role)
-    return parse_rules(text, role=role)
+    return parse_rules(_read_text(path), role=role)
 
 
 def _read_text(path) -> str:
@@ -92,7 +85,7 @@ def cmd_extract_features(args) -> int:
         with open(r.path, "rb") as fh:
             raw = fh.read()
         try:
-            vec = extract_features(parse_pe(raw), raw)
+            vec = extract_features(raw)
         except SievemalError as exc:
             print(f"excluded {r.path}: {exc}", file=sys.stderr)
             failures += 1
@@ -111,10 +104,7 @@ def cmd_filter(args) -> int:
     block = _load_ruleset(args.block, "blocklist")
     samples = manifest.samples(epoch=args.split)
     survivors, report = pipeline_mod.filter_training(samples, allow, block)
-    surviving_shas = {s.sha256 for s in survivors}
-    out = corpus_mod.Manifest(records=[r for r in manifest.records
-                                       if r.sha256 in surviving_shas])
-    corpus_mod.write_manifest(out, args.out)
+    corpus_mod.write_manifest(corpus_mod.Manifest(records=survivors), args.out)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -128,17 +118,16 @@ def cmd_train(args) -> int:
                       gamma=args.gamma, reg=args.reg)
     if args.features:
         _, labels, _, X = read_feature_file(args.features)
-        model = pipeline_mod.train_model(X, labels, cfg)
+        model = train_model(X, labels, cfg)
         save_model(model, args.model_out)
         print(f"wrote model {args.model_out}")
         return 0
     manifest = corpus_mod.read_manifest(args.corpus)
-    allow = _load_ruleset(args.allow, "allowlist")
-    block = _load_ruleset(args.block, "blocklist")
-    samples = manifest.samples(epoch="present-train")
+    allow_text, block_text = _read_text(args.allow), _read_text(args.block)
     system = pipeline_mod.train_system(
-        samples, allow, block, cfg,
-        allow_text=_read_text(args.allow), block_text=_read_text(args.block))
+        manifest.samples(epoch="present-train"),
+        parse_rules(allow_text, role="allowlist"), parse_rules(block_text, role="blocklist"),
+        cfg, allow_text=allow_text, block_text=block_text)
     pipeline_mod.save_system(system, args.system_out)
     _write_runconfig(args.system_out, "train", vars(args))
     print(f"trained {'filtered' if system.metadata['filtered'] else 'all-data'} "

@@ -143,14 +143,9 @@ class Manifest:
     duplicates: int = 0
     io_failures: list = field(default_factory=list)
 
-    def by_epoch(self, epoch: str) -> list:
-        return [r for r in self.records if r.epoch == epoch]
-
-    def samples(self, epoch=None):
-        from .pipeline import Sample
-
-        return [Sample(sha256=r.sha256, path=r.path, label=r.label, epoch=r.epoch)
-                for r in self.records if epoch is None or r.epoch == epoch]
+    def samples(self, epoch=None) -> list:
+        """The records of one epoch, or all of them."""
+        return [r for r in self.records if epoch is None or r.epoch == epoch]
 
 
 def write_manifest(manifest: Manifest, path):

@@ -19,7 +19,7 @@ import re
 import numpy as np
 
 from .errors import FeatureFailure
-from .pe import PeFile
+from .pe import PeFile, parse_pe
 
 DIM = 721
 HISTOGRAM = slice(0, 256)
@@ -128,12 +128,10 @@ def _token_bins(strings: list[bytes]) -> np.ndarray:
     return out
 
 
-def extract_features(pe: PeFile, raw: bytes) -> np.ndarray:
-    """Deterministic 721-dim float32 feature vector; raises FeatureFailure on bad input."""
-    if pe.raw_length != len(raw):
-        raise FeatureFailure("raw length disagrees with parsed file")
-    if pe.num_sections != len(pe.sections):
-        raise FeatureFailure("section count disagrees with section table")
+def extract_features(raw: bytes) -> np.ndarray:
+    """Deterministic 721-dim float32 feature vector of a PE file's bytes; raises
+    MalformedPe when they do not parse and FeatureFailure on a non-finite value."""
+    pe = parse_pe(raw)
     strings = _printable_strings(raw)
     vec = np.empty(DIM, dtype=np.float64)
     vec[HISTOGRAM] = _byte_histogram(raw)

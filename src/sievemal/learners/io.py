@@ -1,13 +1,28 @@
-"""Versioned JSON persistence for trained models."""
+"""The model families by kind: training, scoring and versioned JSON persistence."""
 
 from __future__ import annotations
 
 import json
 
-from .gbdt import GbdtModel
-from .svm import RbfSvmModel
+from .common import TrainConfig
+from .gbdt import GbdtModel, predict_gbdt, train_gbdt
+from .svm import RbfSvmModel, predict_svm_rbf, train_svm_rbf
 
 MODEL_FORMAT_VERSION = 1
+
+
+def train_model(X, y, cfg: TrainConfig):
+    if cfg.kind == "gbdt":
+        return train_gbdt(X, y, cfg)
+    return train_svm_rbf(X, y, cfg)
+
+
+def score_model(model, X):
+    if isinstance(model, GbdtModel):
+        return predict_gbdt(model, X)
+    if isinstance(model, RbfSvmModel):
+        return predict_svm_rbf(model, X)
+    raise TypeError(f"unknown model type {type(model)!r}")
 
 
 def save_model(model, path, training_digest: str = ""):

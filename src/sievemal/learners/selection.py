@@ -6,9 +6,7 @@ import numpy as np
 
 from ..errors import DegenerateData
 from ..evaluation import roc, tpr_at_fpr
-from .common import TrainConfig
-from .gbdt import predict_gbdt, train_gbdt
-from .svm import predict_svm_rbf, train_svm_rbf
+from .io import score_model, train_model
 
 TARGET_FPR = 0.01
 
@@ -17,14 +15,6 @@ def default_svm_grid():
     """The 21-point log grid 10^{-6.0, -5.5, ..., 4.0} for both gamma and C."""
     exps = np.arange(-6.0, 4.0 + 0.25, 0.5)
     return [float(10.0 ** e) for e in exps]
-
-
-def _train_and_score(cfg: TrainConfig, X_tr, y_tr, X_va):
-    if cfg.kind == "gbdt":
-        model = train_gbdt(X_tr, y_tr, cfg)
-        return predict_gbdt(model, X_va)
-    model = train_svm_rbf(X_tr, y_tr, cfg)
-    return predict_svm_rbf(model, X_va)
 
 
 def cross_validate(X, y, grid, k: int, seed: int = 0, target_fpr: float = TARGET_FPR):
@@ -52,7 +42,7 @@ def cross_validate(X, y, grid, k: int, seed: int = 0, target_fpr: float = TARGET
             tr = np.concatenate([folds[j] for j in range(k) if j != f])
             if len(np.unique(y[tr])) < 2 or len(np.unique(y[va])) < 2:
                 continue
-            scores = _train_and_score(cfg, X[tr], y[tr], X[va])
+            scores = score_model(train_model(X[tr], y[tr], cfg), X[va])
             tpr, _ = tpr_at_fpr(roc(scores, y[va]), target_fpr)
             metrics.append(tpr)
         mean_tpr = float(np.mean(metrics)) if metrics else 0.0

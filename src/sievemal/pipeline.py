@@ -16,31 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateData, FeatureFailure, MalformedPe
+from .evaluation import roc, tpr_at_fpr
 from .features import extract_features
-from .learners import (
-    GbdtModel,
-    RbfSvmModel,
-    TrainConfig,
-    load_model,
-    predict_gbdt,
-    predict_svm_rbf,
-    save_model,
-    train_gbdt,
-    train_svm_rbf,
-)
-from .pe import parse_pe
+from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
 
 DEFAULT_TARGET_FPR = 0.01
 CALIB_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class Sample:
-    sha256: str
-    path: str
-    label: int                    # goodware 0 | malware 1
-    epoch: str                    # present-train | present-test | future
 
 
 class Route(NamedTuple):
@@ -75,20 +57,6 @@ class FilterReport:
             "per_rule": dict(sorted(self.per_rule.items())),
             "io_failures": list(self.io_failures),
         }
-
-
-def score_model(model, X) -> np.ndarray:
-    if isinstance(model, GbdtModel):
-        return predict_gbdt(model, X)
-    if isinstance(model, RbfSvmModel):
-        return predict_svm_rbf(model, X)
-    raise TypeError(f"unknown model type {type(model)!r}")
-
-
-def train_model(X, y, cfg: TrainConfig):
-    if cfg.kind == "gbdt":
-        return train_gbdt(X, y, cfg)
-    return train_svm_rbf(X, y, cfg)
 
 
 @dataclass
@@ -126,7 +94,7 @@ def model_score(model, raw: bytes) -> float | None:
     """The model's score for one file, or None when it cannot be parsed or
     featurized."""
     try:
-        vec = extract_features(parse_pe(raw), raw)
+        vec = extract_features(raw)
     except (MalformedPe, FeatureFailure):
         return None
     return float(score_model(model, vec[None, :])[0])
@@ -144,20 +112,20 @@ def predict(system: AiSystem, raw: bytes) -> Verdict:
     return Verdict(stage="ml_score", score=score)
 
 
-def filter_training(corpus, allow: RuleSet, block: RuleSet):
-    """Drop every sample on which either ruleset fires, regardless of label."""
-    survivors = []
-    report = FilterReport()
-    for sample in corpus:
+def _route_training(records, allow: RuleSet, block: RuleSet, report: FilterReport):
+    """Reads each record's file once, counts what the rules remove into report
+    and yields (record, raw) for every file no rule fires on."""
+    for rec in records:
         try:
-            with open(sample.path, "rb") as fh:
+            with open(rec.path, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
-            report.io_failures.append(f"{sample.path}: {exc}")
+            report.io_failures.append(f"{rec.path}: {exc}")
             continue
         route = route_rules(raw, allow, block)
         if route is None:
-            survivors.append(sample)
+            report.survivors += 1
+            yield rec, raw
             continue
         if route.stage == "allowlist":
             report.removed_by_allowlist += 1
@@ -165,36 +133,32 @@ def filter_training(corpus, allow: RuleSet, block: RuleSet):
             report.removed_by_blocklist += 1
         for name in route.fired:
             report.per_rule[name] = report.per_rule.get(name, 0) + 1
-    report.survivors = len(survivors)
+
+
+def filter_training(records, allow: RuleSet, block: RuleSet):
+    """Drop every record on whose file either ruleset fires, regardless of label."""
+    report = FilterReport()
+    survivors = [rec for rec, _ in _route_training(records, allow, block, report)]
     return survivors, report
 
 
-def _load_features(samples):
-    rows, labels, kept = [], [], []
-    for sample in samples:
-        with open(sample.path, "rb") as fh:
-            raw = fh.read()
-        try:
-            pe = parse_pe(raw)
-            rows.append(extract_features(pe, raw))
-        except (MalformedPe, FeatureFailure):
-            continue
-        labels.append(sample.label)
-        kept.append(sample)
-    if not rows:
-        raise DegenerateData("no extractable samples")
-    return np.vstack(rows), np.array(labels), kept
-
-
-def train_system(corpus, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
+def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
                  allow_text: str = "", block_text: str = "",
                  target_fpr: float = DEFAULT_TARGET_FPR) -> AiSystem:
-    """filter_training, then train on survivors; threshold calibrated on a
-    held-out split of the survivors at the target FPR."""
-    from .evaluation import roc, tpr_at_fpr  # deferred to avoid an import cycle
-
-    survivors, report = filter_training(corpus, allow, block)
-    X, y, kept = _load_features(survivors)
+    """Filter the records with the rules and train on the survivors, in one pass
+    that reads each file once; threshold calibrated on a held-out split of the
+    survivors at the target FPR."""
+    report = FilterReport()
+    rows, labels = [], []
+    for rec, raw in _route_training(records, allow, block, report):
+        try:
+            rows.append(extract_features(raw))
+        except (MalformedPe, FeatureFailure):
+            continue
+        labels.append(rec.label)
+    if not rows:
+        raise DegenerateData("no extractable samples")
+    X, y = np.vstack(rows), np.array(labels)
     if len(np.unique(y)) < 2:
         raise DegenerateData("survivors contain a single class")
 
@@ -269,10 +233,8 @@ def load_system(directory) -> AiSystem:
         block_text = fh.read()
     with open(os.path.join(directory, "metadata.json"), encoding="utf-8") as fh:
         metadata = json.load(fh)
-    allow = (parse_rules(allow_text, role="allowlist") if allow_text.strip()
-             else RuleSet(rules=(), role="allowlist"))
-    block = (parse_rules(block_text, role="blocklist") if block_text.strip()
-             else RuleSet(rules=(), role="blocklist"))
+    allow = parse_rules(allow_text, role="allowlist")
+    block = parse_rules(block_text, role="blocklist")
     model = load_model(os.path.join(directory, "model.json"))
     return AiSystem(allowlist=allow, blocklist=block, model=model,
                     threshold=metadata["threshold"], allow_text=allow_text,

@@ -32,7 +32,6 @@ from sievemal.evaluation import (
     rule_stats,
     tpr_at_fpr,
 )
-from sievemal.features import extract_features
 from sievemal.learners import TrainConfig
 from sievemal.learners.common import log_loss, logistic_grad_hess
 from sievemal.learners.gbdt import predict_gbdt, train_gbdt
@@ -42,8 +41,8 @@ from sievemal.pipeline import (
     AiSystem,
     Route,
     make_oracle,
+    model_score,
     route_rules,
-    score_model,
     train_system,
 )
 from sievemal.rules import RuleSet, parse_rules, scan
@@ -78,11 +77,8 @@ def bare_model(default_corpus):
 
 def bare_score_fn(system):
     def score(raw):
-        try:
-            vec = extract_features(parse_pe(raw), raw)
-        except Exception:
-            return 1.0
-        return float(score_model(system.model, vec[None, :])[0])
+        value = model_score(system.model, raw)
+        return 1.0 if value is None else value
     return score
 
 
@@ -321,7 +317,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
     pool = harvest_sections(goodware, k=10, seed=0)
 
     # (a) every query is traced; the budget is a hard cap
-    some_malware = read(next(r.path for r in manifest.by_epoch("present-test")
+    some_malware = read(next(r.path for r in manifest.samples("present-test")
                              if r.label == 1))
     capped = gamma_attack(lambda raw: 0.9, some_malware, pool,
                           AttackConfig(k=10, query_budget=25, seed=0,
@@ -330,7 +326,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
 
     # (b) the seeded attack strictly lowers the bare model's detection rate
     attacked = []
-    for rec in manifest.by_epoch("present-test"):
+    for rec in manifest.samples("present-test"):
         if rec.label != 1:
             continue
         raw = read(rec.path)
@@ -357,7 +353,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
     pipeline = AiSystem(allowlist=allow, blocklist=block,
                         model=bare_model.model, threshold=threshold)
     oracle, probe = make_oracle(pipeline)
-    planted = [(rec, read(rec.path)) for rec in manifest.by_epoch("present-test")
+    planted = [(rec, read(rec.path)) for rec in manifest.samples("present-test")
                if rec.planted][:10]
     pipe_results, bare_on_planted = [], []
     for rec, raw in planted:

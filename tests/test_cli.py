@@ -151,7 +151,7 @@ def test_eval_reads_routes_and_features_once_per_file(unit_system_dir, unit_corp
     assert main(["eval", "--system", str(unit_system_dir / "system"),
                  "--corpus", str(unit_system_dir / "manifest.csv"),
                  "--split", "present-test", "--report", str(tmp_path / "eval.json")]) == 0
-    files = len(unit_corpus.by_epoch("present-test"))
+    files = len(unit_corpus.samples("present-test"))
     assert 0 < counts["allowlist"] <= files
     assert 0 < counts["blocklist"] <= files
     assert counts["extract"] == files

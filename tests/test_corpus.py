@@ -69,7 +69,7 @@ def test_spec_rejects_foreign_document(tmp_path):
 
 def test_corpus_counts_and_validity(unit_corpus):
     for epoch, (n_mal, n_good) in UNIT_COUNTS.items():
-        recs = unit_corpus.by_epoch(epoch)
+        recs = unit_corpus.samples(epoch)
         assert sum(1 for r in recs if r.label == 1) == n_mal
         assert sum(1 for r in recs if r.label == 0) == n_good
     for rec in unit_corpus.records:
@@ -80,7 +80,7 @@ def test_corpus_counts_and_validity(unit_corpus):
 
 def test_exact_plant_counts(unit_corpus, unit_spec, unit_blocklist):
     for epoch in EPOCHS:
-        mal = [r for r in unit_corpus.by_epoch(epoch) if r.label == 1]
+        mal = [r for r in unit_corpus.samples(epoch) if r.label == 1]
         planted = [r for r in mal if r.planted]
         assert len(planted) == round(unit_spec.plant_rates[epoch] * len(mal))
         # ground truth closes over the emitted rules exactly
@@ -121,9 +121,9 @@ def test_synthesis_is_deterministic(unit_spec, unit_corpus, tmp_path):
 
 
 def test_future_goodware_distribution_shifts(unit_corpus):
-    present = b"".join(read(r.path) for r in unit_corpus.by_epoch("present-train")
+    present = b"".join(read(r.path) for r in unit_corpus.samples("present-train")
                        if r.label == 0)
-    future = b"".join(read(r.path) for r in unit_corpus.by_epoch("future")
+    future = b"".join(read(r.path) for r in unit_corpus.samples("future")
                       if r.label == 0)
     assert b"InstallShield Setup" in present
     assert b"InstallShield Setup" not in future

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievemal.corpus import build_pe
-from sievemal.errors import FeatureFailure
 from sievemal.features import (
     DIM,
     ENTROPY,
@@ -24,10 +23,6 @@ from sievemal.pe import parse_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
-
-
-def features_of(raw: bytes):
-    return extract_features(parse_pe(raw), raw)
 
 
 def naive_fnv1a64(data: bytes) -> int:
@@ -53,7 +48,7 @@ def test_fnv1a64_matches_naive(data):
 
 def test_vector_shape_and_dtype():
     raw = build_pe([(b".text", b"\x90" * 100, EXEC)])
-    vec = features_of(raw)
+    vec = extract_features(raw)
     assert vec.shape == (DIM,)
     assert vec.dtype == np.float32
     assert np.all(np.isfinite(vec))
@@ -61,7 +56,7 @@ def test_vector_shape_and_dtype():
 
 def test_histogram_normalized_and_located():
     raw = build_pe([(b".d", b"\xab" * 64, DATA)])
-    vec = features_of(raw)
+    vec = extract_features(raw)
     hist = vec[HISTOGRAM]
     assert math.isclose(float(hist.sum()), 1.0, rel_tol=1e-5)
     # headers are mostly NUL padding, so byte 0 dominates
@@ -72,15 +67,15 @@ def test_histogram_normalized_and_located():
 def test_entropy_plane_zero_for_small_files():
     raw = build_pe([(b".d", b"x" * 16, DATA)], min_headers=0x200)
     assert len(raw) < 2048
-    assert np.all(features_of(raw)[ENTROPY] == 0)
+    assert np.all(extract_features(raw)[ENTROPY] == 0)
 
 
 def test_entropy_plane_separates_constant_from_random():
     rng = np.random.default_rng(0)
     flat = build_pe([(b".d", b"\x00" * 8192, DATA)])
     noisy = build_pe([(b".d", rng.integers(0, 256, 8192, dtype=np.uint8).tobytes(), DATA)])
-    lo = features_of(flat)[ENTROPY].reshape(16, 16)
-    hi = features_of(noisy)[ENTROPY].reshape(16, 16)
+    lo = extract_features(flat)[ENTROPY].reshape(16, 16)
+    hi = extract_features(noisy)[ENTROPY].reshape(16, 16)
     # constant windows land in the lowest entropy rows, random ones near the top
     assert lo[:4].sum() > 0.9
     assert hi[-4:].sum() > 0.5
@@ -89,7 +84,7 @@ def test_entropy_plane_separates_constant_from_random():
 def test_string_stats():
     body = b"\x00\x00hello world\x00tiny\x00http://x\x00HKEY_LOCAL\x00C:\\tmp\x00"
     raw = build_pe([(b".d", body, DATA)])
-    vec = features_of(raw)
+    vec = extract_features(raw)
     s = vec[STRINGS]
     # runs of >= 5 printable chars; "tiny" is too short
     assert s[0] >= 3
@@ -104,7 +99,7 @@ def test_general_stats():
     raw = build_pe([(b".a", b"x" * 10, DATA), (b".b", b"y" * 10, DATA)],
                    pe64=True, timestamp=2 ** 30)
     pe = parse_pe(raw)
-    g = features_of(raw)[GENERAL]
+    g = extract_features(raw)[GENERAL]
     assert g[0] == np.float32(np.log1p(len(raw)))
     assert g[1] == 2.0                     # section count
     assert g[6] == 1.0                     # 64-bit flag
@@ -114,7 +109,7 @@ def test_general_stats():
 
 def test_section_bins_accumulate_by_name_hash():
     raw = build_pe([(b".odd", b"z" * 512, DATA)])
-    vec = features_of(raw)
+    vec = extract_features(raw)
     bins = vec[SECTION_BINS]
     idx = fnv1a64(b".odd") % 64
     assert bins[idx] == np.float32(np.log1p(512))
@@ -124,7 +119,7 @@ def test_section_bins_accumulate_by_name_hash():
 def test_token_bins_case_insensitive():
     a = build_pe([(b".d", b"\x00TOKENWORD\x00" * 3, DATA)])
     b = build_pe([(b".d", b"\x00tokenword\x00" * 3, DATA)])
-    va, vb = features_of(a), features_of(b)
+    va, vb = extract_features(a), extract_features(b)
     assert np.array_equal(va[TOKEN_BINS], vb[TOKEN_BINS])
     assert va[TOKEN_BINS].sum() >= 3
 
@@ -132,21 +127,14 @@ def test_token_bins_case_insensitive():
 def test_locality_distant_edit_preserves_untouched_blocks():
     base = build_pe([(b".d", b"A" * 4096, DATA)])
     edited = build_pe([(b".d", b"A" * 4096, DATA)], overlay=b"B" * 64)
-    v0, v1 = features_of(base), features_of(edited)
+    v0, v1 = extract_features(base), extract_features(edited)
     assert not np.array_equal(v0, v1)
     assert np.array_equal(v0[SECTION_BINS], v1[SECTION_BINS])
 
 
 def test_determinism():
     raw = build_pe([(b".d", bytes(range(256)) * 20, DATA)])
-    assert np.array_equal(features_of(raw), features_of(raw))
-
-
-def test_inconsistent_input_rejected():
-    raw = build_pe([(b".d", b"x" * 10, DATA)])
-    pe = parse_pe(raw)
-    with pytest.raises(FeatureFailure):
-        extract_features(pe, raw + b"extra")
+    assert np.array_equal(extract_features(raw), extract_features(raw))
 
 
 def test_feature_file_round_trip(tmp_path):

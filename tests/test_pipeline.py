@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from sievemal.corpus import build_pe, emit_allowlist, emit_rules_from_bank
+from sievemal.corpus import ManifestRecord, build_pe, emit_allowlist, emit_rules_from_bank
 from sievemal.errors import DegenerateData
+from sievemal.features import extract_features
 from sievemal.learners import TrainConfig
 from sievemal.pipeline import (
     AiSystem,
-    Sample,
     filter_training,
     load_system,
     make_oracle,
@@ -41,7 +41,7 @@ def read(path):
 
 def test_predict_routes_through_stages(filtered_system, unit_corpus):
     by_stage = {"benign_by_allowlist": 0, "malicious_by_blocklist": 0, "ml_score": 0}
-    for rec in unit_corpus.by_epoch("present-test"):
+    for rec in unit_corpus.samples("present-test"):
         verdict = predict(filtered_system, read(rec.path))
         by_stage[verdict.stage] += 1
         if rec.allowlisted:
@@ -106,14 +106,39 @@ def test_filter_training_with_empty_rules_keeps_everything(
 
 
 def test_filter_training_records_io_failures(empty_allowlist, empty_blocklist):
-    missing = Sample(sha256="0" * 64, path="/nonexistent/file.bin",
-                     label=1, epoch="present-train")
+    missing = ManifestRecord(path="/nonexistent/file.bin", sha256="0" * 64,
+                             label=1, epoch="present-train")
     survivors, report = filter_training([missing], empty_allowlist, empty_blocklist)
     assert survivors == []
     assert len(report.io_failures) == 1
 
 
 # --- system training ---------------------------------------------------------
+
+def test_train_system_reads_each_file_once(unit_corpus, unit_allowlist, unit_blocklist,
+                                           monkeypatch):
+    import builtins
+
+    import sievemal.pipeline
+
+    opened, extracted = [], []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    def counted_extract(*args):
+        extracted.append(args)
+        return extract_features(*args)
+
+    monkeypatch.setattr(sievemal.pipeline, "open", counted_open, raising=False)
+    monkeypatch.setattr(sievemal.pipeline, "extract_features", counted_extract)
+    samples = unit_corpus.samples("present-train")
+    system = train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG)
+    assert len(opened) == 200
+    assert sorted(opened) == sorted(r.path for r in samples)
+    assert len(extracted) == system.metadata["filter_report"]["survivors"] == 156
+
 
 def test_train_system_metadata(filtered_system):
     md = filtered_system.metadata
@@ -163,7 +188,7 @@ def test_train_system_deterministic(unit_corpus, empty_allowlist, empty_blocklis
 
 def test_make_oracle_score_conventions(filtered_system, unit_corpus):
     score_fn, rule_probe = make_oracle(filtered_system)
-    recs = unit_corpus.by_epoch("present-test")
+    recs = unit_corpus.samples("present-test")
     blocked = next(r for r in recs if r.planted)
     allowed = next(r for r in recs if r.allowlisted)
     plain = next(r for r in recs if not r.planted and not r.allowlisted)
@@ -183,7 +208,7 @@ def test_system_save_load_round_trip(filtered_system, unit_corpus, tmp_path):
     loaded = load_system(out)
     assert loaded.threshold == filtered_system.threshold
     assert loaded.metadata == filtered_system.metadata
-    for rec in unit_corpus.by_epoch("present-test")[:20]:
+    for rec in unit_corpus.samples("present-test")[:20]:
         raw = read(rec.path)
         assert predict(loaded, raw) == predict(filtered_system, raw)
 

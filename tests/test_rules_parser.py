@@ -1,7 +1,7 @@
 import pytest
 
 from sievemal.errors import ParseError, UnsupportedConstruct
-from sievemal.rules import parse_rules
+from sievemal.rules import RuleSet, parse_rules
 from sievemal.rules.model import (
     And,
     CountCmp,
@@ -86,6 +86,13 @@ def test_multiple_rules_and_roles():
     assert rs.role == "allowlist"
     with pytest.raises(ValueError):
         parse_rules(text, role="denylist")
+
+
+@pytest.mark.parametrize("role", ["blocklist", "allowlist"])
+@pytest.mark.parametrize("text", ["", "   \n", "// only a comment\n", "/* c */"])
+def test_text_without_rules_parses_to_empty_ruleset(text, role):
+    # rule files and saved systems with no rules load through the parser alone
+    assert parse_rules(text, role=role) == RuleSet(rules=(), role=role)
 
 
 def test_parse_error_carries_location():
