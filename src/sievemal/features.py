@@ -154,7 +154,8 @@ def write_feature_file(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{FEATURE_FILE_HEADER}{len(records)}\n")
         for sha, label, epoch, vec in records:
-            vals = ",".join(repr(float(v)) for v in np.asarray(vec, dtype=np.float32))
+            row = np.asarray(vec, dtype=np.float32).astype(np.float64)
+            vals = ",".join(map(repr, row.tolist()))
             fh.write(f"{sha},{int(label)},{epoch},{vals}\n")
 
 

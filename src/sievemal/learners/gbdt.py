@@ -2,14 +2,42 @@
 
 Per round: g = p - y, h = p(1-p); splits maximize
 gain = 1/2 [G_L^2/(H_L+l) + G_R^2/(H_R+l) - G^2/(H+l)] and leaves take
-weight -G/(H+l). Split candidates come from per-feature quantile bins
-(up to 255 cut points) accumulated with weighted bincounts, which keeps
-a 100x721 training run in the seconds range without changing semantics.
+weight -G/(H+l). Split candidates come from per-feature quantile bins (up to
+255 cut points, so at most 256 bins): the training matrix is binned once into
+a column-major (features x rows) uint8 array.
+
+Split search runs once per node, nodes in breadth-first order. Per tree, the
+sampled columns are grouped into blocks of up to `_BLOCK`, narrow columns with
+narrow ones, and each block's bins are copied row-major (rows x columns) so a
+node's rows are one gather. Per node and block, one weighted bincount keyed by
+(column offset + bin) gives the g histograms of all the block's columns and
+one the h histograms; a cumsum along the bins (padded to the block's widest
+column, padded bins masked out) gives G_L and H_L; one argmax over
+(column, bin) picks the block's best split.
+
+Exactness: every float is summed in the order of a one-column-at-a-time
+search. A (column, bin) cell adds its rows in ascending row order, as a
+bincount over that column alone does, and G_L runs along the bins from 0.
+Histograms are never derived by subtraction (parent minus sibling), which
+rounds differently, so gains, ties and thresholds are bit-identical to the
+plain search. Ties go to the smaller feature, then the smaller bin: within a
+block, columns are in ascending feature order and argmax takes the first
+maximum; across blocks, a block's best replaces the best so far only with a
+larger gain, or an equal gain on a smaller feature. A column with a NaN gain
+(0/0, possible only without regularisation) is skipped, as a one-column
+argmax that lands on the NaN would skip it.
+
+Training never predicts: growth records each row's leaf, because
+bin <= b exactly when x <= cuts[b]. Predict flattens all trees into one set
+of node arrays whose leaves point to themselves, moves every (row, tree)
+pair one level per numpy step, and adds the leaf values in tree order with a
+sequential cumsum, which rounds as a tree-by-tree sum does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +45,49 @@ from ..errors import DegenerateData
 from .common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 
 MAX_BINS = 255
+_BLOCK = 64  # features per histogram in the split search
+
+
+class _Forest:
+    """Node arrays of several trees, concatenated; leaves loop to themselves."""
+
+    def __init__(self, trees):
+        def cat(name, dtype):
+            return np.concatenate([np.zeros(0, dtype)] + [getattr(t, name) for t in trees])
+
+        sizes = [len(t.feature) for t in trees]
+        self.roots = np.cumsum([0] + sizes)[:-1]
+        feature = cat("feature", np.intp)
+        leaf = feature < 0
+        own = np.arange(len(feature))
+        shift = np.repeat(self.roots, sizes)
+        left = np.where(leaf, own, cat("left", np.intp) + shift)
+        right = np.where(leaf, own, cat("right", np.intp) + shift)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = cat("threshold", np.float64)
+        self.value = cat("value", np.float64)
+        self.child = np.stack([right, left])  # child[x <= threshold, node]
+        self.width = int(feature.max(initial=-1)) + 1
+        self.depth = 0
+        level = self.roots[~leaf[self.roots]]
+        while len(level):
+            self.depth += 1
+            level = self.child[:, level].ravel()
+            level = level[~leaf[level]]
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node reached by every (row, tree) pair: shape (rows, trees)."""
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        n, d = X.shape
+        node = np.broadcast_to(self.roots, (n, len(self.roots)))
+        if self.depth and d < self.width:
+            raise ValueError(f"model reads feature {self.width - 1}, input has {d} columns")
+        flat = X.ravel()
+        row_start = (np.arange(n) * d)[:, None]
+        for _ in range(self.depth):
+            go_left = flat[row_start + self.feature[node]] <= self.threshold[node]
+            node = self.child[go_left.view(np.int8), node]
+        return node
 
 
 @dataclass(frozen=True)
@@ -29,16 +100,8 @@ class Tree:
     value: np.ndarray      # float64 leaf weights
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = 0
-            while self.feature[node] >= 0:
-                if X[i, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+        forest = _Forest((self,))
+        return forest.value[forest.leaves(X)[:, 0]]
 
     def to_dict(self) -> dict:
         return {
@@ -68,13 +131,18 @@ class GbdtModel:
     config: TrainConfig
     n_features: int
     train_log_loss: tuple = ()
+    _forest: _Forest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_forest", _Forest(self.trees))
 
     def decision_margin(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        margin = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            margin += self.eta * tree.predict_margin(X)
-        return margin
+        forest = self._forest
+        leaves = forest.leaves(X)
+        terms = np.empty((leaves.shape[0], leaves.shape[1] + 1))
+        terms[:, 0] = self.base_score
+        np.multiply(self.eta, forest.value[leaves], out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, -1]
 
     def to_dict(self) -> dict:
         return {
@@ -100,10 +168,11 @@ class GbdtModel:
 
 
 def _bin_features(X: np.ndarray):
-    """Quantile cut points per feature; binned[i,f] = index of first cut >= x."""
+    """Quantile cut points per feature, and the (features, rows) uint8 bins:
+    binned[f, i] = index of the first cut >= X[i, f]."""
     n, d = X.shape
     cuts = []
-    binned = np.empty((n, d), dtype=np.int32)
+    binned = np.empty((d, n), dtype=np.uint8)
     for f in range(d):
         col = X[:, f]
         uniq = np.unique(col)
@@ -111,19 +180,19 @@ def _bin_features(X: np.ndarray):
             qs = np.quantile(col, np.linspace(0, 1, MAX_BINS + 1)[1:-1])
             uniq = np.unique(qs)
         cuts_f = uniq.astype(np.float64)
+        assert len(cuts_f) <= MAX_BINS, "bin index must fit a uint8"
         cuts.append(cuts_f)
-        binned[:, f] = np.searchsorted(cuts_f, col, side="left")
+        binned[f] = np.searchsorted(cuts_f, col, side="left")
     return cuts, binned
 
 
 class _TreeBuilder:
-    def __init__(self, cfg: TrainConfig):
+    def __init__(self):
         self.feature = []
         self.threshold = []
         self.left = []
         self.right = []
         self.value = []
-        self.cfg = cfg
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -143,56 +212,108 @@ class _TreeBuilder:
         )
 
 
-def _best_split(binned, cuts, idx, g, h, columns, cfg):
-    """Strict argmax over (gain); ties resolved to the smaller feature, then bin."""
-    G = g[idx].sum()
-    H = h[idx].sum()
+def _candidate_blocks(binned, nbins, columns):
+    """A tree's candidate columns in blocks of up to `_BLOCK`, grouped by bin
+    count so that histograms padded to a block's widest column waste few cells.
+
+    Each block is (features, rows, offsets, splits): its feature indices in
+    ascending order; their bins as a (rows, k) uint8 array; the histogram key
+    of each column's bin 0 (c * width); and a (k, width) mask of the bins that
+    are split points (b < nbins - 1).
+    """
+    blocks = []
+    by_width = columns[np.argsort(nbins[columns], kind="stable")]
+    for lo in range(0, len(by_width), _BLOCK):
+        features = np.sort(by_width[lo:lo + _BLOCK])
+        nb = nbins[features]
+        width = int(nb.max())
+        blocks.append((features, np.ascontiguousarray(binned[features].T),
+                       np.arange(0, len(features) * width, width),
+                       np.arange(width) < (nb - 1)[:, None]))
+    return blocks
+
+
+def _best_split(blocks, idx, g, h, cfg):
+    """Largest gain over all candidate (feature, bin) splits of the rows idx;
+    ties resolved to the smaller feature, then the smaller bin.
+
+    Returns ((gain, feature, bin_index) or None, G, H).
+    """
+    gi = g[idx]
+    hi = h[idx]
+    G = gi.sum()
+    H = hi.sum()
     lam = cfg.reg_lambda
+    mch = cfg.min_child_hessian
     parent = G * G / (H + lam)
     best = None  # (gain, feature, bin_index)
-    sub = binned[idx]
-    for f in columns:
-        nb = len(cuts[f]) + 1
-        if nb < 2:
-            continue
-        b = sub[:, f]
-        gs = np.bincount(b, weights=g[idx], minlength=nb)
-        hs = np.bincount(b, weights=h[idx], minlength=nb)
-        GL = np.cumsum(gs)[:-1]
-        HL = np.cumsum(hs)[:-1]
+    if not len(idx):
+        # rounding can let a split send every row one way; no split of an
+        # empty node has a positive gain
+        return best, G, H
+    weights = {}
+    for features, rows, offsets, splits in blocks:
+        k, width = splits.shape
+        if k not in weights:
+            weights[k] = np.repeat(gi, k), np.repeat(hi, k)
+        gw, hw = weights[k]
+        keys = rows.take(idx, axis=0).astype(np.intp)
+        keys += offsets
+        keys = keys.ravel()
+        GL = np.bincount(keys, weights=gw, minlength=k * width).reshape(k, width)
+        HL = np.bincount(keys, weights=hw, minlength=k * width).reshape(k, width)
+        np.cumsum(GL, axis=1, out=GL)
+        np.cumsum(HL, axis=1, out=HL)
         GR = G - GL
         HR = H - HL
-        ok = (HL >= cfg.min_child_hessian) & (HR >= cfg.min_child_hessian)
-        if not ok.any():
-            continue
-        gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - parent)
-        gains[~ok] = -np.inf
-        bi = int(np.argmax(gains))
-        gain = gains[bi]
-        if gain > 1e-12 and (best is None or gain > best[0]):
-            best = (float(gain), int(f), bi)
+        ok = HL >= mch
+        ok &= HR >= mch
+        ok &= splits
+        # gain = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent), in place
+        gains = np.square(GL, out=GL)
+        HL += lam
+        gains /= HL
+        np.square(GR, out=GR)
+        HR += lam
+        GR /= HR
+        gains += GR
+        gains -= parent
+        gains *= 0.5
+        np.copyto(gains, -np.inf, where=~ok)
+        j = int(np.argmax(gains))
+        if np.isnan(gains.flat[j]):
+            # a column with any NaN gain never wins a one-column argmax
+            gains[np.isnan(gains).any(axis=1)] = -np.inf
+            j = int(np.argmax(gains))
+        gain = gains.flat[j]
+        f = int(features[j // width])
+        if gain > 1e-12 and (best is None or gain > best[0]
+                             or (gain == best[0] and f < best[1])):
+            best = (float(gain), f, j % width)
     return best, G, H
 
 
-def _grow_tree(binned, cuts, g, h, columns, cfg) -> Tree:
-    tb = _TreeBuilder(cfg)
+def _grow_tree(binned, cuts, blocks, g, h, cfg, leaf_of) -> Tree:
+    """One tree over the candidate blocks; writes each row's leaf into leaf_of."""
+    tb = _TreeBuilder()
     root = tb.add_node()
-    frontier = [(root, np.arange(binned.shape[0]), 0)]
+    frontier = deque([(root, np.arange(binned.shape[1]), 0)])
     lam = cfg.reg_lambda
     while frontier:
-        node, idx, depth = frontier.pop(0)
+        node, idx, depth = frontier.popleft()
         split = None
         if depth < cfg.max_depth:
-            split, G, H = _best_split(binned, cuts, idx, g, h, columns, cfg)
+            split, G, H = _best_split(blocks, idx, g, h, cfg)
         else:
             G, H = g[idx].sum(), h[idx].sum()
         if split is None:
             tb.value[node] = -G / (H + lam)
+            leaf_of[idx] = node
             continue
         _, f, bi = split
         tb.feature[node] = f
         tb.threshold[node] = float(cuts[f][bi])
-        mask = binned[idx, f] <= bi
+        mask = binned[f, idx] <= bi
         li = tb.add_node()
         ri = tb.add_node()
         tb.left[node] = li
@@ -213,20 +334,24 @@ def train_gbdt(X, y, cfg: TrainConfig) -> GbdtModel:
 
     n, d = X.shape
     cuts, binned = _bin_features(X)
+    del X  # training reads only the bins; frees a float64 copy of the input
+    nbins = np.array([len(c) + 1 for c in cuts])
     rng = np.random.default_rng(cfg.seed)
     prior = y.mean()
     base_score = float(np.log(prior / (1.0 - prior)))
     margin = np.full(n, base_score)
     n_cols = max(1, int(np.ceil(cfg.colsample * d)))
+    leaf_of = np.empty(n, dtype=np.intp)
 
     trees = []
     losses = []
     for _ in range(cfg.n_trees):
         g, h = logistic_grad_hess(margin, y)
         columns = np.sort(rng.choice(d, size=n_cols, replace=False))
-        tree = _grow_tree(binned, cuts, g, h, columns, cfg)
+        blocks = _candidate_blocks(binned, nbins, columns)
+        tree = _grow_tree(binned, cuts, blocks, g, h, cfg, leaf_of)
         trees.append(tree)
-        margin += cfg.eta * tree.predict_margin(X)
+        margin += cfg.eta * tree.value[leaf_of]
         losses.append(log_loss(margin, y))
 
     return GbdtModel(trees=tuple(trees), eta=cfg.eta, base_score=base_score,
