@@ -20,11 +20,6 @@ class RocCurve:
     """Stepwise curve; thresholds strictly decreasing, tied scores collapsed."""
     points: tuple  # ((fpr, tpr, threshold), ...)
 
-    def auc(self) -> float:
-        fpr = [p[0] for p in self.points]
-        tpr = [p[1] for p in self.points]
-        return float(np.trapezoid(tpr, fpr))
-
 
 def roc(scores, labels) -> RocCurve:
     """Sort-and-sweep ROC; tied scores produce a single diagonal step."""

@@ -60,9 +60,7 @@ class Section:
 
 @dataclass(frozen=True)
 class PeFile:
-    dos_magic: bytes
     e_lfanew: int
-    machine: int
     num_sections: int
     timestamp: int
     characteristics: int
@@ -73,7 +71,6 @@ class PeFile:
     size_of_image: int
     sections: tuple[Section, ...]
     overlay: bytes
-    raw_length: int
     # opaque header region: everything from offset 0 up to the first section's
     # raw data (or the whole file when no section carries data)
     header_blob: bytes
@@ -106,7 +103,7 @@ def parse_pe(raw: bytes) -> PeFile:
     _require(e_lfanew + 24 <= len(raw), "e_lfanew points past end of file")
     _require(raw[e_lfanew:e_lfanew + 4] == PE_SIGNATURE, "missing PE signature")
 
-    machine, num_sections, timestamp = struct.unpack_from("<HHI", raw, e_lfanew + 4)
+    num_sections, timestamp = struct.unpack_from("<HI", raw, e_lfanew + 6)
     size_of_opt, characteristics = struct.unpack_from("<HH", raw, e_lfanew + 20)
     opt_off = e_lfanew + 24
     _require(size_of_opt >= 64, "optional header too small")
@@ -145,9 +142,7 @@ def parse_pe(raw: bytes) -> PeFile:
     overlay = raw[last_end:]
 
     return PeFile(
-        dos_magic=raw[:2],
         e_lfanew=e_lfanew,
-        machine=machine,
         num_sections=num_sections,
         timestamp=timestamp,
         characteristics=characteristics,
@@ -158,7 +153,6 @@ def parse_pe(raw: bytes) -> PeFile:
         size_of_image=size_of_image,
         sections=tuple(sections),
         overlay=overlay,
-        raw_length=len(raw),
         header_blob=raw[:data_start],
     )
 
@@ -240,13 +234,11 @@ def inject_section(pe: PeFile, name: bytes, content: bytes) -> PeFile:
     )
     sections.append(new_section)
     size_of_image = align_up(vaddr + len(content), pe.section_alignment)
-    raw_length = raw_offset + raw_size + len(pe.overlay)
 
     return replace(
         pe,
         num_sections=len(sections),
         sections=tuple(sections),
         size_of_image=size_of_image,
-        raw_length=raw_length,
         header_blob=header_blob,
     )

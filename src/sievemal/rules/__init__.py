@@ -17,10 +17,10 @@ from .model import (
     UintCmp,
 )
 from .parser import parse_rules
-from .engine import count_matches, scan
+from .engine import scan
 
 __all__ = [
     "And", "ConditionExpr", "CountCmp", "FilesizeCmp", "MatchResult", "Not",
     "OfQuantifier", "Or", "PatternDef", "Rule", "RuleSet", "Sha256Eq",
-    "StringMatch", "UintCmp", "parse_rules", "scan", "count_matches",
+    "StringMatch", "UintCmp", "parse_rules", "scan",
 ]

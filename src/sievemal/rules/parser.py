@@ -31,12 +31,6 @@ from .model import (
     referenced_ids,
 )
 
-KEYWORDS = {
-    "rule", "meta", "strings", "condition", "and", "or", "not", "of", "them",
-    "any", "all", "filesize", "true", "false",
-    "uint8", "uint16", "uint32", "hash",
-}
-
 UNSUPPORTED_KEYWORDS = {
     "import", "for", "at", "in", "global", "private", "entrypoint", "include",
     "int8", "int16", "int32", "uint8be", "uint16be", "uint32be", "matches",
@@ -63,13 +57,12 @@ _TOKEN_RE = re.compile(
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "pos")
 
-    def __init__(self, kind, value, line, col):
+    def __init__(self, kind, value, pos):
         self.kind = kind
         self.value = value
-        self.line = line
-        self.col = col
+        self.pos = pos            # source offset; line and column are derived on error
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
@@ -82,14 +75,13 @@ class Lexer:
         self.text = text
         self.pos = 0
 
-    def _linecol(self, pos=None):
-        pos = self.pos if pos is None else pos
+    def _linecol(self, pos):
         line = self.text.count("\n", 0, pos) + 1
         col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
         return line, col
 
-    def error(self, message, cls=ParseError, token=None):
-        line, col = self._linecol()
+    def error(self, message, cls=ParseError, token=None, pos=None):
+        line, col = self._linecol(self.pos if pos is None else pos)
         raise cls(message, line, col, token)
 
     def _skip_trivia(self):
@@ -100,21 +92,16 @@ class Lexer:
             else:
                 break
 
-    def peek_char(self):
-        self._skip_trivia()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def next(self) -> Token:
         self._skip_trivia()
         if self.pos >= len(self.text):
-            line, col = self._linecol()
-            return Token("eof", None, line, col)
+            return Token("eof", None, self.pos)
         if self.text[self.pos] == '"':
             return self._read_quoted()
         m = _TOKEN_RE.match(self.text, self.pos)
         if m is None:
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        line, col = self._linecol(m.start())
+        start = m.start()
         kind = m.lastgroup
         value = m.group()
         self.pos = m.end()
@@ -127,11 +114,11 @@ class Lexer:
                 value = int(value, 16)
             else:
                 value = int(value)
-            return Token("num", value, line, col)
-        return Token(kind, value, line, col)
+            return Token("num", value, start)
+        return Token(kind, value, start)
 
     def _read_quoted(self) -> Token:
-        line, col = self._linecol()
+        start = self.pos
         assert self.text[self.pos] == '"'
         i = self.pos + 1
         out = bytearray()
@@ -166,7 +153,7 @@ class Lexer:
                 out.extend(c.encode("utf-8"))
                 i += 1
         self.pos = i
-        return Token("string", bytes(out), line, col)
+        return Token("string", bytes(out), start)
 
     def read_regex(self) -> str:
         """Read a /.../ regex body; the leading '/' has not been consumed."""
@@ -258,7 +245,7 @@ class Parser:
         self.tok = self.lexer.next()
 
     def error(self, message, cls=ParseError):
-        raise cls(message, self.tok.line, self.tok.col, self.tok.value)
+        self.lexer.error(message, cls, self.tok.value, self.tok.pos)
 
     def advance(self):
         self.tok = self.lexer.next()
@@ -366,17 +353,19 @@ class Parser:
             self.expect("op", "=")
             if self.tok.kind == "string":
                 body = self.tok.value
+                if not body:
+                    self.error(f"empty text string {pid}")
                 self.advance()
                 kind = "text"
             elif self.tok.kind == "op" and self.tok.value == "{":
                 # re-read the body from source: the '{' token was already lexed,
                 # so rewind onto it
-                self.lexer.pos = self._token_start()
+                self.lexer.pos = self.tok.pos
                 body = self.lexer.read_hex_body()
                 self.advance()
                 kind = "hex"
             elif self.tok.kind == "op" and self.tok.value == "/":
-                self.lexer.pos = self._token_start()
+                self.lexer.pos = self.tok.pos
                 body = self.lexer.read_regex()
                 _validate_regex(body, self.lexer)
                 self.advance()
@@ -388,10 +377,6 @@ class Parser:
         if not out:
             self.error("empty strings section")
         return out
-
-    def _token_start(self) -> int:
-        # position of the current single-char op token in the source
-        return self.lexer.text.rfind(self.tok.value, 0, self.lexer.pos)
 
     def parse_modifiers(self, kind: str) -> set:
         mods = set()

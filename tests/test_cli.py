@@ -48,6 +48,11 @@ def test_rules_check_exit_codes(workdir, tmp_path, capsys):
     assert main(["rules", "check", str(bad)]) == 1
     assert "parse error" in capsys.readouterr().err
 
+    empty = tmp_path / "empty.yar"
+    empty.write_text('rule blank { strings: $a = "" condition: $a }')
+    assert main(["rules", "check", str(empty)]) == 1
+    assert "empty text string" in capsys.readouterr().err
+
 
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -34,6 +34,12 @@ def brute_force_roc_points(scores, labels):
     return sorted(pts)
 
 
+def area(curve):
+    """Trapezoid area under a curve's (fpr, tpr) points."""
+    pts = curve.points
+    return sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0, _), (x1, y1, _) in zip(pts, pts[1:]))
+
+
 # --- plain roc ---------------------------------------------------------------
 
 def test_roc_tiny_example_by_hand():
@@ -46,15 +52,15 @@ def test_roc_tiny_example_by_hand():
         (0.5, 1.0, 0.7),
         (1.0, 1.0, 0.1),
     )
-    assert math.isclose(curve.auc(), 0.75)
+    assert math.isclose(area(curve), 0.75)
 
 
 def test_roc_perfect_and_inverted():
     perfect = roc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
     assert (0.0, 1.0, 0.8) in perfect.points
-    assert math.isclose(perfect.auc(), 1.0)
+    assert math.isclose(area(perfect), 1.0)
     inverted = roc([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])
-    assert math.isclose(inverted.auc(), 0.0)
+    assert math.isclose(area(inverted), 0.0)
 
 
 def test_roc_ties_collapse_to_single_diagonal_step():

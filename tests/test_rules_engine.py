@@ -7,14 +7,27 @@ import pytest
 
 import fuzz_gen
 import naive_rules
+from sievemal.errors import ParseError
 from sievemal.rules import parse_rules
-from sievemal.rules.aho import AhoCorasick
-from sievemal.rules.engine import compile_ruleset, count_matches, scan
-from sievemal.rules.model import PatternDef
+from sievemal.rules.engine import _FILTER_MIN_NEEDLES, compile_ruleset, scan
+
+# pad 0 keeps a small set on bytes.find; pad=_FILTER_MIN_NEEDLES moves every
+# text search of the set onto the prefix filter
+PADS = (0, _FILTER_MIN_NEEDLES)
 
 
-def one_rule(strings: str, condition: str):
-    return parse_rules(f"rule t {{ strings: {strings} condition: {condition} }}")
+def padding(pad: int) -> str:
+    """A never-firing rule with pad case-sensitive and pad nocase text needles."""
+    if not pad:
+        return ""
+    fill = " ".join(f'$c{i} = "\\xff\\xfe{i:04d}" $n{i} = "\\xfd{i:04d}" nocase'
+                    for i in range(pad))
+    return f"rule pad {{ strings: {fill} condition: all of them }}\n"
+
+
+def one_rule(strings: str, condition: str, pad: int = 0):
+    return parse_rules(f"rule t {{ strings: {strings} condition: {condition} }}\n"
+                       + padding(pad))
 
 
 def fires(rs, data: bytes) -> bool:
@@ -24,44 +37,68 @@ def fires(rs, data: bytes) -> bool:
 # --- plain text matching -----------------------------------------------------
 
 def test_text_substring():
-    rs = one_rule('$a = "needle"', "$a")
-    assert fires(rs, b"hay needle hay")
-    assert not fires(rs, b"hay needl hay")
-    assert fires(rs, b"needle")                  # exact
-    assert fires(rs, b"needleneedle")            # adjacent
+    for pad in PADS:
+        rs = one_rule('$a = "needle"', "$a", pad)
+        assert fires(rs, b"hay needle hay")
+        assert not fires(rs, b"hay needl hay")
+        assert fires(rs, b"needle")                  # exact
+        assert fires(rs, b"needleneedle")            # adjacent
 
 
 def test_text_nocase():
-    rs = one_rule('$a = "NeeDLe" nocase', "$a")
-    assert fires(rs, b"xxNEEDLExx")
-    assert fires(rs, b"xxneedlexx")
-    rs2 = one_rule('$a = "NeeDLe"', "$a")
-    assert not fires(rs2, b"xxneedlexx")
+    for pad in PADS:
+        rs = one_rule('$a = "NeeDLe" nocase', "$a", pad)
+        assert fires(rs, b"xxNEEDLExx")
+        assert fires(rs, b"xxneedlexx")
+        rs2 = one_rule('$a = "NeeDLe"', "$a", pad)
+        assert not fires(rs2, b"xxneedlexx")
 
 
 def test_text_wide():
-    wide = b"n\x00e\x00e\x00d\x00"
-    rs = one_rule('$a = "need" wide', "$a")
-    assert fires(rs, b"xx" + wide + b"xx")
-    assert not fires(rs, b"xxneedxx")            # ascii form not requested
-    rs2 = one_rule('$a = "need" wide ascii', "$a")
-    assert fires(rs2, b"xxneedxx")
-    assert fires(rs2, wide)
+    for pad in PADS:
+        wide = b"n\x00e\x00e\x00d\x00"
+        rs = one_rule('$a = "need" wide', "$a", pad)
+        assert fires(rs, b"xx" + wide + b"xx")
+        assert not fires(rs, b"xxneedxx")            # ascii form not requested
+        rs2 = one_rule('$a = "need" wide ascii', "$a", pad)
+        assert fires(rs2, b"xxneedxx")
+        assert fires(rs2, wide)
 
 
 def test_text_wide_nocase():
-    rs = one_rule('$a = "AB" wide nocase', "$a")
-    assert fires(rs, b"a\x00b\x00")
-    assert fires(rs, b"A\x00B\x00")
-    assert not fires(rs, b"ab")
+    for pad in PADS:
+        rs = one_rule('$a = "AB" wide nocase', "$a", pad)
+        assert fires(rs, b"a\x00b\x00")
+        assert fires(rs, b"A\x00B\x00")
+        assert not fires(rs, b"ab")
 
 
 def test_count_overlapping_text():
-    # overlapping occurrences all count: "aaaa" contains "aa" at 0,1,2
-    rs = one_rule('$a = "aa"', "#a == 3")
-    assert fires(rs, b"aaaa")
-    assert not fires(rs, b"aaa")
-    assert count_matches(b"abab", PatternDef("$x", "text", b"ab", frozenset())) == 2
+    for pad in PADS:
+        # overlapping occurrences all count: "aaaa" contains "aa" at 0,1,2
+        rs = one_rule('$a = "aa"', "#a == 3", pad)
+        assert fires(rs, b"aaaa")
+        assert not fires(rs, b"aaa")
+        assert fires(one_rule('$x = "ab"', "#x == 2", pad), b"abab")
+        # needles that overlap one another: "ushers" holds she@1, he@2 and hers@2
+        rs = one_rule('$a = "he" $b = "she" $c = "his" $d = "hers"',
+                      "#a == 1 and #b == 1 and #c == 0 and #d == 1", pad)
+        assert fires(rs, b"ushers")
+
+
+def test_variants_share_one_offset_set():
+    for pad in PADS:
+        # "\x00" wide ascii searches b"\x00\x00" (at 0) and b"\x00" (at 0 and 1) in
+        # b"\x00\x00": two distinct offsets, so the count is 2, as in the oracle
+        rs = one_rule('$a = "\\x00" wide ascii', "#a == 2", pad)
+        assert fires(rs, b"\x00\x00")
+        assert naive_rules.naive_scan_verdict(rs.rules[0], b"\x00\x00")
+
+
+def test_empty_text_string_rejected():
+    for pad in PADS:
+        with pytest.raises(ParseError, match="empty text string"):
+            one_rule('$a = "x" $b = ""', "$a or $b", pad)
 
 
 # --- hex matching ------------------------------------------------------------
@@ -83,9 +120,9 @@ def test_hex_jump_range():
 
 def test_hex_counts_nonoverlapping():
     # leftmost non-overlapping: "ABAB" has {41 ?? } at 0 and 2 only
-    p = PatternDef("$h", "hex", (("byte", 0x41), ("any",)), frozenset())
-    assert count_matches(b"ABAB", p) == 2
-    assert count_matches(b"AAAA", p) == 2
+    rs = one_rule("$h = { 41 ?? }", "#h == 2")
+    assert fires(rs, b"ABAB")
+    assert fires(rs, b"AAAA")
 
 
 # --- regex matching ----------------------------------------------------------
@@ -97,9 +134,8 @@ def test_regex_presence():
 
 
 def test_regex_count_is_nonoverlapping():
-    p = PatternDef("$r", "regex", "a+", frozenset())
-    assert count_matches(b"aaaa", p) == 1
-    assert count_matches(b"aa.aa", p) == 2
+    assert fires(one_rule("$r = /a+/", "#r == 1"), b"aaaa")
+    assert fires(one_rule("$r = /a+/", "#r == 2"), b"aa.aa")
 
 
 def test_regex_on_binary_bytes():
@@ -160,37 +196,38 @@ rule three { strings: $a = "zzz" condition: $a }
 
 # --- many-pattern path -------------------------------------------------------
 
-def test_aho_corasick_finds_all_overlapping_occurrences():
-    needles = [b"he", b"she", b"his", b"hers"]
-    ac = AhoCorasick(needles)
-    hits = sorted(ac.find_all(b"ushers"))
-    assert hits == [(0, 2), (1, 1), (3, 2)]
+def test_padding_selects_the_search():
+    for pad in PADS:
+        rs = one_rule('$a = "x" $b = "y" nocase', "$a or $b", pad)
+        indexes = [index for index, _ in compile_ruleset(rs)._text]
+        assert [index._groups is not None for index in indexes] == [bool(pad)] * 2
 
 
 def test_many_needle_path_agrees_with_bruteforce():
-    rng = random.Random(42)
-    # 40 patterns forces the automaton path (threshold is 32)
-    bodies = [bytes(rng.randrange(65, 91) for _ in range(rng.randint(2, 5)))
-              for _ in range(40)]
-    strings = " ".join(f'$p{i} = "{b.decode()}"' for i, b in enumerate(bodies))
-    rs = one_rule(strings, "any of them")
-    for trial in range(50):
-        data = bytes(rng.randrange(60, 96) for _ in range(300))
-        want = any(b in data for b in bodies)
-        assert fires(rs, data) == want, f"trial {trial}"
+    for pad in PADS:
+        rng = random.Random(42)
+        bodies = [bytes(rng.randrange(65, 91) for _ in range(rng.randint(2, 5)))
+                  for _ in range(40)]
+        strings = " ".join(f'$p{i} = "{b.decode()}"' for i, b in enumerate(bodies))
+        rs = one_rule(strings, "any of them", pad)
+        for trial in range(50):
+            data = bytes(rng.randrange(60, 96) for _ in range(300))
+            want = any(b in data for b in bodies)
+            assert fires(rs, data) == want, f"pad {pad} trial {trial}"
 
 
 def test_many_needle_counts_agree_with_bruteforce():
-    rng = random.Random(9)
-    bodies = [bytes([rng.randrange(65, 68)]) * rng.randint(1, 3) for _ in range(33)]
-    strings = " ".join(f'$p{i} = "{b.decode()}"' for i, b in enumerate(bodies))
-    conds = " and ".join(
-        f"#p{i} == {{}}" for i in range(len(bodies)))
-    data = bytes(rng.randrange(64, 70) for _ in range(200))
-    counts = [sum(1 for j in range(len(data) - len(b) + 1) if data[j:j + len(b)] == b)
-              for b in bodies]
-    rs = one_rule(strings, conds.format(*counts))
-    assert fires(rs, data)
+    for pad in PADS:
+        rng = random.Random(9)
+        bodies = [bytes([rng.randrange(65, 68)]) * rng.randint(1, 3) for _ in range(33)]
+        strings = " ".join(f'$p{i} = "{b.decode()}"' for i, b in enumerate(bodies))
+        conds = " and ".join(
+            f"#p{i} == {{}}" for i in range(len(bodies)))
+        data = bytes(rng.randrange(64, 70) for _ in range(200))
+        counts = [sum(1 for j in range(len(data) - len(b) + 1) if data[j:j + len(b)] == b)
+                  for b in bodies]
+        rs = one_rule(strings, conds.format(*counts), pad)
+        assert fires(rs, data)
 
 
 # --- seeded differential fuzz against the naive interpreter ------------------
@@ -206,6 +243,21 @@ def test_fuzz_against_naive_interpreter():
             got = scan(data, rs).verdict
             want = naive_rules.naive_scan_verdict(rule, data, regex_asts)
             assert got == want, f"case {case}\n{text}\ndata={data.hex()}"
+
+
+def test_many_rule_fuzz_against_naive_interpreter():
+    # 40 rules in one set share the text search; each must fire as it does alone
+    for pad in PADS:
+        rng = random.Random(20261018)
+        gens = [fuzz_gen.gen_rule(rng, f"fz{i}") for i in range(40)]
+        rs = parse_rules("".join(text for text, _, _ in gens) + padding(pad))
+        witnesses = [w for _, _, ws in gens for w in ws]
+        for trial in range(15):
+            data = fuzz_gen.gen_data(rng, witnesses)
+            got = scan(data, rs).rule_names
+            want = tuple(rule.name for rule, (_, asts, _) in zip(rs.rules, gens)
+                         if naive_rules.naive_scan_verdict(rule, data, asts))
+            assert got == want, f"pad {pad} trial {trial}\ndata={data.hex()}"
 
 
 def test_empty_ruleset_never_fires():

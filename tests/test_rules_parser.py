@@ -13,6 +13,7 @@ from sievemal.rules.model import (
     StringMatch,
     UintCmp,
 )
+from sievemal.rules.parser import Lexer
 
 FULL_RULE = """
 // leading comment
@@ -100,6 +101,29 @@ def test_parse_error_carries_location():
         parse_rules('rule bad {\n    condition:\n        %%%\n}')
     assert exc.value.line == 3
     assert exc.value.column >= 1
+
+
+LONG_PREFIX = "".join(f'rule r{i} {{ strings: $a = "x{i}" $h = {{ 4D 5A }} condition: $a or $h }}\n'
+                      for i in range(500))
+
+
+def test_clean_parse_computes_no_line_numbers(monkeypatch):
+    calls = []
+    original = Lexer._linecol
+    monkeypatch.setattr(Lexer, "_linecol",
+                        lambda self, pos: calls.append(pos) or original(self, pos))
+    assert len(parse_rules(LONG_PREFIX + FULL_RULE)) == 501
+    assert calls == []
+
+
+@pytest.mark.parametrize("tail, line, col", [
+    ('rule bad {\n    condition:\n        %%%\n}', 503, 9),
+    ('rule bad {\n  strings:\n    $a = ""\n  condition:\n    $a\n}', 503, 10),
+], ids=["lexer", "parser"])
+def test_late_error_reports_exact_location(tail, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_rules(LONG_PREFIX + tail)
+    assert (exc.value.line, exc.value.column) == (line, col)
 
 
 @pytest.mark.parametrize("text", [
