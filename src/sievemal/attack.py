@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,6 @@ class PayloadPool:
 
     def lengths(self):
         return [len(content) for _, _, content in self.sections]
-
-    def total_bytes(self) -> int:
-        return sum(self.lengths())
 
 
 @dataclass(frozen=True)
@@ -208,31 +205,3 @@ def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,
                        and trace.best_score < cfg.success_threshold),
     }
     return row, trace
-
-
-def attack_grid(targets: dict, malware_subsets: dict, pools: dict,
-                base_cfg: AttackConfig, budgets=None, lambdas=None) -> list:
-    """Cross product of {pool source} x {section count via pools} x {target} x
-    {malware split}; emits rows feeding detection-rate curves.
-
-    pools: {(source_name, k): PayloadPool}; targets: {name: (score_fn, rule_probe
-    or None, threshold)}; malware_subsets: {split_name: [(sha, raw_bytes), ...]}.
-    """
-    rows = []
-    for (source, k), pool in sorted(pools.items()):
-        for target_name, (score_fn, rule_probe, threshold) in sorted(targets.items()):
-            cfg = replace(
-                base_cfg, k=k,
-                query_budget=(budgets or {}).get(target_name, base_cfg.query_budget),
-                lam=(lambdas or {}).get((source, k), base_cfg.lam),
-                success_threshold=threshold)
-            for split, items in sorted(malware_subsets.items()):
-                for sha, raw in items:
-                    seed = int(hashlib.sha256(
-                        f"{source}:{k}:{target_name}:{split}:{sha}:{base_cfg.seed}"
-                        .encode()).hexdigest()[:8], 16)
-                    row, _ = attack_sample(score_fn, raw, pool, replace(cfg, seed=seed),
-                                           rule_probe)
-                    rows.append({"source": source, "k": k, "target": target_name,
-                                 "split": split, "sha256": sha, **row})
-    return rows

@@ -393,7 +393,8 @@ def ingest(directory, labels_path) -> Manifest:
     """Build a manifest from a directory and a labels CSV (path,label,epoch).
 
     Duplicate digests collapse to the first occurrence; unreadable files are
-    recorded and skipped.
+    recorded and skipped. A file without a label row, or whose row has a label
+    other than 0/1 or an epoch outside EPOCHS, is a SpecInvalid.
     """
     labels = {}
     with open(labels_path, "r", encoding="utf-8", newline="") as fh:
@@ -402,7 +403,7 @@ def ingest(directory, labels_path) -> Manifest:
         if header != ["path", "label", "epoch"]:
             raise ValueError(f"bad labels header in {labels_path}")
         for row in reader:
-            labels[row[0]] = (int(row[1]), row[2])
+            labels[row[0]] = (row[1], row[2])
 
     manifest = Manifest()
     seen = {}
@@ -421,9 +422,16 @@ def ingest(directory, labels_path) -> Manifest:
             manifest.duplicates += 1
             continue
         seen[digest] = path
-        label, epoch = labels.get(name, labels.get(path, (0, "present-train")))
+        row = labels.get(name, labels.get(path))
+        if row is None:
+            raise SpecInvalid(f"{path}: no row in {labels_path}")
+        label, epoch = row
+        if label not in ("0", "1"):
+            raise SpecInvalid(f"{path}: label {label!r} is not 0 or 1")
+        if epoch not in EPOCHS:
+            raise SpecInvalid(f"{path}: epoch {epoch!r} is not one of {', '.join(EPOCHS)}")
         manifest.records.append(ManifestRecord(
-            path=path, sha256=digest, label=label, epoch=epoch))
+            path=path, sha256=digest, label=int(label), epoch=epoch))
     return manifest
 
 

@@ -32,8 +32,13 @@ class TrainConfig:
             raise ValueError("seed is mandatory")
         if not (0.0 < self.colsample <= 1.0):
             raise ValueError("colsample must be in (0, 1]")
+        # with H + lambda > 0 at every node no split gain or leaf weight is 0/0;
+        # written so that NaN fails too
+        if not self.reg_lambda > 0:
+            raise ValueError("reg_lambda must be positive")
+        if not self.min_child_hessian >= 0:
+            raise ValueError("min_child_hessian must be non-negative")
         if self.kind == "svm":
-            # grid bounds 10^-6 .. 10^4 for kernel width and regularization
             if not (1e-6 <= self.gamma <= 1e4):
                 raise ValueError("gamma must lie in [1e-6, 1e4]")
             if self.reg <= 0:

@@ -23,9 +23,7 @@ rounds differently, so gains, ties and thresholds are bit-identical to the
 plain search. Ties go to the smaller feature, then the smaller bin: within a
 block, columns are in ascending feature order and argmax takes the first
 maximum; across blocks, a block's best replaces the best so far only with a
-larger gain, or an equal gain on a smaller feature. A column with a NaN gain
-(0/0, possible only without regularisation) is skipped, as a one-column
-argmax that lands on the NaN would skip it.
+larger gain, or an equal gain on a smaller feature.
 
 Training never predicts: growth records each row's leaf, because
 bin <= b exactly when x <= cuts[b]. Predict flattens all trees into one set
@@ -281,10 +279,6 @@ def _best_split(blocks, idx, g, h, cfg):
         gains *= 0.5
         np.copyto(gains, -np.inf, where=~ok)
         j = int(np.argmax(gains))
-        if np.isnan(gains.flat[j]):
-            # a column with any NaN gain never wins a one-column argmax
-            gains[np.isnan(gains).any(axis=1)] = -np.inf
-            j = int(np.argmax(gains))
         gain = gains.flat[j]
         f = int(features[j // width])
         if gain > 1e-12 and (best is None or gain > best[0]

@@ -21,7 +21,7 @@ from .features import extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
 
-DEFAULT_TARGET_FPR = 0.01
+TARGET_FPR = 0.01
 CALIB_FRACTION = 0.1
 
 
@@ -143,8 +143,7 @@ def filter_training(records, allow: RuleSet, block: RuleSet):
 
 
 def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
-                 allow_text: str = "", block_text: str = "",
-                 target_fpr: float = DEFAULT_TARGET_FPR) -> AiSystem:
+                 allow_text: str = "", block_text: str = "") -> AiSystem:
     """Filter the records with the rules and train on the survivors, in one pass
     that reads each file once; threshold calibrated on a held-out split of the
     survivors at the target FPR."""
@@ -175,13 +174,13 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
     if len(np.unique(y[calib_idx])) < 2:
         threshold = 0.5
     else:
-        _, threshold = tpr_at_fpr(roc(calib_scores, y[calib_idx]), target_fpr)
+        _, threshold = tpr_at_fpr(roc(calib_scores, y[calib_idx]), TARGET_FPR)
 
     metadata = {
         "filtered": bool(len(allow.rules) or len(block.rules)),
         "filter_report": report.to_dict(),
         "seed": cfg.seed,
-        "target_fpr": target_fpr,
+        "target_fpr": TARGET_FPR,
         "threshold": float(threshold),
         "train_samples": int(len(train_idx)),
         "calibration_samples": int(n_calib),

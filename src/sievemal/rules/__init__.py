@@ -2,7 +2,6 @@
 
 from .model import (
     And,
-    ConditionExpr,
     CountCmp,
     FilesizeCmp,
     MatchResult,
@@ -20,7 +19,7 @@ from .parser import parse_rules
 from .engine import scan
 
 __all__ = [
-    "And", "ConditionExpr", "CountCmp", "FilesizeCmp", "MatchResult", "Not",
+    "And", "CountCmp", "FilesizeCmp", "MatchResult", "Not",
     "OfQuantifier", "Or", "PatternDef", "Rule", "RuleSet", "Sha256Eq",
     "StringMatch", "UintCmp", "parse_rules", "scan",
 ]

@@ -70,10 +70,6 @@ class Not:
     item: object
 
 
-ConditionExpr = (StringMatch, CountCmp, OfQuantifier, FilesizeCmp, UintCmp,
-                 Sha256Eq, And, Or, Not)
-
-
 def condition_depth(node) -> int:
     if isinstance(node, (And, Or)):
         return 1 + max(condition_depth(i) for i in node.items)

@@ -54,6 +54,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+_HEX_BYTE_RE = re.compile(r"[0-9A-Fa-f]{2}")
 
 
 class Token:
@@ -131,7 +132,7 @@ class Lexer:
                 break
             if c == "\\":
                 if i + 1 >= len(self.text):
-                    self.error("unterminated escape")
+                    self.error("unterminated escape", pos=i)
                 e = self.text[i + 1]
                 if e == "n":
                     out.append(0x0A)
@@ -142,12 +143,13 @@ class Lexer:
                 elif e in ('"', "\\"):
                     out.append(ord(e))
                 elif e == "x":
-                    if i + 3 >= len(self.text):
-                        self.error("truncated \\x escape")
-                    out.append(int(self.text[i + 2:i + 4], 16))
+                    digits = self.text[i + 2:i + 4]
+                    if not _HEX_BYTE_RE.fullmatch(digits):
+                        self.error("\\x escape needs two hex digits", pos=i)
+                    out.append(int(digits, 16))
                     i += 2
                 else:
-                    self.error(f"unsupported escape \\{e}")
+                    self.error(f"unsupported escape \\{e}", pos=i)
                 i += 2
             else:
                 out.extend(c.encode("utf-8"))

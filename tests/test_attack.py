@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from sievemal.attack import (
     AttackConfig,
     PayloadPool,
     apply_manipulation,
-    attack_grid,
+    attack_sample,
     gamma_attack,
     harvest_sections,
     payload_size,
@@ -68,7 +69,7 @@ def test_payload_size_rounds_per_gene():
     pool = tiny_pool(2)
     lens = pool.lengths()
     assert payload_size(pool, [0.0, 0.0]) == 0
-    assert payload_size(pool, [1.0, 1.0]) == pool.total_bytes()
+    assert payload_size(pool, [1.0, 1.0]) == sum(pool.lengths())
     assert payload_size(pool, [0.5, 0.0]) == round(0.5 * lens[0])
 
 
@@ -148,7 +149,7 @@ def test_best_objective_is_monotone_over_the_trace():
         best = min(best, score + cfg.lam * payload)
     assert trace.best_objective == best
     assert trace.best_score is not None
-    assert payload_size(pool, trace.best_s) <= pool.total_bytes()
+    assert payload_size(pool, trace.best_s) <= sum(pool.lengths())
 
 
 def test_payload_pressure_prefers_smaller_injections():
@@ -195,29 +196,26 @@ def test_trace_jsonl_round_trip(tmp_path):
     assert lines[-1]["queries_used"] == 5
 
 
-# --- configuration sweep -----------------------------------------------------
+# --- one attacked sample -----------------------------------------------------
 
-def test_attack_grid_covers_the_cross_product():
-    pool_a, pool_b = tiny_pool(2, seed=0), tiny_pool(3, seed=1)
-    pools = {("present", 2): pool_a, ("future", 3): pool_b}
-    targets = {
-        "bare": (lambda raw: 0.6, None, 0.5),
-        "pipeline": (lambda raw: 0.4, lambda raw: (), 0.5),
-    }
-    malware = {"seen": [("s0", malware_bytes())], "unseen": [("u0", malware_bytes())]}
-    base = AttackConfig(k=2, query_budget=6, seed=0, population=3)
-    rows = attack_grid(targets, malware, pools, base,
-                       budgets={"bare": 4}, lambdas={("present", 2): 1e-4})
-    assert len(rows) == 2 * 2 * 2
-    combos = {(r["source"], r["k"], r["target"], r["split"]) for r in rows}
-    assert len(combos) == 8
-    for r in rows:
-        assert r["queries"] <= (4 if r["target"] == "bare" else 6)
-        assert r["clean_score"] in (0.6, 0.4)
-        assert isinstance(r["evaded"], bool)
-    # the constant-0.4 pipeline target is instantly under threshold
-    assert all(r["evaded"] for r in rows if r["target"] == "pipeline")
-    assert not any(r["evaded"] for r in rows if r["target"] == "bare")
+def test_attack_sample_rows():
+    """A constant 0.4 target evades at the first query, a constant 0.6 one
+    never does; the row's rules come from the probe on the best candidate."""
+    pool = tiny_pool(3)
+    cfg = AttackConfig(k=3, query_budget=6, seed=0, population=3,
+                       success_threshold=0.5)
+
+    def probe(raw):
+        return (hashlib.sha256(raw).hexdigest(),)
+
+    for clean, evaded in ((0.4, True), (0.6, False)):
+        row, trace = attack_sample(lambda raw: clean, malware_bytes(), pool, cfg,
+                                   rule_probe=probe)
+        assert row["queries"] == trace.queries_used <= cfg.query_budget
+        assert row["clean_score"] == clean
+        assert row["evaded"] is evaded
+        assert row["payload_kb"] == payload_size(pool, trace.best_s) / 1024
+        assert row["fired_on_best"] == [trace.best_digest]
 
 
 def test_attack_config_validation():

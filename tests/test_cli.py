@@ -53,6 +53,11 @@ def test_rules_check_exit_codes(workdir, tmp_path, capsys):
     assert main(["rules", "check", str(empty)]) == 1
     assert "empty text string" in capsys.readouterr().err
 
+    bad_escape = tmp_path / "bad_escape.yar"
+    bad_escape.write_text('rule esc { strings: $a = "\\xZZ" condition: $a }')
+    assert main(["rules", "check", str(bad_escape)]) == 1
+    assert "rule parse error" in capsys.readouterr().err
+
 
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -187,6 +187,22 @@ def test_ingest_dedups_by_digest(tmp_path):
     assert rec_c.label == 0 and rec_c.epoch == "future"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("b.bin,1,present-train\n", "no row"),
+    ("a.bin,2,present-train\n", "label '2'"),
+    ("a.bin,1,futrue\n", "epoch 'futrue'"),
+], ids=["missing-row", "bad-label", "bad-epoch"])
+def test_ingest_rejects_files_without_a_valid_label(tmp_path, rows, message):
+    d = tmp_path / "files"
+    d.mkdir()
+    (d / "a.bin").write_bytes(b"content")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("path,label,epoch\n" + rows)
+    with pytest.raises(SpecInvalid, match=message) as exc:
+        ingest(d, labels)
+    assert "a.bin" in str(exc.value)
+
+
 def test_ingest_rejects_bad_labels_header(tmp_path):
     d = tmp_path / "files"
     d.mkdir()

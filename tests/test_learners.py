@@ -7,7 +7,6 @@ from sievemal.errors import DegenerateData
 from sievemal.learners.common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 from sievemal.learners.gbdt import GbdtModel, predict_gbdt, train_gbdt
 from sievemal.learners.io import load_model, save_model
-from sievemal.learners.selection import cross_validate, default_svm_grid
 from sievemal.learners.svm import RbfSvmModel, predict_svm_rbf, rbf_kernel, train_svm_rbf
 
 
@@ -82,6 +81,12 @@ def test_config_validation():
         TrainConfig(kind="svm", seed=0, gamma=2e4)
     with pytest.raises(ValueError):
         TrainConfig(kind="svm", seed=0, reg=0.0)
+    # leaf weights and split gains divide by H + reg_lambda
+    for kind in ("gbdt", "svm"):
+        for bad in (dict(reg_lambda=0.0), dict(reg_lambda=-1.0),
+                    dict(reg_lambda=float("nan")), dict(min_child_hessian=-1e-3)):
+            with pytest.raises(ValueError):
+                TrainConfig(kind=kind, seed=0, **bad)
     # the full-scale setup is expressible
     full = TrainConfig(kind="gbdt", seed=0, n_trees=1000, eta=0.1, colsample=0.8)
     assert TrainConfig.from_dict(full.to_dict()) == full
@@ -187,38 +192,6 @@ def test_svm_probabilities_in_unit_interval():
                                             max_iters=500))
     p = predict_svm_rbf(model, X)
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
-
-
-# --- model selection ---------------------------------------------------------
-
-def test_default_grid_shape():
-    grid = default_svm_grid()
-    assert len(grid) == 21
-    assert math.isclose(grid[0], 1e-6)
-    assert math.isclose(grid[-1], 1e4)
-    ratios = [grid[i + 1] / grid[i] for i in range(20)]
-    assert all(math.isclose(r, math.sqrt(10.0), rel_tol=1e-9) for r in ratios)
-
-
-def test_cross_validate_picks_a_sane_config():
-    X, y = blob_data(n=160, sep=8.0, seed=10)
-    grid = [
-        TrainConfig(kind="svm", seed=0, gamma=g, reg=1e-3, max_iters=600)
-        for g in (1e-6, 0.05)
-    ]
-    best, table = cross_validate(X, y, grid, k=4, seed=0)
-    assert best in [cfg for cfg, _ in table]
-    assert len(table) == 2
-    scores = dict((cfg.gamma, tpr) for cfg, tpr in table)
-    assert scores[0.05] >= scores[1e-6]
-
-
-def test_cross_validate_guards():
-    X, y = blob_data(n=40, sep=3.0, seed=11)
-    with pytest.raises(ValueError):
-        cross_validate(X, y, [], k=1)
-    with pytest.raises(DegenerateData):
-        cross_validate(X, np.zeros_like(y), [], k=2)
 
 
 # --- persistence -------------------------------------------------------------

@@ -119,7 +119,10 @@ def test_clean_parse_computes_no_line_numbers(monkeypatch):
 @pytest.mark.parametrize("tail, line, col", [
     ('rule bad {\n    condition:\n        %%%\n}', 503, 9),
     ('rule bad {\n  strings:\n    $a = ""\n  condition:\n    $a\n}', 503, 10),
-], ids=["lexer", "parser"])
+    ('rule bad {\n  strings:\n    $a = "\\xZZ"\n  condition:\n    $a\n}', 503, 11),
+    ('rule bad {\n  strings:\n    $a = "\\x4"\n  condition:\n    $a\n}', 503, 11),
+    ('rule bad {\n  strings:\n    $a = "ab\\q"\n  condition:\n    $a\n}', 503, 13),
+], ids=["lexer", "parser", "bad-hex-escape", "short-hex-escape", "unknown-escape"])
 def test_late_error_reports_exact_location(tail, line, col):
     with pytest.raises(ParseError) as exc:
         parse_rules(LONG_PREFIX + tail)
