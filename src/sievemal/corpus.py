@@ -393,16 +393,23 @@ def ingest(directory, labels_path) -> Manifest:
     """Build a manifest from a directory and a labels CSV (path,label,epoch).
 
     Duplicate digests collapse to the first occurrence; unreadable files are
-    recorded and skipped. A file without a label row, or whose row has a label
-    other than 0/1 or an epoch outside EPOCHS, is a SpecInvalid.
+    recorded and skipped. A labels file without the header or with a row of
+    other than three columns, a file without a label row, or a row whose label
+    is not 0/1 or whose epoch is outside EPOCHS, is a SpecInvalid.
     """
     labels = {}
     with open(labels_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise SpecInvalid(f"{labels_path}, line 1: empty labels file")
         if header != ["path", "label", "epoch"]:
-            raise ValueError(f"bad labels header in {labels_path}")
+            raise SpecInvalid(f"{labels_path}, line 1: header {','.join(header)!r} "
+                              "is not 'path,label,epoch'")
         for row in reader:
+            if len(row) != 3:
+                raise SpecInvalid(f"{labels_path}, line {reader.line_num}: "
+                                  f"{len(row)} columns, want path,label,epoch")
             labels[row[0]] = (row[1], row[2])
 
     manifest = Manifest()

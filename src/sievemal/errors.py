@@ -43,7 +43,7 @@ class DegenerateLabels(SievemalError):
 
 
 class SpecInvalid(SievemalError):
-    """A corpus specification or its labels file fails validation."""
+    """A corpus specification or an input file fails validation."""
 
 
 class PoolExhausted(SievemalError):

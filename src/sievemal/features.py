@@ -10,15 +10,16 @@ Layout (float32 throughout):
               accumulating log1p(raw_size)
   [593..720]  string-token hashing bins (128), fnv1a64(token) mod 128,
               accumulating 1 per occurrence
+
+Both histograms come from one bincount over (1024-byte block, byte value); an
+entropy window is a pair of adjacent full blocks. Token bins walk a 7-bit table.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from .errors import FeatureFailure
+from .errors import FeatureFailure, SpecInvalid
 from .pe import PeFile, parse_pe
 
 DIM = 721
@@ -29,73 +30,59 @@ GENERAL = slice(519, 529)
 SECTION_BINS = slice(529, 593)
 TOKEN_BINS = slice(593, 721)
 
-ENTROPY_WINDOW = 2048
-ENTROPY_STRIDE = 1024
+BLOCK = 1024  # the entropy stride; a window is two blocks
 SECTION_BIN_COUNT = 64
 TOKEN_BIN_COUNT = 128
 
 FEATURE_FILE_HEADER = "sievemal-features v1, dim=721, n="
 
-_STRING_RE = re.compile(rb"[\x20-\x7e]{5,}")
-
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
+_FNV7 = [(x * FNV_PRIME) & 127 for x in range(256)]
 
 
 def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _U64
+        h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
-def _byte_histogram(raw: bytes) -> np.ndarray:
-    counts = np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=256)
-    total = counts.sum()
-    if total == 0:
-        return np.zeros(256)
-    return counts / total
+def _entropy(counts: np.ndarray) -> float:
+    probs = counts[counts > 0] / counts.sum()
+    return float(-(probs * np.log2(probs)).sum())
 
 
-def _entropy_histogram(raw: bytes) -> np.ndarray:
-    n = len(raw)
-    hist = np.zeros((16, 16))
-    if n < ENTROPY_WINDOW:
-        return hist.ravel()
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    for start in range(0, n - ENTROPY_WINDOW + 1, ENTROPY_STRIDE):
-        window = arr[start:start + ENTROPY_WINDOW]
-        counts = np.bincount(window, minlength=256)
-        probs = counts[counts > 0] / ENTROPY_WINDOW
-        entropy = float(-(probs * np.log2(probs)).sum())
-        ebin = min(int(entropy / 8.0 * 16.0), 15)
-        nibble_counts = np.bincount(window >> 4, minlength=16)
-        hist[ebin] += nibble_counts
-    total = hist.sum()
-    if total > 0:
-        hist /= total
-    return hist.ravel()
+def _entropy_histogram(blocks: np.ndarray) -> np.ndarray:
+    """blocks: byte counts of the full blocks. A window within 1e-9 of a bin
+    edge (k/2 bits, k >= 1) takes `_entropy`, whose summation order may differ."""
+    windows = blocks[:-1] + blocks[1:]
+    probs = windows / (2 * BLOCK)
+    half_bits = -(probs * np.log2(probs + (windows == 0))).sum(axis=1) * 2
+    near_edge = (abs(half_bits - np.rint(half_bits)) < 2e-9) & (half_bits > 0.5)
+    half_bits[near_edge] = [_entropy(w) * 2 for w in windows[near_edge]]
+    ebin = np.minimum(half_bits.astype(np.intp), 15)
+    cells = (ebin[:, None] * 16 + np.arange(16)).ravel()
+    hist = np.bincount(cells, windows.reshape(-1, 16, 16).sum(axis=2).ravel(), 256)
+    return hist / max(hist.sum(), 1)  # no window below 2048 bytes
 
 
-def _printable_strings(raw: bytes) -> list[bytes]:
-    return _STRING_RE.findall(raw)
+def _printable_strings(raw: bytes, arr: np.ndarray) -> list[bytes]:
+    """Runs of >= 5 bytes in 0x20..0x7e, cut at the edges of a printable mask."""
+    printable = np.zeros(arr.size + 2, dtype=bool)
+    np.less(arr - 0x20, 0x7F - 0x20, out=printable[1:-1])
+    spans = (printable[1:] != printable[:-1]).nonzero()[0].reshape(-1, 2)
+    return [raw[s:e] for s, e in spans[spans[:, 1] - spans[:, 0] >= 5].tolist()]
 
 
 def _string_stats(raw: bytes, strings: list[bytes]) -> np.ndarray:
     out = np.zeros(7)
     out[0] = len(strings)
     if strings:
-        lengths = np.array([len(s) for s in strings], dtype=np.float64)
-        out[1] = lengths.mean()
         joined = b"".join(strings)
-        counts = np.bincount(np.frombuffer(joined, dtype=np.uint8), minlength=256)
-        probs = counts[counts > 0] / counts.sum()
-        out[2] = float(-(probs * np.log2(probs)).sum())
-    out[3] = raw.count(b"http")
-    out[4] = raw.count(b"C:\\")
-    out[5] = raw.count(b"HKEY")
-    out[6] = raw.count(b"MZ")
+        out[1] = len(joined) / len(strings)
+        out[2] = _entropy(np.bincount(np.frombuffer(joined, dtype=np.uint8), minlength=256))
+    out[3:] = [raw.count(marker) for marker in (b"http", b"C:\\", b"HKEY", b"MZ")]
     return out
 
 
@@ -122,20 +109,28 @@ def _section_bins(pe: PeFile) -> np.ndarray:
 
 
 def _token_bins(strings: list[bytes]) -> np.ndarray:
-    out = np.zeros(TOKEN_BIN_COUNT)
+    """Counts of fnv1a64(s.lower()) % 128. (h ^ b) * FNV_PRIME mod 128 depends
+    only on (h ^ b) mod 128, so the walk keeps just the low 7 bits of h."""
+    bins, table, offset = [], _FNV7, FNV_OFFSET & 127
     for s in strings:
-        out[fnv1a64(s.lower()) % TOKEN_BIN_COUNT] += 1.0
-    return out
+        h = offset
+        for b in s.lower():
+            h = table[h ^ b]
+        bins.append(h)
+    return np.bincount(bins, minlength=TOKEN_BIN_COUNT)
 
 
 def extract_features(raw: bytes) -> np.ndarray:
     """Deterministic 721-dim float32 feature vector of a PE file's bytes; raises
     MalformedPe when they do not parse and FeatureFailure on a non-finite value."""
     pe = parse_pe(raw)
-    strings = _printable_strings(raw)
+    arr = np.frombuffer(raw, dtype=np.uint8)
+    block_base = np.repeat(np.arange(0, -(-arr.size // BLOCK) * 256, 256), BLOCK)[:arr.size]
+    blocks = np.bincount(block_base + arr, minlength=block_base[-1] + 256).reshape(-1, 256)
+    strings = _printable_strings(raw, arr)
     vec = np.empty(DIM, dtype=np.float64)
-    vec[HISTOGRAM] = _byte_histogram(raw)
-    vec[ENTROPY] = _entropy_histogram(raw)
+    vec[HISTOGRAM] = blocks.sum(axis=0) / arr.size
+    vec[ENTROPY] = _entropy_histogram(blocks[:arr.size // BLOCK])
     vec[STRINGS] = _string_stats(raw, strings)
     vec[GENERAL] = _general_stats(pe, raw, len(strings))
     vec[SECTION_BINS] = _section_bins(pe)
@@ -155,29 +150,34 @@ def write_feature_file(path, records):
         fh.write(f"{FEATURE_FILE_HEADER}{len(records)}\n")
         for sha, label, epoch, vec in records:
             row = np.asarray(vec, dtype=np.float32).astype(np.float64)
-            vals = ",".join(map(repr, row.tolist()))
+            # one repr per distinct bit pattern; a uint64 view keeps -0.0 apart from 0.0
+            bits, where = np.unique(row.view(np.uint64), return_inverse=True)
+            text = [repr(v) for v in bits.view(np.float64).tolist()]
+            vals = ",".join([text[i] for i in where.tolist()])
             fh.write(f"{sha},{int(label)},{epoch},{vals}\n")
 
 
 def read_feature_file(path):
-    """Returns (shas, labels, epochs, X) with X float32 of shape (n, 721)."""
+    """Returns (shas, labels, epochs, X) with X float32 of shape (n, 721); a
+    malformed header or record is a SpecInvalid naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(FEATURE_FILE_HEADER):
-            raise ValueError(f"bad feature file header: {header!r}")
-        n = int(header[len(FEATURE_FILE_HEADER):])
+        n = header[len(FEATURE_FILE_HEADER):]
+        if not header.startswith(FEATURE_FILE_HEADER) or not n.isdecimal():
+            raise SpecInvalid(f"{path}, line 1: bad feature file header: {header!r}")
         shas, labels, epochs, rows = [], [], [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(",", 3)
-            sha, label, epoch, rest = parts
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                sha, label, epoch, rest = line.rstrip("\n").split(",", 3)
+                labels.append(int(label))
+                rows.append(np.array([float(x) for x in rest.split(",")], dtype=np.float32))
+            except ValueError as exc:
+                raise SpecInvalid(f"{path}, line {lineno}: {exc}") from None
+            if rows[-1].shape[0] != DIM:
+                raise SpecInvalid(f"{path}, line {lineno}: {rows[-1].shape[0]} values, want {DIM}")
             shas.append(sha)
-            labels.append(int(label))
             epochs.append(epoch)
-            row = np.array([float(x) for x in rest.split(",")], dtype=np.float32)
-            if row.shape[0] != DIM:
-                raise ValueError(f"record for {sha} has {row.shape[0]} values, want {DIM}")
-            rows.append(row)
-    if len(rows) != n:
-        raise ValueError(f"feature file declares {n} records, found {len(rows)}")
+    if len(rows) != int(n):
+        raise SpecInvalid(f"{path}: declares {n} records, found {len(rows)}")
     X = np.vstack(rows) if rows else np.empty((0, DIM), dtype=np.float32)
     return shas, np.array(labels), epochs, X

@@ -197,3 +197,33 @@ def test_attack_and_report_commands(workdir, tmp_path):
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["rules", "check", str(tmp_path / "absent.yar")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "line 1"),
+    ("a,b\n", "line 1"),
+    ("path,label,epoch\na.bin,1\n", "line 2"),
+], ids=["empty", "bad-header", "short-row"])
+def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
+    files = tmp_path / "files"
+    files.mkdir()
+    (files / "a.bin").write_bytes(b"content")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    assert main(["ingest", "--dir", str(files), "--labels", str(labels),
+                 "--out", str(tmp_path / "manifest.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"labels.csv, {where}:" in err
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("abc,1", "not enough values to unpack"),
+    ("abc,1,future," + ",".join(["0.5"] * 720) + ",x", "could not convert string to float"),
+], ids=["short-row", "non-numeric"])
+def test_train_bad_feature_file_exits_one(tmp_path, capsys, row, reason):
+    feats = tmp_path / "feats.csv"
+    feats.write_text(f"sievemal-features v1, dim=721, n=1\n{row}\n")
+    assert main(["train", "--features", str(feats),
+                 "--model-out", str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "feats.csv, line 2:" in err and reason in err

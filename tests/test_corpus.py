@@ -208,7 +208,26 @@ def test_ingest_rejects_bad_labels_header(tmp_path):
     d.mkdir()
     labels = tmp_path / "labels.csv"
     labels.write_text("a,b\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid, match=r"labels.csv, line 1: header 'a,b'"):
+        ingest(d, labels)
+
+
+def test_ingest_rejects_empty_labels_file(tmp_path):
+    d = tmp_path / "files"
+    d.mkdir()
+    labels = tmp_path / "labels.csv"
+    labels.write_text("")
+    with pytest.raises(SpecInvalid, match=r"labels.csv, line 1: empty labels file"):
+        ingest(d, labels)
+
+
+def test_ingest_rejects_short_labels_row(tmp_path):
+    d = tmp_path / "files"
+    d.mkdir()
+    (d / "a.bin").write_bytes(b"content")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("path,label,epoch\nb.bin,0,future\na.bin,1\n")
+    with pytest.raises(SpecInvalid, match=r"labels.csv, line 3: 2 columns"):
         ingest(d, labels)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievemal.corpus import build_pe
+from sievemal.errors import SpecInvalid
 from sievemal.features import (
     DIM,
     ENTROPY,
@@ -14,6 +15,7 @@ from sievemal.features import (
     SECTION_BINS,
     STRINGS,
     TOKEN_BINS,
+    _token_bins,
     extract_features,
     fnv1a64,
     read_feature_file,
@@ -44,6 +46,17 @@ def test_fnv1a64_reference_values():
 @settings(max_examples=200)
 def test_fnv1a64_matches_naive(data):
     assert fnv1a64(data) == naive_fnv1a64(data)
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=200)
+def test_token_bin_walk_is_fnv1a64_mod_128(data):
+    # the 7-bit walk also gives the section-name bin, fnv1a64 mod 64
+    token = data.lower()
+    bins = _token_bins([data])
+    assert bins.sum() == 1
+    assert bins[fnv1a64(token) % 128] == 1
+    assert np.flatnonzero(bins)[0] % 64 == fnv1a64(token) % 64
 
 
 def test_vector_shape_and_dtype():
@@ -158,11 +171,29 @@ def test_feature_file_round_trip(tmp_path):
 def test_feature_file_bad_header_and_count(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("something else\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid, match="bad.csv, line 1: bad feature file header"):
+        read_feature_file(p)
+    p.write_text("sievemal-features v1, dim=721, n=five\n")
+    with pytest.raises(SpecInvalid, match="bad.csv, line 1: bad feature file header"):
         read_feature_file(p)
     p.write_text("sievemal-features v1, dim=721, n=5\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid, match="declares 5 records, found 0"):
         read_feature_file(p)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("abc,1", "not enough values to unpack"),
+    ("abc,x,future," + ",".join(["0.5"] * DIM), "invalid literal for int"),
+    ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)) + ",x", "could not convert string to float"),
+    ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)), f"{DIM - 1} values, want {DIM}"),
+], ids=["short-row", "bad-label", "non-numeric", "short-vector"])
+def test_feature_file_bad_record_names_its_line(tmp_path, row, reason):
+    good = "def,0,future," + ",".join(["0.25"] * DIM)
+    p = tmp_path / "bad.csv"
+    p.write_text(f"sievemal-features v1, dim=721, n=2\n{good}\n{row}\n")
+    with pytest.raises(SpecInvalid, match="bad.csv, line 3: ") as exc:
+        read_feature_file(p)
+    assert reason in str(exc.value)
 
 
 def test_feature_file_empty(tmp_path):
