@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted, SectionLimitExceeded
-from .pe import PeFile, inject_section, parse_pe, serialize_pe
+from .pe import PeFile, inject_sections, parse_pe, serialize_pe
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,25 @@ def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
     return PayloadPool(sections=tuple(candidates[i] for i in picks))
 
 
+def gene_bytes(pool: PayloadPool, s) -> list:
+    """Bytes each gene injects: round(s_i * len_i)."""
+    return [round(float(si) * n) for si, n in zip(s, pool.lengths())]
+
+
 def payload_size(pool: PayloadPool, s) -> int:
-    lens = pool.lengths()
-    return int(sum(round(float(si) * li) for si, li in zip(s, lens)))
+    return sum(gene_bytes(pool, s))
 
 
-def apply_manipulation(malware: PeFile, pool: PayloadPool, s) -> bytes:
-    """Inject one ".gammaNN" section per gene with a nonzero byte budget."""
+def apply_manipulation(malware: PeFile, pool: PayloadPool, s) -> tuple:
+    """(mutant bytes, payload size): one ".gammaNN" section per gene with a
+    nonzero byte budget, all injected in one layout pass. The payload size is
+    payload_size(pool, s), from the same per-gene byte counts."""
     if len(s) != len(pool):
         raise ValueError("manipulation vector length disagrees with pool size")
-    pe = malware
-    for i, ((_, _, content), si) in enumerate(zip(pool.sections, s)):
-        n = round(float(si) * len(content))
-        if n <= 0:
-            continue
-        pe = inject_section(pe, b".gamma%02d" % i, content[:n])
-    return serialize_pe(pe)
+    counts = gene_bytes(pool, s)
+    items = [(b".gamma%02d" % i, content[:n])
+             for i, ((_, _, content), n) in enumerate(zip(pool.sections, counts)) if n > 0]
+    return serialize_pe(inject_sections(malware, items)), sum(counts)
 
 
 def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
@@ -139,11 +142,10 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
         if trace.queries_used >= cfg.query_budget:
             return None
         try:
-            raw = apply_manipulation(base_pe, pool, s)
+            raw, payload = apply_manipulation(base_pe, pool, s)
         except SectionLimitExceeded:
             return float("inf")
         score = float(target(raw))
-        payload = payload_size(pool, s)
         trace.queries.append((np.array(s, copy=True), score, payload))
         objective = score + cfg.lam * payload
         if objective < trace.best_objective:

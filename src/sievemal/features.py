@@ -159,7 +159,8 @@ def write_feature_file(path, records):
 
 def read_feature_file(path):
     """Returns (shas, labels, epochs, X) with X float32 of shape (n, 721); a
-    malformed header or record is a SpecInvalid naming the file and line."""
+    malformed header or record, or a label other than 0 or 1, is a SpecInvalid
+    naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         n = header[len(FEATURE_FILE_HEADER):]
@@ -173,6 +174,8 @@ def read_feature_file(path):
                 rows.append(np.array([float(x) for x in rest.split(",")], dtype=np.float32))
             except ValueError as exc:
                 raise SpecInvalid(f"{path}, line {lineno}: {exc}") from None
+            if labels[-1] not in (0, 1):
+                raise SpecInvalid(f"{path}, line {lineno}: label {labels[-1]}, want 0 or 1")
             if rows[-1].shape[0] != DIM:
                 raise SpecInvalid(f"{path}, line {lineno}: {rows[-1].shape[0]} values, want {DIM}")
             shas.append(sha)

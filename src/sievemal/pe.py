@@ -18,6 +18,10 @@ PE_SIGNATURE = b"PE\x00\x00"
 OPT_MAGIC_PE32 = 0x10B
 OPT_MAGIC_PE32PLUS = 0x20B
 SECTION_HEADER_SIZE = 40
+# a section table entry as written: name (NUL-padded), virtual size, virtual
+# address, raw size, raw offset, three zeroed relocation/line-number fields
+# and the characteristics
+_SECTION_ENTRY = struct.Struct("<8s8I")
 MAX_SECTIONS = 65535
 
 # section characteristic flags (subset)
@@ -160,85 +164,102 @@ def parse_pe(raw: bytes) -> PeFile:
 def serialize_pe(pe: PeFile) -> bytes:
     """Emit the file bytes; inverse of parse_pe for files this module produced."""
     table_off = pe.section_table_offset()
-    table_end = table_off + len(pe.sections) * SECTION_HEADER_SIZE
-    header = bytearray(pe.header_blob)
-    if len(header) < table_end:
-        header.extend(b"\x00" * (table_end - len(header)))
+    header_end = max(len(pe.header_blob), table_off + len(pe.sections) * SECTION_HEADER_SIZE)
+    last_end = max((s.raw_end() for s in pe.sections), default=0)
+    out = bytearray(max(last_end, header_end))
+    out[:len(pe.header_blob)] = pe.header_blob
 
-    struct.pack_into("<H", header, pe.e_lfanew + 6, len(pe.sections))
-    struct.pack_into("<I", header, pe.e_lfanew + 8, pe.timestamp)
+    struct.pack_into("<H", out, pe.e_lfanew + 6, len(pe.sections))
+    struct.pack_into("<I", out, pe.e_lfanew + 8, pe.timestamp)
     opt_off = pe.e_lfanew + 24
-    struct.pack_into("<I", header, opt_off + 16, pe.entry_point_rva)
-    struct.pack_into("<I", header, opt_off + 56, pe.size_of_image)
+    struct.pack_into("<I", out, opt_off + 16, pe.entry_point_rva)
+    struct.pack_into("<I", out, opt_off + 56, pe.size_of_image)
 
     for i, s in enumerate(pe.sections):
-        off = table_off + i * SECTION_HEADER_SIZE
-        header[off:off + 8] = s.name.ljust(8, b"\x00")
-        struct.pack_into("<IIII", header, off + 8, s.virtual_size, s.virtual_address,
-                         s.raw_size, s.raw_offset)
-        struct.pack_into("<III", header, off + 24, 0, 0, 0)
-        struct.pack_into("<I", header, off + 36, s.characteristics)
-
-    last_end = max((s.raw_end() for s in pe.sections), default=len(header))
-    out = bytearray(max(last_end, len(header)))
-    out[:len(header)] = header
+        _SECTION_ENTRY.pack_into(out, table_off + i * SECTION_HEADER_SIZE, s.name,
+                                 s.virtual_size, s.virtual_address, s.raw_size,
+                                 s.raw_offset, 0, 0, 0, s.characteristics)
     for s in pe.sections:
         out[s.raw_offset:s.raw_end()] = s.data
-    out.extend(pe.overlay)
+    out += pe.overlay
     return bytes(out)
 
 
 def inject_section(pe: PeFile, name: bytes, content: bytes) -> PeFile:
-    """Append one non-executable section holding `content`.
+    """Append one non-executable section holding `content`: inject_sections
+    with a single item."""
+    return inject_sections(pe, ((name, content),))
+
+
+def inject_sections(pe: PeFile, items) -> PeFile:
+    """Append one non-executable section per (name, content) item, in order.
 
     Existing section data, the entry point, and the overlay are preserved;
-    empty content is a no-op. If the section table has no slack before the
-    first section's raw data, every raw offset is shifted by one file
-    alignment unit (data untouched, offsets move).
+    empty contents are skipped, and with nothing to inject pe itself is
+    returned. Each time the section table runs out of slack before the first
+    section's raw data, every raw offset of a section with data is shifted by
+    the file-aligned shortfall (data untouched, offsets move).
+
+    The layout is the one that appending the items one at a time gives, worked
+    out in a single pass over integers: a shift moves every data section,
+    injected ones included, by the same amount, so an injected section's
+    offset is kept relative to the shift so far and made absolute at the end.
+    A section of raw size zero never moves, and its offset still bounds where
+    the next section's data may start.
     """
-    if len(name) > 8:
-        raise ValueError("section name exceeds 8 bytes")
-    if len(content) == 0:
-        return pe
-    if pe.num_sections + 1 > MAX_SECTIONS:
-        raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
-
+    fa, sa = pe.file_alignment, pe.section_alignment
     table_off = pe.section_table_offset()
-    new_table_end = table_off + (len(pe.sections) + 1) * SECTION_HEADER_SIZE
-    sections = list(pe.sections)
-    header_blob = pe.header_blob
+    n_sections = len(pe.sections)
+    count = pe.num_sections                       # what the section limit sees
+    header_len = len(pe.header_blob)
+    data_start = min((s.raw_offset for s in pe.sections if s.raw_size > 0), default=None)
+    data_end = max((s.raw_end() for s in pe.sections if s.raw_size > 0), default=-1)
+    empty_end = max((s.raw_offset for s in pe.sections if s.raw_size == 0), default=-1)
+    virtual_end = pe.virtual_end()
+    shift = 0
+    size_of_image = pe.size_of_image
+    placed = []                                   # (name, content, raw_size, offset - shift, vaddr)
+    for name, content in items:
+        if len(name) > 8:
+            raise ValueError("section name exceeds 8 bytes")
+        if not content:
+            continue
+        if count + 1 > MAX_SECTIONS:
+            raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
+        new_table_end = table_off + (n_sections + 1) * SECTION_HEADER_SIZE
+        if data_start is not None and new_table_end > data_start:
+            step = align_up(new_table_end - data_start, fa)
+            shift += step
+            data_start += step
+            data_end += step
+            header_len += step
+        elif data_start is None and new_table_end > header_len:
+            header_len = new_table_end
+        last_raw_end = max(data_end, empty_end) if n_sections else header_len
+        raw_size = align_up(len(content), fa)
+        raw_offset = align_up(max(last_raw_end, new_table_end), fa)
+        vaddr = align_up(max(virtual_end, sa), sa)
+        placed.append((name, content, raw_size, raw_offset - shift, vaddr))
+        if data_start is None:
+            data_start = raw_offset
+        data_end = raw_offset + raw_size
+        virtual_end = max(virtual_end, vaddr + raw_size)
+        size_of_image = align_up(vaddr + len(content), sa)
+        n_sections += 1
+        count = n_sections
+    if not placed:
+        return pe
 
-    data_start = min((s.raw_offset for s in sections if s.raw_size > 0), default=None)
-    if data_start is not None and new_table_end > data_start:
-        shift = align_up(new_table_end - data_start, pe.file_alignment)
-        sections = [replace(s, raw_offset=s.raw_offset + shift) if s.raw_size > 0 else s
-                    for s in sections]
-        header_blob = header_blob + b"\x00" * shift
-    elif data_start is None and new_table_end > len(header_blob):
-        header_blob = header_blob + b"\x00" * (new_table_end - len(header_blob))
-
-    raw_size = align_up(len(content), pe.file_alignment)
-    data = content.ljust(raw_size, b"\x00")
-    last_raw_end = max((s.raw_end() for s in sections), default=len(header_blob))
-    raw_offset = align_up(max(last_raw_end, new_table_end), pe.file_alignment)
-    vaddr = align_up(max(pe.virtual_end(), pe.section_alignment), pe.section_alignment)
-
-    new_section = Section(
-        name=name,
-        virtual_size=len(content),
-        virtual_address=vaddr,
-        raw_size=raw_size,
-        raw_offset=raw_offset,
-        characteristics=INJECTED_SECTION_CHARACTERISTICS,
-        data=data,
-    )
-    sections.append(new_section)
-    size_of_image = align_up(vaddr + len(content), pe.section_alignment)
-
+    sections = [replace(s, raw_offset=s.raw_offset + shift) if shift and s.raw_size > 0 else s
+                for s in pe.sections]
+    sections.extend(
+        Section(name, len(content), vaddr, raw_size, offset + shift,
+                INJECTED_SECTION_CHARACTERISTICS, content.ljust(raw_size, b"\x00"))
+        for name, content, raw_size, offset, vaddr in placed)
     return replace(
         pe,
-        num_sections=len(sections),
+        num_sections=n_sections,
         sections=tuple(sections),
         size_of_image=size_of_image,
-        header_blob=header_blob,
+        header_blob=pe.header_blob + b"\x00" * (header_len - len(pe.header_blob)),
     )

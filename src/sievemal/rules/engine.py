@@ -5,6 +5,13 @@ All text needles of a rule set are searched in one step per scan
 occurrence, overlaps included, of any of its variants. Hex and regex patterns
 compile to byte-level regular expressions and scan independently; jumps are
 bounded at parse time so scanning stays linear in practice.
+
+Hash-only rules (no strings, and a condition that is exactly one
+`hash.sha256(0, filesize) == "..."`) are not evaluated one by one: they sit in
+one digest -> rules dict, so a scan hashes the data once and finds every one
+of them that fires with one lookup. A hash equality inside a larger condition
+(`$a and hash...`, `not hash...`) stays on the evaluated path. Fired rules are
+reported in rule order either way.
 """
 
 from __future__ import annotations
@@ -145,13 +152,19 @@ class _TextIndex:
 
 class CompiledRuleSet:
     """A RuleSet prepared for scanning: one text index per haystack (as is and
-    lowercased) plus one regex per hex or regex pattern."""
+    lowercased), one regex per hex or regex pattern, and the digest -> rules
+    dict of the hash-only rules."""
 
     def __init__(self, rs: RuleSet):
-        self.rules = rs.rules        # not rs itself: rs holds this object
         self.regexes = {}            # (rule_name, pattern_id) -> re.Pattern
+        self.by_digest = {}          # sha256 hex -> [(position, rule)], in rule order
+        self.evaluated = []          # [(position, rule)] for every other rule
         owners = ({}, {})            # per haystack: needle -> [(rule_name, pattern_id)]
-        for rule in rs.rules:
+        for pos, rule in enumerate(rs.rules):
+            if not rule.strings and type(rule.condition) is Sha256Eq:
+                self.by_digest.setdefault(rule.condition.digest, []).append((pos, rule))
+                continue
+            self.evaluated.append((pos, rule))
             for p in rule.strings:
                 key = (rule.name, p.id)
                 if p.kind == "text":
@@ -175,8 +188,8 @@ class CompiledRuleSet:
     def scan(self, data: bytes) -> MatchResult:
         text_hits = self._text_offsets(data)
         ctx = _EvalContext(data)
-        fired = []
-        for rule in self.rules:
+        fired = []                   # [(position, (rule_name, offsets))]
+        for pos, rule in self.evaluated:
             offsets = {}
             for p in rule.strings:
                 key = (rule.name, p.id)
@@ -185,8 +198,13 @@ class CompiledRuleSet:
                 else:
                     offsets[p.id] = tuple(m.start() for m in self.regexes[key].finditer(data))
             if _eval(rule.condition, offsets, ctx):
-                fired.append((rule.name, offsets))
-        return MatchResult(fired=tuple(fired), verdict=bool(fired))
+                fired.append((pos, (rule.name, offsets)))
+        if self.by_digest:
+            matched = self.by_digest.get(ctx.sha256(), ())
+            if matched:
+                fired.extend((pos, (rule.name, {})) for pos, rule in matched)
+                fired.sort(key=lambda item: item[0])
+        return MatchResult(fired=tuple(entry for _, entry in fired), verdict=bool(fired))
 
 
 class _EvalContext:

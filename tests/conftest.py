@@ -61,6 +61,15 @@ def unit_system_dir(unit_corpus, unit_spec, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def default_corpus(tmp_path_factory):
+    """The full-size seed-0 synthetic corpus: 3200 files, plant rates .30/.30/.45."""
+    spec = CorpusSpec(seed=0)
+    out = tmp_path_factory.mktemp("default-corpus")
+    manifest = synthesize_corpus(spec, out)
+    return spec, manifest
+
+
+@pytest.fixture(scope="session")
 def empty_allowlist():
     return RuleSet(rules=(), role="allowlist")
 

@@ -23,7 +23,6 @@ from sievemal.corpus import (
     build_pe,
     emit_allowlist,
     emit_rules_from_bank,
-    synthesize_corpus,
 )
 from sievemal.evaluation import (
     composite_roc,
@@ -54,15 +53,6 @@ EXEC = 0x60000020
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
-
-
-@pytest.fixture(scope="module")
-def default_corpus(tmp_path_factory):
-    """The full-size synthetic corpus: 3200 files, plant rates .30/.30/.45."""
-    spec = CorpusSpec(seed=0)
-    out = tmp_path_factory.mktemp("acceptance-corpus")
-    manifest = synthesize_corpus(spec, out)
-    return spec, manifest
 
 
 @pytest.fixture(scope="module")

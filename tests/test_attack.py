@@ -76,15 +76,17 @@ def test_payload_size_rounds_per_gene():
 def test_apply_manipulation_zero_vector_is_identity():
     raw = malware_bytes()
     pe = parse_pe(raw)
-    out = apply_manipulation(pe, tiny_pool(3), [0.0, 0.0, 0.0])
+    out, payload = apply_manipulation(pe, tiny_pool(3), [0.0, 0.0, 0.0])
     assert out == raw
+    assert payload == 0
 
 
 def test_apply_manipulation_injects_exact_prefixes():
     raw = malware_bytes()
     pe = parse_pe(raw)
     pool = tiny_pool(3)
-    out = apply_manipulation(pe, pool, [1.0, 0.0, 0.25])
+    out, payload = apply_manipulation(pe, pool, [1.0, 0.0, 0.25])
+    assert payload == payload_size(pool, [1.0, 0.0, 0.25])
     adv = parse_pe(out)
     names = [s.name for s in adv.sections]
     assert names[:2] == [b".text", b".data"]
@@ -176,7 +178,7 @@ def test_search_is_deterministic():
 def test_adversarial_file_differs_only_by_appended_sections():
     raw = malware_bytes()
     pe = parse_pe(raw)
-    out = apply_manipulation(pe, tiny_pool(2), [0.5, 0.5])
+    out, _ = apply_manipulation(pe, tiny_pool(2), [0.5, 0.5])
     adv = parse_pe(out)
     # byte-level check: original section payloads appear verbatim in the output
     for s in pe.sections:

@@ -219,7 +219,8 @@ def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
 @pytest.mark.parametrize("row, reason", [
     ("abc,1", "not enough values to unpack"),
     ("abc,1,future," + ",".join(["0.5"] * 720) + ",x", "could not convert string to float"),
-], ids=["short-row", "non-numeric"])
+    ("abc,2,future," + ",".join(["0.5"] * 721), "label 2, want 0 or 1"),
+], ids=["short-row", "non-numeric", "label-2"])
 def test_train_bad_feature_file_exits_one(tmp_path, capsys, row, reason):
     feats = tmp_path / "feats.csv"
     feats.write_text(f"sievemal-features v1, dim=721, n=1\n{row}\n")

@@ -186,7 +186,9 @@ def test_feature_file_bad_header_and_count(tmp_path):
     ("abc,x,future," + ",".join(["0.5"] * DIM), "invalid literal for int"),
     ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)) + ",x", "could not convert string to float"),
     ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)), f"{DIM - 1} values, want {DIM}"),
-], ids=["short-row", "bad-label", "non-numeric", "short-vector"])
+    ("abc,2,future," + ",".join(["0.5"] * DIM), "label 2, want 0 or 1"),
+    ("abc,-1,future," + ",".join(["0.5"] * DIM), "label -1, want 0 or 1"),
+], ids=["short-row", "bad-label", "non-numeric", "short-vector", "label-2", "label-minus-1"])
 def test_feature_file_bad_record_names_its_line(tmp_path, row, reason):
     good = "def,0,future," + ",".join(["0.25"] * DIM)
     p = tmp_path / "bad.csv"

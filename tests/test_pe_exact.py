@@ -1,0 +1,189 @@
+"""inject_sections against the one-section-at-a-time oracle.
+
+`tests/naive_pe.py` holds the sequential `inject_section` and the
+`serialize_pe` that `sievemal.pe` replaced. Injecting a list of items in one
+layout pass must give the PeFile, and the bytes, that appending them one at a
+time gives, so a raw-offset shift applied once too often or too rarely, a
+section of raw size zero that moves or stops bounding the next offset, or a
+header grown by the wrong amount fails here.
+"""
+
+import dataclasses
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive_pe
+from sievemal.corpus import build_pe
+from sievemal.errors import SectionLimitExceeded
+from sievemal.pe import inject_sections, parse_pe, serialize_pe
+
+EXEC = 0x60000020
+DATA = 0xC0000040
+
+
+def make_pe(bodies, *, pe64=False, overlay=b"", file_align=0x200, sect_align=0x1000,
+            min_headers=0x400, empty_past_data=None):
+    """A parsed PE with one section per body (an empty body has raw size 0).
+    empty_past_data=(i, gap) moves empty section i's raw offset to gap bytes
+    past the end of the section data, within the file."""
+    sections = [(b".s%d" % i, body, EXEC if i == 0 else DATA) for i, body in enumerate(bodies)]
+    raw = bytearray(build_pe(sections, pe64=pe64, overlay=overlay, file_align=file_align,
+                             sect_align=sect_align, min_headers=min_headers))
+    if empty_past_data is not None:
+        i, gap = empty_past_data
+        assert bodies[i] == b""
+        pe = parse_pe(bytes(raw))
+        data_end = max((s.raw_end() for s in pe.sections if s.raw_size), default=len(raw))
+        offset = min(data_end + gap, len(raw))
+        struct.pack_into("<I", raw, pe.section_table_offset() + 40 * i + 20, offset)
+    return parse_pe(bytes(raw))
+
+
+def items_of(sizes, seed=0):
+    return [(b".i%02d" % j, bytes([(seed + j) % 251 + 1]) * n) for j, n in enumerate(sizes)]
+
+
+def assert_same_as_oracle(pe, items):
+    got = inject_sections(pe, items)
+    want = naive_pe.inject_all(pe, items)
+    assert got == want
+    assert serialize_pe(got) == naive_pe.serialize_pe(want)
+    return got
+
+
+def outcome(fn):
+    try:
+        return "ok", serialize_pe(fn())
+    except (ValueError, SectionLimitExceeded) as exc:
+        return type(exc), str(exc)
+
+
+# --- named cases ---------------------------------------------------------------
+
+@pytest.mark.parametrize("file_align", [1, 8])
+def test_no_slack_shifts_offsets_on_the_first_injection(file_align):
+    # the table ends exactly where the first section's data starts
+    pe = make_pe([b"\x90" * 64, b"data" * 30], file_align=file_align, min_headers=0)
+    assert pe.section_table_offset() + 40 * len(pe.sections) == pe.sections[0].raw_offset
+    out = assert_same_as_oracle(pe, items_of([100]))
+    assert out.sections[0].raw_offset > pe.sections[0].raw_offset
+
+
+@pytest.mark.parametrize("file_align", [1, 8, 0x200])
+def test_no_slack_shifts_offsets_on_many_injections(file_align):
+    pe = make_pe([b"\x90" * 64], file_align=file_align, min_headers=0)
+    out = assert_same_as_oracle(pe, items_of([7 * j + 1 for j in range(40)]))
+    # the data moved past the grown table
+    assert out.sections[0].raw_offset > pe.sections[0].raw_offset
+    assert out.sections[0].raw_offset >= pe.section_table_offset() + 40 * len(out.sections)
+
+
+def test_raw_size_zero_sections():
+    pe = make_pe([b"\x90" * 64, b"", b"data" * 10, b""])
+    assert [s.raw_size == 0 for s in pe.sections] == [False, True, False, True]
+    out = assert_same_as_oracle(pe, items_of([300, 0, 5]))
+    assert out.sections[1].raw_offset == pe.sections[1].raw_offset
+
+
+@pytest.mark.parametrize("overlay", [b"\x01", b"tail" * 200])
+def test_raw_size_zero_section_past_the_data(overlay):
+    # the offset must lie within the file, so the file carries an overlay
+    pe = make_pe([b"\x90" * 64, b"", b"data" * 10], overlay=overlay, min_headers=0,
+                 empty_past_data=(1, 300))
+    assert pe.sections[1].raw_offset > max(s.raw_end() for s in pe.sections if s.raw_size)
+    out = assert_same_as_oracle(pe, items_of([40, 900, 3]))
+    # the empty section stays put and the first injected data starts past it
+    assert out.sections[1].raw_offset == pe.sections[1].raw_offset
+    assert out.sections[3].raw_offset >= pe.sections[1].raw_offset
+
+
+@pytest.mark.parametrize("bodies", [[], [b""], [b"", b""]])
+@pytest.mark.parametrize("overlay", [b"", b"ov" * 50])
+def test_pe_without_data_sections(bodies, overlay):
+    for min_headers in (0, 0x400):
+        pe = make_pe(bodies, overlay=overlay, min_headers=min_headers)
+        assert not any(s.raw_size for s in pe.sections)
+        assert_same_as_oracle(pe, items_of([1]))
+        assert_same_as_oracle(pe, items_of([600, 0, 20, 1000] * 5))
+
+
+@pytest.mark.parametrize("pe64", [False, True])
+def test_pe32_and_pe32_plus(pe64):
+    pe = make_pe([b"\x90" * 300, b"data" * 40], pe64=pe64)
+    assert pe.is_pe64 == pe64
+    assert_same_as_oracle(pe, items_of([512, 513, 1]))
+    tight = make_pe([b"\x90" * 300, b"data" * 40], pe64=pe64, file_align=8, min_headers=0)
+    assert_same_as_oracle(tight, items_of([512, 513, 1] * 4))
+
+
+def test_overlay_is_kept():
+    pe = make_pe([b"\x90" * 64, b"data" * 10], overlay=b"trailing-overlay" * 9)
+    out = assert_same_as_oracle(pe, items_of([10, 2000]))
+    assert serialize_pe(out).endswith(b"trailing-overlay" * 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50])
+def test_one_to_fifty_injections_with_empty_contents(n):
+    sizes = [0 if j % 3 == 1 else 1 + 97 * j % 1500 for j in range(n)]
+    for min_headers in (0, 0x400):
+        pe = make_pe([b"\x90" * 64, b"data" * 10], min_headers=min_headers)
+        assert_same_as_oracle(pe, items_of(sizes, seed=n))
+
+
+def test_nothing_to_inject_returns_the_pe_itself():
+    pe = make_pe([b"\x90" * 64])
+    assert inject_sections(pe, []) is pe
+    assert inject_sections(pe, items_of([0, 0, 0])) is pe
+
+
+def test_long_name_raises_as_before():
+    pe = make_pe([b"\x90" * 64])
+    for items in ([(b".morethan8", b"y")],
+                  [(b".morethan8", b"")],                       # empty content still raises
+                  items_of([5, 0, 9]) + [(b".morethan8", b"y")]):
+        got = outcome(lambda: inject_sections(pe, items))
+        assert got == outcome(lambda: naive_pe.inject_all(pe, items))
+        assert got == (ValueError, "section name exceeds 8 bytes")
+
+
+def test_section_limit_raises_as_before():
+    pe = make_pe([b"\x90" * 64])
+    # the limit reads the header's section count before the first injection
+    # and the real section count after it
+    for num_sections, items in ((65535, items_of([1])),
+                                (65535, items_of([0, 0])),      # nothing to inject: no raise
+                                (65535, [(b".morethan8", b"y")]),
+                                (65534, items_of([1])),
+                                (65534, items_of([0, 3, 4])),
+                                (65534, items_of([2]) + [(b".morethan8", b"y")])):
+        crowded = dataclasses.replace(pe, num_sections=num_sections)
+        got = outcome(lambda: inject_sections(crowded, items))
+        assert got == outcome(lambda: naive_pe.inject_all(crowded, items))
+    assert outcome(lambda: inject_sections(dataclasses.replace(pe, num_sections=65535),
+                                           items_of([1]))) == \
+        (SectionLimitExceeded, "cannot exceed 65535 sections")
+
+
+# --- property ----------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bodies=st.lists(st.one_of(st.just(b""), st.binary(min_size=1, max_size=700)), max_size=4),
+    sizes=st.lists(st.one_of(st.just(0), st.integers(1, 2500)), min_size=1, max_size=50),
+    pe64=st.booleans(),
+    overlay=st.one_of(st.just(b""), st.binary(min_size=1, max_size=300)),
+    file_align=st.sampled_from([1, 3, 8, 0x200]),
+    sect_align=st.sampled_from([1, 0x200, 0x1000]),
+    min_headers=st.sampled_from([0, 0x400]),
+    gap=st.integers(0, 700),
+)
+def test_inject_sections_equals_the_oracle(bodies, sizes, pe64, overlay, file_align,
+                                           sect_align, min_headers, gap):
+    empty = [i for i, body in enumerate(bodies) if not body]
+    pe = make_pe(bodies, pe64=pe64, overlay=overlay, file_align=file_align,
+                 sect_align=sect_align, min_headers=min_headers,
+                 empty_past_data=(empty[-1], gap) if empty and gap % 2 else None)
+    assert_same_as_oracle(pe, items_of(sizes, seed=len(sizes)))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -7,9 +8,11 @@ import pytest
 
 import fuzz_gen
 import naive_rules
+from sievemal.corpus import emit_allowlist, emit_rules_from_bank
 from sievemal.errors import ParseError
-from sievemal.rules import parse_rules
+from sievemal.rules import RuleSet, parse_rules
 from sievemal.rules.engine import _FILTER_MIN_NEEDLES, compile_ruleset, scan
+from sievemal.rules.model import And
 
 # pad 0 keeps a small set on bytes.find; pad=_FILTER_MIN_NEEDLES moves every
 # text search of the set onto the prefix filter
@@ -192,6 +195,99 @@ rule three { strings: $a = "zzz" condition: $a }
     assert res.rule_names == ("one", "two")
     empty = scan(b"nothing", rs)
     assert not empty.verdict and empty.rule_names == ()
+
+
+# --- the digest index for hash-only rules -----------------------------------
+
+def evaluated_one_by_one(rs):
+    """rs with every condition wrapped in a one-item `and`: the same rules, but
+    none is hash-only, so a scan evaluates each of them in turn, as every scan
+    did before hash-only rules were looked up by digest."""
+    return RuleSet(rules=tuple(dataclasses.replace(r, condition=And((r.condition,)))
+                               for r in rs.rules), role=rs.role)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def hash_rule(name: str, digest: str) -> str:
+    return f'rule {name} {{ condition: hash.sha256(0, filesize) == "{digest}" }}\n'
+
+
+def assert_same_as_evaluated(rs, data, asts=None):
+    got = scan(data, rs)
+    assert got == scan(data, evaluated_one_by_one(rs))
+    want = tuple(r.name for r in rs.rules
+                 if naive_rules.naive_scan_verdict(r, data, asts or {}))
+    assert got.rule_names == want
+    return got.rule_names
+
+
+def test_digest_index_holds_only_hash_only_rules():
+    a, b, c = b"first file with text", b"second file", b"third"
+    rs = parse_rules(
+        hash_rule("h_a", sha(a))
+        + 'rule t1 { strings: $a = "text" condition: $a }\n'
+        + hash_rule("h_b", sha(b).upper())
+        + hash_rule("h_a_again", sha(a))
+        + f'rule both {{ strings: $a = "text" '
+          f'condition: $a and hash.sha256(0, filesize) == "{sha(a)}" }}\n'
+        + f'rule not_b {{ condition: not hash.sha256(0, filesize) == "{sha(b)}" }}\n'
+        + 'rule t2 { strings: $x = "file" condition: $x }\n'
+        + hash_rule("h_none", "0" * 64),
+        role="allowlist")
+    compiled = compile_ruleset(rs)
+    assert {d: [r.name for _, r in entries] for d, entries in compiled.by_digest.items()} == {
+        sha(a): ["h_a", "h_a_again"], sha(b): ["h_b"], "0" * 64: ["h_none"]}
+    assert [r.name for _, r in compiled.evaluated] == ["t1", "both", "not_b", "t2"]
+
+    assert assert_same_as_evaluated(rs, a) == ("h_a", "t1", "h_a_again", "both", "not_b", "t2")
+    assert assert_same_as_evaluated(rs, b) == ("h_b", "t2")
+    assert assert_same_as_evaluated(rs, c) == ("not_b",)
+    assert assert_same_as_evaluated(rs, a + b"!") == ("t1", "not_b", "t2")
+    assert scan(a, rs).fired[0] == ("h_a", {})
+
+
+def test_digest_index_fuzz_against_the_evaluated_path():
+    rng = random.Random(8)
+    blobs = [bytes(rng.randrange(97, 101) for _ in range(rng.randint(0, 12))) for _ in range(6)]
+    for case in range(150):
+        chunks = []
+        for i in range(rng.randint(1, 12)):
+            digest = sha(rng.choice(blobs)) if rng.random() < 0.8 else sha(b"%d" % i)
+            needle = bytes(rng.randrange(97, 101) for _ in range(2)).decode()
+            kind = rng.randrange(5)
+            if kind <= 1:
+                chunks.append(hash_rule(f"r{i}", digest))
+            elif kind == 2:
+                chunks.append(f'rule r{i} {{ strings: $a = "{needle}" condition: $a }}\n')
+            elif kind == 3:
+                chunks.append(f'rule r{i} {{ strings: $a = "{needle}" condition: '
+                              f'$a and hash.sha256(0, filesize) == "{digest}" }}\n')
+            else:
+                chunks.append(f'rule r{i} {{ condition: '
+                              f'not hash.sha256(0, filesize) == "{digest}" }}\n')
+        rs = parse_rules("".join(chunks))
+        for data in (rng.choice(blobs), rng.choice(blobs) + rng.choice(blobs)):
+            assert_same_as_evaluated(rs, data)
+
+
+def test_digest_index_on_every_seed0_file(default_corpus):
+    spec, manifest = default_corpus
+    allow = parse_rules(emit_allowlist(manifest), role="allowlist")
+    block = parse_rules(emit_rules_from_bank(spec))
+    assert len(compile_ruleset(allow).by_digest) == len(allow.rules)
+    references = [(rs, evaluated_one_by_one(rs)) for rs in (allow, block)]
+    fired = 0
+    for rec in manifest.records:
+        with open(rec.path, "rb") as fh:
+            raw = fh.read()
+        for rs, reference in references:
+            got = scan(raw, rs).fired
+            assert got == scan(raw, reference).fired, rec.path
+            fired += bool(got)
+    assert fired > len(allow.rules)
 
 
 # --- many-pattern path -------------------------------------------------------
