@@ -18,8 +18,8 @@ from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
-from .features import extract_features, read_feature_file, write_feature_file
-from .learners import TrainConfig, load_model, save_model, train_model
+from .features import extract_features, write_feature_file
+from .learners import TrainConfig
 from .rules import RuleSet, parse_rules
 
 
@@ -116,12 +116,6 @@ def cmd_filter(args) -> int:
 def cmd_train(args) -> int:
     cfg = TrainConfig(kind=args.kind, seed=args.seed, n_trees=args.n_trees,
                       gamma=args.gamma, reg=args.reg)
-    if args.features:
-        _, labels, _, X = read_feature_file(args.features)
-        model = train_model(X, labels, cfg)
-        save_model(model, args.model_out)
-        print(f"wrote model {args.model_out}")
-        return 0
     manifest = corpus_mod.read_manifest(args.corpus)
     allow_text, block_text = _read_text(args.allow), _read_text(args.block)
     system = pipeline_mod.train_system(
@@ -184,26 +178,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if args.system:
-        system = pipeline_mod.load_system(args.system)
-        score_fn, rule_probe = pipeline_mod.make_oracle(system)
-        threshold = system.threshold
-    else:
-        model = load_model(args.model)
-
-        def score_fn(raw):
-            score = pipeline_mod.model_score(model, raw)
-            return 1.0 if score is None else score
-
-        rule_probe = None
-        threshold = args.threshold
-
+    system = pipeline_mod.load_system(args.system)
+    score_fn, rule_probe = pipeline_mod.make_oracle(system)
     pool_manifest = corpus_mod.read_manifest(args.pool_source)
     goodware = [r for r in pool_manifest.records if r.label == 0]
     pool = attack_mod.harvest_sections(goodware, args.sections, args.seed)
     cfg = attack_mod.AttackConfig(
         k=args.sections, query_budget=args.budget, lam=getattr(args, "lambda"),
-        seed=args.seed, success_threshold=threshold)
+        seed=args.seed, success_threshold=system.threshold)
 
     malware_manifest = corpus_mod.read_manifest(args.malware)
     os.makedirs(args.out, exist_ok=True)
@@ -217,7 +199,7 @@ def cmd_attack(args) -> int:
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})
     with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8") as fh:
-        json.dump({"threshold": threshold, "sections": args.sections,
+        json.dump({"threshold": system.threshold, "sections": args.sections,
                    "rows": rows}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_runconfig(args.out, "attack", vars(args))
@@ -282,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("train", help="train a system (or a bare model from features)")
-    p.add_argument("--corpus")
+    p = sub.add_parser("train", help="train a system; with no rules, the all-data baseline")
+    p.add_argument("--corpus", required=True)
     p.add_argument("--allow")
     p.add_argument("--block")
-    p.add_argument("--features")
-    p.add_argument("--model-out")
-    p.add_argument("--system-out")
+    p.add_argument("--system-out", required=True)
     p.add_argument("--kind", choices=["gbdt", "svm"], default="gbdt")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-trees", type=int, default=100)
@@ -310,15 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("attack", help="section-injection attack against a target")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--system")
-    group.add_argument("--model")
+    p.add_argument("--system", required=True)
     p.add_argument("--malware", required=True)
     p.add_argument("--pool-source", required=True)
     p.add_argument("--sections", type=int, choices=[10, 20, 30, 50], default=10)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--lambda", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FeatureFailure, SpecInvalid
+from .errors import FeatureFailure
 from .pe import PeFile, parse_pe
 
 DIM = 721
@@ -155,32 +155,3 @@ def write_feature_file(path, records):
             text = [repr(v) for v in bits.view(np.float64).tolist()]
             vals = ",".join([text[i] for i in where.tolist()])
             fh.write(f"{sha},{int(label)},{epoch},{vals}\n")
-
-
-def read_feature_file(path):
-    """Returns (shas, labels, epochs, X) with X float32 of shape (n, 721); a
-    malformed header or record, or a label other than 0 or 1, is a SpecInvalid
-    naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        n = header[len(FEATURE_FILE_HEADER):]
-        if not header.startswith(FEATURE_FILE_HEADER) or not n.isdecimal():
-            raise SpecInvalid(f"{path}, line 1: bad feature file header: {header!r}")
-        shas, labels, epochs, rows = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                sha, label, epoch, rest = line.rstrip("\n").split(",", 3)
-                labels.append(int(label))
-                rows.append(np.array([float(x) for x in rest.split(",")], dtype=np.float32))
-            except ValueError as exc:
-                raise SpecInvalid(f"{path}, line {lineno}: {exc}") from None
-            if labels[-1] not in (0, 1):
-                raise SpecInvalid(f"{path}, line {lineno}: label {labels[-1]}, want 0 or 1")
-            if rows[-1].shape[0] != DIM:
-                raise SpecInvalid(f"{path}, line {lineno}: {rows[-1].shape[0]} values, want {DIM}")
-            shas.append(sha)
-            epochs.append(epoch)
-    if len(rows) != int(n):
-        raise SpecInvalid(f"{path}: declares {n} records, found {len(rows)}")
-    X = np.vstack(rows) if rows else np.empty((0, DIM), dtype=np.float32)
-    return shas, np.array(labels), epochs, X

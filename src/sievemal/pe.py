@@ -140,9 +140,9 @@ def parse_pe(raw: bytes) -> PeFile:
     for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
         _require(a1 <= b0, "section raw data regions overlap")
 
-    data_start = min((s.raw_offset for s in sections if s.raw_size > 0), default=len(raw))
+    last_end = max([table_end] + [s.raw_end() for s in sections])
+    data_start = min((s.raw_offset for s in sections if s.raw_size > 0), default=last_end)
     _require(data_start >= table_end, "section data overlaps the header region")
-    last_end = max((s.raw_end() for s in sections), default=table_end)
     overlay = raw[last_end:]
 
     return PeFile(

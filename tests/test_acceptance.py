@@ -40,7 +40,6 @@ from sievemal.pipeline import (
     AiSystem,
     Route,
     make_oracle,
-    model_score,
     route_rules,
     train_system,
 )
@@ -63,13 +62,6 @@ def bare_model(default_corpus):
         manifest.samples("present-train"),
         RuleSet(rules=(), role="allowlist"), RuleSet(rules=(), role="blocklist"),
         TrainConfig(kind="gbdt", seed=0, n_trees=100))
-
-
-def bare_score_fn(system):
-    def score(raw):
-        value = model_score(system.model, raw)
-        return 1.0 if value is None else value
-    return score
 
 
 # -- criterion 1: rule engine agrees with the naive interpreter ---------------
@@ -242,7 +234,7 @@ def test_c5_filtered_training_parity_under_drift(default_corpus, bare_model):
     filtered_tpr, _ = tpr_at_fpr(composite_roc([filtered.stage(raw) for raw, _ in pairs],
                                                [label for _, label in pairs]), 0.01)
 
-    score = bare_score_fn(bare_model)
+    score = make_oracle(bare_model)[0]
     scores = [score(raw) for raw, _ in pairs]
     labels = [label for _, label in pairs]
     alldata_tpr, _ = tpr_at_fpr(roc(scores, labels), 0.01)
@@ -301,7 +293,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
     start = time.perf_counter()
     spec, manifest = default_corpus
     threshold = bare_model.threshold
-    score = bare_score_fn(bare_model)
+    score = make_oracle(bare_model)[0]
 
     goodware = [s for s in manifest.samples("present-train") if s.label == 0]
     pool = harvest_sections(goodware, k=10, seed=0)

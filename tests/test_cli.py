@@ -68,6 +68,39 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+ATTACK_ARGS = ["--malware", "m.csv", "--pool-source", "m.csv", "--out", "x"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--system-out", "x"], "required: --corpus"),
+    (["train", "--corpus", "m.csv"], "required: --system-out"),
+    (["train", "--corpus", "m.csv", "--system-out", "x", "--features", "f.csv"],
+     "unrecognized arguments: --features"),
+    (["train", "--corpus", "m.csv", "--system-out", "x", "--model-out", "m.json"],
+     "unrecognized arguments: --model-out"),
+    (["attack", "--model", "m.json", *ATTACK_ARGS], "required: --system"),
+    (["attack", "--system", "s", "--threshold", "0.5", *ATTACK_ARGS],
+     "unrecognized arguments: --threshold"),
+], ids=["train-no-corpus", "train-no-system-out", "train-features", "train-model-out",
+        "attack-model", "attack-threshold"])
+def test_bare_model_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_help_lists_no_bare_model_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for option in ("--features", "--model-out", "--model ", "--threshold"):
+        assert option not in out
+    assert "--system" in out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -106,6 +139,41 @@ def test_train_writes_system_artifact(workdir):
         assert (system / name).exists()
     md = json.loads((system / "metadata.json").read_text())
     assert md["filtered"] is True
+
+
+def test_train_runconfig_records_the_system_options(workdir):
+    record = json.loads((workdir / "system" / "runconfig.json").read_text())
+    assert record["command"] == "train"
+    config = record["config"]
+    assert config["system_out"] == str(workdir / "system")
+    assert config["corpus"] == str(workdir / "corpus" / "manifest.csv")
+    assert "features" not in config and "model_out" not in config
+
+
+def test_all_data_system_is_attacked_at_its_own_threshold(workdir, tmp_path):
+    corpus = workdir / "corpus"
+    system = tmp_path / "alldata"
+    assert main(["train", "--corpus", str(corpus / "manifest.csv"),
+                 "--system-out", str(system), "--seed", "0", "--n-trees", "20"]) == 0
+    md = json.loads((system / "metadata.json").read_text())
+    assert md["filtered"] is False
+    assert md["filter_report"]["removed_by_allowlist"] == 0
+    assert md["filter_report"]["removed_by_blocklist"] == 0
+
+    malware = [r for r in read_manifest(corpus / "manifest.csv").records
+               if r.label == 1 and r.epoch == "present-test"][:2]
+    write_manifest(Manifest(records=malware), tmp_path / "targets.csv")
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(system),
+                 "--malware", str(tmp_path / "targets.csv"),
+                 "--pool-source", str(corpus / "manifest.csv"),
+                 "--budget", "5", "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["threshold"] == md["threshold"]
+    assert len(results["rows"]) == 2
+    config = json.loads((out / "runconfig.json").read_text())["config"]
+    assert config["system"] == str(system)
+    assert "model" not in config and "threshold" not in config
 
 
 def test_predict_command(workdir, capsys):
@@ -214,17 +282,3 @@ def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
                  "--out", str(tmp_path / "manifest.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"labels.csv, {where}:" in err
-
-
-@pytest.mark.parametrize("row, reason", [
-    ("abc,1", "not enough values to unpack"),
-    ("abc,1,future," + ",".join(["0.5"] * 720) + ",x", "could not convert string to float"),
-    ("abc,2,future," + ",".join(["0.5"] * 721), "label 2, want 0 or 1"),
-], ids=["short-row", "non-numeric", "label-2"])
-def test_train_bad_feature_file_exits_one(tmp_path, capsys, row, reason):
-    feats = tmp_path / "feats.csv"
-    feats.write_text(f"sievemal-features v1, dim=721, n=1\n{row}\n")
-    assert main(["train", "--features", str(feats),
-                 "--model-out", str(tmp_path / "model.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "feats.csv, line 2:" in err and reason in err

@@ -1,12 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievemal.corpus import build_pe
-from sievemal.errors import SpecInvalid
 from sievemal.features import (
     DIM,
     ENTROPY,
@@ -18,7 +16,6 @@ from sievemal.features import (
     _token_bins,
     extract_features,
     fnv1a64,
-    read_feature_file,
     write_feature_file,
 )
 from sievemal.pe import parse_pe
@@ -158,48 +155,15 @@ def test_feature_file_round_trip(tmp_path):
     ]
     path = tmp_path / "feats.csv"
     write_feature_file(path, recs)
-    header = path.read_text().splitlines()[0]
-    assert header == "sievemal-features v1, dim=721, n=2"
-    shas, labels, epochs, X = read_feature_file(path)
-    assert shas == ["a" * 64, "b" * 64]
-    assert labels.tolist() == [1, 0]
-    assert epochs == ["present-train", "future"]
-    assert np.array_equal(X[0], recs[0][3])
-    assert np.array_equal(X[1], recs[1][3])
-
-
-def test_feature_file_bad_header_and_count(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("something else\n")
-    with pytest.raises(SpecInvalid, match="bad.csv, line 1: bad feature file header"):
-        read_feature_file(p)
-    p.write_text("sievemal-features v1, dim=721, n=five\n")
-    with pytest.raises(SpecInvalid, match="bad.csv, line 1: bad feature file header"):
-        read_feature_file(p)
-    p.write_text("sievemal-features v1, dim=721, n=5\n")
-    with pytest.raises(SpecInvalid, match="declares 5 records, found 0"):
-        read_feature_file(p)
-
-
-@pytest.mark.parametrize("row, reason", [
-    ("abc,1", "not enough values to unpack"),
-    ("abc,x,future," + ",".join(["0.5"] * DIM), "invalid literal for int"),
-    ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)) + ",x", "could not convert string to float"),
-    ("abc,1,future," + ",".join(["0.5"] * (DIM - 1)), f"{DIM - 1} values, want {DIM}"),
-    ("abc,2,future," + ",".join(["0.5"] * DIM), "label 2, want 0 or 1"),
-    ("abc,-1,future," + ",".join(["0.5"] * DIM), "label -1, want 0 or 1"),
-], ids=["short-row", "bad-label", "non-numeric", "short-vector", "label-2", "label-minus-1"])
-def test_feature_file_bad_record_names_its_line(tmp_path, row, reason):
-    good = "def,0,future," + ",".join(["0.25"] * DIM)
-    p = tmp_path / "bad.csv"
-    p.write_text(f"sievemal-features v1, dim=721, n=2\n{good}\n{row}\n")
-    with pytest.raises(SpecInvalid, match="bad.csv, line 3: ") as exc:
-        read_feature_file(p)
-    assert reason in str(exc.value)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "sievemal-features v1, dim=721, n=2" and len(lines) == 3
+    for line, (sha, label, epoch, vec) in zip(lines[1:], recs):
+        *head, values = line.split(",", 3)
+        assert head == [sha, str(label), epoch]
+        assert np.array_equal(np.array(values.split(","), dtype=np.float32), vec)
 
 
 def test_feature_file_empty(tmp_path):
     p = tmp_path / "empty.csv"
     write_feature_file(p, [])
-    shas, labels, epochs, X = read_feature_file(p)
-    assert shas == [] and X.shape == (0, DIM)
+    assert p.read_text() == "sievemal-features v1, dim=721, n=0\n"

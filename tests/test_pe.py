@@ -33,6 +33,15 @@ def test_round_trip_is_byte_identical(pe64, overlay):
     assert serialize_pe(parse_pe(raw)) == raw
 
 
+@pytest.mark.parametrize("sections", [[], [(b".bss", b"", DATA)]], ids=["none", "bss"])
+def test_round_trip_without_section_data_keeps_overlay_once(sections):
+    raw = build_pe(sections, overlay=b"ov" * 50)
+    assert len(raw) == 1124
+    once = serialize_pe(parse_pe(raw))
+    assert once == raw
+    assert serialize_pe(parse_pe(once)) == raw
+
+
 def test_parse_reads_section_table():
     raw = simple_pe(timestamp=123456, entry_rva=0x1000)
     pe = parse_pe(raw)
