@@ -3,8 +3,17 @@
 All text needles of a rule set are searched in one step per scan
 (`_TextIndex`), and a text pattern's offsets are the sorted set of every
 occurrence, overlaps included, of any of its variants. Hex and regex patterns
-compile to byte-level regular expressions and scan independently; jumps are
-bounded at parse time so scanning stays linear in practice.
+compile to byte-level regular expressions, each run once over the whole data;
+jumps are bounded at parse time, and the parser rejects regexes with nested or
+overlapping unbounded repeats, so scanning stays linear in practice. When
+the text search uses its prefix filter, a hex pattern that starts with fixed
+bytes is gated on them: they join the search as one more needle, and its
+regex runs only when they occur.
+
+Only candidate rules are evaluated: those with at least one pattern hit, and
+those whose condition can hold with no hit at all (`not $a`, `#a == 0`,
+`filesize < N`, ...), decided once per rule set by a conservative check of the
+condition. Every other rule is false on that data without evaluation.
 
 Hash-only rules (no strings, and a condition that is exactly one
 `hash.sha256(0, filesize) == "..."`) are not evaluated one by one: they sit in
@@ -107,7 +116,8 @@ def _slots(keys: np.ndarray, width: int) -> np.ndarray:
 
 
 class _TextIndex:
-    """Every occurrence, overlaps included, of a fixed list of non-empty needles.
+    """Every occurrence, overlaps included, of a fixed list of non-empty needles,
+    or only the first one for the needles whose indices are in `once`.
 
     Below _FILTER_MIN_NEEDLES needles, one bytes.find loop per needle. From
     there up, a bitmap of the needles' prefixes (the first 4 bytes, hashed, or
@@ -115,8 +125,9 @@ class _TextIndex:
     haystack, and each candidate offset is confirmed with startswith.
     """
 
-    def __init__(self, needles: list[bytes]):
+    def __init__(self, needles: list[bytes], once=frozenset()):
         self.needles = needles
+        self.once = once
         self._groups = None       # [(prefix width, bitmap, prefix value -> needle indices)]
         if len(needles) < _FILTER_MIN_NEEDLES:
             return
@@ -132,71 +143,141 @@ class _TextIndex:
             self._groups.append((width, bitmap, table))
 
     def find_all(self, hay: bytes):
-        """Yield (needle_index, offset) for every occurrence in hay."""
-        needles = self.needles
+        """Yield (needle_index, offset) for every occurrence in hay, and for a
+        needle in `once` only the first one."""
+        needles, once = self.needles, self.once
         if self._groups is None:
             for i, needle in enumerate(needles):
                 start = hay.find(needle)
                 while start >= 0:
                     yield i, start
-                    start = hay.find(needle, start + 1)
+                    start = -1 if i in once else hay.find(needle, start + 1)
             return
+        found = set()             # the once-needles seen so far
         for width, bitmap, table in self._groups:
             keys = _windows(hay, width)
             offsets = np.flatnonzero(bitmap[_slots(keys, width)])
             for off, key in zip(offsets.tolist(), keys[offsets].tolist()):
                 for i in table.get(key, ()):
-                    if hay.startswith(needles[i], off):
+                    if i not in found and hay.startswith(needles[i], off):
+                        if i in once:
+                            found.add(i)
                         yield i, off
+
+
+def _needs_hit(node, n_strings: int) -> bool:
+    """Whether node is false whenever no pattern of its rule has a hit.
+
+    Conservative: False means only that the check cannot tell, so the rule is
+    evaluated on every scan. `not`, filesize, uintN and hash comparisons can
+    hold with no hit; an `and` needs a hit if any item does, an `or` only if
+    every item does.
+    """
+    if isinstance(node, StringMatch):
+        return True
+    if isinstance(node, CountCmp):
+        return not _OPS[node.op](0, node.value)
+    if isinstance(node, OfQuantifier):
+        if node.count == "any":
+            return True
+        if node.count == "all":   # all of an empty set holds
+            return bool(node.ids if node.ids is not None else n_strings)
+        return node.count >= 1
+    if isinstance(node, And):
+        return any(_needs_hit(i, n_strings) for i in node.items)
+    if isinstance(node, Or):
+        return all(_needs_hit(i, n_strings) for i in node.items)
+    return False
+
+
+def _fixed_prefix(items: tuple) -> bytes:
+    """The bytes every match of a hex pattern starts with."""
+    prefix = bytearray()
+    for item in items:
+        if item[0] != "byte":
+            break
+        prefix.append(item[1])
+    return bytes(prefix)
 
 
 class CompiledRuleSet:
     """A RuleSet prepared for scanning: one text index per haystack (as is and
-    lowercased), one regex per hex or regex pattern, and the digest -> rules
-    dict of the hash-only rules."""
+    lowercased), one regex per hex or regex pattern, the positions of the rules
+    that can fire with no pattern hit, and the digest -> rules dict of the
+    hash-only rules.
+
+    Patterns are keyed by (rule position, pattern id). When the case-sensitive
+    index uses the prefix filter, a hex pattern that starts with fixed bytes
+    adds them to it as a gate needle under its own key. The search reports a
+    needle that only gates at its first occurrence, and the regex runs once if
+    the gate occurs at all.
+    """
 
     def __init__(self, rs: RuleSet):
-        self.regexes = {}            # (rule_name, pattern_id) -> re.Pattern
+        self.rules = rs.rules
         self.by_digest = {}          # sha256 hex -> [(position, rule)], in rule order
-        self.evaluated = []          # [(position, rule)] for every other rule
-        owners = ({}, {})            # per haystack: needle -> [(rule_name, pattern_id)]
+        self.always = []             # positions of the rules that can fire with no hit
+        owners = ({}, {})            # per haystack: needle -> [key]
+        gates = {}                   # fixed prefix of a hex pattern -> [key]
+        regexes = []                 # [(key, re.Pattern)]
         for pos, rule in enumerate(rs.rules):
             if not rule.strings and type(rule.condition) is Sha256Eq:
                 self.by_digest.setdefault(rule.condition.digest, []).append((pos, rule))
                 continue
-            self.evaluated.append((pos, rule))
+            if not _needs_hit(rule.condition, len(rule.strings)):
+                self.always.append(pos)
             for p in rule.strings:
-                key = (rule.name, p.id)
+                key = (pos, p.id)
                 if p.kind == "text":
                     for needle in _text_variants(p):
                         owners["nocase" in p.modifiers].setdefault(needle, []).append(key)
-                else:
-                    self.regexes[key] = _pattern_regex(p)
-        self._text = [(_TextIndex(list(o)), list(o.values())) for o in owners]
+                    continue
+                gate = _fixed_prefix(p.body) if p.kind == "hex" else b""
+                if gate:
+                    gates.setdefault(gate, []).append(key)
+                regexes.append((key, _pattern_regex(p)))
+        # Gates ride the prefix filter's one pass over the data. Below its
+        # threshold each gate would cost a bytes.find of its own, which is no
+        # cheaper than the regex's own scan for its prefix.
+        if len(owners[0].keys() | gates.keys()) < _FILTER_MIN_NEEDLES:
+            gates = {}
+        gated = set()
+        for gate, keys in gates.items():
+            owners[0].setdefault(gate, []).extend(keys)
+            gated.update(keys)
+        once = frozenset(i for i, keys in enumerate(owners[0].values())
+                         if gated.issuperset(keys))
+        self.regexes = [(key, regex, key in gated) for key, regex in regexes]
+        self._text = [(_TextIndex(list(owners[0]), once), list(owners[0].values())),
+                      (_TextIndex(list(owners[1])), list(owners[1].values()))]
         self.has_nocase_text = bool(owners[1])
 
-    def _text_offsets(self, data: bytes) -> dict:
-        """(rule_name, pattern_id) -> sorted offsets, for text patterns that occur."""
+    def _hits(self, data: bytes) -> dict:
+        """key -> sorted offsets, for every pattern with at least one hit."""
         folded = data.lower() if self.has_nocase_text else data
-        hits = defaultdict(set)
+        found = defaultdict(set)
         for (index, keys), hay in zip(self._text, (data, folded)):
             for i, off in index.find_all(hay):
                 for key in keys[i]:
-                    hits[key].add(off)
-        return {k: tuple(sorted(v)) for k, v in hits.items()}
+                    found[key].add(off)
+        hits = {k: tuple(sorted(v)) for k, v in found.items()}
+        for key, regex, gated in self.regexes:
+            if gated and key not in hits:
+                continue             # the fixed prefix is absent: no match
+            offsets = tuple(m.start() for m in regex.finditer(data))
+            if offsets:
+                hits[key] = offsets
+            elif gated:
+                del hits[key]
+        return hits
 
     def scan(self, data: bytes) -> MatchResult:
-        text_hits = self._text_offsets(data)
+        hits = self._hits(data)
         ctx = _EvalContext(data)
         fired = []                   # [(position, (rule_name, offsets))]
-        for pos, rule in self.evaluated:
-            offsets = {}
-            for p in rule.strings:
-                key = (rule.name, p.id)
-                if p.kind == "text":
-                    offsets[p.id] = text_hits.get(key, ())
-                else:
-                    offsets[p.id] = tuple(m.start() for m in self.regexes[key].finditer(data))
+        for pos in sorted({pos for pos, _ in hits}.union(self.always)):
+            rule = self.rules[pos]
+            offsets = {p.id: hits.get((pos, p.id), ()) for p in rule.strings}
             if _eval(rule.condition, offsets, ctx):
                 fired.append((pos, (rule.name, offsets)))
         if self.by_digest:

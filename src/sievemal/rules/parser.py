@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import re
 
+try:
+    from re import _parser as _sre      # Python 3.11 and later
+except ImportError:                     # Python 3.10
+    import sre_parse as _sre
+
 from ..errors import ParseError, UnsupportedConstruct
 from .model import (
     MAX_CONDITION_DEPTH,
@@ -229,16 +234,85 @@ class Lexer:
 
 
 _REGEX_FORBIDDEN = re.compile(r"\\[1-9]|\(\?")
+_REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT,
+            getattr(_sre, "POSSESSIVE_REPEAT", _sre.MAX_REPEAT)}
+
+
+def _subpatterns(op, av) -> list:
+    if op in _REPEATS:
+        return [av[2]]
+    if op is _sre.SUBPATTERN:
+        return [av[-1]]
+    if op is _sre.BRANCH:
+        return av[1]
+    return []
+
+
+def _first_bytes(seq):
+    """The bytes a match of seq can start with, both cases of a letter
+    included; None when a class, a dot, an anchor or the empty string can."""
+    for op, av in seq:
+        if op is _sre.LITERAL:
+            return {av, bytes([av]).swapcase()[0]}
+        if op is _sre.SUBPATTERN or (op in _REPEATS and av[0] >= 1):
+            return _first_bytes(_subpatterns(op, av)[0])
+        if op is _sre.BRANCH:
+            firsts = [_first_bytes(branch) for branch in av[1]]
+            return None if None in firsts else set().union(*firsts)
+        return None
+    return None
+
+
+def _overlapping(branches) -> bool:
+    seen = set()
+    for branch in branches:
+        first = _first_bytes(branch)
+        if first is None or seen & first:
+            return True
+        seen |= first
+    return False
+
+
+def _ambiguous(seq) -> bool:
+    """Whether seq holds a repeat of more than one, or an alternation whose
+    branches can start with the same byte: under an unbounded repeat, either
+    lets a backtracking matcher split one input in exponentially many ways."""
+    for op, av in seq:
+        if op in _REPEATS and av[1] > 1:
+            return True
+        if op is _sre.BRANCH and _overlapping(av[1]):
+            return True
+        if any(_ambiguous(sub) for sub in _subpatterns(op, av)):
+            return True
+    return False
+
+
+def _backtracks(seq) -> bool:
+    """Whether seq has an unbounded repeat (*, +, {n,}) over an ambiguous operand."""
+    for op, av in seq:
+        if op in _REPEATS and av[1] == _sre.MAXREPEAT and _ambiguous(av[2]):
+            return True
+        if any(_backtracks(sub) for sub in _subpatterns(op, av)):
+            return True
+    return False
 
 
 def _validate_regex(body: str, lexer: Lexer):
+    """Reject what the subset leaves out, and regexes like (a+)+ or (a|a)* whose
+    matching time can grow exponentially with the input. The check is
+    conservative: a class, a dot or a nullable branch counts as overlapping any
+    other branch, and letters overlap their other case."""
     if _REGEX_FORBIDDEN.search(body):
         lexer.error("regex backreferences and (?...) groups are not supported",
                     UnsupportedConstruct)
     try:
-        re.compile(body.encode("latin-1"))
+        pattern = body.encode("latin-1")
+        re.compile(pattern)
     except (re.error, UnicodeEncodeError) as exc:
         lexer.error(f"invalid regex: {exc}")
+    if _backtracks(_sre.parse(pattern)):
+        lexer.error("regex nests a repeat or an overlapping alternation inside an "
+                    "unbounded repeat", UnsupportedConstruct)
 
 
 class Parser:

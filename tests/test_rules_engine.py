@@ -1,18 +1,32 @@
-import dataclasses
 import gc
 import hashlib
+import importlib.util
+import pathlib
 import random
 import weakref
 
 import pytest
 
 import fuzz_gen
+import naive_engine
 import naive_rules
 from sievemal.corpus import emit_allowlist, emit_rules_from_bank
 from sievemal.errors import ParseError
 from sievemal.rules import RuleSet, parse_rules
+from sievemal.rules import engine
 from sievemal.rules.engine import _FILTER_MIN_NEEDLES, compile_ruleset, scan
-from sievemal.rules.model import And
+
+DECOYS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "decoys.py"
+
+
+@pytest.fixture(scope="module")
+def perfbench_decoys():
+    """The benchmark's seeded decoy rules, loaded read-only from outside the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_decoys", DECOYS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # pad 0 keeps a small set on bytes.find; pad=_FILTER_MIN_NEEDLES moves every
 # text search of the set onto the prefix filter
@@ -199,14 +213,6 @@ rule three { strings: $a = "zzz" condition: $a }
 
 # --- the digest index for hash-only rules -----------------------------------
 
-def evaluated_one_by_one(rs):
-    """rs with every condition wrapped in a one-item `and`: the same rules, but
-    none is hash-only, so a scan evaluates each of them in turn, as every scan
-    did before hash-only rules were looked up by digest."""
-    return RuleSet(rules=tuple(dataclasses.replace(r, condition=And((r.condition,)))
-                               for r in rs.rules), role=rs.role)
-
-
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -217,7 +223,7 @@ def hash_rule(name: str, digest: str) -> str:
 
 def assert_same_as_evaluated(rs, data, asts=None):
     got = scan(data, rs)
-    assert got == scan(data, evaluated_one_by_one(rs))
+    assert got == naive_engine.scan(data, rs)
     want = tuple(r.name for r in rs.rules
                  if naive_rules.naive_scan_verdict(r, data, asts or {}))
     assert got.rule_names == want
@@ -240,7 +246,7 @@ def test_digest_index_holds_only_hash_only_rules():
     compiled = compile_ruleset(rs)
     assert {d: [r.name for _, r in entries] for d, entries in compiled.by_digest.items()} == {
         sha(a): ["h_a", "h_a_again"], sha(b): ["h_b"], "0" * 64: ["h_none"]}
-    assert [r.name for _, r in compiled.evaluated] == ["t1", "both", "not_b", "t2"]
+    assert [rs.rules[pos].name for pos in compiled.always] == ["not_b"]
 
     assert assert_same_as_evaluated(rs, a) == ("h_a", "t1", "h_a_again", "both", "not_b", "t2")
     assert assert_same_as_evaluated(rs, b) == ("h_b", "t2")
@@ -273,21 +279,210 @@ def test_digest_index_fuzz_against_the_evaluated_path():
             assert_same_as_evaluated(rs, data)
 
 
-def test_digest_index_on_every_seed0_file(default_corpus):
+def test_every_seed0_file_matches_the_oracle(default_corpus, perfbench_decoys):
+    # the triage rule sets: the allowlist, the bank, and the bank plus the
+    # 2,000 decoys; whole MatchResults (names, offsets, order) must be equal
     spec, manifest = default_corpus
     allow = parse_rules(emit_allowlist(manifest), role="allowlist")
-    block = parse_rules(emit_rules_from_bank(spec))
+    bank_text = emit_rules_from_bank(spec)
+    block = parse_rules(bank_text)
+    triage = parse_rules(bank_text + "\n"
+                         + perfbench_decoys.source(perfbench_decoys.decoys(0, 2000)))
     assert len(compile_ruleset(allow).by_digest) == len(allow.rules)
-    references = [(rs, evaluated_one_by_one(rs)) for rs in (allow, block)]
-    fired = 0
+    assert len(triage.rules) == 2008 and not compile_ruleset(triage).always
+    references = [(rs, naive_engine.NaiveRuleSet(rs)) for rs in (allow, block, triage)]
+    fired = [0, 0, 0]
     for rec in manifest.records:
         with open(rec.path, "rb") as fh:
             raw = fh.read()
-        for rs, reference in references:
-            got = scan(raw, rs).fired
-            assert got == scan(raw, reference).fired, rec.path
-            fired += bool(got)
-    assert fired > len(allow.rules)
+        for i, (rs, reference) in enumerate(references):
+            got = scan(raw, rs)
+            assert got == reference.scan(raw), rec.path
+            fired[i] += got.verdict
+    assert fired[0] == len(allow.rules) and fired[1] > 0 and fired[2] == fired[1]
+
+
+# --- candidate-only evaluation ---------------------------------------------
+
+# conditions that can hold with no pattern hit, and conditions that need one;
+# {a} and {b} are pattern ids, {n} a file size
+HITLESS = ("not {a}", "#{a_} == 0", "#{a_} <= 1", "0 of them", "filesize < {n}",
+           "uint16(0) == 0x4241", "{a} or filesize < {n}", "not ({a} and {b})",
+           "not {a} and filesize < {n}", "({a} or {b}) or uint8(1) != 66")
+NEEDS_HIT = ("{a}", "any of them", "all of them", "#{a_} >= 2", "{a} and {b}",
+             "1 of ({a}, {b})", "{a} and filesize < {n}", "{a} or {b}",
+             "#{a_} != 0 and not {b}", "all of them and not {a}")
+
+
+def gen_hex(rng, prefix: int):
+    """Hex items over a 3-byte alphabet with exactly `prefix` leading fixed bytes."""
+    items = [("byte", rng.randrange(65, 68)) for _ in range(prefix)]
+    items.append(rng.choice([("any",), ("jump", 0, rng.randint(0, 2))]))
+    items += [("byte", rng.randrange(65, 68)) for _ in range(rng.randint(1, 2))]
+    return tuple(items)
+
+
+def gen_candidate_ruleset(rng, pad: int):
+    """Rule text, witnesses to plant, and the ids of text, hex and regex patterns."""
+    chunks, witnesses = [], []
+    for r in range(rng.randint(1, 8)):
+        patterns = []
+        for i in range(rng.randint(2, 3)):
+            kind = rng.choice(("text", "text", "hex", "regex"))
+            if kind == "text":
+                body = bytes(rng.randrange(65, 68) for _ in range(rng.randint(2, 4)))
+                mods = rng.choice(("", "nocase", "wide", "wide ascii", "wide nocase"))
+                patterns.append(f'$p{i} = "{body.decode()}" {mods}')
+                witnesses.append(body.lower() if "nocase" in mods and rng.random() < 0.5
+                                 else body)
+                if "wide" in mods:
+                    witnesses.append(b"".join(bytes([c, 0]) for c in body))
+            elif kind == "hex":
+                items = gen_hex(rng, rng.choice((0, 1, 4)))
+                patterns.append(f"$p{i} = {fuzz_gen.render_hex(items)}")
+                witnesses.append(fuzz_gen.hex_witness(rng, items))
+            else:
+                ast = fuzz_gen.gen_regex(rng)
+                patterns.append(f"$p{i} = /{fuzz_gen.render_regex(ast)}/")
+                witnesses.append(fuzz_gen.regex_witness(rng, ast))
+        a, b = rng.sample(range(len(patterns)), 2)
+        condition = rng.choice(rng.choice((HITLESS, NEEDS_HIT))).format(
+            a=f"$p{a}", a_=f"p{a}", b=f"$p{b}", n=rng.randint(0, 400))
+        chunks.append(f"rule r{r} {{ strings: {' '.join(patterns)} condition: {condition} }}\n")
+    return "".join(chunks) + padding(pad), witnesses
+
+
+def test_seeded_rulesets_match_the_oracle():
+    rng = random.Random(20261018)
+    filters = set()
+    fired = hitless_fired = 0
+    for case in range(160):
+        text, witnesses = gen_candidate_ruleset(rng, rng.choice(PADS))
+        rs = parse_rules(text)
+        compiled = compile_ruleset(rs)
+        filters.add(compiled._text[0][0]._groups is not None)
+        reference = naive_engine.NaiveRuleSet(rs)
+        blobs = (b"", b"BA" + bytes(rng.randrange(256) for _ in range(60)),
+                 fuzz_gen.gen_data(rng, []), fuzz_gen.gen_data(rng, witnesses),
+                 bytes(rng.randrange(65, 69) for _ in range(300)))
+        for data in blobs:
+            got = scan(data, rs)
+            assert got == reference.scan(data), f"case {case}\n{text}\ndata={data.hex()}"
+            fired += len(got.fired)
+            hitless_fired += sum(1 for name, offsets in got.fired
+                                 if not any(offsets.values()))
+    # both text searches ran, and both kinds of candidate fired
+    assert filters == {False, True}
+    assert fired > 500 and hitless_fired > 100
+
+
+def test_needs_hit_truth_table():
+    cases = {
+        "$a": True, "#a == 0": False, "#a == 1": True, "#a != 0": True,
+        "#a != 1": False, "#a < 1": False, "#a < 0": True, "#a <= 1": False,
+        "#a > 0": True, "#a >= 1": True, "#a >= 0": False,
+        "any of them": True, "all of them": True, "all of ($a)": True,
+        "1 of them": True, "2 of ($a, $b)": True, "0 of them": False,
+        "filesize < 10": False, "uint16(0) == 0x5A4D": False,
+        "not $a": False, "not not $a": False,
+        f'hash.sha256(0, filesize) == "{"0" * 64}"': False,
+        "$a and filesize < 10": True, "filesize < 10 and not $a": False,
+        "$a or $b": True, "$a or filesize < 10": False, "#a == 0 or $b": False,
+        "($a or $b) and not $a": True, "($a and #b == 0) or any of them": True,
+    }
+    for condition, want in cases.items():
+        rule = one_rule('$a = "xy" $b = { 41 ?? 42 }', condition).rules[0]
+        assert engine._needs_hit(rule.condition, len(rule.strings)) is want, condition
+        if want:   # sound: false on data of every size with no hit
+            for data in (b"", b"MZ" + b"\x00" * 30, b"q" * 500):
+                ctx = engine._EvalContext(data)
+                assert not engine._eval(rule.condition, {"$a": (), "$b": ()}, ctx), condition
+    # with no strings, "all of them" holds and "any of them" never does
+    rules = parse_rules("rule e1 { condition: all of them }\n"
+                        "rule e2 { condition: any of them }\n").rules
+    assert [engine._needs_hit(r.condition, 0) for r in rules] == [False, True]
+    assert scan(b"data", RuleSet(rules=rules)).rule_names == ("e1",)
+
+
+@pytest.fixture
+def regex_runs(monkeypatch):
+    """The PatternDef of every hex or regex pattern whose regex a scan runs, in
+    run order, for rule sets compiled after the fixture is set up."""
+    runs = []
+    pattern_regex = engine._pattern_regex
+
+    class CountingRegex:
+        def __init__(self, p):
+            self.pattern, self.regex = p, pattern_regex(p)
+
+        def finditer(self, data):
+            runs.append(self.pattern)
+            return self.regex.finditer(data)
+
+    monkeypatch.setattr(engine, "_pattern_regex", CountingRegex)
+    return runs
+
+
+def test_frequent_gate_runs_its_regex_once(regex_runs):
+    data = (b"\x00" * 3 + b"AB") * 1000 + b"\x00\x00" * 500
+    for pad in PADS:
+        for hex_body, count in (("00 ?? 41", 1000), ("00 00 00 ?? 42", 1000),
+                                ("00 00 ?? 43", 0), ("00 00 42", 0)):
+            rs = one_rule(f"$h = {{ {hex_body} }}", f"#h == {count}", pad)
+            regex_runs.clear()
+            got = scan(data, rs)
+            assert got == naive_engine.scan(data, rs) and got.verdict, hex_body
+            # gated behind the prefix filter only: there the gate occurs
+            # thousands of times or not at all, and the search reports its
+            # first occurrence only
+            present = pad == 0 or hex_body != "00 00 42"
+            assert len(regex_runs) == present, (pad, hex_body)
+            if pad:
+                assert len(list(compile_ruleset(rs)._text[0][0].find_all(data))) == present
+
+
+def test_once_needles_report_their_first_occurrence():
+    hay = b"abc" * 100
+    needles = [b"ab", b"bc", b"ca"] + [b"\xff%d" % i for i in range(_FILTER_MIN_NEEDLES)]
+    for index in (engine._TextIndex(needles[:3], frozenset({1})),
+                  engine._TextIndex(needles, frozenset({1}))):
+        found = sorted(index.find_all(hay))
+        assert found == sorted([(0, i) for i in range(0, len(hay), 3)] + [(1, 1)]
+                               + [(2, i) for i in range(2, len(hay) - 1, 3)])
+
+
+def test_no_hit_evaluates_no_rule_that_needs_one(monkeypatch, regex_runs, unit_corpus,
+                                                 unit_spec, perfbench_decoys):
+    # counted, not timed: on a file where no pattern hits, the 2,008 rules of the
+    # triage blocklist cost no condition walk and no gated hex regex
+    rs = parse_rules(emit_rules_from_bank(unit_spec) + "\n"
+                     + perfbench_decoys.source(perfbench_decoys.decoys(0, 2000))
+                     + 'rule hitless { strings: $a = "mal_beacon" condition: not $a }\n')
+    compiled = compile_ruleset(rs)
+    assert compiled.always == [len(rs.rules) - 1]
+    gated = [p for rule in rs.rules for p in rule.strings
+             if p.kind == "hex" and engine._fixed_prefix(p.body)]
+    regexes = [p for rule in rs.rules for p in rule.strings if p.kind == "regex"]
+    assert len(gated) > 100 and len(regexes) > 10
+
+    evaluated = []
+    eval_ = engine._eval
+    monkeypatch.setattr(engine, "_eval", lambda node, offsets, ctx: (
+        evaluated.append(id(node)), eval_(node, offsets, ctx))[1])
+    rec = next(r for r in unit_corpus.records if r.label == 0 and not r.allowlisted)
+    with open(rec.path, "rb") as fh:
+        raw = fh.read()
+    reference = naive_engine.NaiveRuleSet(rs)
+    assert reference.text_offsets(raw) == {}
+    assert not any(regex.search(raw) for regex in reference.regexes.values())
+
+    evaluated.clear()
+    regex_runs.clear()
+    assert scan(raw, rs).rule_names == ("hitless",)
+    condition = rs.rules[-1].condition
+    assert evaluated == [id(condition), id(condition.item)]
+    assert not [p for p in regex_runs if any(p is g for g in gated)]
+    assert sorted(map(id, regex_runs)) == sorted(map(id, regexes))
 
 
 # --- many-pattern path -------------------------------------------------------

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+import fuzz_gen
 
 from sievemal.errors import ParseError, UnsupportedConstruct
 from sievemal.rules import RuleSet, parse_rules
@@ -187,6 +191,41 @@ def test_hex_jump_bounds():
 def test_unsupported_constructs_rejected_loudly(text):
     with pytest.raises(UnsupportedConstruct):
         parse_rules(text)
+
+
+def regex_rule(body: str) -> str:
+    return f"rule r {{ strings: $a = /{body}/ condition: $a }}"
+
+
+@pytest.mark.parametrize("body", [
+    "(a+)+b", "(a*)*b", "(a|a)*c", "(.*a)+", "(a|ab)*c", "(x[0-9]{2})+", "((ab)+)+",
+    "(a|.b)+", "(ab|AB)*", "(a|b|ab){2,}", "(a?|b)*", "x(y(a|a))*",
+])
+def test_backtracking_regexes_rejected(body):
+    with pytest.raises(UnsupportedConstruct, match="unbounded repeat"):
+        parse_rules(regex_rule(body))
+
+
+@pytest.mark.parametrize("body", [
+    "ab+c", "(ab)+c", "(a|b)*c", "word[0-9]{2,4}tail[a-z]{1,3}", "(ab|cd)+x",
+    "(ab?)+", "(x|[a-z])*", "(a+){2}", "a{3,}", "(ab){2,}", "(a|a)c", "(a+b)?",
+])
+def test_linear_regexes_accepted(body):
+    assert parse_rules(regex_rule(body)).rules[0].strings[0].body == body
+
+
+def test_backtracking_shapes_over_fuzz_atoms():
+    # every fuzz-generated regex quantifies atoms only and parses; wrapping a
+    # quantified atom or an alternation of two equal atoms in an unbounded
+    # repeat is rejected
+    rng = random.Random(6)
+    for _ in range(200):
+        body = fuzz_gen.render_regex(fuzz_gen.gen_regex(rng))
+        assert parse_rules(regex_rule(body)).rules[0].strings[0].body == body
+        atom = fuzz_gen.render_regex(fuzz_gen.gen_regex_atom(rng))
+        for shape in ("({a}+)+", "({a}*)*z", "({a}|{a}y)*", "(q{a}+)*"):
+            with pytest.raises(UnsupportedConstruct):
+                parse_rules(regex_rule(shape.format(a=atom)))
 
 
 def test_unsupported_is_a_parse_error():
