@@ -15,18 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted, SectionLimitExceeded
-from .pe import PeFile, inject_sections, parse_pe, serialize_pe
+from .pe import InjectionPlan, parse_pe
 
 
 @dataclass(frozen=True)
 class PayloadPool:
     sections: tuple               # ((source_id, name, content), ...)
+    _lengths: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lengths",
+                           tuple(len(content) for _, _, content in self.sections))
 
     def __len__(self):
         return len(self.sections)
 
-    def lengths(self):
-        return [len(content) for _, _, content in self.sections]
+    def lengths(self) -> tuple:
+        return self._lengths
 
 
 @dataclass(frozen=True)
@@ -103,23 +108,25 @@ def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
 
 def gene_bytes(pool: PayloadPool, s) -> list:
     """Bytes each gene injects: round(s_i * len_i)."""
-    return [round(float(si) * n) for si, n in zip(s, pool.lengths())]
+    return [round(si * n) for si, n in zip(np.asarray(s, dtype=np.float64).tolist(),
+                                           pool.lengths())]
 
 
 def payload_size(pool: PayloadPool, s) -> int:
     return sum(gene_bytes(pool, s))
 
 
-def apply_manipulation(malware: PeFile, pool: PayloadPool, s) -> tuple:
+def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     """(mutant bytes, payload size): one ".gammaNN" section per gene with a
-    nonzero byte budget, all injected in one layout pass. The payload size is
-    payload_size(pool, s), from the same per-gene byte counts."""
+    nonzero byte budget, emitted from the clean sample's injection plan in one
+    layout pass. The payload size is payload_size(pool, s), from the same
+    per-gene byte counts."""
     if len(s) != len(pool):
         raise ValueError("manipulation vector length disagrees with pool size")
     counts = gene_bytes(pool, s)
     items = [(b".gamma%02d" % i, content[:n])
              for i, ((_, _, content), n) in enumerate(zip(pool.sections, counts)) if n > 0]
-    return serialize_pe(inject_sections(malware, items)), sum(counts)
+    return plan.inject(items), sum(counts)
 
 
 def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
@@ -132,17 +139,16 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     """
     if cfg.query_budget <= 0:
         raise BudgetZero("query budget must be positive")
-    base_pe = parse_pe(malware)
+    plan = InjectionPlan(parse_pe(malware))
     rng = np.random.default_rng(cfg.seed)
     trace = AttackTrace()
-    lens = np.array(pool.lengths(), dtype=np.float64)
 
     def evaluate(s) -> float | None:
         """One oracle query; returns the objective, or None when budget is spent."""
         if trace.queries_used >= cfg.query_budget:
             return None
         try:
-            raw, payload = apply_manipulation(base_pe, pool, s)
+            raw, payload = apply_manipulation(plan, pool, s)
         except SectionLimitExceeded:
             return float("inf")
         score = float(target(raw))

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .errors import ParseError, SievemalError
+from .errors import MalformedPe, ParseError, SievemalError
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
@@ -195,7 +196,10 @@ def cmd_attack(args) -> int:
             continue
         with open(r.path, "rb") as fh:
             raw = fh.read()
-        row, trace = attack_mod.attack_sample(score_fn, raw, pool, cfg, rule_probe)
+        try:
+            row, trace = attack_mod.attack_sample(score_fn, raw, pool, cfg, rule_probe)
+        except MalformedPe as exc:
+            raise MalformedPe(f"attack target {r.path}: {exc}") from None
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})
     with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8") as fh:
@@ -225,6 +229,26 @@ def cmd_report(args) -> int:
 
 
 # --- argument wiring ---------------------------------------------------------
+
+def _non_negative_float(text) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sievemal")
@@ -294,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malware", required=True)
     p.add_argument("--pool-source", required=True)
     p.add_argument("--sections", type=int, choices=[10, 20, 30, 50], default=10)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--lambda", type=float, default=1e-5)
+    p.add_argument("--budget", type=_positive_int, default=200)
+    p.add_argument("--lambda", type=_non_negative_float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)

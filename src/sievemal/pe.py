@@ -4,12 +4,16 @@ Only the header fields needed for feature extraction and section manipulation
 are modeled; everything else in the header region is carried opaquely and
 re-emitted verbatim, which gives byte-exact round trips for files this module
 produced without implementing the full format.
+
+Injection works on bytes: an InjectionPlan serializes the clean file once, and
+each injected layout is a patched copy of its header joined with slices of the
+clean file and the new contents, so an attack query builds no PeFile.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import MalformedPe, SectionLimitExceeded
 
@@ -185,81 +189,148 @@ def serialize_pe(pe: PeFile) -> bytes:
     return bytes(out)
 
 
-def inject_section(pe: PeFile, name: bytes, content: bytes) -> PeFile:
-    """Append one non-executable section holding `content`: inject_sections
-    with a single item."""
-    return inject_sections(pe, ((name, content),))
+class InjectionPlan:
+    """A clean PeFile, serialized once, from which any list of injected
+    sections is emitted as bytes.
 
+    The clean file is kept as three slices: the header region (everything
+    before the first section's raw data), the section-data region and the
+    overlay, next to the integers the layout pass starts from. Each call to
+    `inject` works out the layout and joins a patched copy of the header, the
+    clean data region, the injected contents with their zero gaps and padding,
+    and the overlay. No PeFile or Section is built per call, and the bytes
+    are those that serializing the injected PeFile gives.
 
-def inject_sections(pe: PeFile, items) -> PeFile:
-    """Append one non-executable section per (name, content) item, in order.
-
-    Existing section data, the entry point, and the overlay are preserved;
-    empty contents are skipped, and with nothing to inject pe itself is
-    returned. Each time the section table runs out of slack before the first
-    section's raw data, every raw offset of a section with data is shifted by
-    the file-aligned shortfall (data untouched, offsets move).
-
-    The layout is the one that appending the items one at a time gives, worked
-    out in a single pass over integers: a shift moves every data section,
-    injected ones included, by the same amount, so an injected section's
-    offset is kept relative to the shift so far and made absolute at the end.
-    A section of raw size zero never moves, and its offset still bounds where
-    the next section's data may start.
+    pe is a PeFile as parse_pe returns it: its header blob holds the section
+    table and ends where the first section's raw data starts.
     """
-    fa, sa = pe.file_alignment, pe.section_alignment
-    table_off = pe.section_table_offset()
-    n_sections = len(pe.sections)
-    count = pe.num_sections                       # what the section limit sees
-    header_len = len(pe.header_blob)
-    data_start = min((s.raw_offset for s in pe.sections if s.raw_size > 0), default=None)
-    data_end = max((s.raw_end() for s in pe.sections if s.raw_size > 0), default=-1)
-    empty_end = max((s.raw_offset for s in pe.sections if s.raw_size == 0), default=-1)
-    virtual_end = pe.virtual_end()
-    shift = 0
-    size_of_image = pe.size_of_image
-    placed = []                                   # (name, content, raw_size, offset - shift, vaddr)
-    for name, content in items:
-        if len(name) > 8:
-            raise ValueError("section name exceeds 8 bytes")
-        if not content:
-            continue
-        if count + 1 > MAX_SECTIONS:
-            raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
-        new_table_end = table_off + (n_sections + 1) * SECTION_HEADER_SIZE
-        if data_start is not None and new_table_end > data_start:
-            step = align_up(new_table_end - data_start, fa)
-            shift += step
-            data_start += step
-            data_end += step
-            header_len += step
-        elif data_start is None and new_table_end > header_len:
-            header_len = new_table_end
-        last_raw_end = max(data_end, empty_end) if n_sections else header_len
-        raw_size = align_up(len(content), fa)
-        raw_offset = align_up(max(last_raw_end, new_table_end), fa)
-        vaddr = align_up(max(virtual_end, sa), sa)
-        placed.append((name, content, raw_size, raw_offset - shift, vaddr))
-        if data_start is None:
-            data_start = raw_offset
-        data_end = raw_offset + raw_size
-        virtual_end = max(virtual_end, vaddr + raw_size)
-        size_of_image = align_up(vaddr + len(content), sa)
-        n_sections += 1
-        count = n_sections
-    if not placed:
-        return pe
 
-    sections = [replace(s, raw_offset=s.raw_offset + shift) if shift and s.raw_size > 0 else s
-                for s in pe.sections]
-    sections.extend(
-        Section(name, len(content), vaddr, raw_size, offset + shift,
-                INJECTED_SECTION_CHARACTERISTICS, content.ljust(raw_size, b"\x00"))
-        for name, content, raw_size, offset, vaddr in placed)
-    return replace(
-        pe,
-        num_sections=n_sections,
-        sections=tuple(sections),
-        size_of_image=size_of_image,
-        header_blob=pe.header_blob + b"\x00" * (header_len - len(pe.header_blob)),
-    )
+    def __init__(self, pe: PeFile):
+        data = [(i, s) for i, s in enumerate(pe.sections) if s.raw_size > 0]
+        self.clean = serialize_pe(pe)
+        self.e_lfanew = pe.e_lfanew
+        self.file_alignment = pe.file_alignment
+        self.section_alignment = pe.section_alignment
+        self.table_off = pe.section_table_offset()
+        self.n_sections = len(pe.sections)
+        self.count = pe.num_sections              # what the section limit sees
+        self.header_len = len(pe.header_blob)
+        self.data_start = min((s.raw_offset for _, s in data), default=None)
+        self.data_end = max((s.raw_end() for _, s in data), default=-1)
+        self.empty_end = max((s.raw_offset for s in pe.sections if s.raw_size == 0),
+                             default=-1)
+        self.virtual_end = pe.virtual_end()
+        # where each data section's raw offset sits in the table, and its value
+        self.offset_slots = tuple((self.table_off + i * SECTION_HEADER_SIZE + 20, s.raw_offset)
+                                  for i, s in data)
+        body_end = self.data_end if data else self.header_len
+        self.header = self.clean[:self.header_len]
+        self.body = self.clean[self.header_len:body_end]
+        self.overlay = self.clean[len(self.clean) - len(pe.overlay):]
+
+    def inject(self, items) -> bytes:
+        """The file with one non-executable section appended per (name,
+        content) item, in order.
+
+        Existing section data, the entry point, and the overlay are
+        preserved; empty contents are skipped, and with nothing to inject the
+        clean file is returned. Each time the section table runs out of slack
+        before the first section's raw data, every raw offset of a section
+        with data is shifted by the file-aligned shortfall (data untouched,
+        offsets move).
+
+        The layout is the one that appending the items one at a time gives,
+        worked out in a single pass over integers: a shift moves every data
+        section, injected ones included, by the same amount, so an injected
+        section's offset is kept relative to the shift so far and made
+        absolute at the end. A section of raw size zero never moves, and its
+        offset still bounds where the next section's data may start.
+        """
+        fa, sa = self.file_alignment, self.section_alignment
+        table_off = self.table_off
+        n_sections = self.n_sections
+        count = self.count
+        header_len = self.header_len
+        data_start, data_end, empty_end = self.data_start, self.data_end, self.empty_end
+        virtual_end = self.virtual_end
+        shift = 0
+        placed = []                               # (name, content, raw_size, offset - shift, vaddr)
+        # align_up(x, a) is written out as -(-x // a) * a: this loop runs once
+        # per injected section of every attack query
+        for name, content in items:
+            if len(name) > 8:
+                raise ValueError("section name exceeds 8 bytes")
+            size = len(content)
+            if not size:
+                continue
+            if count >= MAX_SECTIONS:
+                raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
+            table_end = table_off + (n_sections + 1) * SECTION_HEADER_SIZE
+            if data_start is None:
+                if table_end > header_len:
+                    header_len = table_end
+            elif table_end > data_start:
+                step = -((data_start - table_end) // fa) * fa
+                shift += step
+                data_start += step
+                data_end += step
+                header_len += step
+            if n_sections:
+                start = data_end if data_end > empty_end else empty_end
+            else:
+                start = header_len
+            if table_end > start:
+                start = table_end
+            raw_offset = -(-start // fa) * fa
+            raw_size = -(-size // fa) * fa
+            vaddr = -(-(virtual_end if virtual_end > sa else sa) // sa) * sa
+            placed.append((name, content, raw_size, raw_offset - shift, vaddr))
+            if data_start is None:
+                data_start = raw_offset
+            data_end = raw_offset + raw_size
+            virtual_end = vaddr + raw_size
+            n_sections += 1
+            count = n_sections
+        if not placed:
+            return self.clean
+        _, content, _, _, vaddr = placed[-1]
+        size_of_image = align_up(vaddr + len(content), sa)
+
+        # the header grows by the shift (or, with no section data, to the new
+        # table) and the table grows into it; the clean data region follows
+        # it, and each injected section starts at its offset after a zero gap
+        # and is padded to its raw size
+        head = bytearray(self.header)
+        head += bytes(max(header_len, table_off + n_sections * SECTION_HEADER_SIZE) - len(head))
+        # NumberOfSections and SizeOfImage, where serialize_pe writes them
+        struct.pack_into("<H", head, self.e_lfanew + 6, n_sections)
+        struct.pack_into("<I", head, self.e_lfanew + 24 + 56, size_of_image)
+        if shift:
+            for slot, raw_offset in self.offset_slots:
+                struct.pack_into("<I", head, slot, raw_offset + shift)
+        parts = [head, self.body]
+        end = len(head) + len(self.body)
+        slot = table_off + self.n_sections * SECTION_HEADER_SIZE
+        for name, content, raw_size, offset, vaddr in placed:
+            offset += shift
+            _SECTION_ENTRY.pack_into(head, slot, name, len(content), vaddr, raw_size, offset,
+                                     0, 0, 0, INJECTED_SECTION_CHARACTERISTICS)
+            slot += SECTION_HEADER_SIZE
+            parts.append(bytes(offset - end))
+            parts.append(content)
+            end = offset + len(content)
+        parts.append(bytes(raw_size - len(content)))
+        parts.append(self.overlay)
+        return b"".join(parts)
+
+
+def inject_sections(pe: PeFile, items) -> bytes:
+    """The bytes of pe with one non-executable section appended per (name,
+    content) item, in order: InjectionPlan(pe).inject(items)."""
+    return InjectionPlan(pe).inject(items)
+
+
+def inject_section(pe: PeFile, name: bytes, content: bytes) -> bytes:
+    """The bytes of pe with one non-executable section holding `content`
+    appended: inject_sections with a single item."""
+    return inject_sections(pe, ((name, content),))

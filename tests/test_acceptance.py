@@ -99,13 +99,11 @@ def test_c2_pe_round_trip_and_injection(default_corpus):
     for n_inject in (1, 10, 50):
         for rec in sample[:10]:
             raw = read(rec.path)
-            pe = parse_pe(raw)
-            original = pe
+            original = out = parse_pe(raw)
             for j in range(n_inject):
                 content = rng.integers(0, 256, int(rng.integers(1, 2000)),
                                        dtype=np.uint8).tobytes()
-                pe = inject_section(pe, b".inj%02d" % j, content)
-            out = parse_pe(serialize_pe(pe))
+                out = parse_pe(inject_section(out, b".inj%02d" % j, content))
             assert out.num_sections == original.num_sections + n_inject
             assert out.entry_point_rva == original.entry_point_rva
             for before, after in zip(original.sections, out.sections):
@@ -366,8 +364,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
 
     small_malware = build_pe([(b".text", b"\xcc" * 128, EXEC)])
     src = parse_pe(benign_source).sections[1]
-    adversarial = serialize_pe(
-        inject_section(parse_pe(small_malware), b".gamma00", src.data[:64]))
+    adversarial = inject_section(parse_pe(small_malware), b".gamma00", src.data[:64])
     assert len(adversarial) < guard_limit
     res = scan(adversarial, guarded)
     assert "guard_backfire" in res.rule_names

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import naive_pe
 from sievemal.attack import (
     AttackConfig,
     PayloadPool,
@@ -15,7 +16,8 @@ from sievemal.attack import (
 )
 from sievemal.corpus import build_pe
 from sievemal.errors import BudgetZero, PoolExhausted
-from sievemal.pe import parse_pe
+from sievemal.pe import InjectionPlan, parse_pe
+from sievemal.pipeline import load_system, make_oracle, route_rules
 
 DATA = 0xC0000040
 EXEC = 0x60000020
@@ -76,7 +78,7 @@ def test_payload_size_rounds_per_gene():
 def test_apply_manipulation_zero_vector_is_identity():
     raw = malware_bytes()
     pe = parse_pe(raw)
-    out, payload = apply_manipulation(pe, tiny_pool(3), [0.0, 0.0, 0.0])
+    out, payload = apply_manipulation(InjectionPlan(pe), tiny_pool(3), [0.0, 0.0, 0.0])
     assert out == raw
     assert payload == 0
 
@@ -85,7 +87,7 @@ def test_apply_manipulation_injects_exact_prefixes():
     raw = malware_bytes()
     pe = parse_pe(raw)
     pool = tiny_pool(3)
-    out, payload = apply_manipulation(pe, pool, [1.0, 0.0, 0.25])
+    out, payload = apply_manipulation(InjectionPlan(pe), pool, [1.0, 0.0, 0.25])
     assert payload == payload_size(pool, [1.0, 0.0, 0.25])
     adv = parse_pe(out)
     names = [s.name for s in adv.sections]
@@ -105,7 +107,7 @@ def test_apply_manipulation_injects_exact_prefixes():
 
 def test_apply_manipulation_length_mismatch():
     with pytest.raises(ValueError):
-        apply_manipulation(parse_pe(malware_bytes()), tiny_pool(3), [0.5])
+        apply_manipulation(InjectionPlan(parse_pe(malware_bytes())), tiny_pool(3), [0.5])
 
 
 # --- the search itself -------------------------------------------------------
@@ -178,12 +180,50 @@ def test_search_is_deterministic():
 def test_adversarial_file_differs_only_by_appended_sections():
     raw = malware_bytes()
     pe = parse_pe(raw)
-    out, _ = apply_manipulation(pe, tiny_pool(2), [0.5, 0.5])
+    out, _ = apply_manipulation(InjectionPlan(pe), tiny_pool(2), [0.5, 0.5])
     adv = parse_pe(out)
     # byte-level check: original section payloads appear verbatim in the output
     for s in pe.sections:
         assert s.data in out
     assert len(adv.sections) == len(pe.sections) + 2
+
+
+@pytest.mark.parametrize("stage", ["blocklist", None], ids=["blocklisted", "no-rule"])
+def test_every_queried_mutant_equals_the_oracle(unit_system_dir, unit_corpus, stage):
+    """A whole attack against the unit system: each mutant the target receives
+    has the bytes that the one-section-at-a-time oracle gives for the vector
+    traced with it. A blocklisted sample never evades, so it spends the budget;
+    the unit model alone lets every sample evade at once, so the other search
+    runs to a zero threshold and spends its budget too."""
+    system = load_system(str(unit_system_dir / "system"))
+    score_fn, _ = make_oracle(system)
+    goodware = [s for s in unit_corpus.samples("present-train") if s.label == 0]
+    pool = harvest_sections(goodware, k=10, seed=0)
+    for rec in unit_corpus.samples("future"):
+        with open(rec.path, "rb") as fh:
+            raw = fh.read()
+        route = route_rules(raw, system.allowlist, system.blocklist)
+        if rec.label == 1 and (route and route.stage) == stage:
+            break
+    else:
+        pytest.fail(f"no future malware with route {stage}")
+    received = []
+
+    def target(mutant):
+        received.append(mutant)
+        return score_fn(mutant)
+
+    cfg = AttackConfig(k=10, query_budget=200, seed=0,
+                       success_threshold=system.threshold if stage else 0.0)
+    trace = gamma_attack(target, raw, pool, cfg)
+    assert len(received) == trace.queries_used == cfg.query_budget
+    assert not trace.succeeded
+    pe = parse_pe(raw)
+    for mutant, (s, _, payload) in zip(received, trace.queries):
+        items = [(b".gamma%02d" % i, content[:round(float(si) * len(content))])
+                 for i, ((_, _, content), si) in enumerate(zip(pool.sections, s))]
+        assert mutant == naive_pe.serialize_pe(naive_pe.inject_all(pe, items))
+        assert payload == sum(len(content) for _, content in items)
 
 
 def test_trace_jsonl_round_trip(tmp_path):

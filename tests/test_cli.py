@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from sievemal.cli import main
-from sievemal.corpus import CorpusSpec, Manifest, read_manifest, save_spec, write_manifest
+from sievemal.corpus import (
+    CorpusSpec,
+    Manifest,
+    ManifestRecord,
+    read_manifest,
+    save_spec,
+    write_manifest,
+)
 
 TINY_COUNTS = {"present-train": (30, 20), "present-test": (10, 10), "future": (10, 10)}
 
@@ -88,6 +95,24 @@ def test_bare_model_options_are_usage_errors(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--lambda", "-1", "argument --lambda: must be a finite number >= 0, got '-1'"),
+    ("--lambda", "nan", "argument --lambda: must be a finite number >= 0, got 'nan'"),
+    ("--budget", "0", "argument --budget: must be a positive integer, got '0'"),
+])
+def test_bad_attack_option_is_a_usage_error_before_any_file(tmp_path, capsys, option,
+                                                            value, message):
+    # none of the input files exist: the option is rejected before any is read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--system", str(tmp_path / "system"),
+              "--malware", str(tmp_path / "m.csv"), "--pool-source", str(tmp_path / "m.csv"),
+              option, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "attack"])
@@ -260,6 +285,21 @@ def test_attack_and_report_commands(workdir, tmp_path):
     assert doc["attacked"] == 3
     for _, rate in doc["detection_rate_by_payload_kb"]:
         assert 0.0 <= rate <= 1.0
+
+
+def test_unparsable_attack_target_is_named(workdir, tmp_path, capsys):
+    manifest = read_manifest(workdir / "corpus" / "manifest.csv")
+    malware = next(r for r in manifest.records if r.label == 1)
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"not a portable executable" * 4)
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=[
+        malware, ManifestRecord(str(junk), "0" * 64, 1, "future")]), targets)
+    assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
+                 "--pool-source", str(workdir / "corpus" / "manifest.csv"),
+                 "--budget", "3", "--out", str(tmp_path / "attack")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: attack target {junk}: missing MZ magic\n"
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sievemal.corpus import build_pe
 from sievemal.errors import MalformedPe, SectionLimitExceeded
-from sievemal.pe import align_up, inject_section, parse_pe, serialize_pe
+from sievemal.pe import align_up, inject_section, inject_sections, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -86,13 +86,13 @@ def test_overlapping_sections_rejected():
 
 def test_inject_empty_content_is_noop():
     pe = parse_pe(simple_pe())
-    assert inject_section(pe, b".x", b"") is pe
+    assert inject_section(pe, b".x", b"") == serialize_pe(pe)
 
 
 def test_inject_appends_readable_data_section():
     raw = simple_pe(overlay=b"tail")
     pe = parse_pe(raw)
-    out = serialize_pe(inject_section(pe, b".inj", b"A" * 100))
+    out = inject_section(pe, b".inj", b"A" * 100)
     pe2 = parse_pe(out)
     assert pe2.num_sections == 3
     inj = pe2.sections[-1]
@@ -115,9 +115,11 @@ def test_inject_many_sections_shifts_raw_data():
     raw = build_pe([(b".text", b"\x90" * 64, EXEC)], min_headers=0x200)
     pe = parse_pe(raw)
     original = pe.sections[0].data
-    for i in range(50):
-        pe = inject_section(pe, b".s%02d" % i, bytes([i]) * (i + 1))
+    items = [(b".s%02d" % i, bytes([i]) * (i + 1)) for i in range(50)]
+    for name, content in items:
+        pe = parse_pe(inject_section(pe, name, content))
     out = serialize_pe(pe)
+    assert out == inject_sections(parse_pe(raw), items)
     pe2 = parse_pe(out)
     assert pe2.num_sections == 51
     assert pe2.sections[0].data == original
@@ -156,6 +158,5 @@ def test_round_trip_property(blobs, pe64, overlay):
 @given(content=st.binary(min_size=1, max_size=2000), data=st.data())
 def test_injected_content_survives_reserialization(content, data):
     raw = simple_pe()
-    pe = inject_section(parse_pe(raw), b".h", content)
-    pe2 = parse_pe(serialize_pe(pe))
+    pe2 = parse_pe(inject_section(parse_pe(raw), b".h", content))
     assert pe2.sections[-1].data[:len(content)] == content

@@ -2,10 +2,11 @@
 
 `tests/naive_pe.py` holds the sequential `inject_section` and the
 `serialize_pe` that `sievemal.pe` replaced. Injecting a list of items in one
-layout pass must give the PeFile, and the bytes, that appending them one at a
-time gives, so a raw-offset shift applied once too often or too rarely, a
-section of raw size zero that moves or stops bounding the next offset, or a
-header grown by the wrong amount fails here.
+layout pass, emitted from a plan of the clean file, must give the bytes that
+appending them one at a time and serializing gives, so a raw-offset shift
+applied once too often or too rarely, a section of raw size zero that moves or
+stops bounding the next offset, a header grown by the wrong amount, or a gap or
+pad of the wrong length fails here.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import naive_pe
 from sievemal.corpus import build_pe
 from sievemal.errors import SectionLimitExceeded
-from sievemal.pe import inject_sections, parse_pe, serialize_pe
+from sievemal.pe import InjectionPlan, inject_sections, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -46,17 +47,20 @@ def items_of(sizes, seed=0):
     return [(b".i%02d" % j, bytes([(seed + j) % 251 + 1]) * n) for j, n in enumerate(sizes)]
 
 
+def oracle(pe, items):
+    return naive_pe.serialize_pe(naive_pe.inject_all(pe, items))
+
+
 def assert_same_as_oracle(pe, items):
+    """The injected file's bytes, checked against the oracle, parsed back."""
     got = inject_sections(pe, items)
-    want = naive_pe.inject_all(pe, items)
-    assert got == want
-    assert serialize_pe(got) == naive_pe.serialize_pe(want)
-    return got
+    assert got == oracle(pe, items)
+    return parse_pe(got)
 
 
 def outcome(fn):
     try:
-        return "ok", serialize_pe(fn())
+        return "ok", fn()
     except (ValueError, SectionLimitExceeded) as exc:
         return type(exc), str(exc)
 
@@ -122,7 +126,7 @@ def test_pe32_and_pe32_plus(pe64):
 def test_overlay_is_kept():
     pe = make_pe([b"\x90" * 64, b"data" * 10], overlay=b"trailing-overlay" * 9)
     out = assert_same_as_oracle(pe, items_of([10, 2000]))
-    assert serialize_pe(out).endswith(b"trailing-overlay" * 9)
+    assert out.overlay == b"trailing-overlay" * 9
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 50])
@@ -133,10 +137,24 @@ def test_one_to_fifty_injections_with_empty_contents(n):
         assert_same_as_oracle(pe, items_of(sizes, seed=n))
 
 
-def test_nothing_to_inject_returns_the_pe_itself():
+def test_nothing_to_inject_returns_the_clean_file():
     pe = make_pe([b"\x90" * 64])
-    assert inject_sections(pe, []) is pe
-    assert inject_sections(pe, items_of([0, 0, 0])) is pe
+    assert inject_sections(pe, []) == serialize_pe(pe)
+    assert inject_sections(pe, items_of([0, 0, 0])) == serialize_pe(pe)
+
+
+def test_one_plan_serves_many_item_lists():
+    # list a outgrows the table's slack and shifts the data, list b does not;
+    # a plan reused after either must give what a fresh oracle gives
+    pe = make_pe([b"\x90" * 64, b"", b"data" * 10], overlay=b"tail" * 5,
+                 file_align=8)
+    a, b = items_of([40, 0, 700] * 12, seed=1), items_of([300, 5], seed=2)
+    plan = InjectionPlan(pe)
+    shifted = parse_pe(plan.inject(a)).sections[0].raw_offset
+    assert shifted > pe.sections[0].raw_offset
+    for items in (a, b, items_of([0, 0]), a):
+        assert plan.inject(items) == oracle(pe, items)
+    assert parse_pe(plan.inject(b)).sections[0].raw_offset == pe.sections[0].raw_offset
 
 
 def test_long_name_raises_as_before():
@@ -145,7 +163,7 @@ def test_long_name_raises_as_before():
                   [(b".morethan8", b"")],                       # empty content still raises
                   items_of([5, 0, 9]) + [(b".morethan8", b"y")]):
         got = outcome(lambda: inject_sections(pe, items))
-        assert got == outcome(lambda: naive_pe.inject_all(pe, items))
+        assert got == outcome(lambda: oracle(pe, items))
         assert got == (ValueError, "section name exceeds 8 bytes")
 
 
@@ -161,7 +179,7 @@ def test_section_limit_raises_as_before():
                                 (65534, items_of([2]) + [(b".morethan8", b"y")])):
         crowded = dataclasses.replace(pe, num_sections=num_sections)
         got = outcome(lambda: inject_sections(crowded, items))
-        assert got == outcome(lambda: naive_pe.inject_all(crowded, items))
+        assert got == outcome(lambda: oracle(crowded, items))
     assert outcome(lambda: inject_sections(dataclasses.replace(pe, num_sections=65535),
                                            items_of([1]))) == \
         (SectionLimitExceeded, "cannot exceed 65535 sections")
