@@ -1,9 +1,13 @@
 """Black-box section-injection attack: a query-limited genetic search over
 per-section injection fractions, trading target score against payload size.
 
-The search point is a vector s in [0,1]^k; gene i injects the first
-round(s_i * len_i) bytes of harvested section i as a new non-executable
-section. The objective is score(x + s) + lambda * payload_size(s).
+The search point is a vector s in [0,1]^k, one gene per section of the
+payload pool; gene i injects the first round(s_i * len_i) bytes of harvested
+section i as a new non-executable section named ".gammaNN". The search
+minimizes score(x + s) + lambda * payload_size(s) with a fixed population of
+POPULATION and Gaussian mutation of scale MUTATION_SIGMA, and it stops at the
+first query that scores under the success threshold: that query is then the
+reported best, so "evaded" and "succeeded" are one fact.
 """
 
 from __future__ import annotations
@@ -18,12 +22,20 @@ from .errors import BudgetZero, MalformedPe, PoolExhausted, SectionLimitExceeded
 from .pe import InjectionPlan, parse_pe
 
 
+POPULATION = 10
+MUTATION_SIGMA = 0.2
+MAX_GENES = 100                   # ".gamma%02d" fits a section name's 8 bytes up to gene 99
+
+
 @dataclass(frozen=True)
 class PayloadPool:
     sections: tuple               # ((source_id, name, content), ...)
     _lengths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < len(self.sections) <= MAX_GENES:
+            raise ValueError(f"a payload pool holds 1 to {MAX_GENES} sections, "
+                             f"got {len(self.sections)}")
         object.__setattr__(self, "_lengths",
                            tuple(len(content) for _, _, content in self.sections))
 
@@ -36,19 +48,14 @@ class PayloadPool:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    k: int = 10                   # harvested sections: 10 | 20 | 30 | 50
     query_budget: int = 200       # 200 for the margin model, 500 for trees
     lam: float = 1e-5             # payload regularizer
-    population: int = 10
-    mutation_sigma: float = 0.2
     seed: int = 0
     success_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.k <= 0 or self.population <= 0:
-            raise ValueError("k and population must be positive")
-        if self.mutation_sigma < 0 or self.lam < 0:
-            raise ValueError("mutation_sigma and lambda must be non-negative")
+        if self.lam < 0:
+            raise ValueError("lambda must be non-negative")
 
 
 @dataclass
@@ -57,6 +64,7 @@ class AttackTrace:
     best_s: np.ndarray | None = None
     best_score: float | None = None
     best_objective: float = float("inf")
+    best_payload: int = 0
     best_digest: str | None = None
     fired_on_best: tuple = ()
     succeeded: bool = False
@@ -134,82 +142,69 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     """Seeded elitist genetic search under a strict query budget.
 
     target: callable raw bytes -> score in [0, 1]. Every oracle call is one
-    trace entry; the loop halts on budget exhaustion or a score below the
-    success threshold. Candidates whose manipulation fails are infeasible.
+    trace entry. The first batch of candidates is drawn uniformly; each later
+    batch breeds the better half of the last one. The best query is the one
+    with the lowest objective, until a query scores under the success
+    threshold: that query becomes the best and ends the search, as does
+    budget exhaustion. Candidates whose manipulation fails are infeasible and
+    spend no query.
     """
     if cfg.query_budget <= 0:
         raise BudgetZero("query budget must be positive")
     plan = InjectionPlan(parse_pe(malware))
     rng = np.random.default_rng(cfg.seed)
+    k = len(pool)
     trace = AttackTrace()
-
-    def evaluate(s) -> float | None:
-        """One oracle query; returns the objective, or None when budget is spent."""
-        if trace.queries_used >= cfg.query_budget:
-            return None
-        try:
-            raw, payload = apply_manipulation(plan, pool, s)
-        except SectionLimitExceeded:
-            return float("inf")
-        score = float(target(raw))
-        trace.queries.append((np.array(s, copy=True), score, payload))
-        objective = score + cfg.lam * payload
-        if objective < trace.best_objective:
-            trace.best_objective = objective
-            trace.best_s = np.array(s, copy=True)
-            trace.best_score = score
-            trace.best_digest = hashlib.sha256(raw).hexdigest()
-            if rule_probe is not None:
-                trace.fired_on_best = tuple(rule_probe(raw))
-        if score < cfg.success_threshold:
-            trace.succeeded = True
-        return objective
-
-    population = [rng.uniform(0.0, 1.0, size=cfg.k) for _ in range(cfg.population)]
-    objectives = []
-    for s in population:
-        obj = evaluate(s)
-        if obj is None or trace.succeeded:
-            return trace
-        objectives.append(obj)
-
-    while trace.queries_used < cfg.query_budget and not trace.succeeded:
-        order = np.argsort(objectives, kind="stable")
-        n_elite = max(1, len(population) // 2)
-        elite = [population[i] for i in order[:n_elite]]
-        elite_obj = [objectives[i] for i in order[:n_elite]]
-        offspring = []
-        for _ in range(len(population) - n_elite):
-            pa, pb = rng.integers(0, n_elite, size=2)
-            mask = rng.integers(0, 2, size=cfg.k).astype(bool)
-            child = np.where(mask, elite[pa], elite[pb])
-            child = child + rng.normal(0.0, cfg.mutation_sigma, size=cfg.k)
-            offspring.append(np.clip(child, 0.0, 1.0))
-        population = elite + offspring
-        objectives = elite_obj[:]
-        for s in offspring:
-            obj = evaluate(s)
-            if obj is None or trace.succeeded:
-                return trace
-            objectives.append(obj)
-    return trace
+    population, objectives = [], []
+    batch = [rng.uniform(0.0, 1.0, size=k) for _ in range(POPULATION)]
+    while True:
+        for s in batch:
+            try:
+                raw, payload = apply_manipulation(plan, pool, s)
+            except SectionLimitExceeded:
+                objective = float("inf")
+            else:
+                score = float(target(raw))
+                trace.queries.append((s, score, payload))
+                objective = score + cfg.lam * payload
+                trace.succeeded = bool(score < cfg.success_threshold)
+                if trace.succeeded or objective < trace.best_objective:
+                    trace.best_objective = objective
+                    trace.best_s = s
+                    trace.best_score = score
+                    trace.best_payload = payload
+                    trace.best_digest = hashlib.sha256(raw).hexdigest()
+                    if rule_probe is not None:
+                        trace.fired_on_best = tuple(rule_probe(raw))
+                if trace.succeeded or trace.queries_used == cfg.query_budget:
+                    return trace
+            population.append(s)
+            objectives.append(objective)
+        elite = np.argsort(objectives, kind="stable")[:POPULATION // 2]
+        population = [population[i] for i in elite]
+        objectives = [objectives[i] for i in elite]
+        batch = []
+        for _ in range(POPULATION - len(population)):
+            pa, pb = rng.integers(0, len(population), size=2)
+            mask = rng.integers(0, 2, size=k).astype(bool)
+            child = np.where(mask, population[pa], population[pb])
+            child = child + rng.normal(0.0, MUTATION_SIGMA, size=k)
+            batch.append(np.clip(child, 0.0, 1.0))
 
 
 def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,
                   rule_probe=None):
     """(row, trace) for one attacked sample; a row holds the clean and best
     adversarial scores, the best payload, the queries spent, the rules firing
-    on the best candidate and whether it evaded cfg.success_threshold."""
+    on the best candidate and whether the search evaded cfg.success_threshold."""
     clean_score = float(score_fn(raw))
     trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
-    best_payload = 0 if trace.best_s is None else payload_size(pool, trace.best_s)
     row = {
         "clean_score": clean_score,
         "adv_score": trace.best_score,
-        "payload_kb": best_payload / 1024.0,
+        "payload_kb": trace.best_payload / 1024.0,
         "queries": trace.queries_used,
         "fired_on_best": list(trace.fired_on_best),
-        "evaded": bool(trace.best_score is not None
-                       and trace.best_score < cfg.success_threshold),
+        "evaded": trace.succeeded,
     }
     return row, trace

@@ -21,6 +21,7 @@ from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import extract_features, write_feature_file
 from .learners import TrainConfig
+from .pe import parse_pe
 from .rules import RuleSet, parse_rules
 
 
@@ -36,6 +37,11 @@ def _write_runconfig(out_dir, command, args_dict):
 
 def _load_ruleset(path, role) -> RuleSet:
     return parse_rules(_read_text(path), role=role)
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _read_text(path) -> str:
@@ -184,22 +190,21 @@ def cmd_attack(args) -> int:
     pool_manifest = corpus_mod.read_manifest(args.pool_source)
     goodware = [r for r in pool_manifest.records if r.label == 0]
     pool = attack_mod.harvest_sections(goodware, args.sections, args.seed)
-    cfg = attack_mod.AttackConfig(
-        k=args.sections, query_budget=args.budget, lam=getattr(args, "lambda"),
-        seed=args.seed, success_threshold=system.threshold)
+    cfg = attack_mod.AttackConfig(query_budget=args.budget, lam=getattr(args, "lambda"),
+                                  seed=args.seed, success_threshold=system.threshold)
 
-    malware_manifest = corpus_mod.read_manifest(args.malware)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for r in malware_manifest.records:
-        if r.label != 1:
-            continue
-        with open(r.path, "rb") as fh:
-            raw = fh.read()
+    targets = [r for r in corpus_mod.read_manifest(args.malware).records if r.label == 1]
+    # every target must parse before --out is made, so a bad one leaves no output
+    for r in targets:
         try:
-            row, trace = attack_mod.attack_sample(score_fn, raw, pool, cfg, rule_probe)
+            parse_pe(_read_bytes(r.path))
         except MalformedPe as exc:
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
+    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for r in targets:
+        row, trace = attack_mod.attack_sample(score_fn, _read_bytes(r.path), pool, cfg,
+                                              rule_probe)
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})
     with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8") as fh:

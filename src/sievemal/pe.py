@@ -324,13 +324,7 @@ class InjectionPlan:
         return b"".join(parts)
 
 
-def inject_sections(pe: PeFile, items) -> bytes:
-    """The bytes of pe with one non-executable section appended per (name,
-    content) item, in order: InjectionPlan(pe).inject(items)."""
-    return InjectionPlan(pe).inject(items)
-
-
 def inject_section(pe: PeFile, name: bytes, content: bytes) -> bytes:
     """The bytes of pe with one non-executable section holding `content`
-    appended: inject_sections with a single item."""
-    return inject_sections(pe, ((name, content),))
+    appended: InjectionPlan(pe).inject with a single item."""
+    return InjectionPlan(pe).inject(((name, content),))

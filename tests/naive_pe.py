@@ -2,10 +2,10 @@
 
 One section per call: every call rebuilds the frozen PeFile and rescans all
 sections for the first raw offset, the last raw end and the virtual end. This
-is the code that `sievemal.pe.inject_sections` replaced; appending the items
+is the code that `sievemal.pe.InjectionPlan` replaced; appending the items
 one at a time with `inject_section` here and emitting the result with
 `serialize_pe` here must give the bytes of
-`sievemal.pe.inject_sections(pe, items)`. The PeFile and Section
+`sievemal.pe.InjectionPlan(pe).inject(items)`. The PeFile and Section
 types, `align_up` and the constants are shared with `sievemal.pe`, because
 they did not change.
 """

@@ -300,7 +300,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
     some_malware = read(next(r.path for r in manifest.samples("present-test")
                              if r.label == 1))
     capped = gamma_attack(lambda raw: 0.9, some_malware, pool,
-                          AttackConfig(k=10, query_budget=25, seed=0,
+                          AttackConfig(query_budget=25, seed=0,
                                        success_threshold=0.0))
     assert capped.queries_used == len(capped.queries) == 25
 
@@ -315,7 +315,7 @@ def test_c7_attack_properties(default_corpus, bare_model):
         if len(attacked) == 10:
             break
     assert len(attacked) == 10
-    cfg = AttackConfig(k=10, query_budget=200, lam=1e-5, seed=7,
+    cfg = AttackConfig(query_budget=200, lam=1e-5, seed=7,
                        success_threshold=threshold)
     bare_results = []
     for rec, raw in attacked:

@@ -119,7 +119,7 @@ def test_every_oracle_call_is_traced():
         calls.append(raw)
         return 0.9
 
-    cfg = AttackConfig(k=3, query_budget=37, seed=1, success_threshold=0.0)
+    cfg = AttackConfig(query_budget=37, seed=1, success_threshold=0.0)
     trace = gamma_attack(target, malware_bytes(), tiny_pool(3), cfg)
     assert trace.queries_used == len(calls) == 37
     assert not trace.succeeded
@@ -128,12 +128,12 @@ def test_every_oracle_call_is_traced():
 def test_budget_zero_rejected():
     with pytest.raises(BudgetZero):
         gamma_attack(lambda raw: 1.0, malware_bytes(), tiny_pool(3),
-                     AttackConfig(k=3, query_budget=0, seed=0))
+                     AttackConfig(query_budget=0, seed=0))
 
 
 def test_constant_low_oracle_succeeds_in_one_query():
     trace = gamma_attack(lambda raw: 0.0, malware_bytes(), tiny_pool(3),
-                         AttackConfig(k=3, query_budget=50, seed=0))
+                         AttackConfig(query_budget=50, seed=0))
     assert trace.succeeded
     assert trace.queries_used == 1
     assert trace.best_score == 0.0
@@ -144,7 +144,7 @@ def test_best_objective_is_monotone_over_the_trace():
         # deterministic pseudo-score from content
         return (raw[-1] % 97) / 97.0 * 0.4 + 0.55
 
-    cfg = AttackConfig(k=3, query_budget=60, seed=5, lam=1e-6,
+    cfg = AttackConfig(query_budget=60, seed=5, lam=1e-6,
                        success_threshold=0.0)
     pool = tiny_pool(3)
     trace = gamma_attack(target, malware_bytes(), pool, cfg)
@@ -159,7 +159,7 @@ def test_best_objective_is_monotone_over_the_trace():
 def test_payload_pressure_prefers_smaller_injections():
     # score is flat, so the only signal is the payload regularizer
     pool = tiny_pool(4)
-    cfg = AttackConfig(k=4, query_budget=80, seed=2, lam=1e-3,
+    cfg = AttackConfig(query_budget=80, seed=2, lam=1e-3,
                        success_threshold=0.0)
     trace = gamma_attack(lambda raw: 0.9, malware_bytes(), pool, cfg)
     first_payload = trace.queries[0][2]
@@ -170,7 +170,7 @@ def test_search_is_deterministic():
     def target(raw):
         return (len(raw) % 1009) / 1009.0
 
-    cfg = AttackConfig(k=3, query_budget=40, seed=9, success_threshold=0.0)
+    cfg = AttackConfig(query_budget=40, seed=9, success_threshold=0.0)
     t1 = gamma_attack(target, malware_bytes(), tiny_pool(3), cfg)
     t2 = gamma_attack(target, malware_bytes(), tiny_pool(3), cfg)
     assert t1.best_digest == t2.best_digest
@@ -213,7 +213,7 @@ def test_every_queried_mutant_equals_the_oracle(unit_system_dir, unit_corpus, st
         received.append(mutant)
         return score_fn(mutant)
 
-    cfg = AttackConfig(k=10, query_budget=200, seed=0,
+    cfg = AttackConfig(query_budget=200, seed=0,
                        success_threshold=system.threshold if stage else 0.0)
     trace = gamma_attack(target, raw, pool, cfg)
     assert len(received) == trace.queries_used == cfg.query_budget
@@ -228,7 +228,7 @@ def test_every_queried_mutant_equals_the_oracle(unit_system_dir, unit_corpus, st
 
 def test_trace_jsonl_round_trip(tmp_path):
     trace = gamma_attack(lambda raw: 0.7, malware_bytes(), tiny_pool(2),
-                         AttackConfig(k=2, query_budget=5, seed=0,
+                         AttackConfig(query_budget=5, seed=0,
                                       success_threshold=0.0))
     path = tmp_path / "trace.jsonl"
     trace.to_jsonl(path)
@@ -244,7 +244,7 @@ def test_attack_sample_rows():
     """A constant 0.4 target evades at the first query, a constant 0.6 one
     never does; the row's rules come from the probe on the best candidate."""
     pool = tiny_pool(3)
-    cfg = AttackConfig(k=3, query_budget=6, seed=0, population=3,
+    cfg = AttackConfig(query_budget=6, seed=0,
                        success_threshold=0.5)
 
     def probe(raw):
@@ -260,10 +260,50 @@ def test_attack_sample_rows():
         assert row["fired_on_best"] == [trace.best_digest]
 
 
+def test_search_stops_at_an_evading_query_and_reports_it():
+    """An evading query can have a worse objective than an earlier one: here
+    only a payload over 42,000 bytes scores under the threshold, and lambda
+    charges it more than the score gains. The search stops at that query, and
+    both the trace and the row report it as the best, so the row evades."""
+    pool = PayloadPool(sections=tuple((f"src{i}", b".pool%d" % i, b"\x01" * 20_000)
+                                      for i in range(3)))
+    clean = malware_bytes()
+
+    def injected(raw):
+        return sum(len(s.data.rstrip(b"\0")) for s in parse_pe(raw).sections
+                   if s.name.startswith(b".gamma"))
+
+    def target(raw):
+        return 0.4 if injected(raw) > 42_000 else 0.6
+
+    cfg = AttackConfig(query_budget=200, lam=1e-4, seed=0, success_threshold=0.5)
+    row, trace = attack_sample(target, clean, pool, cfg)
+    s, score, payload = trace.queries[-1]
+    assert trace.succeeded
+    assert score == 0.4 and payload > 42_000
+    assert min(q[1] + cfg.lam * q[2] for q in trace.queries) < trace.best_objective
+    assert trace.best_s is s
+    assert (trace.best_score, trace.best_payload) == (score, payload)
+    assert trace.best_objective == score + cfg.lam * payload
+    assert row["evaded"] is True
+    assert row["adv_score"] == 0.4
+    assert row["payload_kb"] == payload / 1024
+
+
+@pytest.mark.parametrize("k", [0, 101])
+def test_pool_size_is_bounded(k):
+    with pytest.raises(ValueError, match="1 to 100 sections"):
+        tiny_pool(k)
+
+
+def test_pool_of_one_hundred_sections_is_attacked():
+    pool = tiny_pool(100)
+    trace = gamma_attack(lambda raw: 0.9, malware_bytes(), pool,
+                         AttackConfig(query_budget=2, seed=0, success_threshold=0.0))
+    assert trace.queries_used == 2
+    assert len(trace.best_s) == len(pool) == 100
+
+
 def test_attack_config_validation():
     with pytest.raises(ValueError):
-        AttackConfig(k=0)
-    with pytest.raises(ValueError):
-        AttackConfig(k=1, population=0)
-    with pytest.raises(ValueError):
-        AttackConfig(k=1, lam=-1.0)
+        AttackConfig(lam=-1.0)

@@ -289,17 +289,40 @@ def test_attack_and_report_commands(workdir, tmp_path):
 
 def test_unparsable_attack_target_is_named(workdir, tmp_path, capsys):
     manifest = read_manifest(workdir / "corpus" / "manifest.csv")
-    malware = next(r for r in manifest.records if r.label == 1)
+    malware = [r for r in manifest.records if r.label == 1][:2]
     junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"not a portable executable" * 4)
+    junk.write_bytes(b"not a pe" * 20)
     targets = tmp_path / "targets.csv"
     write_manifest(Manifest(records=[
-        malware, ManifestRecord(str(junk), "0" * 64, 1, "future")]), targets)
+        malware[0], ManifestRecord(str(junk), "0" * 64, 1, "future"), malware[1]]), targets)
+    out = tmp_path / "attack"
     assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
                  "--pool-source", str(workdir / "corpus" / "manifest.csv"),
-                 "--budget", "3", "--out", str(tmp_path / "attack")]) == 1
+                 "--budget", "3", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: attack target {junk}: missing MZ magic\n"
+    assert not out.exists()
+
+
+def test_attack_rows_report_what_their_traces_end_with(unit_system_dir, unit_corpus,
+                                                       tmp_path):
+    malware = [r for r in unit_corpus.samples("future") if r.label == 1]
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=malware), targets)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(unit_system_dir / "system"),
+                 "--malware", str(targets),
+                 "--pool-source", str(unit_system_dir / "manifest.csv"),
+                 "--sections", "10", "--budget", "20", "--out", str(out)]) == 0
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    assert len(rows) == len(malware)
+    assert {row["evaded"] for row in rows} == {True, False}
+    for row in rows:
+        lines = (out / f"{row['sha256']}.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1])
+        assert row["evaded"] is last["succeeded"]
+        assert row["adv_score"] == last["best_score"]
+        assert row["queries"] == last["queries_used"] == len(lines) - 1
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

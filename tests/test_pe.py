@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sievemal.corpus import build_pe
 from sievemal.errors import MalformedPe, SectionLimitExceeded
-from sievemal.pe import align_up, inject_section, inject_sections, parse_pe, serialize_pe
+from sievemal.pe import InjectionPlan, align_up, inject_section, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -119,7 +119,7 @@ def test_inject_many_sections_shifts_raw_data():
     for name, content in items:
         pe = parse_pe(inject_section(pe, name, content))
     out = serialize_pe(pe)
-    assert out == inject_sections(parse_pe(raw), items)
+    assert out == InjectionPlan(parse_pe(raw)).inject(items)
     pe2 = parse_pe(out)
     assert pe2.num_sections == 51
     assert pe2.sections[0].data == original

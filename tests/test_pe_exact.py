@@ -1,4 +1,4 @@
-"""inject_sections against the one-section-at-a-time oracle.
+"""InjectionPlan.inject against the one-section-at-a-time oracle.
 
 `tests/naive_pe.py` holds the sequential `inject_section` and the
 `serialize_pe` that `sievemal.pe` replaced. Injecting a list of items in one
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import naive_pe
 from sievemal.corpus import build_pe
 from sievemal.errors import SectionLimitExceeded
-from sievemal.pe import InjectionPlan, inject_sections, parse_pe, serialize_pe
+from sievemal.pe import InjectionPlan, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -53,7 +53,7 @@ def oracle(pe, items):
 
 def assert_same_as_oracle(pe, items):
     """The injected file's bytes, checked against the oracle, parsed back."""
-    got = inject_sections(pe, items)
+    got = InjectionPlan(pe).inject(items)
     assert got == oracle(pe, items)
     return parse_pe(got)
 
@@ -139,8 +139,8 @@ def test_one_to_fifty_injections_with_empty_contents(n):
 
 def test_nothing_to_inject_returns_the_clean_file():
     pe = make_pe([b"\x90" * 64])
-    assert inject_sections(pe, []) == serialize_pe(pe)
-    assert inject_sections(pe, items_of([0, 0, 0])) == serialize_pe(pe)
+    assert InjectionPlan(pe).inject([]) == serialize_pe(pe)
+    assert InjectionPlan(pe).inject(items_of([0, 0, 0])) == serialize_pe(pe)
 
 
 def test_one_plan_serves_many_item_lists():
@@ -162,7 +162,7 @@ def test_long_name_raises_as_before():
     for items in ([(b".morethan8", b"y")],
                   [(b".morethan8", b"")],                       # empty content still raises
                   items_of([5, 0, 9]) + [(b".morethan8", b"y")]):
-        got = outcome(lambda: inject_sections(pe, items))
+        got = outcome(lambda: InjectionPlan(pe).inject(items))
         assert got == outcome(lambda: oracle(pe, items))
         assert got == (ValueError, "section name exceeds 8 bytes")
 
@@ -178,10 +178,10 @@ def test_section_limit_raises_as_before():
                                 (65534, items_of([0, 3, 4])),
                                 (65534, items_of([2]) + [(b".morethan8", b"y")])):
         crowded = dataclasses.replace(pe, num_sections=num_sections)
-        got = outcome(lambda: inject_sections(crowded, items))
+        got = outcome(lambda: InjectionPlan(crowded).inject(items))
         assert got == outcome(lambda: oracle(crowded, items))
-    assert outcome(lambda: inject_sections(dataclasses.replace(pe, num_sections=65535),
-                                           items_of([1]))) == \
+    crowded = dataclasses.replace(pe, num_sections=65535)
+    assert outcome(lambda: InjectionPlan(crowded).inject(items_of([1]))) == \
         (SectionLimitExceeded, "cannot exceed 65535 sections")
 
 
