@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetZero, MalformedPe, PoolExhausted, SectionLimitExceeded
+from .errors import BudgetZero, MalformedPe, PoolExhausted
 from .pe import InjectionPlan, parse_pe
 
 
@@ -146,8 +146,8 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     batch breeds the better half of the last one. The best query is the one
     with the lowest objective, until a query scores under the success
     threshold: that query becomes the best and ends the search, as does
-    budget exhaustion. Candidates whose manipulation fails are infeasible and
-    spend no query.
+    budget exhaustion. A candidate the target has no room for raises
+    SectionLimitExceeded before any query is spent on it.
     """
     if cfg.query_budget <= 0:
         raise BudgetZero("query budget must be positive")
@@ -159,25 +159,21 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     batch = [rng.uniform(0.0, 1.0, size=k) for _ in range(POPULATION)]
     while True:
         for s in batch:
-            try:
-                raw, payload = apply_manipulation(plan, pool, s)
-            except SectionLimitExceeded:
-                objective = float("inf")
-            else:
-                score = float(target(raw))
-                trace.queries.append((s, score, payload))
-                objective = score + cfg.lam * payload
-                trace.succeeded = bool(score < cfg.success_threshold)
-                if trace.succeeded or objective < trace.best_objective:
-                    trace.best_objective = objective
-                    trace.best_s = s
-                    trace.best_score = score
-                    trace.best_payload = payload
-                    trace.best_digest = hashlib.sha256(raw).hexdigest()
-                    if rule_probe is not None:
-                        trace.fired_on_best = tuple(rule_probe(raw))
-                if trace.succeeded or trace.queries_used == cfg.query_budget:
-                    return trace
+            raw, payload = apply_manipulation(plan, pool, s)
+            score = float(target(raw))
+            trace.queries.append((s, score, payload))
+            objective = score + cfg.lam * payload
+            trace.succeeded = bool(score < cfg.success_threshold)
+            if trace.succeeded or objective < trace.best_objective:
+                trace.best_objective = objective
+                trace.best_s = s
+                trace.best_score = score
+                trace.best_payload = payload
+                trace.best_digest = hashlib.sha256(raw).hexdigest()
+                if rule_probe is not None:
+                    trace.fired_on_best = tuple(rule_probe(raw))
+            if trace.succeeded or trace.queries_used == cfg.query_budget:
+                return trace
             population.append(s)
             objectives.append(objective)
         elite = np.argsort(objectives, kind="stable")[:POPULATION // 2]

@@ -14,25 +14,23 @@ import os
 import sys
 
 from . import __version__
-from .errors import MalformedPe, ParseError, SievemalError
+from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import extract_features, write_feature_file
 from .learners import TrainConfig
-from .pe import parse_pe
+from .pe import MAX_SECTIONS, parse_pe
 from .rules import RuleSet, parse_rules
 
 
 def _write_runconfig(out_dir, command, args_dict):
     """Reproducibility record: full config + version + seeds, no wall-clock."""
     os.makedirs(out_dir, exist_ok=True)
-    record = {"tool": "sievemal", "version": __version__, "command": command,
-              "config": {k: v for k, v in sorted(args_dict.items()) if k != "func"}}
-    with open(os.path.join(out_dir, "runconfig.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    evaluation.write_report(os.path.join(out_dir, "runconfig.json"), {
+        "tool": "sievemal", "version": __version__, "command": command,
+        "config": {k: v for k, v in args_dict.items() if k != "func"}})
 
 
 def _load_ruleset(path, role) -> RuleSet:
@@ -79,7 +77,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    rs = _load_ruleset(args.path, args.role)
+    rs = parse_rules(_read_text(args.path))
     print(f"{len(rs.rules)} rules")
     return 0
 
@@ -109,12 +107,10 @@ def cmd_filter(args) -> int:
     manifest = corpus_mod.read_manifest(args.corpus)
     allow = _load_ruleset(args.allow, "allowlist")
     block = _load_ruleset(args.block, "blocklist")
-    samples = manifest.samples(epoch=args.split)
-    survivors, report = pipeline_mod.filter_training(samples, allow, block)
+    survivors, report = pipeline_mod.filter_training(
+        manifest.samples(epoch="present-train"), allow, block)
     corpus_mod.write_manifest(corpus_mod.Manifest(records=survivors), args.out)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    evaluation.write_report(args.report, report.to_dict())
     print(f"{report.survivors} survivors "
           f"(-{report.removed_by_allowlist} allowlist, -{report.removed_by_blocklist} blocklist)")
     return 0
@@ -146,7 +142,7 @@ def cmd_predict(args) -> int:
             label = "malicious" if verdict.score >= system.threshold else "benign"
             print(f"{path}\tml_score\t{verdict.score}\t{label}")
         else:
-            print(f"{path}\t{verdict.stage}\t\t{','.join(verdict.fired)}")
+            print(f"{path}\t{verdict.stage}\t\t{verdict.error or ','.join(verdict.fired)}")
     return 0
 
 
@@ -173,8 +169,8 @@ def cmd_eval(args) -> int:
         "threshold": system.threshold,
         "composite_roc": evaluation.curve_rows(composite),
         "model_roc": evaluation.curve_rows(bare),
-        "composite_tpr_at_1fpr": evaluation.tpr_at_fpr(composite, 0.01)[0],
-        "model_tpr_at_1fpr": evaluation.tpr_at_fpr(bare, 0.01)[0],
+        "composite_tpr_at_1fpr": evaluation.tpr_at_fpr(composite, pipeline_mod.TARGET_FPR)[0],
+        "model_tpr_at_1fpr": evaluation.tpr_at_fpr(bare, pipeline_mod.TARGET_FPR)[0],
         "rule_stats": stats.to_dict(),
     }
     evaluation.write_report(args.report, report)
@@ -194,12 +190,17 @@ def cmd_attack(args) -> int:
                                   seed=args.seed, success_threshold=system.threshold)
 
     targets = [r for r in corpus_mod.read_manifest(args.malware).records if r.label == 1]
-    # every target must parse before --out is made, so a bad one leaves no output
+    # every target must parse and have room for one section per gene before
+    # --out is made, so a bad one leaves no output
     for r in targets:
         try:
-            parse_pe(_read_bytes(r.path))
+            pe = parse_pe(_read_bytes(r.path))
         except MalformedPe as exc:
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
+        if pe.num_sections + len(pool) > MAX_SECTIONS:
+            raise SectionLimitExceeded(
+                f"attack target {r.path}: {pe.num_sections} sections leave no room for "
+                f"{len(pool)} more (at most {MAX_SECTIONS})")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for r in targets:
@@ -207,10 +208,8 @@ def cmd_attack(args) -> int:
                                               rule_probe)
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})
-    with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8") as fh:
-        json.dump({"threshold": system.threshold, "sections": args.sections,
-                   "rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    evaluation.write_report(os.path.join(args.out, "results.json"), {
+        "threshold": system.threshold, "sections": args.sections, "rows": rows})
     _write_runconfig(args.out, "attack", vars(args))
     evaded = sum(1 for row in rows if row["evaded"])
     print(f"attacked {len(rows)} samples, {evaded} evaded")
@@ -276,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="rules_command", required=True)
     pc = rsub.add_parser("check", help="validate a rule file and print rule count")
     pc.add_argument("path")
-    pc.add_argument("--role", choices=["blocklist", "allowlist"], default="blocklist")
     pc.set_defaults(func=cmd_rules)
 
     p = sub.add_parser("extract-features", help="feature matrix from a manifest")
@@ -284,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract_features)
 
-    p = sub.add_parser("filter", help="rule-filter a training manifest")
+    p = sub.add_parser("filter", help="rule-filter the present-train split of a manifest")
     p.add_argument("--corpus", required=True)
     p.add_argument("--allow")
     p.add_argument("--block")
-    p.add_argument("--split", default="present-train")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_filter)
@@ -345,10 +342,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"rule parse error: {exc}", file=sys.stderr)
         return 1
-    except SievemalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SievemalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecInvalid
+from .evaluation import write_report
 from .pe import align_up, parse_pe
 
 EPOCHS = ("present-train", "present-test", "future")
+MANIFEST_HEADER = ["path", "sha256", "label", "epoch", "planted", "allowlisted"]
 
 IMAGE_SCN_CODE_EXEC_READ = 0x60000020
 IMAGE_SCN_DATA_READ = 0x40000040
@@ -151,7 +153,7 @@ class Manifest:
 def write_manifest(manifest: Manifest, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "sha256", "label", "epoch", "planted", "allowlisted"])
+        writer.writerow(MANIFEST_HEADER)
         for r in manifest.records:
             writer.writerow([r.path, r.sha256, r.label, r.epoch,
                              ";".join(r.planted), int(r.allowlisted)])
@@ -161,9 +163,8 @@ def read_manifest(path) -> Manifest:
     manifest = Manifest()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["path", "sha256", "label", "epoch", "planted", "allowlisted"]:
-            raise ValueError(f"bad manifest header in {path}")
+        if next(reader, None) != MANIFEST_HEADER:
+            raise SpecInvalid(f"{path}, line 1: header is not {','.join(MANIFEST_HEADER)!r}")
         for row in reader:
             manifest.records.append(ManifestRecord(
                 path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
@@ -448,6 +449,4 @@ def load_spec(path) -> CorpusSpec:
 
 
 def save_spec(spec: CorpusSpec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(path, spec.to_dict())

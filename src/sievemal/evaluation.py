@@ -1,5 +1,6 @@
 """ROC computation, fixed-FPR operating points, composite pipeline curves,
-rule performance tables and detection-rate-vs-payload summaries.
+rule performance tables, detection-rate-vs-payload summaries, and
+write_report, the one writer of sievemal's indented JSON artifacts.
 
 No interpolation anywhere: every reported point is an empirical operating
 point reachable by an actual threshold.
@@ -161,6 +162,7 @@ def curve_rows(curve: RocCurve) -> list:
 
 
 def write_report(path, report: dict):
+    """2-space indent, sorted keys and a trailing newline: equal documents, equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

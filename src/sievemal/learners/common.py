@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,12 +45,7 @@ class TrainConfig:
                 raise ValueError("reg must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "seed": self.seed, "n_trees": self.n_trees,
-            "eta": self.eta, "max_depth": self.max_depth, "colsample": self.colsample,
-            "reg_lambda": self.reg_lambda, "min_child_hessian": self.min_child_hessian,
-            "gamma": self.gamma, "reg": self.reg, "max_iters": self.max_iters,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateData, FeatureFailure, MalformedPe
-from .evaluation import roc, tpr_at_fpr
+from .evaluation import roc, tpr_at_fpr, write_report
 from .features import extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
@@ -50,13 +50,7 @@ class FilterReport:
     io_failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "removed_by_allowlist": self.removed_by_allowlist,
-            "removed_by_blocklist": self.removed_by_blocklist,
-            "survivors": self.survivors,
-            "per_rule": dict(sorted(self.per_rule.items())),
-            "io_failures": list(self.io_failures),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -108,7 +102,11 @@ def predict(system: AiSystem, raw: bytes) -> Verdict:
     if stage == "blocklist":
         return Verdict(stage="malicious_by_blocklist", fired=fired)
     if score is None:
-        return Verdict(stage="error", error="feature extraction failed")
+        # model_score keeps no reason; extraction is deterministic, so it fails again
+        try:
+            extract_features(raw)
+        except (MalformedPe, FeatureFailure) as exc:
+            return Verdict(stage="error", error=str(exc))
     return Verdict(stage="ml_score", score=score)
 
 
@@ -220,9 +218,7 @@ def save_system(system: AiSystem, directory):
         json.dumps(system.metadata, sort_keys=True).encode()).hexdigest()
     save_model(system.model, os.path.join(directory, "model.json"),
                training_digest=digest)
-    with open(os.path.join(directory, "metadata.json"), "w", encoding="utf-8") as fh:
-        json.dump(system.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(os.path.join(directory, "metadata.json"), system.metadata)
 
 
 def load_system(directory) -> AiSystem:

@@ -1,25 +1,7 @@
 """Parsing and evaluation of a YARA-language subset over raw file bytes."""
 
-from .model import (
-    And,
-    CountCmp,
-    FilesizeCmp,
-    MatchResult,
-    Not,
-    OfQuantifier,
-    Or,
-    PatternDef,
-    Rule,
-    RuleSet,
-    Sha256Eq,
-    StringMatch,
-    UintCmp,
-)
+from .model import RuleSet
 from .parser import parse_rules
 from .engine import scan
 
-__all__ = [
-    "And", "CountCmp", "FilesizeCmp", "MatchResult", "Not",
-    "OfQuantifier", "Or", "PatternDef", "Rule", "RuleSet", "Sha256Eq",
-    "StringMatch", "UintCmp", "parse_rules", "scan",
-]
+__all__ = ["RuleSet", "parse_rules", "scan"]

@@ -15,7 +15,7 @@ from sievemal.attack import (
     payload_size,
 )
 from sievemal.corpus import build_pe
-from sievemal.errors import BudgetZero, PoolExhausted
+from sievemal.errors import BudgetZero, PoolExhausted, SectionLimitExceeded
 from sievemal.pe import InjectionPlan, parse_pe
 from sievemal.pipeline import load_system, make_oracle, route_rules
 
@@ -302,6 +302,36 @@ def test_pool_of_one_hundred_sections_is_attacked():
                          AttackConfig(query_budget=2, seed=0, success_threshold=0.0))
     assert trace.queries_used == 2
     assert len(trace.best_s) == len(pool) == 100
+
+
+def crowded_target(n_sections):
+    return build_pe([(b".e", b"", DATA)] * n_sections)
+
+
+def test_target_without_room_for_the_pool_raises_before_any_query():
+    calls = []
+
+    def target(raw):
+        calls.append(raw)
+        return 0.9
+
+    with pytest.raises(SectionLimitExceeded, match="cannot exceed 65535 sections"):
+        gamma_attack(target, crowded_target(65534), tiny_pool(10),
+                     AttackConfig(query_budget=5, seed=0))
+    assert calls == []
+
+
+def test_target_with_exactly_enough_room_is_attacked():
+    counts = []
+
+    def target(raw):
+        counts.append(parse_pe(raw).num_sections)
+        return 0.9
+
+    trace = gamma_attack(target, crowded_target(65535 - 10), tiny_pool(10),
+                         AttackConfig(query_budget=2, seed=0, success_threshold=0.0))
+    assert trace.queries_used == 2
+    assert counts == [65535, 65535]     # every gene of both queries injects bytes
 
 
 def test_attack_config_validation():

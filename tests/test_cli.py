@@ -9,6 +9,7 @@ from sievemal.corpus import (
     CorpusSpec,
     Manifest,
     ManifestRecord,
+    build_pe,
     read_manifest,
     save_spec,
     write_manifest,
@@ -126,6 +127,18 @@ def test_help_lists_no_bare_model_options(capsys, command):
     assert "--system" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rules", "check", "r.yar", "--role", "allowlist"], "unrecognized arguments: --role"),
+    (["filter", "--corpus", "m.csv", "--out", "o.csv", "--report", "f.json",
+      "--split", "future"], "unrecognized arguments: --split"),
+], ids=["rules-check-role", "filter-split"])
+def test_removed_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -213,6 +226,13 @@ def test_predict_command(workdir, capsys):
     assert "malicious_by_blocklist" in lines[0]
     assert "benign_by_allowlist" in lines[1]
     assert "ml_score" in lines[2]
+
+
+def test_predict_prints_the_error_reason(workdir, tmp_path, capsys):
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"not a pe at all")
+    assert main(["predict", "--system", str(workdir / "system"), str(junk)]) == 0
+    assert capsys.readouterr().out == f"{junk}\terror\t\tfile shorter than a DOS header\n"
 
 
 def test_eval_command(workdir, tmp_path):
@@ -304,6 +324,25 @@ def test_unparsable_attack_target_is_named(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_crowded_attack_target_is_named(workdir, tmp_path, capsys):
+    manifest = read_manifest(workdir / "corpus" / "manifest.csv")
+    malware = next(r for r in manifest.records if r.label == 1)
+    crowded = tmp_path / "crowded.exe"
+    # one section too many for a pool of 10: 65,526 + 10 > 65,535
+    crowded.write_bytes(build_pe([(b".e", b"", 0x40000040)] * 65526))
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=[
+        malware, ManifestRecord(str(crowded), "0" * 64, 1, "future")]), targets)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
+                 "--pool-source", str(workdir / "corpus" / "manifest.csv"),
+                 "--sections", "10", "--budget", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: attack target {crowded}: 65526 sections leave no room "
+                   "for 10 more (at most 65535)\n")
+    assert not out.exists()
+
+
 def test_attack_rows_report_what_their_traces_end_with(unit_system_dir, unit_corpus,
                                                        tmp_path):
     malware = [r for r in unit_corpus.samples("future") if r.label == 1]
@@ -328,6 +367,25 @@ def test_attack_rows_report_what_their_traces_end_with(unit_system_dir, unit_cor
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["rules", "check", str(tmp_path / "absent.yar")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_directory_as_rule_file_exits_one(tmp_path, capsys):
+    assert main(["rules", "check", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+def test_filter_bad_manifest_header_exits_one(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("path,label,epoch\n")
+    assert main(["filter", "--corpus", str(bad),
+                 "--block", str(workdir / "corpus" / "blocklist.yar"),
+                 "--out", str(tmp_path / "out.csv"),
+                 "--report", str(tmp_path / "filter.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}, line 1: header is not "
+                   "'path,sha256,label,epoch,planted,allowlisted'\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("text, where", [

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -159,10 +160,11 @@ def test_manifest_round_trip(unit_corpus, tmp_path):
                (b.path, b.sha256, b.label, b.epoch, b.planted, b.allowlisted)
 
 
-def test_read_manifest_rejects_bad_header(tmp_path):
+@pytest.mark.parametrize("text", ["who,knows\n", ""], ids=["bad-header", "empty"])
+def test_read_manifest_rejects_bad_header(tmp_path, text):
     p = tmp_path / "bad.csv"
-    p.write_text("who,knows\n")
-    with pytest.raises(ValueError):
+    p.write_text(text)
+    with pytest.raises(SpecInvalid, match=re.escape(f"{p}, line 1: header is not 'path,")):
         read_manifest(p)
 
 

@@ -277,6 +277,14 @@ def test_detection_rate_curve_threshold_inclusive():
 
 # --- emission ----------------------------------------------------------------
 
+def test_write_report_bytes(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(path, {"b": [1, 2.5], "a": {"z": None, "y": "\u00e9"}})
+    assert path.read_bytes() == (b'{\n  "a": {\n    "y": "\\u00e9",\n    "z": null\n  },\n'
+                                 b'  "b": [\n    1,\n    2.5\n  ]\n}\n')
+    assert json.loads(path.read_bytes().decode("utf-8"))["a"]["y"] == "\u00e9"
+
+
 def test_write_report_and_curves(tmp_path):
     curve = roc([0.9, 0.1], [1, 0])
     report_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,12 @@ def test_config_validation():
     # the full-scale setup is expressible
     full = TrainConfig(kind="gbdt", seed=0, n_trees=1000, eta=0.1, colsample=0.8)
     assert TrainConfig.from_dict(full.to_dict()) == full
+
+
+def test_config_dict_has_every_field():
+    cfg = TrainConfig(kind="svm", seed=5)
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert cfg.to_dict() == {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
 def test_config_round_trip_svm():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sievemal.features import extract_features
 from sievemal.learners import TrainConfig
 from sievemal.pipeline import (
     AiSystem,
+    FilterReport,
     filter_training,
     load_system,
     make_oracle,
@@ -83,9 +86,18 @@ def test_unparsable_file_reports_error(filtered_system):
     verdict = predict(filtered_system, b"not a pe at all")
     assert verdict.stage == "error"
     assert verdict.score is None
+    assert verdict.error == "file shorter than a DOS header"
 
 
 # --- training-time filtering -------------------------------------------------
+
+def test_filter_report_dict_has_every_field():
+    report = FilterReport(per_rule={"b": 1, "a": 2}, io_failures=["x: gone"])
+    assert list(report.to_dict()) == [f.name for f in dataclasses.fields(FilterReport)]
+    assert report.to_dict() == {"removed_by_allowlist": 0, "removed_by_blocklist": 0,
+                                "survivors": 0, "per_rule": {"a": 2, "b": 1},
+                                "io_failures": ["x: gone"]}
+
 
 def test_filter_training_counts(unit_corpus, unit_allowlist, unit_blocklist):
     samples = unit_corpus.samples("present-train")
