@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError
+from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
@@ -46,7 +46,11 @@ def _read_text(path) -> str:
     if not path:
         return ""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecInvalid(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                              f"{exc.reason})") from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -217,8 +221,18 @@ def cmd_attack(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(os.path.join(args.results, "results.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    path = os.path.join(args.results, "results.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:    # not JSON, or not UTF-8
+            raise SpecInvalid(f"{path}: not a JSON document ({exc})") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("threshold"), (int, float))
+            and isinstance(doc.get("rows"), list)
+            and all(isinstance(row, dict) and {"payload_kb", "adv_score"} <= row.keys()
+                    for row in doc["rows"])):
+        raise SpecInvalid(f"{path}: not attack results: want a numeric 'threshold' and "
+                          "'rows' that each have 'payload_kb' and 'adv_score'")
     threshold = doc["threshold"]
     entries = [(round(row["payload_kb"]),
                 1.0 if row["adv_score"] is None else row["adv_score"])

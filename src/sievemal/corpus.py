@@ -166,10 +166,16 @@ def read_manifest(path) -> Manifest:
         if next(reader, None) != MANIFEST_HEADER:
             raise SpecInvalid(f"{path}, line 1: header is not {','.join(MANIFEST_HEADER)!r}")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(MANIFEST_HEADER):
+                raise SpecInvalid(f"{where}: {len(row)} columns, want {len(MANIFEST_HEADER)}")
+            if row[2] not in ("0", "1") or row[5] not in ("0", "1"):
+                raise SpecInvalid(f"{where}: label {row[2]!r} and allowlisted {row[5]!r} "
+                                  "must each be 0 or 1")
             manifest.records.append(ManifestRecord(
                 path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
                 planted=tuple(p for p in row[4].split(";") if p),
-                allowlisted=bool(int(row[5])),
+                allowlisted=row[5] == "1",
             ))
     return manifest
 

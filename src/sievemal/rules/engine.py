@@ -1,14 +1,15 @@
 """Rule evaluation over raw bytes: pattern scanning plus condition trees.
 
-All text needles of a rule set are searched in one step per scan
-(`_TextIndex`), and a text pattern's offsets are the sorted set of every
-occurrence, overlaps included, of any of its variants. Hex and regex patterns
-compile to byte-level regular expressions, each run once over the whole data;
-jumps are bounded at parse time, and the parser rejects regexes with nested or
-overlapping unbounded repeats, so scanning stays linear in practice. When
-the text search uses its prefix filter, a hex pattern that starts with fixed
-bytes is gated on them: they join the search as one more needle, and its
-regex runs only when they occur.
+All text needles of a rule set, case-sensitive and nocase alike, are searched
+in one step per scan (`_TextIndex`), and a text pattern's offsets are the
+sorted set of every occurrence, overlaps included, of any of its variants.
+Hex and regex patterns compile to byte-level regular expressions, each run
+once over the whole data; jumps are bounded at parse time, and the parser
+rejects regexes with nested or overlapping unbounded repeats, so no match
+backtracks exponentially. When the text search uses its prefix filter, a hex
+or regex pattern whose matches all start with the same 4 or more bytes (its
+leading fixed bytes, or its regex's leading literals) is gated on them: they
+join the search as one more needle, and its regex runs only when they occur.
 
 Only candidate rules are evaluated: those with at least one pattern hit, and
 those whose condition can hold with no hit at all (`not $a`, `#a == 0`,
@@ -26,6 +27,7 @@ reported in rule order either way.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from collections import defaultdict
 
@@ -45,14 +47,17 @@ from .model import (
     StringMatch,
     UintCmp,
 )
+from .parser import _sre
 
-# From this many needles on, one prefix-filter pass over the haystack beats a
-# bytes.find loop per needle: on the synthetic corpus (6.3 KB mean file, 2-core
-# VM) find costs about 2.2 us per needle per file and the filter 45-58 us per
-# file at any needle count, so they cross near 22 needles.
+# From this many needles on, one prefix-filter pass over the data replaces a
+# bytes.find loop per needle. On the synthetic corpus (6.3 KB mean file, 2-core
+# VM) find costs about 2.2 us per needle per file, and the pass already wins at
+# 16 needles (35 against 42 us per scan for the 8-rule bank plus 8 text rules):
+# the threshold is conservative, and keeps small sets such as the bank on find.
 _FILTER_MIN_NEEDLES = 24
 _HASH_BITS = 18          # 4-byte prefixes hash into a bitmap of 2**18 slots
 _HASH_MULT = np.uint32(0x9E3779B1)
+_HASH_SHIFT = np.uint32(32 - _HASH_BITS)
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -112,57 +117,107 @@ def _slots(keys: np.ndarray, width: int) -> np.ndarray:
     """Bitmap slots of prefix values: 1- and 2-byte values index it directly."""
     if width < 4:
         return keys
-    return (keys * _HASH_MULT) >> np.uint32(32 - _HASH_BITS)
+    return (keys * _HASH_MULT) >> _HASH_SHIFT
+
+
+def _occurrences(hay: bytes, needle: bytes, start: int, end: int, once: bool) -> list:
+    """The offsets of needle in hay[start:end], overlaps included, or only the first."""
+    found = []
+    off = hay.find(needle, start, end)
+    while off >= 0:
+        found.append(off)
+        off = -1 if once else hay.find(needle, off + 1, end)
+    return found
 
 
 class _TextIndex:
     """Every occurrence, overlaps included, of a fixed list of non-empty needles,
-    or only the first one for the needles whose indices are in `once`.
+    or only the first one for the needles whose indices are in `once`. A needle
+    whose `folded` flag is set is lowercase and is searched in the lowercased
+    data; every other needle in the data as is.
 
     Below _FILTER_MIN_NEEDLES needles, one bytes.find loop per needle. From
-    there up, a bitmap of the needles' prefixes (the first 4 bytes, hashed, or
-    the first 2 or 1 bytes of shorter needles) is read at every offset of the
-    haystack, and each candidate offset is confirmed with startswith.
+    there up, one pass over the lowercased data (over the data as is when no
+    needle is folded): a bitmap of the needles' prefixes, lowercased likewise
+    (the first 4 bytes, hashed, or the first 2 or 1 bytes of shorter needles),
+    is read at every offset, and numpy keeps the offsets whose prefix is
+    exactly some needle's. Python then handles each prefix found, not each
+    occurrence: a needle no longer than its prefix occurs wherever the prefix
+    does (in its own case, for a case-sensitive one), and a longer needle is
+    found with bytes.find between its first and last candidate. This is exact
+    because bytes.lower() folds A-Z only, so the data and the lowercased data
+    hold the same byte at each offset, up to case.
     """
 
-    def __init__(self, needles: list[bytes], once=frozenset()):
+    def __init__(self, needles: list[bytes], folded: list[bool], once=frozenset()):
         self.needles = needles
+        self.folded = folded
         self.once = once
-        self._groups = None       # [(prefix width, bitmap, prefix value -> needle indices)]
+        self._lowers = any(folded)
+        self._groups = None       # [(prefix width, bitmap, sorted prefixes, [entries per prefix])]
         if len(needles) < _FILTER_MIN_NEEDLES:
             return
-        tables = {}
-        for i, needle in enumerate(needles):
+        tables = {}               # width -> searched prefix -> [(needle index, exact prefix)]
+        for i, (needle, fold) in enumerate(zip(needles, folded)):
             width = 4 if len(needle) >= 4 else 2 if len(needle) >= 2 else 1
-            key = int.from_bytes(needle[:width], "little")
-            tables.setdefault(width, {}).setdefault(key, []).append(i)
+            head = needle[:width]
+            key = int.from_bytes(head.lower() if self._lowers else head, "little")
+            # a case-sensitive prefix with letters must also match in the data as is
+            exact = (int.from_bytes(head, "little")
+                     if self._lowers and not fold and head.lower() != head.upper() else None)
+            tables.setdefault(width, {}).setdefault(key, []).append((i, exact))
         self._groups = []
         for width, table in sorted(tables.items()):
+            keys = np.array(sorted(table), dtype=f"<u{width}")
             bitmap = np.zeros(1 << (_HASH_BITS if width == 4 else 8 * width), dtype=bool)
-            bitmap[_slots(np.array(list(table), dtype=f"<u{width}"), width)] = True
-            self._groups.append((width, bitmap, table))
+            bitmap[_slots(keys, width)] = True
+            self._groups.append((width, bitmap, keys, [table[k] for k in keys.tolist()]))
 
-    def find_all(self, hay: bytes):
-        """Yield (needle_index, offset) for every occurrence in hay, and for a
-        needle in `once` only the first one."""
-        needles, once = self.needles, self.once
+    def find_all(self, data: bytes):
+        """Yield (needle_index, offsets) for every needle that occurs: the sorted
+        offsets of every occurrence, or of the first one for a needle in `once`."""
+        needles, folded, once = self.needles, self.folded, self.once
+        lowered = data.lower() if self._lowers else data
         if self._groups is None:
             for i, needle in enumerate(needles):
-                start = hay.find(needle)
-                while start >= 0:
-                    yield i, start
-                    start = -1 if i in once else hay.find(needle, start + 1)
+                hay = lowered if folded[i] else data
+                found = _occurrences(hay, needle, 0, len(hay), i in once)
+                if found:
+                    yield i, found
             return
-        found = set()             # the once-needles seen so far
-        for width, bitmap, table in self._groups:
-            keys = _windows(hay, width)
-            offsets = np.flatnonzero(bitmap[_slots(keys, width)])
-            for off, key in zip(offsets.tolist(), keys[offsets].tolist()):
-                for i in table.get(key, ()):
-                    if i not in found and hay.startswith(needles[i], off):
-                        if i in once:
-                            found.add(i)
-                        yield i, off
+        for width, bitmap, keys, entries in self._groups:
+            windows = _windows(lowered, width)
+            offsets = np.flatnonzero(np.take(bitmap, _slots(windows, width)))
+            if not offsets.size:
+                continue
+            prefixes = windows[offsets]
+            at = np.searchsorted(keys, prefixes)
+            np.minimum(at, len(keys) - 1, out=at)
+            known = keys[at] == prefixes
+            offsets, at = offsets[known], at[known]
+            if not offsets.size:
+                continue
+            cuts = np.flatnonzero(at[1:] != at[:-1]) + 1
+            if cuts.size:                # group by prefix, offsets ascending in each
+                order = np.argsort(at, kind="stable")
+                offsets, at = offsets[order], at[order]
+                cuts = np.flatnonzero(at[1:] != at[:-1]) + 1
+            starts = [0] + cuts.tolist()
+            raw = _windows(data, width)
+            for start, stop in zip(starts, starts[1:] + [len(at)]):
+                cands = offsets[start:stop]
+                for i, exact_key in entries[at[start]]:
+                    hits = cands if exact_key is None else cands[raw[cands] == exact_key]
+                    if not hits.size:
+                        continue
+                    needle, first = needles[i], int(hits[0])
+                    if len(needle) == width:
+                        found = [first] if i in once else hits.tolist()
+                    else:
+                        found = _occurrences(lowered if folded[i] else data, needle, first,
+                                             int(hits[-1]) + len(needle), i in once)
+                    if found:
+                        yield i, found
 
 
 def _needs_hit(node, n_strings: int) -> bool:
@@ -190,35 +245,38 @@ def _needs_hit(node, n_strings: int) -> bool:
     return False
 
 
-def _fixed_prefix(items: tuple) -> bytes:
-    """The bytes every match of a hex pattern starts with."""
-    prefix = bytearray()
-    for item in items:
-        if item[0] != "byte":
-            break
-        prefix.append(item[1])
-    return bytes(prefix)
+def _gate(p: PatternDef) -> bytes:
+    """The bytes every match of a hex or regex pattern starts with: its leading
+    fixed bytes, or its regex's leading literals up to the first item that is
+    not one (a branch, repeat, group, class or anchor). A nocase regex's gate is
+    lowercased: re.IGNORECASE on bytes folds A-Z only, as bytes.lower() does."""
+    if p.kind == "hex":
+        return bytes(item[1] for item in itertools.takewhile(lambda i: i[0] == "byte", p.body))
+    literals = itertools.takewhile(lambda item: item[0] is _sre.LITERAL,
+                                   _sre.parse(p.body.encode("latin-1")))
+    gate = bytes(av for _, av in literals)
+    return gate.lower() if "nocase" in p.modifiers else gate
 
 
 class CompiledRuleSet:
-    """A RuleSet prepared for scanning: one text index per haystack (as is and
-    lowercased), one regex per hex or regex pattern, the positions of the rules
-    that can fire with no pattern hit, and the digest -> rules dict of the
-    hash-only rules.
+    """A RuleSet prepared for scanning: one text index over every needle (as
+    is, and lowercased for nocase), one regex per hex or regex pattern, the
+    positions of the rules that can fire with no pattern hit, and the digest ->
+    rules dict of the hash-only rules.
 
-    Patterns are keyed by (rule position, pattern id). When the case-sensitive
-    index uses the prefix filter, a hex pattern that starts with fixed bytes
-    adds them to it as a gate needle under its own key. The search reports a
-    needle that only gates at its first occurrence, and the regex runs once if
-    the gate occurs at all.
+    Patterns are keyed by (rule position, pattern id). When the text index
+    uses the prefix filter, a hex or regex pattern whose gate (`_gate`) is 4
+    or more bytes long adds it to the index as a needle under its own key. The
+    search reports a needle that only gates at its first occurrence, and the
+    regex runs once if the gate occurs at all.
     """
 
     def __init__(self, rs: RuleSet):
         self.rules = rs.rules
         self.by_digest = {}          # sha256 hex -> [(position, rule)], in rule order
         self.always = []             # positions of the rules that can fire with no hit
-        owners = ({}, {})            # per haystack: needle -> [key]
-        gates = {}                   # fixed prefix of a hex pattern -> [key]
+        owners = {}                  # (needle, searched lowercased) -> [key]
+        gates = {}                   # (gate, searched lowercased) -> [key]
         regexes = []                 # [(key, re.Pattern)]
         for pos, rule in enumerate(rs.rules):
             if not rule.strings and type(rule.condition) is Sha256Eq:
@@ -228,47 +286,50 @@ class CompiledRuleSet:
                 self.always.append(pos)
             for p in rule.strings:
                 key = (pos, p.id)
+                folded = p.kind != "hex" and "nocase" in p.modifiers
                 if p.kind == "text":
                     for needle in _text_variants(p):
-                        owners["nocase" in p.modifiers].setdefault(needle, []).append(key)
+                        owners.setdefault((needle, folded), []).append(key)
                     continue
-                gate = _fixed_prefix(p.body) if p.kind == "hex" else b""
-                if gate:
-                    gates.setdefault(gate, []).append(key)
+                gate = _gate(p)
+                if len(gate) >= 4:       # a shorter one would need a pass of its own width
+                    gates.setdefault((gate, folded), []).append(key)
                 regexes.append((key, _pattern_regex(p)))
         # Gates ride the prefix filter's one pass over the data. Below its
         # threshold each gate would cost a bytes.find of its own, which is no
         # cheaper than the regex's own scan for its prefix.
-        if len(owners[0].keys() | gates.keys()) < _FILTER_MIN_NEEDLES:
+        if len(owners.keys() | gates.keys()) < _FILTER_MIN_NEEDLES:
             gates = {}
         gated = set()
         for gate, keys in gates.items():
-            owners[0].setdefault(gate, []).extend(keys)
+            owners.setdefault(gate, []).extend(keys)
             gated.update(keys)
-        once = frozenset(i for i, keys in enumerate(owners[0].values())
+        once = frozenset(i for i, keys in enumerate(owners.values())
                          if gated.issuperset(keys))
-        self.regexes = [(key, regex, key in gated) for key, regex in regexes]
-        self._text = [(_TextIndex(list(owners[0]), once), list(owners[0].values())),
-                      (_TextIndex(list(owners[1])), list(owners[1].values()))]
-        self.has_nocase_text = bool(owners[1])
+        self.gated = {key: regex for key, regex in regexes if key in gated}
+        self.regexes = [(key, regex) for key, regex in regexes if key not in gated]
+        self._index = _TextIndex([needle for needle, _ in owners],
+                                 [folded for _, folded in owners], once)
+        self._owners = list(owners.values())
 
     def _hits(self, data: bytes) -> dict:
         """key -> sorted offsets, for every pattern with at least one hit."""
-        folded = data.lower() if self.has_nocase_text else data
-        found = defaultdict(set)
-        for (index, keys), hay in zip(self._text, (data, folded)):
-            for i, off in index.find_all(hay):
-                for key in keys[i]:
-                    found[key].add(off)
-        hits = {k: tuple(sorted(v)) for k, v in found.items()}
-        for key, regex, gated in self.regexes:
-            if gated and key not in hits:
-                continue             # the fixed prefix is absent: no match
+        found = defaultdict(list)    # key -> [offsets of each of its needles]
+        for i, offsets in self._index.find_all(data):
+            for key in self._owners[i]:
+                found[key].append(offsets)
+        hits = {k: tuple(v[0]) if len(v) == 1 else tuple(sorted(set().union(*v)))
+                for k, v in found.items()}
+        for key in [k for k in hits if k in self.gated]:    # the gate occurs
+            offsets = tuple(m.start() for m in self.gated[key].finditer(data))
+            if offsets:
+                hits[key] = offsets
+            else:
+                del hits[key]
+        for key, regex in self.regexes:
             offsets = tuple(m.start() for m in regex.finditer(data))
             if offsets:
                 hits[key] = offsets
-            elif gated:
-                del hits[key]
         return hits
 
     def scan(self, data: bytes) -> MatchResult:

@@ -6,8 +6,10 @@ every hex and regex pattern runs over the whole data, and hash-only rules are
 evaluated one by one like any other. This is the scan that candidate-only
 evaluation in `sievemal.rules.engine.CompiledRuleSet` replaced; its
 `MatchResult` (fired names, offsets and order) must equal this one's. The text
-search, the pattern regexes and the condition evaluator are shared with
-`sievemal.rules.engine`, because they did not change.
+search is its own: every occurrence of every needle, found with bytes.find in
+that needle's haystack (the data, or the data lowercased for nocase), with no
+prefix filter and no gates. The needle variants, the pattern regexes and the
+condition evaluator are shared with `sievemal.rules.engine`.
 """
 
 from collections import defaultdict
@@ -17,7 +19,6 @@ from sievemal.rules.engine import (
     _eval,
     _pattern_regex,
     _text_variants,
-    _TextIndex,
 )
 from sievemal.rules.model import MatchResult
 
@@ -26,23 +27,25 @@ class NaiveRuleSet:
     def __init__(self, rs):
         self.rules = rs.rules
         self.regexes = {}            # (position, pattern_id) -> re.Pattern
-        owners = ({}, {})            # per haystack: needle -> [(position, pattern_id)]
+        self.needles = []            # [((position, pattern_id), needle, nocase)]
         for pos, rule in enumerate(rs.rules):
             for p in rule.strings:
                 key = (pos, p.id)
                 if p.kind == "text":
-                    for needle in _text_variants(p):
-                        owners["nocase" in p.modifiers].setdefault(needle, []).append(key)
+                    self.needles += [(key, needle, "nocase" in p.modifiers)
+                                     for needle in _text_variants(p)]
                 else:
                     self.regexes[key] = _pattern_regex(p)
-        self.text = [(_TextIndex(list(o)), list(o.values())) for o in owners]
 
     def text_offsets(self, data):
         hits = defaultdict(set)
-        for (index, keys), hay in zip(self.text, (data, data.lower())):
-            for i, off in index.find_all(hay):
-                for key in keys[i]:
-                    hits[key].add(off)
+        lowered = data.lower()
+        for key, needle, nocase in self.needles:
+            hay = lowered if nocase else data
+            off = hay.find(needle)
+            while off >= 0:
+                hits[key].add(off)
+                off = hay.find(needle, off + 1)
         return {k: tuple(sorted(v)) for k, v in hits.items()}
 
     def scan(self, data):

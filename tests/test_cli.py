@@ -403,3 +403,39 @@ def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
                  "--out", str(tmp_path / "manifest.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"labels.csv, {where}:" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a.bin,abc", "2 columns, want 6"),
+    ("a.bin,abc,x,present-train,,0", "label 'x' and allowlisted '0' must each be 0 or 1"),
+    ("a.bin,abc,1,present-train,,yes", "label '1' and allowlisted 'yes' must each be 0 or 1"),
+], ids=["short-row", "bad-label", "bad-allowlisted"])
+def test_filter_bad_manifest_row_exits_one(workdir, tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("path,sha256,label,epoch,planted,allowlisted\n" + row + "\n")
+    assert main(["filter", "--corpus", str(bad),
+                 "--block", str(workdir / "corpus" / "blocklist.yar"),
+                 "--out", str(tmp_path / "out.csv"),
+                 "--report", str(tmp_path / "filter.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}, line 2: {message}\n"
+
+
+def test_rule_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "latin.yar"
+    bad.write_bytes(b'rule r { strings: $a = "ab\xff\xfe" condition: $a }\n')
+    assert main(["rules", "check", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n")
+
+
+@pytest.mark.parametrize("doc", ['{"rows": []}', '{"threshold": 0.5}', "[]",
+                                 '{"threshold": 0.5, "rows": [{"payload_kb": 4}]}',
+                                 "not json"],
+                         ids=["no-threshold", "no-rows", "list", "row-fields", "not-json"])
+def test_report_on_malformed_results_exits_one(tmp_path, capsys, doc):
+    (tmp_path / "results.json").write_text(doc)
+    assert main(["report", "--results", str(tmp_path),
+                 "--out", str(tmp_path / "summary.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'results.json'}: ") and err.count("\n") == 1
+    assert not (tmp_path / "summary.json").exists()

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import pathlib
 import random
+import re
 import weakref
 
 import pytest
@@ -322,29 +323,42 @@ def gen_hex(rng, prefix: int):
     return tuple(items)
 
 
+MIXED_CASE = b"ABCabc"
+
+
 def gen_candidate_ruleset(rng, pad: int):
-    """Rule text, witnesses to plant, and the ids of text, hex and regex patterns."""
+    """Rule text plus witnesses to plant. Text needles and literal-led regexes
+    mix cases, and half their witnesses are planted in the other case."""
     chunks, witnesses = [], []
+
+    def plant(witness):
+        witnesses.append(witness.swapcase() if rng.random() < 0.5 else witness)
+
     for r in range(rng.randint(1, 8)):
         patterns = []
         for i in range(rng.randint(2, 3)):
-            kind = rng.choice(("text", "text", "hex", "regex"))
+            kind = rng.choice(("text", "text", "hex", "regex", "literal-led regex"))
             if kind == "text":
-                body = bytes(rng.randrange(65, 68) for _ in range(rng.randint(2, 4)))
+                body = bytes(rng.choice(MIXED_CASE) for _ in range(rng.randint(2, 4)))
                 mods = rng.choice(("", "nocase", "wide", "wide ascii", "wide nocase"))
                 patterns.append(f'$p{i} = "{body.decode()}" {mods}')
-                witnesses.append(body.lower() if "nocase" in mods and rng.random() < 0.5
-                                 else body)
+                plant(body)
                 if "wide" in mods:
-                    witnesses.append(b"".join(bytes([c, 0]) for c in body))
+                    plant(b"".join(bytes([c, 0]) for c in body))
             elif kind == "hex":
-                items = gen_hex(rng, rng.choice((0, 1, 4)))
+                items = gen_hex(rng, rng.choice((0, 1, 4, 6)))
                 patterns.append(f"$p{i} = {fuzz_gen.render_hex(items)}")
                 witnesses.append(fuzz_gen.hex_witness(rng, items))
-            else:
+            elif kind == "regex":
                 ast = fuzz_gen.gen_regex(rng)
                 patterns.append(f"$p{i} = /{fuzz_gen.render_regex(ast)}/")
                 witnesses.append(fuzz_gen.regex_witness(rng, ast))
+            else:   # a lead of 4 or more literals gates the regex on the prefix filter
+                lead = bytes(rng.choice(MIXED_CASE) for _ in range(rng.randint(1, 6)))
+                ast = fuzz_gen.gen_regex(rng)
+                mods = rng.choice(("", "nocase"))
+                patterns.append(f"$p{i} = /{lead.decode()}{fuzz_gen.render_regex(ast)}/ {mods}")
+                plant(lead + fuzz_gen.regex_witness(rng, ast))
         a, b = rng.sample(range(len(patterns)), 2)
         condition = rng.choice(rng.choice((HITLESS, NEEDS_HIT))).format(
             a=f"$p{a}", a_=f"p{a}", b=f"$p{b}", n=rng.randint(0, 400))
@@ -355,24 +369,26 @@ def gen_candidate_ruleset(rng, pad: int):
 def test_seeded_rulesets_match_the_oracle():
     rng = random.Random(20261018)
     filters = set()
-    fired = hitless_fired = 0
+    fired = hitless_fired = gated = 0
     for case in range(160):
         text, witnesses = gen_candidate_ruleset(rng, rng.choice(PADS))
         rs = parse_rules(text)
         compiled = compile_ruleset(rs)
-        filters.add(compiled._text[0][0]._groups is not None)
+        filters.add(compiled._index._groups is not None)
+        gated += len(compiled.gated)
         reference = naive_engine.NaiveRuleSet(rs)
         blobs = (b"", b"BA" + bytes(rng.randrange(256) for _ in range(60)),
                  fuzz_gen.gen_data(rng, []), fuzz_gen.gen_data(rng, witnesses),
-                 bytes(rng.randrange(65, 69) for _ in range(300)))
+                 bytes(rng.randrange(65, 69) for _ in range(300)),
+                 bytes(rng.choice(MIXED_CASE) for _ in range(300)))
         for data in blobs:
             got = scan(data, rs)
             assert got == reference.scan(data), f"case {case}\n{text}\ndata={data.hex()}"
             fired += len(got.fired)
             hitless_fired += sum(1 for name, offsets in got.fired
                                  if not any(offsets.values()))
-    # both text searches ran, and both kinds of candidate fired
-    assert filters == {False, True}
+    # both text searches ran, gates were set, and both kinds of candidate fired
+    assert filters == {False, True} and gated > 50
     assert fired > 500 and hitless_fired > 100
 
 
@@ -423,47 +439,65 @@ def regex_runs(monkeypatch):
     return runs
 
 
+# pattern, its matches in FREQUENT, and the first offset of its gate in
+# FREQUENT: None when the gate is absent, "ungated" when its fixed prefix is
+# shorter than the 4 bytes a gate needs
+FREQUENT = (b"\x00" * 5 + b"AB") * 1000 + b"\x00" * 1000
+FREQUENT_GATES = (
+    ("{ 00 00 00 00 ?? 41 }", 1000, 0),
+    ("/\\x00\\x00\\x00\\x00AB/", 1000, 1),
+    ("/\\x00\\x00\\x00\\x00ab/ nocase", 1000, 1),
+    ("{ 00 00 00 00 00 00 }", 166, 7000),
+    ("{ 00 00 00 00 43 }", 0, None),
+    ("{ 00 ?? 41 }", 1000, "ungated"),
+)
+
+
 def test_frequent_gate_runs_its_regex_once(regex_runs):
-    data = (b"\x00" * 3 + b"AB") * 1000 + b"\x00\x00" * 500
     for pad in PADS:
-        for hex_body, count in (("00 ?? 41", 1000), ("00 00 00 ?? 42", 1000),
-                                ("00 00 ?? 43", 0), ("00 00 42", 0)):
-            rs = one_rule(f"$h = {{ {hex_body} }}", f"#h == {count}", pad)
+        for pattern, count, first in FREQUENT_GATES:
+            rs = one_rule(f"$h = {pattern}", f"#h == {count}", pad)
             regex_runs.clear()
-            got = scan(data, rs)
-            assert got == naive_engine.scan(data, rs) and got.verdict, hex_body
+            got = scan(FREQUENT, rs)
+            assert got == naive_engine.scan(FREQUENT, rs) and got.verdict, pattern
             # gated behind the prefix filter only: there the gate occurs
             # thousands of times or not at all, and the search reports its
             # first occurrence only
-            present = pad == 0 or hex_body != "00 00 42"
-            assert len(regex_runs) == present, (pad, hex_body)
+            assert len(regex_runs) == (not pad or first is not None), (pad, pattern)
             if pad:
-                assert len(list(compile_ruleset(rs)._text[0][0].find_all(data))) == present
+                found = [offsets for _, offsets in compile_ruleset(rs)._index.find_all(FREQUENT)]
+                assert found == ([[first]] if isinstance(first, int) else []), pattern
 
 
 def test_once_needles_report_their_first_occurrence():
-    hay = b"abc" * 100
-    needles = [b"ab", b"bc", b"ca"] + [b"\xff%d" % i for i in range(_FILTER_MIN_NEEDLES)]
-    for index in (engine._TextIndex(needles[:3], frozenset({1})),
-                  engine._TextIndex(needles, frozenset({1}))):
+    hay = b"aBc" * 100
+    # case-sensitive "aB", "ca", "Bc" and "bc", and "bc" in the lowercased hay
+    needles = [b"aB", b"bc", b"ca", b"Bc", b"bc"]
+    folded = [False, True, False, False, False]
+    pad = [b"\xff%d" % i for i in range(_FILTER_MIN_NEEDLES)]
+    for index in (engine._TextIndex(needles, folded, frozenset({1})),
+                  engine._TextIndex(needles + pad, folded + [False] * len(pad),
+                                    frozenset({1}))):
         found = sorted(index.find_all(hay))
-        assert found == sorted([(0, i) for i in range(0, len(hay), 3)] + [(1, 1)]
-                               + [(2, i) for i in range(2, len(hay) - 1, 3)])
+        assert found == [(0, list(range(0, len(hay), 3))), (1, [1]),
+                         (2, list(range(2, len(hay) - 1, 3))),
+                         (3, list(range(1, len(hay), 3)))]
 
 
 def test_no_hit_evaluates_no_rule_that_needs_one(monkeypatch, regex_runs, unit_corpus,
                                                  unit_spec, perfbench_decoys):
     # counted, not timed: on a file where no pattern hits, the 2,008 rules of the
-    # triage blocklist cost no condition walk and no gated hex regex
+    # triage blocklist cost no condition walk and no regex run: every hex and
+    # regex pattern in it starts with at least 4 fixed bytes and is gated on them
     rs = parse_rules(emit_rules_from_bank(unit_spec) + "\n"
                      + perfbench_decoys.source(perfbench_decoys.decoys(0, 2000))
                      + 'rule hitless { strings: $a = "mal_beacon" condition: not $a }\n')
     compiled = compile_ruleset(rs)
     assert compiled.always == [len(rs.rules) - 1]
-    gated = [p for rule in rs.rules for p in rule.strings
-             if p.kind == "hex" and engine._fixed_prefix(p.body)]
-    regexes = [p for rule in rs.rules for p in rule.strings if p.kind == "regex"]
-    assert len(gated) > 100 and len(regexes) > 10
+    patterns = [p for rule in rs.rules for p in rule.strings if p.kind != "text"]
+    assert sum(p.kind == "hex" for p in patterns) > 100
+    assert sum(p.kind == "regex" for p in patterns) > 10
+    assert len(compiled.gated) == len(patterns) and not compiled.regexes
 
     evaluated = []
     eval_ = engine._eval
@@ -481,8 +515,38 @@ def test_no_hit_evaluates_no_rule_that_needs_one(monkeypatch, regex_runs, unit_c
     assert scan(raw, rs).rule_names == ("hitless",)
     condition = rs.rules[-1].condition
     assert evaluated == [id(condition), id(condition.item)]
-    assert not [p for p in regex_runs if any(p is g for g in gated)]
-    assert sorted(map(id, regex_runs)) == sorted(map(id, regexes))
+    assert regex_runs == []
+
+
+def test_hostile_input_costs_a_fixed_number_of_finds(monkeypatch, regex_runs,
+                                                     perfbench_decoys):
+    # counted, not timed: over 16 KB and 64 KB of zeros, or of one gate repeated,
+    # the triage decoys plus a 1-byte-led hex pattern and a regex gated on the
+    # repeated prefix cost the same bytes.find confirmations and regex runs,
+    # however often the prefixes occur
+    decoys = perfbench_decoys.decoys(0, 2000)
+    word = re.search(r"/([a-z]{8})", next(text for kind, text in decoys
+                                            if kind == "regex")).group(1).encode()
+    rs = parse_rules(perfbench_decoys.source(decoys)
+                     + "rule hostile { strings: $h = { 00 ?? 41 42 } "
+                     + f"$r = /{word.decode()}[0-9a-z]{{0,64}}!/ condition: any of them }}\n")
+    reference = naive_engine.NaiveRuleSet(rs)
+    finds = []
+    occurrences = engine._occurrences
+    monkeypatch.setattr(engine, "_occurrences", lambda hay, needle, *args: (
+        finds.append(needle), occurrences(hay, needle, *args))[1])
+    for unit in (b"\x00", word):
+        counts = set()
+        for size in (16 << 10, 64 << 10):
+            data = unit * (size // len(unit))
+            finds.clear()
+            regex_runs.clear()
+            got = scan(data, rs)
+            assert got == reference.scan(data) and not got.verdict
+            counts.add((len(finds), len(regex_runs)))
+        # one find for the gate that the decoy regex and $r share, and one run
+        # each of them and of the ungated $h
+        assert counts == ({(0, 1)} if unit == b"\x00" else {(1, 3)}), unit
 
 
 # --- many-pattern path -------------------------------------------------------
@@ -490,8 +554,7 @@ def test_no_hit_evaluates_no_rule_that_needs_one(monkeypatch, regex_runs, unit_c
 def test_padding_selects_the_search():
     for pad in PADS:
         rs = one_rule('$a = "x" $b = "y" nocase', "$a or $b", pad)
-        indexes = [index for index, _ in compile_ruleset(rs)._text]
-        assert [index._groups is not None for index in indexes] == [bool(pad)] * 2
+        assert (compile_ruleset(rs)._index._groups is not None) == bool(pad)
 
 
 def test_many_needle_path_agrees_with_bruteforce():
