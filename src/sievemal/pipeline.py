@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateData, FeatureFailure, MalformedPe
+from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
 from .evaluation import roc, tpr_at_fpr, write_report
 from .features import extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
@@ -208,29 +208,40 @@ def make_oracle(system: AiSystem):
 
 # --- system artifact directory ----------------------------------------------
 
+def _training_digest(metadata) -> str:
+    return hashlib.sha256(json.dumps(metadata, sort_keys=True).encode()).hexdigest()
+
+
 def save_system(system: AiSystem, directory):
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "allowlist.yar"), "w", encoding="utf-8") as fh:
         fh.write(system.allow_text)
     with open(os.path.join(directory, "blocklist.yar"), "w", encoding="utf-8") as fh:
         fh.write(system.block_text)
-    digest = hashlib.sha256(
-        json.dumps(system.metadata, sort_keys=True).encode()).hexdigest()
     save_model(system.model, os.path.join(directory, "model.json"),
-               training_digest=digest)
+               training_digest=_training_digest(system.metadata))
     write_report(os.path.join(directory, "metadata.json"), system.metadata)
 
 
 def load_system(directory) -> AiSystem:
+    """The system save_system wrote; a model.json whose training_digest is not
+    the digest of metadata.json (a model of another training) is refused."""
     with open(os.path.join(directory, "allowlist.yar"), encoding="utf-8") as fh:
         allow_text = fh.read()
     with open(os.path.join(directory, "blocklist.yar"), encoding="utf-8") as fh:
         block_text = fh.read()
-    with open(os.path.join(directory, "metadata.json"), encoding="utf-8") as fh:
+    meta_path = os.path.join(directory, "metadata.json")
+    with open(meta_path, encoding="utf-8") as fh:
         metadata = json.load(fh)
+    model_path = os.path.join(directory, "model.json")
+    with open(model_path, encoding="utf-8") as fh:
+        stored = json.load(fh).get("training_digest")
+    if stored != _training_digest(metadata):
+        raise SpecInvalid(f"{model_path} was not saved with {meta_path}: its training_digest "
+                          f"is not the sha256 of that metadata")
     allow = parse_rules(allow_text, role="allowlist")
     block = parse_rules(block_text, role="blocklist")
-    model = load_model(os.path.join(directory, "model.json"))
+    model = load_model(model_path)
     return AiSystem(allowlist=allow, blocklist=block, model=model,
                     threshold=metadata["threshold"], allow_text=allow_text,
                     block_text=block_text, metadata=metadata)

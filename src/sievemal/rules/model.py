@@ -78,21 +78,20 @@ def condition_depth(node) -> int:
     return 1
 
 
-def referenced_ids(node) -> set:
-    """All $id / #id references in a condition tree (normalized to '$' form)."""
-    out = set()
+def referenced_ids(node) -> list:
+    """The $id / #id references of a condition tree in source order, repeats
+    included (normalized to '$' form)."""
     if isinstance(node, StringMatch):
-        out.add(node.id)
-    elif isinstance(node, CountCmp):
-        out.add("$" + node.id[1:])
-    elif isinstance(node, OfQuantifier) and node.ids is not None:
-        out.update(node.ids)
-    elif isinstance(node, (And, Or)):
-        for i in node.items:
-            out |= referenced_ids(i)
-    elif isinstance(node, Not):
-        out |= referenced_ids(node.item)
-    return out
+        return [node.id]
+    if isinstance(node, CountCmp):
+        return ["$" + node.id[1:]]
+    if isinstance(node, OfQuantifier):
+        return list(node.ids or ())
+    if isinstance(node, (And, Or)):
+        return [ref for item in node.items for ref in referenced_ids(item)]
+    if isinstance(node, Not):
+        return referenced_ids(node.item)
+    return []
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,17 @@ and conditions built from string matches, #counts, N-of quantifiers, filesize
 and uintN() comparisons, hash.sha256 equality, and and/or/not. Anything else
 in the YARA language is rejected with UnsupportedConstruct at parse time; a
 silently dropped rule would corrupt downstream statistics.
+
+Every token, with the whitespace and comments before it, is one `_TOKEN_RE`
+match; quoted strings and /regexes/ are tokens like any other, and a hex
+body's items are `_HEX_ITEM_RE` matches read on from its '{' token. Conditions
+and regex groups nested MAX_CONDITION_DEPTH deep are rejected, so hostile
+nesting raises ParseError, never RecursionError.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 try:
@@ -47,19 +54,27 @@ UNSUPPORTED_MODIFIERS = {"fullword", "xor", "base64", "base64wide", "private"}
 
 RELOPS = {"==", "!=", "<", "<=", ">", ">="}
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<strid>\$[A-Za-z0-9_]*)
-    | (?P<countid>\#[A-Za-z0-9_]*)
-    | (?P<num>0x[0-9A-Fa-f]+|\d+(?:KB|MB)?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>==|!=|<=|>=|[<>={}():,.\[\]\-|*/])
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-_HEX_BYTE_RE = re.compile(r"[0-9A-Fa-f]{2}")
+# whitespace one character at a time, a comment whole; an unclosed /* is no comment
+_TRIVIA = r"(?:\s|//[^\n]*|/\*.*?\*/)*"
+_HEX_BYTE = r"[0-9A-Fa-f]{2}"
+# The last two alternatives match wherever the others do not, so a match never
+# fails and never backtracks into the trivia before it.
+_TOKEN_RE = re.compile(_TRIVIA + r"""
+    (?: (?P<strid>\$[A-Za-z0-9_]*)
+      | (?P<countid>\#[A-Za-z0-9_]*)
+      | (?P<num>0x[0-9A-Fa-f]+|\d+(?:KB|MB)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<regex>/(?:[^/\\\n]|\\.)*/)
+      | (?P<op>==|!=|<=|>=|[<>={}():,.\[\]\-|*/])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""", re.VERBOSE | re.DOTALL)
+_HEX_ITEM_RE = re.compile(_TRIVIA + r"""
+    (?: (?P<byte>%s) | (?P<any>\?\?) | (?P<jump>\[[^\]]*\]) | (?P<end>\}) | (?P<bad>.?) )
+    """ % _HEX_BYTE, re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r'\\(?:x(%s)|([ntr"\\])|(.?))' % _HEX_BYTE, re.DOTALL)
+_ESCAPES = {"n": 0x0A, "t": 0x09, "r": 0x0D, '"': 0x22, "\\": 0x5C}
 
 
 class Token:
@@ -75,7 +90,7 @@ class Token:
 
 
 class Lexer:
-    """Tokenizer with parser-driven modes for quoted strings, regexes and hex bodies."""
+    """Tokenizer: one `_TOKEN_RE` match per token, and hex bodies on the parser's call."""
 
     def __init__(self, text: str):
         self.text = text
@@ -90,26 +105,11 @@ class Lexer:
         line, col = self._linecol(self.pos if pos is None else pos)
         raise cls(message, line, col, token)
 
-    def _skip_trivia(self):
-        while self.pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, self.pos)
-            if m and (m.lastgroup == "ws" or m.lastgroup == "comment"):
-                self.pos = m.end()
-            else:
-                break
-
     def next(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token("eof", None, self.pos)
-        if self.text[self.pos] == '"':
-            return self._read_quoted()
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        start = m.start()
         kind = m.lastgroup
-        value = m.group()
+        start = m.start(kind)
+        value = m.group(kind)
         self.pos = m.end()
         if kind == "num":
             if value.endswith("KB"):
@@ -120,120 +120,81 @@ class Lexer:
                 value = int(value, 16)
             else:
                 value = int(value)
-            return Token("num", value, start)
+        elif kind == "string":
+            value = self._unescape(start + 1, m.end() - 1)
+        elif kind == "regex":
+            value = value[1:-1]
+        elif kind == "eof":
+            value = None
+        elif kind == "bad":
+            if value == '"':      # unclosed: a bad escape in it is reported first
+                self._unescape(start + 1, len(self.text))
+                self.error("unterminated string literal", pos=start)
+            self.error(f"unexpected character {value!r}", pos=start)
         return Token(kind, value, start)
 
-    def _read_quoted(self) -> Token:
-        start = self.pos
-        assert self.text[self.pos] == '"'
-        i = self.pos + 1
+    def _unescape(self, start, end) -> bytes:
+        """The bytes of the quoted text in [start, end), which is UTF-8 encoded
+        apart from its escapes; the first bad escape raises."""
+        body = self.text[start:end]
+        if "\\" not in body:
+            return body.encode("utf-8")
         out = bytearray()
-        while True:
-            if i >= len(self.text):
-                self.error("unterminated string literal")
-            c = self.text[i]
-            if c == '"':
-                i += 1
-                break
-            if c == "\\":
-                if i + 1 >= len(self.text):
-                    self.error("unterminated escape", pos=i)
-                e = self.text[i + 1]
-                if e == "n":
-                    out.append(0x0A)
-                elif e == "t":
-                    out.append(0x09)
-                elif e == "r":
-                    out.append(0x0D)
-                elif e in ('"', "\\"):
-                    out.append(ord(e))
-                elif e == "x":
-                    digits = self.text[i + 2:i + 4]
-                    if not _HEX_BYTE_RE.fullmatch(digits):
-                        self.error("\\x escape needs two hex digits", pos=i)
-                    out.append(int(digits, 16))
-                    i += 2
-                else:
-                    self.error(f"unsupported escape \\{e}", pos=i)
-                i += 2
-            else:
-                out.extend(c.encode("utf-8"))
-                i += 1
-        self.pos = i
-        return Token("string", bytes(out), start)
-
-    def read_regex(self) -> str:
-        """Read a /.../ regex body; the leading '/' has not been consumed."""
-        self._skip_trivia()
-        assert self.text[self.pos] == "/"
-        i = self.pos + 1
-        body = []
-        while True:
-            if i >= len(self.text) or self.text[i] == "\n":
-                self.error("unterminated regex")
-            c = self.text[i]
-            if c == "\\" and i + 1 < len(self.text):
-                body.append(self.text[i:i + 2])
-                i += 2
-                continue
-            if c == "/":
-                i += 1
-                break
-            body.append(c)
-            i += 1
-        self.pos = i
-        return "".join(body)
+        done = 0
+        for m in _ESCAPE_RE.finditer(body):
+            hex_byte, char, other = m.groups()
+            if other is not None:
+                self.error("unterminated escape" if not other else
+                           "\\x escape needs two hex digits" if other == "x" else
+                           f"unsupported escape \\{other}", pos=start + m.start())
+            out += body[done:m.start()].encode("utf-8")
+            out.append(int(hex_byte, 16) if hex_byte else _ESCAPES[char])
+            done = m.end()
+        out += body[done:].encode("utf-8")
+        return bytes(out)
 
     def read_hex_body(self) -> tuple:
-        """Read a { ... } hex string body; the leading '{' has not been consumed."""
-        self._skip_trivia()
-        assert self.text[self.pos] == "{"
-        self.pos += 1
+        """Read a hex string's items and its closing '}'; its '{' token was the last one read."""
         items = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                self.error("unterminated hex string")
-            c = self.text[self.pos]
-            if c == "}":
-                self.pos += 1
-                break
-            if c == "?":
-                if self.text[self.pos:self.pos + 2] != "??":
-                    self.error("lone '?' in hex string; only full-byte ?? wildcards are supported",
-                               UnsupportedConstruct)
+        for m in _HEX_ITEM_RE.finditer(self.text, self.pos):
+            kind = m.lastgroup
+            at = m.start(kind)
+            if kind == "byte":
+                items.append(("byte", int(m.group(kind), 16)))
+            elif kind == "any":
                 items.append(("any",))
-                self.pos += 2
-            elif c == "[":
-                end = self.text.find("]", self.pos)
-                if end < 0:
-                    self.error("unterminated hex jump")
-                spec = self.text[self.pos + 1:end].strip()
-                m = re.fullmatch(r"(\d+)(?:\s*-\s*(\d+))?", spec)
-                if not m:
-                    self.error(f"bad hex jump [{spec}]", UnsupportedConstruct)
-                lo = int(m.group(1))
-                hi = int(m.group(2)) if m.group(2) else lo
+            elif kind == "jump":
+                spec = m.group(kind)[1:-1].strip()
+                jump = re.fullmatch(r"(\d+)(?:\s*-\s*(\d+))?", spec)
+                if not jump:
+                    self.error(f"bad hex jump [{spec}]", UnsupportedConstruct, pos=at)
+                lo = int(jump.group(1))
+                hi = int(jump.group(2)) if jump.group(2) else lo
                 if not (0 <= lo <= hi <= MAX_HEX_JUMP):
-                    self.error(f"hex jump out of range [{lo}-{hi}], max {MAX_HEX_JUMP}")
+                    self.error(f"hex jump out of range [{lo}-{hi}], max {MAX_HEX_JUMP}", pos=at)
                 items.append(("jump", lo, hi))
-                self.pos = end + 1
-            elif c == "(":
-                self.error("hex string alternation is not supported", UnsupportedConstruct)
-            elif re.match(r"[0-9A-Fa-f]", c):
-                pair = self.text[self.pos:self.pos + 2]
-                if not re.fullmatch(r"[0-9A-Fa-f]{2}", pair):
-                    self.error("hex bytes must come in full pairs", UnsupportedConstruct)
-                items.append(("byte", int(pair, 16)))
-                self.pos += 2
+            elif kind == "end":
+                self.pos = m.end()
+                if not items:
+                    self.error("empty hex string")
+                return tuple(items)
             else:
-                self.error(f"unexpected character {c!r} in hex string")
-        if not items:
-            self.error("empty hex string")
-        return tuple(items)
+                c = m.group(kind)
+                if c and c in "0123456789ABCDEFabcdef":
+                    self.error("hex bytes must come in full pairs", UnsupportedConstruct, pos=at)
+                message, cls = {
+                    "": ("unterminated hex string", ParseError),
+                    "?": ("lone '?' in hex string; only full-byte ?? wildcards are supported",
+                          UnsupportedConstruct),
+                    "[": ("unterminated hex jump", ParseError),
+                    "(": ("hex string alternation is not supported", UnsupportedConstruct),
+                }.get(c, (f"unexpected character {c!r} in hex string", ParseError))
+                self.error(message, cls, pos=at)
 
 
 _REGEX_FORBIDDEN = re.compile(r"\\[1-9]|\(\?")
+# what can open or close a group: an escape or a character class opens none
+_REGEX_GROUPING_RE = re.compile(r"\\.|\[\^?\]?(?:[^\]\\]|\\.)*\]|[()]", re.DOTALL)
 _REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT,
             getattr(_sre, "POSSESSIVE_REPEAT", _sre.MAX_REPEAT)}
 
@@ -297,14 +258,22 @@ def _backtracks(seq) -> bool:
     return False
 
 
+def _group_depth(body: str) -> int:
+    steps = ((t == "(") - (t == ")") for t in _REGEX_GROUPING_RE.findall(body))
+    return max(itertools.accumulate(steps), default=0)
+
+
 def _validate_regex(body: str, lexer: Lexer):
-    """Reject what the subset leaves out, and regexes like (a+)+ or (a|a)* whose
-    matching time can grow exponentially with the input. The check is
-    conservative: a class, a dot or a nullable branch counts as overlapping any
-    other branch, and letters overlap their other case."""
+    """Reject what the subset leaves out, groups nested deeper than
+    MAX_CONDITION_DEPTH, and regexes like (a+)+ or (a|a)* whose matching time
+    can grow exponentially with the input. The last check is conservative: a
+    class, a dot or a nullable branch counts as overlapping any other branch,
+    and letters overlap their other case."""
     if _REGEX_FORBIDDEN.search(body):
         lexer.error("regex backreferences and (?...) groups are not supported",
                     UnsupportedConstruct)
+    if body.count("(") > MAX_CONDITION_DEPTH and _group_depth(body) > MAX_CONDITION_DEPTH:
+        lexer.error(f"regex nests groups deeper than {MAX_CONDITION_DEPTH}")
     try:
         pattern = body.encode("latin-1")
         re.compile(pattern)
@@ -319,9 +288,13 @@ class Parser:
     def __init__(self, text: str):
         self.lexer = Lexer(text)
         self.tok = self.lexer.next()
+        self.rule_name = None
+        self.depth = 0            # the '(' and 'not' the condition factor is inside
 
     def error(self, message, cls=ParseError):
-        self.lexer.error(message, cls, self.tok.value, self.tok.pos)
+        # a regex token is reported as the '/' it starts with
+        near = "/" if self.tok.kind == "regex" else self.tok.value
+        self.lexer.error(message, cls, near, self.tok.pos)
 
     def advance(self):
         self.tok = self.lexer.next()
@@ -352,7 +325,7 @@ class Parser:
 
     def parse_rule(self) -> Rule:
         self.expect("name", "rule")
-        name = self.expect("name").value
+        name = self.rule_name = self.expect("name").value
         tags = []
         if self.tok.kind == "op" and self.tok.value == ":":
             self.advance()
@@ -393,7 +366,7 @@ class Parser:
             if ref not in defined:
                 self.error(f"condition of rule {name!r} references undefined string {ref}")
         if condition_depth(condition) > MAX_CONDITION_DEPTH:
-            self.error(f"condition of rule {name!r} exceeds depth {MAX_CONDITION_DEPTH}")
+            self.error_too_deep()
         # string sets in N-of must not exceed definitions; uses checked above
         return Rule(name=name, tags=tuple(tags), meta=meta,
                     strings=tuple(strings), condition=condition)
@@ -434,18 +407,16 @@ class Parser:
                 self.advance()
                 kind = "text"
             elif self.tok.kind == "op" and self.tok.value == "{":
-                # re-read the body from source: the '{' token was already lexed,
-                # so rewind onto it
-                self.lexer.pos = self.tok.pos
                 body = self.lexer.read_hex_body()
                 self.advance()
                 kind = "hex"
-            elif self.tok.kind == "op" and self.tok.value == "/":
-                self.lexer.pos = self.tok.pos
-                body = self.lexer.read_regex()
+            elif self.tok.kind == "regex":
+                body = self.tok.value
                 _validate_regex(body, self.lexer)
                 self.advance()
                 kind = "regex"
+            elif self.tok.kind == "op" and self.tok.value == "/":
+                self.lexer.error("unterminated regex", pos=self.tok.pos)
             else:
                 self.error("expected a text, hex or regex pattern")
             mods = self.parse_modifiers(kind)
@@ -483,16 +454,25 @@ class Parser:
             items.append(self.parse_factor())
         return items[0] if len(items) == 1 else And(tuple(items))
 
+    def error_too_deep(self):
+        self.error(f"condition of rule {self.rule_name!r} exceeds depth {MAX_CONDITION_DEPTH}")
+
     def parse_factor(self):
-        if self.tok.kind == "name" and self.tok.value == "not":
-            self.advance()
-            return Not(self.parse_factor())
-        if self.tok.kind == "op" and self.tok.value == "(":
-            self.advance()
+        opener = self.tok.value
+        if not (self.tok.kind == "name" and opener == "not"
+                or self.tok.kind == "op" and opener == "("):
+            return self.parse_primary()
+        self.depth += 1
+        if self.depth >= MAX_CONDITION_DEPTH:
+            self.error_too_deep()
+        self.advance()
+        if opener == "not":
+            inner = Not(self.parse_factor())
+        else:
             inner = self.parse_expr()
             self.expect("op", ")")
-            return inner
-        return self.parse_primary()
+        self.depth -= 1
+        return inner
 
     def _relop(self) -> str:
         if self.tok.kind == "op" and self.tok.value in RELOPS:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -233,6 +234,20 @@ def test_predict_prints_the_error_reason(workdir, tmp_path, capsys):
     junk.write_bytes(b"not a pe at all")
     assert main(["predict", "--system", str(workdir / "system"), str(junk)]) == 0
     assert capsys.readouterr().out == f"{junk}\terror\t\tfile shorter than a DOS header\n"
+
+
+def test_system_with_tampered_metadata_exits_one(workdir, tmp_path, capsys):
+    system = tmp_path / "system"
+    shutil.copytree(workdir / "system", system)
+    meta = json.loads((system / "metadata.json").read_text())
+    meta["threshold"] = 0.5
+    (system / "metadata.json").write_text(json.dumps(meta))
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"not a pe at all")
+    assert main(["predict", "--system", str(system), str(junk)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {system / 'model.json'} was not saved with {system / 'metadata.json'}: "
+        "its training_digest is not the sha256 of that metadata\n")
 
 
 def test_eval_command(workdir, tmp_path):

@@ -297,4 +297,5 @@ def test_write_report_and_curves(tmp_path):
     dat = (tmp_path / "curves.bare.dat").read_text().splitlines()
     assert dat[0].startswith("#")
     assert len(dat) == 1 + len(curve.points)
-    assert "plot" in open(script).read()
+    with open(script) as fh:
+        assert "plot" in fh.read()

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from sievemal.corpus import ManifestRecord, build_pe, emit_allowlist, emit_rules_from_bank
-from sievemal.errors import DegenerateData
+from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.features import extract_features
 from sievemal.learners import TrainConfig
 from sievemal.pipeline import (
@@ -223,6 +224,20 @@ def test_system_save_load_round_trip(filtered_system, unit_corpus, tmp_path):
     for rec in unit_corpus.samples("present-test")[:20]:
         raw = read(rec.path)
         assert predict(loaded, raw) == predict(filtered_system, raw)
+
+
+def test_load_system_refuses_a_model_of_other_metadata(filtered_system, tmp_path):
+    # model.json records the sha256 of the metadata it was saved with; a system
+    # whose threshold was changed afterwards is not loaded under it
+    save_system(filtered_system, tmp_path)
+    meta = tmp_path / "metadata.json"
+    doc = json.loads(meta.read_text())
+    doc["threshold"] = 0.5
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(SpecInvalid) as exc:
+        load_system(tmp_path)
+    assert str(tmp_path / "model.json") in str(exc.value)
+    assert str(meta) in str(exc.value)
 
 
 def test_system_save_load_without_rules(unit_corpus, empty_allowlist,

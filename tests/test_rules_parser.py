@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import fuzz_gen
+import naive_parser
 
+import sievemal
+from sievemal.cli import main
 from sievemal.errors import ParseError, UnsupportedConstruct
 from sievemal.rules import RuleSet, parse_rules
 from sievemal.rules.model import (
+    MAX_CONDITION_DEPTH,
     And,
     CountCmp,
     FilesizeCmp,
@@ -162,6 +169,67 @@ def test_condition_depth_limit():
         parse_rules('rule r { strings: $a = "x" condition: %s }' % deep)
 
 
+def condition_rule(condition: str) -> str:
+    return f'rule r {{ strings: $a = "x" condition: {condition} }}'
+
+
+def nested(depth: int, opener: str, inner: str, closer: str = "") -> str:
+    return opener * depth + inner + closer * depth
+
+
+HOSTILE_NESTING = {
+    "330-parens": condition_rule(nested(330, "(", "$a", ")")),
+    "2000-nots": condition_rule(nested(2000, "not ", "$a")),
+    "1000-regex-groups": f"rule r {{ strings: $a = /{nested(1000, '(', 'a', ')')}/ condition: $a }}",
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE_NESTING.values(), ids=HOSTILE_NESTING.keys())
+def test_hostile_nesting_is_a_parse_error(text, tmp_path, capsys):
+    # each of these exhausted the Python stack (RecursionError) in the
+    # recursive descent or in re.compile; the depth bound refuses them first
+    with pytest.raises(ParseError, match=f"(exceeds depth|deeper than) {MAX_CONDITION_DEPTH}"):
+        parse_rules(text)
+    path = tmp_path / "hostile.yar"
+    path.write_text(text)
+    assert main(["rules", "check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("rule parse error: ")
+
+
+def test_nesting_at_the_bound_parses():
+    # a factor inside 63 '(' or 'not' parses, one inside 64 does not
+    depth = MAX_CONDITION_DEPTH - 1
+    assert parse_rules(condition_rule(nested(depth, "(", "$a", ")"))).rules[0].condition \
+        == StringMatch("$a")
+    assert parse_rules(condition_rule(nested(depth, "not ", "$a")))
+    for condition in (nested(depth + 1, "(", "$a", ")"), nested(depth + 1, "not ", "$a")):
+        with pytest.raises(ParseError, match=f"exceeds depth {MAX_CONDITION_DEPTH}"):
+            parse_rules(condition_rule(condition))
+    groups = nested(MAX_CONDITION_DEPTH, "(", "a", ")")
+    assert parse_rules(regex_rule(groups)).rules[0].strings[0].body == groups
+    with pytest.raises(ParseError, match=f"deeper than {MAX_CONDITION_DEPTH}"):
+        parse_rules(regex_rule(f"({groups})"))
+    # escaped parentheses and parentheses in a class open no group
+    flat = "\\(" * 100 + "[" + "(" * 100 + "]" + "\\)" * 100
+    assert parse_rules(regex_rule(flat)).rules[0].strings[0].body == flat
+
+
+def test_undefined_string_error_names_the_first_in_source_order():
+    # the undefined id named must not depend on set iteration order, which
+    # changes with the string hash seed
+    code = ("from sievemal.rules import parse_rules\n"
+            "try:\n"
+            "    parse_rules('rule r { strings: $a = \"x\" condition: $b or $c or $d }')\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(sievemal.__file__))
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert "references undefined string $b (" in out, (seed, out)
+
+
 def test_hex_jump_bounds():
     with pytest.raises(ParseError):
         parse_rules('rule r { strings: $a = { 90 [5000] 90 } condition: $a }')
@@ -263,3 +331,39 @@ def test_empty_strings_section_rejected():
 def test_strings_section_optional():
     rs = parse_rules("rule sz { condition: filesize > 10 }")
     assert rs.rules[0].strings == ()
+
+
+# --- the one-regex tokenizer against the previous parser --------------------
+
+DIFFERENTIAL_TEXTS = [FULL_RULE] + [fuzz_gen.gen_rule(random.Random(seed), f"r{seed}")[0]
+                                    for seed in range(40)]
+INSERTS = ['"', "/", "\\", "{", "}", "*", "$", "#", "[", "?", "\n", "/*", "//"]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def mutants(text, rng):
+    """Every truncation, then seeded one-character deletions and insertions."""
+    yield from (text[:i] for i in range(len(text) + 1))
+    for _ in range(60):
+        i = rng.randrange(len(text))
+        yield text[:i] + text[i + 1:]
+    for _ in range(120):
+        i = rng.randrange(len(text) + 1)
+        yield text[:i] + rng.choice(INSERTS) + text[i:]
+
+
+@pytest.mark.filterwarnings("ignore:Possible nested set:FutureWarning")
+@pytest.mark.parametrize("index", range(len(DIFFERENTIAL_TEXTS)))
+def test_parse_matches_previous_parser(index):
+    # tests/naive_parser.py is the parser before strings, regexes and hex bodies
+    # were read by one regex match each: every mutant gives an equal RuleSet
+    # from both, or the same error class, message, line and column
+    text = DIFFERENTIAL_TEXTS[index]
+    for mutant in mutants(text, random.Random(index)):
+        assert outcome(parse_rules, mutant) == outcome(naive_parser.parse_rules, mutant), mutant
