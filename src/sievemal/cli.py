@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 domain error (malformed input, degenerate data),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -222,11 +221,7 @@ def cmd_attack(args) -> int:
 
 def cmd_report(args) -> int:
     path = os.path.join(args.results, "results.json")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:    # not JSON, or not UTF-8
-            raise SpecInvalid(f"{path}: not a JSON document ({exc})") from None
+    doc = evaluation.read_report(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("threshold"), (int, float))
             and isinstance(doc.get("rows"), list)
             and all(isinstance(row, dict) and {"payload_kb", "adv_score"} <= row.keys()

@@ -12,22 +12,28 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpecInvalid
-from .evaluation import write_report
-from .pe import align_up, parse_pe
+from .evaluation import read_report, write_report
+from .pe import (
+    IMAGE_SCN_CNT_CODE,
+    IMAGE_SCN_CNT_INITIALIZED_DATA,
+    IMAGE_SCN_MEM_EXECUTE,
+    IMAGE_SCN_MEM_READ,
+    build_pe,
+    parse_pe,
+)
 
 EPOCHS = ("present-train", "present-test", "future")
 MANIFEST_HEADER = ["path", "sha256", "label", "epoch", "planted", "allowlisted"]
 
-IMAGE_SCN_CODE_EXEC_READ = 0x60000020
-IMAGE_SCN_DATA_READ = 0x40000040
+# characteristics of the generated code and data sections
+_CODE_FLAGS = IMAGE_SCN_CNT_CODE | IMAGE_SCN_MEM_EXECUTE | IMAGE_SCN_MEM_READ
+_DATA_FLAGS = IMAGE_SCN_CNT_INITIALIZED_DATA | IMAGE_SCN_MEM_READ
 
 # (pattern id, kind, payload); kind "text" bodies are raw bytes, "hex" bodies
 # are byte tuples rendered with one ?? wildcard when planted
@@ -65,6 +71,38 @@ MALWARE_TOKENS = (
 )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_bank_entry(v) -> bool:
+    if not (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str)):
+        return False
+    kind, body = v[1], v[2]
+    if kind == "hex":
+        return isinstance(body, list) and all(_is_int(b) and 0 <= b <= 255 for b in body)
+    return kind == "text" and isinstance(body, str) and all(ord(c) < 256 for c in body)
+
+
+# the fields of a spec document: name, type check, what the check wants
+_SPEC_FIELDS = (
+    ("counts", lambda v: isinstance(v, dict) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v.values()),
+     "an object of [malware, goodware] count pairs"),
+    ("plant_rates", lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+     "an object of numbers"),
+    ("drift_mutation_rate", _is_number, "a number"),
+    ("allowlist_fraction", _is_number, "a number"),
+    ("seed", _is_int, "an integer"),
+    ("bank", lambda v: isinstance(v, list) and all(map(_is_bank_entry, v)),
+     'a list of [id, "text", latin-1 string] or [id, "hex", [byte, ...]] entries'),
+)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     counts: dict = field(default_factory=lambda: {
@@ -94,6 +132,8 @@ class CorpusSpec:
             raise SpecInvalid("allowlist fraction outside [0, 1]")
         if not (0.0 <= self.drift_mutation_rate <= 1.0):
             raise SpecInvalid("drift mutation rate outside [0, 1]")
+        if self.seed < 0:
+            raise SpecInvalid("negative seed")
         if not self.bank:
             raise SpecInvalid("empty signature bank")
 
@@ -113,12 +153,22 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusSpec":
-        if d.get("format") != "sievemal-corpus-spec" or d.get("version") != 1:
+        """The spec to_dict wrote; raises SpecInvalid on the first missing or
+        mistyped field, and on a spec that fails validate()."""
+        if not (isinstance(d, dict) and d.get("format") == "sievemal-corpus-spec"
+                and d.get("version") == 1):
             raise SpecInvalid("unrecognized corpus spec document")
+        for name, ok, want in _SPEC_FIELDS:
+            if name not in d:
+                raise SpecInvalid(f"missing field {name!r}")
+            if not ok(d[name]):
+                raise SpecInvalid(f"field {name!r} must be {want}, not {d[name]!r:.60}")
+        if not isinstance(d.get("goodware_epoch_shift", True), bool):
+            raise SpecInvalid("field 'goodware_epoch_shift' must be true or false")
         bank = tuple(
             (pid, kind, tuple(body) if kind == "hex" else body.encode("latin-1"))
             for pid, kind, body in d["bank"])
-        return cls(
+        spec = cls(
             counts={k: tuple(v) for k, v in d["counts"].items()},
             plant_rates=d["plant_rates"],
             drift_mutation_rate=d["drift_mutation_rate"],
@@ -127,6 +177,8 @@ class CorpusSpec:
             bank=bank,
             goodware_epoch_shift=d.get("goodware_epoch_shift", True),
         )
+        spec.validate()
+        return spec
 
 
 @dataclass(frozen=True)
@@ -180,63 +232,6 @@ def read_manifest(path) -> Manifest:
     return manifest
 
 
-# --- PE construction ---------------------------------------------------------
-
-def build_pe(sections, *, timestamp=0, entry_rva=0x1000, pe64=False,
-             overlay=b"", file_align=0x200, sect_align=0x1000,
-             characteristics=0x0102, min_headers=0x400) -> bytes:
-    """Assemble a valid PE from (name, data, characteristics) section triples."""
-    e_lfanew = 0x80
-    opt_size = 240 if pe64 else 224
-    table_off = e_lfanew + 24
-    table_end = table_off + opt_size + len(sections) * 40
-    headers_end = align_up(max(table_end, min_headers), file_align)
-
-    dos = bytearray(e_lfanew)
-    dos[0:2] = b"MZ"
-    struct.pack_into("<I", dos, 0x3C, e_lfanew)
-
-    coff = struct.pack("<4sHHIIIHH", b"PE\x00\x00",
-                       0x8664 if pe64 else 0x14C, len(sections), timestamp,
-                       0, 0, opt_size, characteristics)
-
-    opt = bytearray(opt_size)
-    struct.pack_into("<H", opt, 0, 0x20B if pe64 else 0x10B)
-    struct.pack_into("<I", opt, 16, entry_rva)
-    struct.pack_into("<II", opt, 32, sect_align, file_align)
-    struct.pack_into("<H", opt, 68, 2)  # GUI subsystem
-    struct.pack_into("<I", opt, 108 if pe64 else 92, 16)  # data directory count
-
-    table = bytearray()
-    blobs = []
-    raw_off = headers_end
-    vaddr = sect_align
-    for name, data, schar in sections:
-        raw_size = align_up(len(data), file_align)
-        vsize = len(data) if data else raw_size
-        entry = bytearray(40)
-        entry[0:8] = name[:8].ljust(8, b"\x00")
-        struct.pack_into("<IIII", entry, 8, vsize, vaddr, raw_size, raw_off if raw_size else 0)
-        struct.pack_into("<I", entry, 36, schar)
-        table += entry
-        blobs.append((raw_off, data.ljust(raw_size, b"\x00")))
-        raw_off += raw_size
-        vaddr = align_up(vaddr + max(vsize, 1), sect_align)
-
-    struct.pack_into("<I", opt, 56, align_up(vaddr, sect_align))  # size_of_image
-    struct.pack_into("<I", opt, 60, headers_end)
-
-    out = bytearray(headers_end)
-    out[:e_lfanew] = dos
-    out[e_lfanew:e_lfanew + len(coff)] = coff
-    out[e_lfanew + 24:e_lfanew + 24 + opt_size] = opt
-    out[table_off + opt_size:table_off + opt_size + len(table)] = table
-    for off, blob in blobs:
-        out[off:off + len(blob)] = blob
-    out += overlay
-    return bytes(out)
-
-
 def _token_blob(rng, tokens, size: int) -> bytes:
     parts = []
     total = 0
@@ -272,9 +267,9 @@ def _make_goodware(rng, tokens) -> bytes:
     rsrc = _token_blob(rng, tokens, int(rng.integers(400, 1200)))
     overlay = _token_blob(rng, tokens, int(rng.integers(0, 300)))
     return build_pe(
-        [(b".text", code, IMAGE_SCN_CODE_EXEC_READ),
-         (b".data", data, IMAGE_SCN_DATA_READ),
-         (b".rsrc", rsrc, IMAGE_SCN_DATA_READ)],
+        [(b".text", code, _CODE_FLAGS),
+         (b".data", data, _DATA_FLAGS),
+         (b".rsrc", rsrc, _DATA_FLAGS)],
         timestamp=int(rng.integers(1, 2 ** 31)),
         overlay=overlay,
     )
@@ -288,8 +283,8 @@ def _make_malware(rng, plant: bytes | None) -> bytes:
         off = int(rng.integers(0, max(1, len(data) - len(plant))))
         data[off:off + len(plant)] = plant
     return build_pe(
-        [(b".text", code, IMAGE_SCN_CODE_EXEC_READ),
-         (b".data", bytes(data), IMAGE_SCN_DATA_READ)],
+        [(b".text", code, _CODE_FLAGS),
+         (b".data", bytes(data), _DATA_FLAGS)],
         timestamp=int(rng.integers(1, 2 ** 31)),
         pe64=bool(rng.integers(0, 2)),
     )
@@ -450,8 +445,12 @@ def ingest(directory, labels_path) -> Manifest:
 
 
 def load_spec(path) -> CorpusSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CorpusSpec.from_dict(json.load(fh))
+    """The spec in a file; raises SpecInvalid naming the file and the reason."""
+    doc = read_report(path)
+    try:
+        return CorpusSpec.from_dict(doc)
+    except SpecInvalid as exc:
+        raise SpecInvalid(f"{path}: {exc}") from None
 
 
 def save_spec(spec: CorpusSpec, path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabels
+from .errors import DegenerateLabels, SpecInvalid
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,16 @@ def write_report(path, report: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_report(path):
+    """The JSON document in a file; one that is not JSON, or not UTF-8, raises
+    SpecInvalid naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SpecInvalid(f"{path}: not a JSON document ({exc})") from None
 
 
 def write_curve_files(stem, curves: dict):

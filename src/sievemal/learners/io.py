@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from ..errors import SpecInvalid
+from ..evaluation import read_report
 from .common import TrainConfig
 from .gbdt import GbdtModel, predict_gbdt, train_gbdt
 from .svm import RbfSvmModel, predict_svm_rbf, train_svm_rbf
@@ -38,13 +40,18 @@ def save_model(model, path, training_digest: str = ""):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "sievemal-model" or doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unrecognized model file {path}")
-    body = doc["model"]
-    if body["kind"] == "gbdt":
-        return GbdtModel.from_dict(body)
-    if body["kind"] == "svm":
-        return RbfSvmModel.from_dict(body)
-    raise ValueError(f"unknown model kind {body['kind']!r}")
+    """The model save_model wrote; a file that is not one raises SpecInvalid
+    naming it."""
+    doc = read_report(path)
+    if not (isinstance(doc, dict) and doc.get("format") == "sievemal-model"
+            and doc.get("version") == MODEL_FORMAT_VERSION):
+        raise SpecInvalid(f"{path}: unrecognized model file")
+    body = doc.get("model")
+    kind = body.get("kind") if isinstance(body, dict) else None
+    family = {"gbdt": GbdtModel, "svm": RbfSvmModel}.get(kind)
+    if family is None:
+        raise SpecInvalid(f"{path}: unknown model kind {kind!r}")
+    try:
+        return family.from_dict(body)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecInvalid(f"{path}: malformed {kind} model ({type(exc).__name__}: {exc})") from None

@@ -5,6 +5,9 @@ are modeled; everything else in the header region is carried opaquely and
 re-emitted verbatim, which gives byte-exact round trips for files this module
 produced without implementing the full format.
 
+build_pe assembles new files (the synthetic corpus's) and emits them through
+serialize_pe, so the PE layout is written in this module alone.
+
 Injection works on bytes: an InjectionPlan serializes the clean file once, and
 each injected layout is a patched copy of its header joined with slices of the
 clean file and the new contents, so an attack query builds no PeFile.
@@ -29,11 +32,16 @@ _SECTION_ENTRY = struct.Struct("<8s8I")
 MAX_SECTIONS = 65535
 
 # section characteristic flags (subset)
+IMAGE_SCN_CNT_CODE = 0x00000020
 IMAGE_SCN_CNT_INITIALIZED_DATA = 0x00000040
 IMAGE_SCN_MEM_EXECUTE = 0x20000000
 IMAGE_SCN_MEM_READ = 0x40000000
 
 INJECTED_SECTION_CHARACTERISTICS = IMAGE_SCN_CNT_INITIALIZED_DATA | IMAGE_SCN_MEM_READ
+
+# COFF characteristics of every file build_pe writes: an executable image for a
+# 32-bit machine
+_BUILT_PE_CHARACTERISTICS = 0x0102
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -187,6 +195,43 @@ def serialize_pe(pe: PeFile) -> bytes:
         out[s.raw_offset:s.raw_end()] = s.data
     out += pe.overlay
     return bytes(out)
+
+
+def build_pe(sections, *, timestamp=0, entry_rva=0x1000, pe64=False, overlay=b"",
+             file_align=0x200, sect_align=0x1000, min_headers=0x400) -> bytes:
+    """Assemble a valid PE from (name, data, characteristics) section triples,
+    laid out back to back after the headers and padded to the file alignment
+    (names cut to 8 bytes). Only what serialize_pe does not write is built
+    here: the DOS stub, the machine and optional-header fields, SizeOfHeaders
+    and each section's placement."""
+    e_lfanew, opt_size = 0x80, (240 if pe64 else 224)
+    opt_off = e_lfanew + 24
+    table_end = opt_off + opt_size + len(sections) * SECTION_HEADER_SIZE
+    headers_end = align_up(max(table_end, min_headers), file_align)
+    opt_magic = OPT_MAGIC_PE32PLUS if pe64 else OPT_MAGIC_PE32
+    header = bytearray(headers_end)
+    header[:2] = DOS_MAGIC
+    struct.pack_into("<I", header, 0x3C, e_lfanew)
+    struct.pack_into("<4sH", header, e_lfanew, PE_SIGNATURE, 0x8664 if pe64 else 0x14C)
+    struct.pack_into("<HH", header, e_lfanew + 20, opt_size, _BUILT_PE_CHARACTERISTICS)
+    struct.pack_into("<H", header, opt_off, opt_magic)
+    struct.pack_into("<II", header, opt_off + 32, sect_align, file_align)
+    struct.pack_into("<I", header, opt_off + 60, headers_end)  # SizeOfHeaders
+    struct.pack_into("<H", header, opt_off + 68, 2)  # GUI subsystem
+    struct.pack_into("<I", header, opt_off + (108 if pe64 else 92), 16)  # data directory count
+    placed, raw_off, vaddr = [], headers_end, sect_align
+    for name, data, schar in sections:
+        raw_size = align_up(len(data), file_align)
+        placed.append(Section(name[:8], len(data), vaddr, raw_size, raw_off if raw_size else 0,
+                              schar, data.ljust(raw_size, b"\x00")))
+        raw_off += raw_size
+        vaddr = align_up(vaddr + max(len(data), 1), sect_align)
+    return serialize_pe(PeFile(
+        e_lfanew=e_lfanew, num_sections=len(placed), timestamp=timestamp,
+        characteristics=_BUILT_PE_CHARACTERISTICS, opt_magic=opt_magic,
+        entry_point_rva=entry_rva, section_alignment=sect_align, file_alignment=file_align,
+        size_of_image=vaddr,  # the aligned end of the image
+        sections=tuple(placed), overlay=overlay, header_blob=bytes(header)))
 
 
 class InjectionPlan:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
-from .evaluation import roc, tpr_at_fpr, write_report
+from .evaluation import read_report, roc, tpr_at_fpr, write_report
 from .features import extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
@@ -231,17 +231,17 @@ def load_system(directory) -> AiSystem:
     with open(os.path.join(directory, "blocklist.yar"), encoding="utf-8") as fh:
         block_text = fh.read()
     meta_path = os.path.join(directory, "metadata.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        metadata = json.load(fh)
+    metadata = read_report(meta_path)
+    if not (isinstance(metadata, dict) and isinstance(metadata.get("threshold"), (int, float))):
+        raise SpecInvalid(f"{meta_path}: not system metadata: want an object with a numeric "
+                          "'threshold'")
     model_path = os.path.join(directory, "model.json")
-    with open(model_path, encoding="utf-8") as fh:
-        stored = json.load(fh).get("training_digest")
-    if stored != _training_digest(metadata):
+    model = load_model(model_path)
+    if read_report(model_path).get("training_digest") != _training_digest(metadata):
         raise SpecInvalid(f"{model_path} was not saved with {meta_path}: its training_digest "
                           f"is not the sha256 of that metadata")
     allow = parse_rules(allow_text, role="allowlist")
     block = parse_rules(block_text, role="blocklist")
-    model = load_model(model_path)
     return AiSystem(allowlist=allow, blocklist=block, model=model,
                     threshold=metadata["threshold"], allow_text=allow_text,
                     block_text=block_text, metadata=metadata)

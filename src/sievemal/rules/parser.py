@@ -135,23 +135,27 @@ class Lexer:
 
     def _unescape(self, start, end) -> bytes:
         """The bytes of the quoted text in [start, end), which is UTF-8 encoded
-        apart from its escapes; the first bad escape raises."""
+        apart from its escapes; the first bad escape raises, and so does a
+        lone surrogate, which UTF-8 cannot encode."""
         body = self.text[start:end]
-        if "\\" not in body:
-            return body.encode("utf-8")
-        out = bytearray()
-        done = 0
-        for m in _ESCAPE_RE.finditer(body):
-            hex_byte, char, other = m.groups()
-            if other is not None:
-                self.error("unterminated escape" if not other else
-                           "\\x escape needs two hex digits" if other == "x" else
-                           f"unsupported escape \\{other}", pos=start + m.start())
-            out += body[done:m.start()].encode("utf-8")
-            out.append(int(hex_byte, 16) if hex_byte else _ESCAPES[char])
-            done = m.end()
-        out += body[done:].encode("utf-8")
-        return bytes(out)
+        try:
+            if "\\" not in body:
+                return body.encode("utf-8")
+            out = bytearray()
+            done = 0
+            for m in _ESCAPE_RE.finditer(body):
+                hex_byte, char, other = m.groups()
+                if other is not None:
+                    self.error("unterminated escape" if not other else
+                               "\\x escape needs two hex digits" if other == "x" else
+                               f"unsupported escape \\{other}", pos=start + m.start())
+                out += body[done:m.start()].encode("utf-8")
+                out.append(int(hex_byte, 16) if hex_byte else _ESCAPES[char])
+                done = m.end()
+            out += body[done:].encode("utf-8")
+            return bytes(out)
+        except UnicodeEncodeError as exc:
+            self.error(f"string holds a lone surrogate {exc.object[exc.start]!r}", pos=start - 1)
 
     def read_hex_body(self) -> tuple:
         """Read a hex string's items and its closing '}'; its '{' token was the last one read."""
@@ -532,7 +536,7 @@ class Parser:
                 self.expect("name", "filesize")
                 self.expect("op", ")")
                 self.expect("op", "==")
-                digest = self.expect("string").value.decode("ascii").lower()
+                digest = self.expect("string").value.decode("latin-1").lower()
                 if not re.fullmatch(r"[0-9a-f]{64}", digest):
                     self.error("sha256 digest must be 64 hex characters")
                 return Sha256Eq(digest)

@@ -8,6 +8,10 @@ one at a time with `inject_section` here and emitting the result with
 `sievemal.pe.InjectionPlan(pe).inject(items)`. The PeFile and Section
 types, `align_up` and the constants are shared with `sievemal.pe`, because
 they did not change.
+
+`build_pe` is the generator's PE writer as it stood when it packed its own
+COFF header, optional header and section table; `sievemal.pe.build_pe`, which
+emits through `serialize_pe`, must give its bytes for the same arguments.
 """
 
 import struct
@@ -108,3 +112,58 @@ def inject_all(pe: PeFile, items) -> PeFile:
     for name, content in items:
         pe = inject_section(pe, name, content)
     return pe
+
+
+def build_pe(sections, *, timestamp=0, entry_rva=0x1000, pe64=False,
+             overlay=b"", file_align=0x200, sect_align=0x1000,
+             characteristics=0x0102, min_headers=0x400) -> bytes:
+    """Assemble a valid PE from (name, data, characteristics) section triples."""
+    e_lfanew = 0x80
+    opt_size = 240 if pe64 else 224
+    table_off = e_lfanew + 24
+    table_end = table_off + opt_size + len(sections) * 40
+    headers_end = align_up(max(table_end, min_headers), file_align)
+
+    dos = bytearray(e_lfanew)
+    dos[0:2] = b"MZ"
+    struct.pack_into("<I", dos, 0x3C, e_lfanew)
+
+    coff = struct.pack("<4sHHIIIHH", b"PE\x00\x00",
+                       0x8664 if pe64 else 0x14C, len(sections), timestamp,
+                       0, 0, opt_size, characteristics)
+
+    opt = bytearray(opt_size)
+    struct.pack_into("<H", opt, 0, 0x20B if pe64 else 0x10B)
+    struct.pack_into("<I", opt, 16, entry_rva)
+    struct.pack_into("<II", opt, 32, sect_align, file_align)
+    struct.pack_into("<H", opt, 68, 2)  # GUI subsystem
+    struct.pack_into("<I", opt, 108 if pe64 else 92, 16)  # data directory count
+
+    table = bytearray()
+    blobs = []
+    raw_off = headers_end
+    vaddr = sect_align
+    for name, data, schar in sections:
+        raw_size = align_up(len(data), file_align)
+        vsize = len(data) if data else raw_size
+        entry = bytearray(40)
+        entry[0:8] = name[:8].ljust(8, b"\x00")
+        struct.pack_into("<IIII", entry, 8, vsize, vaddr, raw_size, raw_off if raw_size else 0)
+        struct.pack_into("<I", entry, 36, schar)
+        table += entry
+        blobs.append((raw_off, data.ljust(raw_size, b"\x00")))
+        raw_off += raw_size
+        vaddr = align_up(vaddr + max(vsize, 1), sect_align)
+
+    struct.pack_into("<I", opt, 56, align_up(vaddr, sect_align))  # size_of_image
+    struct.pack_into("<I", opt, 60, headers_end)
+
+    out = bytearray(headers_end)
+    out[:e_lfanew] = dos
+    out[e_lfanew:e_lfanew + len(coff)] = coff
+    out[e_lfanew + 24:e_lfanew + 24 + opt_size] = opt
+    out[table_off + opt_size:table_off + opt_size + len(table)] = table
+    for off, blob in blobs:
+        out[off:off + len(blob)] = blob
+    out += overlay
+    return bytes(out)

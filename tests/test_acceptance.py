@@ -20,7 +20,6 @@ from sievemal.attack import AttackConfig, gamma_attack, harvest_sections, payloa
 from sievemal.cli import main as cli_main
 from sievemal.corpus import (
     CorpusSpec,
-    build_pe,
     emit_allowlist,
     emit_rules_from_bank,
 )
@@ -35,7 +34,7 @@ from sievemal.learners import TrainConfig
 from sievemal.learners.common import log_loss, logistic_grad_hess
 from sievemal.learners.gbdt import predict_gbdt, train_gbdt
 from sievemal.learners.svm import predict_svm_rbf, train_svm_rbf
-from sievemal.pe import inject_section, parse_pe, serialize_pe
+from sievemal.pe import build_pe, inject_section, parse_pe, serialize_pe
 from sievemal.pipeline import (
     AiSystem,
     Route,

@@ -14,9 +14,8 @@ from sievemal.attack import (
     harvest_sections,
     payload_size,
 )
-from sievemal.corpus import build_pe
 from sievemal.errors import BudgetZero, PoolExhausted, SectionLimitExceeded
-from sievemal.pe import InjectionPlan, parse_pe
+from sievemal.pe import InjectionPlan, build_pe, parse_pe
 from sievemal.pipeline import load_system, make_oracle, route_rules
 
 DATA = 0xC0000040

@@ -10,11 +10,11 @@ from sievemal.corpus import (
     CorpusSpec,
     Manifest,
     ManifestRecord,
-    build_pe,
     read_manifest,
     save_spec,
     write_manifest,
 )
+from sievemal.pe import build_pe
 
 TINY_COUNTS = {"present-train": (30, 20), "present-test": (10, 10), "future": (10, 10)}
 
@@ -250,6 +250,29 @@ def test_system_with_tampered_metadata_exits_one(workdir, tmp_path, capsys):
         "its training_digest is not the sha256 of that metadata\n")
 
 
+@pytest.mark.parametrize("name,text", [
+    ("metadata.json", "{not json"),
+    ("metadata.json", "[]"),
+    ("model.json", "{not json"),
+    ("model.json", "[]"),
+    ("model.json", {"model": {}}),
+    ("model.json", {"model": {"kind": "gbdt"}}),
+    ("model.json", {"version": 2}),
+], ids=["metadata-not-json", "metadata-list", "model-not-json", "model-list", "model-body-empty",
+        "model-body-no-trees", "model-version-2"])
+def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, name, text):
+    system = tmp_path / "system"
+    shutil.copytree(workdir / "system", system)
+    if isinstance(text, dict):    # fields that replace those of the saved model file
+        text = json.dumps({**json.loads((system / name).read_text()), **text})
+    (system / name).write_text(text)
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"not a pe at all")
+    assert main(["predict", "--system", str(system), str(junk)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {system / name}: ") and err.count("\n") == 1
+
+
 def test_eval_command(workdir, tmp_path):
     report = tmp_path / "eval.json"
     assert main(["eval", "--system", str(workdir / "system"),
@@ -433,6 +456,27 @@ def test_filter_bad_manifest_row_exits_one(workdir, tmp_path, capsys, row, messa
                  "--out", str(tmp_path / "out.csv"),
                  "--report", str(tmp_path / "filter.json")]) == 1
     assert capsys.readouterr().err == f"error: {bad}, line 2: {message}\n"
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda doc: doc.pop("bank"), "missing field 'bank'"),
+    (None, "not a JSON document"),
+    (lambda doc: doc.update(seed="x"), "field 'seed' must be an integer, not 'x'"),
+    (lambda doc: doc.update(seed=-1), "negative seed"),
+], ids=["no-bank", "not-json", "seed-string", "seed-negative"])
+def test_gen_corpus_on_a_malformed_spec_exits_one(tmp_path, capsys, change, message):
+    spec = tmp_path / "spec.json"
+    save_spec(CorpusSpec(counts=TINY_COUNTS), spec)
+    if change is None:
+        spec.write_text("{not json")
+    else:
+        doc = json.loads(spec.read_text())
+        change(doc)
+        spec.write_text(json.dumps(doc))
+    assert main(["gen-corpus", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_rule_file_that_is_not_utf8_exits_one(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from sievemal.corpus import (
     EPOCHS,
     CorpusSpec,
-    build_pe,
     emit_allowlist,
     emit_rules_from_bank,
     ingest,
@@ -17,7 +16,7 @@ from sievemal.corpus import (
     write_manifest,
 )
 from sievemal.errors import SpecInvalid
-from sievemal.pe import parse_pe
+from sievemal.pe import build_pe, parse_pe
 from sievemal.rules import parse_rules, scan
 
 from conftest import UNIT_COUNTS

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievemal.corpus import build_pe
 from sievemal.features import (
     DIM,
     ENTROPY,
@@ -18,7 +17,7 @@ from sievemal.features import (
     fnv1a64,
     write_feature_file,
 )
-from sievemal.pe import parse_pe
+from sievemal.pe import build_pe, parse_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040

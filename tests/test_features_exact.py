@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_features
-from sievemal.corpus import build_pe
 from sievemal.features import DIM, ENTROPY, STRINGS, extract_features, write_feature_file
+from sievemal.pe import build_pe
 
 DATA = 0xC0000040
 NON_PRINTABLE = bytes(b for b in range(256) if not 0x20 <= b <= 0x7E)

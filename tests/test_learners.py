@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sievemal.errors import DegenerateData
+from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.learners.common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 from sievemal.learners.gbdt import GbdtModel, predict_gbdt, train_gbdt
 from sievemal.learners.io import load_model, save_model
@@ -227,5 +227,5 @@ def test_svm_model_file_round_trip(tmp_path):
 def test_load_model_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"not": "a model"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid, match="unrecognized model file"):
         load_model(p)

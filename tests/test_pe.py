@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievemal.corpus import build_pe
 from sievemal.errors import MalformedPe, SectionLimitExceeded
-from sievemal.pe import InjectionPlan, align_up, inject_section, parse_pe, serialize_pe
+from sievemal.pe import InjectionPlan, align_up, build_pe, inject_section, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040

@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_pe
-from sievemal.corpus import build_pe
 from sievemal.errors import SectionLimitExceeded
-from sievemal.pe import InjectionPlan, parse_pe, serialize_pe
+from sievemal.pe import InjectionPlan, build_pe, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from sievemal.corpus import ManifestRecord, build_pe, emit_allowlist, emit_rules_from_bank
+from sievemal.corpus import ManifestRecord, emit_allowlist, emit_rules_from_bank
 from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.features import extract_features
 from sievemal.learners import TrainConfig
+from sievemal.pe import build_pe
 from sievemal.pipeline import (
     AiSystem,
     FilterReport,

@@ -305,6 +305,43 @@ def test_string_escapes():
     assert rs.rules[0].strings[0].body == b'a\n\t\r"\\\xff'
 
 
+@pytest.mark.parametrize("text,message", [
+    ('rule r { condition: hash.sha256(0, filesize) == "\u00e9" }',
+     "sha256 digest must be 64 hex characters"),
+    ('rule r { condition: hash.sha256(0, filesize) == "%s\u00e9" }' % ("0" * 63),
+     "sha256 digest must be 64 hex characters"),
+    ('rule r { strings: $a = "ab\udcff" condition: $a }',
+     r"string holds a lone surrogate '\\udcff' \(line 1, col 24\)"),
+    ('rule r { strings: $a = "\\x41\ud800z" condition: $a }',
+     r"string holds a lone surrogate '\\ud800' \(line 1, col 24\)"),
+    ('rule r { strings: $a = "ab\udcff', "string holds a lone surrogate"),
+], ids=["non-ascii-digest", "64-chars-one-non-ascii", "surrogate", "surrogate-after-escape",
+        "surrogate-unclosed"])
+def test_strings_that_do_not_encode_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_rules(text)
+
+
+def test_non_ascii_digest_is_a_parse_error_in_rules_check(tmp_path, capsys):
+    rule = tmp_path / "digest.yar"
+    rule.write_text('rule r { condition: hash.sha256(0, filesize) == "\u00e9" }\n',
+                    encoding="utf-8")
+    assert main(["rules", "check", str(rule)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rule parse error: sha256 digest must be 64 hex characters")
+    assert err.count("\n") == 1
+
+
+def test_encoded_surrogate_in_a_rule_file_exits_one(tmp_path, capsys):
+    # a file cannot carry a lone surrogate to the parser: its UTF-8 encoding
+    # is invalid UTF-8, which the rule reader refuses first
+    rule = tmp_path / "surrogate.yar"
+    rule.write_bytes(b'rule r { strings: $a = "ab\xed\xb3\xbf" condition: $a }\n')
+    assert main(["rules", "check", str(rule)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {rule}: not UTF-8 text (byte 0xed: invalid continuation byte)\n")
+
+
 def test_comments_ignored():
     rs = parse_rules("""
 /* block
