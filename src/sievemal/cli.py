@@ -120,8 +120,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(kind=args.kind, seed=args.seed, n_trees=args.n_trees,
-                      gamma=args.gamma, reg=args.reg)
+    try:
+        cfg = TrainConfig(kind=args.kind, seed=args.seed, n_trees=args.n_trees,
+                          gamma=args.gamma, reg=args.reg)
+    except ValueError as exc:
+        raise SpecInvalid(str(exc)) from None
     manifest = corpus_mod.read_manifest(args.corpus)
     allow_text, block_text = _read_text(args.allow), _read_text(args.block)
     system = pipeline_mod.train_system(
@@ -253,14 +256,20 @@ def _non_negative_float(text) -> float:
     return value
 
 
-def _positive_int(text) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, want: str):
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="synthesize a corpus with ground truth")
     p.add_argument("--spec", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
@@ -305,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block")
     p.add_argument("--system-out", required=True)
     p.add_argument("--kind", choices=["gbdt", "svm"], default="gbdt")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-trees", type=int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--n-trees", type=_positive_int, default=100)
     p.add_argument("--gamma", type=float, default=1e-3)
     p.add_argument("--reg", type=float, default=1e-4)
     p.set_defaults(func=cmd_train)
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sections", type=int, choices=[10, 20, 30, 50], default=10)
     p.add_argument("--budget", type=_positive_int, default=200)
     p.add_argument("--lambda", type=_non_negative_float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 

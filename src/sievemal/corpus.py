@@ -75,8 +75,8 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+def _is_rate(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and 0.0 <= v <= 1.0
 
 
 def _is_bank_entry(v) -> bool:
@@ -88,19 +88,41 @@ def _is_bank_entry(v) -> bool:
     return kind == "text" and isinstance(body, str) and all(ord(c) < 256 for c in body)
 
 
-# the fields of a spec document: name, type check, what the check wants
+def _per_epoch(ok):
+    """A check of an object with one value per epoch, each passing `ok`."""
+    return lambda v: isinstance(v, dict) and set(v) == set(EPOCHS) and all(map(ok, v.values()))
+
+
+_ABSENT = object()   # the value of a field a spec document does not have
+
+# the fields of a spec document: name, check of type and range, what the check
+# wants. CorpusSpec.validate() runs it over to_dict(), from_dict() over the
+# document; a check that fails on _ABSENT makes its field required.
 _SPEC_FIELDS = (
-    ("counts", lambda v: isinstance(v, dict) and all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v.values()),
-     "an object of [malware, goodware] count pairs"),
-    ("plant_rates", lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-     "an object of numbers"),
-    ("drift_mutation_rate", _is_number, "a number"),
-    ("allowlist_fraction", _is_number, "a number"),
-    ("seed", _is_int, "an integer"),
-    ("bank", lambda v: isinstance(v, list) and all(map(_is_bank_entry, v)),
-     'a list of [id, "text", latin-1 string] or [id, "hex", [byte, ...]] entries'),
+    ("counts", _per_epoch(lambda p: isinstance(p, list) and len(p) == 2 and all(
+        _is_int(n) and n >= 0 for n in p)),
+     f"an object of non-negative [malware, goodware] count pairs for {', '.join(EPOCHS)}"),
+    ("plant_rates", _per_epoch(_is_rate),
+     f"an object of rates in [0, 1] for {', '.join(EPOCHS)}"),
+    ("drift_mutation_rate", _is_rate, "a number in [0, 1]"),
+    ("allowlist_fraction", _is_rate, "a number in [0, 1]"),
+    ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    ("bank", lambda v: isinstance(v, list) and v != [] and all(map(_is_bank_entry, v)),
+     'a non-empty list of [id, "text", latin-1 string] or [id, "hex", [byte, ...]] entries'),
+    # an optional switch of earlier spec files, now always on
+    ("goodware_epoch_shift", lambda v: v is True or v is _ABSENT,
+     "true (the future epoch always has its own goodware)"),
 )
+
+
+def _check_spec_fields(doc: dict):
+    """Raises SpecInvalid naming the first field of `doc` that is missing or
+    fails its check."""
+    for name, ok, want in _SPEC_FIELDS:
+        value = doc.get(name, _ABSENT)
+        if not ok(value):
+            raise SpecInvalid(f"missing field {name!r}" if value is _ABSENT
+                              else f"field {name!r} must be {want}, not {value!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -117,68 +139,44 @@ class CorpusSpec:
     allowlist_fraction: float = 0.10    # of goodware; present epochs only
     seed: int = 0
     bank: tuple = DEFAULT_BANK
-    goodware_epoch_shift: bool = True   # False reproduces same-period goodware (snooping)
 
     def validate(self):
-        if set(self.counts) != set(EPOCHS) or set(self.plant_rates) != set(EPOCHS):
-            raise SpecInvalid("counts and plant_rates must cover exactly the three epochs")
-        for epoch, (m, g) in self.counts.items():
-            if m < 0 or g < 0:
-                raise SpecInvalid(f"negative counts for {epoch}")
-        for epoch, rate in self.plant_rates.items():
-            if not (0.0 <= rate <= 1.0):
-                raise SpecInvalid(f"plant rate for {epoch} outside [0, 1]")
-        if not (0.0 <= self.allowlist_fraction <= 1.0):
-            raise SpecInvalid("allowlist fraction outside [0, 1]")
-        if not (0.0 <= self.drift_mutation_rate <= 1.0):
-            raise SpecInvalid("drift mutation rate outside [0, 1]")
-        if self.seed < 0:
-            raise SpecInvalid("negative seed")
-        if not self.bank:
-            raise SpecInvalid("empty signature bank")
+        _check_spec_fields(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
             "format": "sievemal-corpus-spec",
             "version": 1,
-            "counts": {k: list(v) for k, v in self.counts.items()},
-            "plant_rates": dict(self.plant_rates),
+            # in key order, as in the file save_spec writes: a failed check then
+            # quotes the same value for a spec in code and one loaded from a file
+            "counts": {k: list(v) for k, v in sorted(self.counts.items())},
+            "plant_rates": dict(sorted(self.plant_rates.items())),
             "drift_mutation_rate": self.drift_mutation_rate,
             "allowlist_fraction": self.allowlist_fraction,
             "seed": self.seed,
-            "goodware_epoch_shift": self.goodware_epoch_shift,
             "bank": [[pid, kind, list(body) if kind == "hex" else body.decode("latin-1")]
                      for pid, kind, body in self.bank],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusSpec":
-        """The spec to_dict wrote; raises SpecInvalid on the first missing or
-        mistyped field, and on a spec that fails validate()."""
+        """The spec to_dict wrote; raises SpecInvalid on the first missing
+        field or the first that fails its check."""
         if not (isinstance(d, dict) and d.get("format") == "sievemal-corpus-spec"
                 and d.get("version") == 1):
             raise SpecInvalid("unrecognized corpus spec document")
-        for name, ok, want in _SPEC_FIELDS:
-            if name not in d:
-                raise SpecInvalid(f"missing field {name!r}")
-            if not ok(d[name]):
-                raise SpecInvalid(f"field {name!r} must be {want}, not {d[name]!r:.60}")
-        if not isinstance(d.get("goodware_epoch_shift", True), bool):
-            raise SpecInvalid("field 'goodware_epoch_shift' must be true or false")
+        _check_spec_fields(d)
         bank = tuple(
             (pid, kind, tuple(body) if kind == "hex" else body.encode("latin-1"))
             for pid, kind, body in d["bank"])
-        spec = cls(
+        return cls(
             counts={k: tuple(v) for k, v in d["counts"].items()},
             plant_rates=d["plant_rates"],
             drift_mutation_rate=d["drift_mutation_rate"],
             allowlist_fraction=d["allowlist_fraction"],
             seed=d["seed"],
             bank=bank,
-            goodware_epoch_shift=d.get("goodware_epoch_shift", True),
         )
-        spec.validate()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -211,24 +209,32 @@ def write_manifest(manifest: Manifest, path):
                              ";".join(r.planted), int(r.allowlisted)])
 
 
-def read_manifest(path) -> Manifest:
-    manifest = Manifest()
+def _read_csv_rows(path, header):
+    """Yields ("FILE, line N", row) for each row of a CSV file that starts with
+    `header`; a file that does not, or a row of another column count, is a
+    SpecInvalid naming the file and the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != MANIFEST_HEADER:
-            raise SpecInvalid(f"{path}, line 1: header is not {','.join(MANIFEST_HEADER)!r}")
+        if next(reader, None) != header:
+            raise SpecInvalid(f"{path}, line 1: header is not {','.join(header)!r}")
         for row in reader:
             where = f"{path}, line {reader.line_num}"
-            if len(row) != len(MANIFEST_HEADER):
-                raise SpecInvalid(f"{where}: {len(row)} columns, want {len(MANIFEST_HEADER)}")
-            if row[2] not in ("0", "1") or row[5] not in ("0", "1"):
-                raise SpecInvalid(f"{where}: label {row[2]!r} and allowlisted {row[5]!r} "
-                                  "must each be 0 or 1")
-            manifest.records.append(ManifestRecord(
-                path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
-                planted=tuple(p for p in row[4].split(";") if p),
-                allowlisted=row[5] == "1",
-            ))
+            if len(row) != len(header):
+                raise SpecInvalid(f"{where}: {len(row)} columns, want {len(header)}")
+            yield where, row
+
+
+def read_manifest(path) -> Manifest:
+    manifest = Manifest()
+    for where, row in _read_csv_rows(path, MANIFEST_HEADER):
+        if row[2] not in ("0", "1") or row[5] not in ("0", "1"):
+            raise SpecInvalid(f"{where}: label {row[2]!r} and allowlisted {row[5]!r} "
+                              "must each be 0 or 1")
+        manifest.records.append(ManifestRecord(
+            path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
+            planted=tuple(p for p in row[4].split(";") if p),
+            allowlisted=row[5] == "1",
+        ))
     return manifest
 
 
@@ -290,55 +296,51 @@ def _make_malware(rng, plant: bytes | None) -> bytes:
     )
 
 
+def _epoch_files(spec: CorpusSpec, epoch_idx: int, epoch: str):
+    """Yields (file name, bytes, record fields) for each file of one epoch,
+    malware first."""
+    n_mal, n_good = spec.counts[epoch]
+    n_planted = round(spec.plant_rates[epoch] * n_mal)
+    if epoch == "future":
+        n_mutated = round(spec.drift_mutation_rate * (n_mal - n_planted))
+    else:
+        n_mutated = 0
+    for i in range(n_mal):
+        rng = np.random.default_rng([spec.seed, epoch_idx, 1, i])
+        planted = ()
+        plant_bytes = None
+        if i < n_planted:
+            pid, kind, body = spec.bank[i % len(spec.bank)]
+            plant_bytes = _pattern_bytes(kind, body)
+            planted = (pid,)
+        elif i < n_planted + n_mutated:
+            _, kind, body = spec.bank[i % len(spec.bank)]
+            plant_bytes = _mutate_pattern(rng, _pattern_bytes(kind, body))
+        yield (f"{epoch}-mal-{i:05d}.exe", _make_malware(rng, plant_bytes),
+               dict(label=1, planted=planted))
+
+    tokens = BENIGN_TOKENS_FUTURE if epoch == "future" else BENIGN_TOKENS_PRESENT
+    allow_n = round(spec.allowlist_fraction * n_good) if epoch != "future" else 0
+    for i in range(n_good):
+        rng = np.random.default_rng([spec.seed, epoch_idx, 0, i])
+        yield (f"{epoch}-good-{i:05d}.exe", _make_goodware(rng, tokens),
+               dict(label=0, allowlisted=i < allow_n))
+
+
 def synthesize_corpus(spec: CorpusSpec, out_dir) -> Manifest:
     """Write corpus files under out_dir and return the ground-truth manifest."""
     spec.validate()
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest()
     for epoch_idx, epoch in enumerate(EPOCHS):
-        n_mal, n_good = spec.counts[epoch]
-        n_planted = round(spec.plant_rates[epoch] * n_mal)
-        if epoch == "future":
-            n_mutated = round(spec.drift_mutation_rate * (n_mal - n_planted))
-        else:
-            n_mutated = 0
-        future_goodware = epoch == "future" and spec.goodware_epoch_shift
-        tokens = BENIGN_TOKENS_FUTURE if future_goodware else BENIGN_TOKENS_PRESENT
-        allow_n = (round(spec.allowlist_fraction * n_good)
-                   if epoch != "future" else 0)
-
-        for i in range(n_mal):
-            rng = np.random.default_rng([spec.seed, epoch_idx, 1, i])
-            planted = ()
-            plant_bytes = None
-            if i < n_planted:
-                pid, kind, body = spec.bank[i % len(spec.bank)]
-                plant_bytes = _pattern_bytes(kind, body)
-                planted = (pid,)
-            elif i < n_planted + n_mutated:
-                _, kind, body = spec.bank[i % len(spec.bank)]
-                plant_bytes = _mutate_pattern(rng, _pattern_bytes(kind, body))
-            raw = _make_malware(rng, plant_bytes)
-            path = os.path.join(out_dir, f"{epoch}-mal-{i:05d}.exe")
+        for name, raw, fields in _epoch_files(spec, epoch_idx, epoch):
+            if not manifest.records:
+                parse_pe(raw)   # generated files must satisfy the PE module's invariants
+            path = os.path.join(out_dir, name)
             with open(path, "wb") as fh:
                 fh.write(raw)
             manifest.records.append(ManifestRecord(
-                path=path, sha256=hashlib.sha256(raw).hexdigest(), label=1,
-                epoch=epoch, planted=planted))
-
-        for i in range(n_good):
-            rng = np.random.default_rng([spec.seed, epoch_idx, 0, i])
-            raw = _make_goodware(rng, tokens)
-            path = os.path.join(out_dir, f"{epoch}-good-{i:05d}.exe")
-            with open(path, "wb") as fh:
-                fh.write(raw)
-            manifest.records.append(ManifestRecord(
-                path=path, sha256=hashlib.sha256(raw).hexdigest(), label=0,
-                epoch=epoch, allowlisted=i < allow_n))
-    # generated files must satisfy the PE module's invariants
-    for record in manifest.records[:1]:
-        with open(record.path, "rb") as fh:
-            parse_pe(fh.read())
+                path=path, sha256=hashlib.sha256(raw).hexdigest(), epoch=epoch, **fields))
     return manifest
 
 
@@ -359,9 +361,8 @@ def _escape_text(body: bytes) -> str:
     return "".join(out)
 
 
-def emit_rules_from_bank(spec: CorpusSpec, guarded=()) -> str:
-    """Blocklist text for the bank; `guarded` adds (name, pattern_bytes, max_size)
-    rules of the form (pattern present AND filesize < N) for backfire studies."""
+def emit_rules_from_bank(spec: CorpusSpec) -> str:
+    """Blocklist text for the bank: one rule per pattern, named by its id."""
     chunks = []
     for pid, kind, body in spec.bank:
         if kind == "text":
@@ -372,10 +373,6 @@ def emit_rules_from_bank(spec: CorpusSpec, guarded=()) -> str:
         chunks.append(
             f"rule {pid}\n{{\n    meta:\n        source = \"synthetic bank\"\n"
             f"    strings:\n        {pattern}\n    condition:\n        $a\n}}\n")
-    for name, body, max_size in guarded:
-        chunks.append(
-            f"rule {name}\n{{\n    strings:\n        $a = \"{_escape_text(body)}\"\n"
-            f"    condition:\n        $a and filesize < {int(max_size)}\n}}\n")
     return "\n".join(chunks)
 
 
@@ -399,20 +396,8 @@ def ingest(directory, labels_path) -> Manifest:
     other than three columns, a file without a label row, or a row whose label
     is not 0/1 or whose epoch is outside EPOCHS, is a SpecInvalid.
     """
-    labels = {}
-    with open(labels_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SpecInvalid(f"{labels_path}, line 1: empty labels file")
-        if header != ["path", "label", "epoch"]:
-            raise SpecInvalid(f"{labels_path}, line 1: header {','.join(header)!r} "
-                              "is not 'path,label,epoch'")
-        for row in reader:
-            if len(row) != 3:
-                raise SpecInvalid(f"{labels_path}, line {reader.line_num}: "
-                                  f"{len(row)} columns, want path,label,epoch")
-            labels[row[0]] = (row[1], row[2])
+    labels = {row[0]: (row[1], row[2])
+              for _, row in _read_csv_rows(labels_path, ["path", "label", "epoch"])}
 
     manifest = Manifest()
     seen = {}

@@ -40,8 +40,8 @@ def save_model(model, path, training_digest: str = ""):
 
 
 def load_model(path):
-    """The model save_model wrote; a file that is not one raises SpecInvalid
-    naming it."""
+    """The model save_model wrote and the training digest it was saved with; a
+    file that is not one raises SpecInvalid naming it."""
     doc = read_report(path)
     if not (isinstance(doc, dict) and doc.get("format") == "sievemal-model"
             and doc.get("version") == MODEL_FORMAT_VERSION):
@@ -52,6 +52,6 @@ def load_model(path):
     if family is None:
         raise SpecInvalid(f"{path}: unknown model kind {kind!r}")
     try:
-        return family.from_dict(body)
+        return family.from_dict(body), doc.get("training_digest")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"{path}: malformed {kind} model ({type(exc).__name__}: {exc})") from None

@@ -236,8 +236,8 @@ def load_system(directory) -> AiSystem:
         raise SpecInvalid(f"{meta_path}: not system metadata: want an object with a numeric "
                           "'threshold'")
     model_path = os.path.join(directory, "model.json")
-    model = load_model(model_path)
-    if read_report(model_path).get("training_digest") != _training_digest(metadata):
+    model, training_digest = load_model(model_path)
+    if training_digest != _training_digest(metadata):
         raise SpecInvalid(f"{model_path} was not saved with {meta_path}: its training_digest "
                           f"is not the sha256 of that metadata")
     allow = parse_rules(allow_text, role="allowlist")

@@ -357,8 +357,10 @@ def test_c7_attack_properties(default_corpus, bare_model):
         [(b".text", b"\x90" * 256, EXEC),
          (b".rsrc", b"trapmark-payload" + b"\x00" * 7000, DATA)])
     assert len(benign_source) >= guard_limit
-    guarded = parse_rules(emit_rules_from_bank(
-        spec, guarded=[("guard_backfire", b"trapmark-payload", guard_limit)]))
+    guarded = parse_rules(
+        emit_rules_from_bank(spec)
+        + f'\nrule guard_backfire {{ strings: $a = "trapmark-payload" '
+          f'condition: $a and filesize < {guard_limit} }}\n')
     assert not scan(benign_source, guarded).verdict
 
     small_malware = build_pe([(b".text", b"\xcc" * 128, EXEC)])

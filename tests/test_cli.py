@@ -103,6 +103,7 @@ def test_bare_model_options_are_usage_errors(capsys, argv, message):
     ("--lambda", "-1", "argument --lambda: must be a finite number >= 0, got '-1'"),
     ("--lambda", "nan", "argument --lambda: must be a finite number >= 0, got 'nan'"),
     ("--budget", "0", "argument --budget: must be a positive integer, got '0'"),
+    ("--seed", "-1", "argument --seed: must be a non-negative integer, got '-1'"),
 ])
 def test_bad_attack_option_is_a_usage_error_before_any_file(tmp_path, capsys, option,
                                                             value, message):
@@ -114,6 +115,35 @@ def test_bad_attack_option_is_a_usage_error_before_any_file(tmp_path, capsys, op
               option, value, "--out", str(out)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-corpus", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+    (["gen-corpus", "--seed", "x"], "argument --seed: must be a non-negative integer, got 'x'"),
+    (["train", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+    (["train", "--n-trees", "0"], "argument --n-trees: must be a positive integer, got '0'"),
+], ids=["gen-corpus-seed", "gen-corpus-seed-string", "train-seed", "train-n-trees"])
+def test_bad_seed_or_tree_count_is_a_usage_error_before_any_file(tmp_path, capsys, argv,
+                                                                 message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out)] if argv[0] == "gen-corpus" else
+                     ["--corpus", str(tmp_path / "m.csv"), "--system-out", str(out)]))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--gamma", "0", "gamma must lie in [1e-6, 1e4]"),
+    ("--reg", "0", "reg must be positive"),
+])
+def test_train_config_refusal_exits_one(workdir, tmp_path, capsys, option, value, message):
+    out = tmp_path / "system"
+    assert main(["train", "--corpus", str(workdir / "corpus" / "manifest.csv"),
+                 "--kind", "svm", option, value, "--system-out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -461,8 +491,8 @@ def test_filter_bad_manifest_row_exits_one(workdir, tmp_path, capsys, row, messa
 @pytest.mark.parametrize("change,message", [
     (lambda doc: doc.pop("bank"), "missing field 'bank'"),
     (None, "not a JSON document"),
-    (lambda doc: doc.update(seed="x"), "field 'seed' must be an integer, not 'x'"),
-    (lambda doc: doc.update(seed=-1), "negative seed"),
+    (lambda doc: doc.update(seed="x"), "field 'seed' must be a non-negative integer, not 'x'"),
+    (lambda doc: doc.update(seed=-1), "field 'seed' must be a non-negative integer, not -1"),
 ], ids=["no-bank", "not-json", "seed-string", "seed-negative"])
 def test_gen_corpus_on_a_malformed_spec_exits_one(tmp_path, capsys, change, message):
     spec = tmp_path / "spec.json"

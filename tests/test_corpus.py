@@ -1,5 +1,5 @@
 import hashlib
-import re
+import json
 
 import pytest
 
@@ -37,19 +37,38 @@ def test_spec_defaults_validate():
         "present-train": 0.30, "present-test": 0.30, "future": 0.45}
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(counts={"present-train": (10, 10)}),
-    dict(counts=dict(UNIT_COUNTS, future=(-1, 5))),
-    dict(plant_rates={"present-train": 1.5, "present-test": 0.3, "future": 0.4}),
-    dict(allowlist_fraction=-0.1),
-    dict(drift_mutation_rate=2.0),
-    dict(bank=()),
-])
-def test_spec_validation_failures(kwargs):
-    base = dict(counts=UNIT_COUNTS)
-    base.update(kwargs)
-    with pytest.raises(SpecInvalid):
-        CorpusSpec(**base).validate()
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(counts={"present-train": (10, 10)}), "counts"),
+    (dict(counts=dict(UNIT_COUNTS, future=(-1, 5))), "counts"),
+    (dict(plant_rates={"present-train": 1.5, "present-test": 0.3, "future": 0.4}),
+     "plant_rates"),
+    (dict(drift_mutation_rate=2.0), "drift_mutation_rate"),
+    (dict(allowlist_fraction=-0.1), "allowlist_fraction"),
+    (dict(seed=-1), "seed"),
+    (dict(bank=()), "bank"),
+], ids=["counts-epochs", "counts-negative", "plant-rate", "drift", "allowlist", "seed",
+        "bank-empty"])
+def test_spec_checks_agree_in_code_and_in_files(tmp_path, kwargs, name):
+    spec = CorpusSpec(**{"counts": UNIT_COUNTS, **kwargs})
+    with pytest.raises(SpecInvalid, match=f"^field '{name}' must be ") as in_code:
+        spec.validate()
+    path = tmp_path / "spec.json"
+    save_spec(spec, path)
+    with pytest.raises(SpecInvalid) as in_file:
+        load_spec(path)
+    assert str(in_file.value) == f"{path}: {in_code.value}"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_spec_file_goodware_epoch_shift_loads_only_when_true(tmp_path, unit_spec, value):
+    # spec files of earlier releases carry the switch; only its default still works
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**unit_spec.to_dict(), "goodware_epoch_shift": value}))
+    if value:
+        assert load_spec(path) == unit_spec
+    else:
+        with pytest.raises(SpecInvalid, match=r"field 'goodware_epoch_shift' must be true"):
+            load_spec(path)
 
 
 def test_spec_file_round_trip(tmp_path, unit_spec):
@@ -134,7 +153,7 @@ def test_emitted_blocklist_parses(unit_spec):
     text = emit_rules_from_bank(unit_spec)
     rs = parse_rules(text)
     assert len(rs.rules) == len(unit_spec.bank)
-    guarded = emit_rules_from_bank(unit_spec, guarded=[("guard_small", b"trap", 4096)])
+    guarded = text + '\nrule guard_small { strings: $a = "trap" condition: $a and filesize < 4096 }'
     rs2 = parse_rules(guarded)
     assert rs2.rules[-1].name == "guard_small"
 
@@ -159,12 +178,29 @@ def test_manifest_round_trip(unit_corpus, tmp_path):
                (b.path, b.sha256, b.label, b.epoch, b.planted, b.allowlisted)
 
 
-@pytest.mark.parametrize("text", ["who,knows\n", ""], ids=["bad-header", "empty"])
-def test_read_manifest_rejects_bad_header(tmp_path, text):
-    p = tmp_path / "bad.csv"
+CSV_FORMATS = {
+    "manifest": ("path,sha256,label,epoch,planted,allowlisted",
+                 "a.bin,abc,1,present-train,,0\n", lambda p: read_manifest(p)),
+    "labels": ("path,label,epoch", "b.bin,0,future\n",
+               lambda p: ingest(p.parent, p)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
+@pytest.mark.parametrize("case", ["empty", "bad-header", "short-row"])
+def test_csv_readers_name_the_file_and_line(tmp_path, fmt, case):
+    header, good_row, read_csv = CSV_FORMATS[fmt]
+    text, message = {
+        "empty": ("", f"line 1: header is not '{header}'"),
+        "bad-header": ("who,knows\n", f"line 1: header is not '{header}'"),
+        "short-row": (f"{header}\n{good_row}a.bin,1\n",
+                      f"line 3: 2 columns, want {header.count(',') + 1}"),
+    }[case]
+    p = tmp_path / f"{fmt}.csv"
     p.write_text(text)
-    with pytest.raises(SpecInvalid, match=re.escape(f"{p}, line 1: header is not 'path,")):
-        read_manifest(p)
+    with pytest.raises(SpecInvalid) as exc:
+        read_csv(p)
+    assert str(exc.value) == f"{p}, {message}"
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -202,34 +238,6 @@ def test_ingest_rejects_files_without_a_valid_label(tmp_path, rows, message):
     with pytest.raises(SpecInvalid, match=message) as exc:
         ingest(d, labels)
     assert "a.bin" in str(exc.value)
-
-
-def test_ingest_rejects_bad_labels_header(tmp_path):
-    d = tmp_path / "files"
-    d.mkdir()
-    labels = tmp_path / "labels.csv"
-    labels.write_text("a,b\n")
-    with pytest.raises(SpecInvalid, match=r"labels.csv, line 1: header 'a,b'"):
-        ingest(d, labels)
-
-
-def test_ingest_rejects_empty_labels_file(tmp_path):
-    d = tmp_path / "files"
-    d.mkdir()
-    labels = tmp_path / "labels.csv"
-    labels.write_text("")
-    with pytest.raises(SpecInvalid, match=r"labels.csv, line 1: empty labels file"):
-        ingest(d, labels)
-
-
-def test_ingest_rejects_short_labels_row(tmp_path):
-    d = tmp_path / "files"
-    d.mkdir()
-    (d / "a.bin").write_bytes(b"content")
-    labels = tmp_path / "labels.csv"
-    labels.write_text("path,label,epoch\nb.bin,0,future\na.bin,1\n")
-    with pytest.raises(SpecInvalid, match=r"labels.csv, line 3: 2 columns"):
-        ingest(d, labels)
 
 
 # --- pe builder --------------------------------------------------------------

@@ -167,7 +167,7 @@ def saved_models(noisy_matrix, tmp_path_factory):
     for name, cfg in (("stumps", TrainConfig(seed=0, n_trees=20, max_depth=1)),
                       ("deep", TrainConfig(seed=0, n_trees=20, max_depth=6))):
         save_model(train_gbdt(X, y, cfg), root / f"{name}.json")
-        models.append(load_model(root / f"{name}.json"))
+        models.append(load_model(root / f"{name}.json")[0])
     return models
 
 

@@ -208,7 +208,8 @@ def test_gbdt_model_file_round_trip(tmp_path):
     model = train_gbdt(X, y, TrainConfig(seed=0, n_trees=5))
     path = tmp_path / "m.json"
     save_model(model, path, training_digest="abc123")
-    loaded = load_model(path)
+    loaded, training_digest = load_model(path)
+    assert training_digest == "abc123"
     assert isinstance(loaded, GbdtModel)
     assert np.array_equal(predict_gbdt(loaded, X), predict_gbdt(model, X))
 
@@ -219,7 +220,7 @@ def test_svm_model_file_round_trip(tmp_path):
                                             max_iters=300))
     path = tmp_path / "m.json"
     save_model(model, path)
-    loaded = load_model(path)
+    loaded, _ = load_model(path)
     assert isinstance(loaded, RbfSvmModel)
     assert np.array_equal(predict_svm_rbf(loaded, X), predict_svm_rbf(model, X))
 
