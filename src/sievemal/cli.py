@@ -12,13 +12,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
-from .features import extract_features, write_feature_file
+from .features import DIM, extract_features, write_feature_file
 from .learners import TrainConfig
 from .pe import MAX_SECTIONS, parse_pe
 from .rules import RuleSet, parse_rules
@@ -87,18 +89,20 @@ def cmd_rules(args) -> int:
 
 def cmd_extract_features(args) -> int:
     manifest = corpus_mod.read_manifest(args.corpus)
+    # one matrix, one row per extracted file; the records hold row views of it
+    X = np.empty((len(manifest.records), DIM), dtype=np.float32)
     records = []
     failures = 0
     for r in manifest.records:
         with open(r.path, "rb") as fh:
             raw = fh.read()
         try:
-            vec = extract_features(raw)
+            X[len(records)] = extract_features(raw)
         except SievemalError as exc:
             print(f"excluded {r.path}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        records.append((r.sha256, r.label, r.epoch, vec))
+        records.append((r.sha256, r.label, r.epoch, X[len(records)]))
     write_feature_file(args.out, records)
     _write_runconfig(os.path.dirname(os.path.abspath(args.out)),
                      "extract-features", vars(args))

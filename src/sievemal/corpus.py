@@ -84,8 +84,10 @@ def _is_bank_entry(v) -> bool:
         return False
     kind, body = v[1], v[2]
     if kind == "hex":
-        return isinstance(body, list) and all(_is_int(b) and 0 <= b <= 255 for b in body)
-    return kind == "text" and isinstance(body, str) and all(ord(c) < 256 for c in body)
+        return (isinstance(body, list) and body != []
+                and all(_is_int(b) and 0 <= b <= 255 for b in body))
+    return (kind == "text" and isinstance(body, str) and body != ""
+            and all(ord(c) < 256 for c in body))
 
 
 def _per_epoch(ok):
@@ -108,7 +110,8 @@ _SPEC_FIELDS = (
     ("allowlist_fraction", _is_rate, "a number in [0, 1]"),
     ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     ("bank", lambda v: isinstance(v, list) and v != [] and all(map(_is_bank_entry, v)),
-     'a non-empty list of [id, "text", latin-1 string] or [id, "hex", [byte, ...]] entries'),
+     'a non-empty list of [id, "text", non-empty latin-1 string] or '
+     '[id, "hex", non-empty [byte, ...]] entries'),
     # an optional switch of earlier spec files, now always on
     ("goodware_epoch_shift", lambda v: v is True or v is _ABSENT,
      "true (the future epoch always has its own goodware)"),
@@ -211,8 +214,10 @@ def write_manifest(manifest: Manifest, path):
 
 def _read_csv_rows(path, header):
     """Yields ("FILE, line N", row) for each row of a CSV file that starts with
-    `header`; a file that does not, or a row of another column count, is a
-    SpecInvalid naming the file and the line."""
+    `header`; a file that does not, a row of another column count, or a row
+    whose epoch column is not one of EPOCHS, is a SpecInvalid naming the file
+    and the line."""
+    epoch = header.index("epoch")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -221,6 +226,9 @@ def _read_csv_rows(path, header):
             where = f"{path}, line {reader.line_num}"
             if len(row) != len(header):
                 raise SpecInvalid(f"{where}: {len(row)} columns, want {len(header)}")
+            if row[epoch] not in EPOCHS:
+                raise SpecInvalid(f"{where}: epoch {row[epoch]!r} is not one of "
+                                  f"{', '.join(EPOCHS)}")
             yield where, row
 
 
@@ -392,9 +400,10 @@ def ingest(directory, labels_path) -> Manifest:
     """Build a manifest from a directory and a labels CSV (path,label,epoch).
 
     Duplicate digests collapse to the first occurrence; unreadable files are
-    recorded and skipped. A labels file without the header or with a row of
-    other than three columns, a file without a label row, or a row whose label
-    is not 0/1 or whose epoch is outside EPOCHS, is a SpecInvalid.
+    recorded and skipped. A labels file without the header, with a row of
+    other than three columns or with a row whose epoch is outside EPOCHS, a
+    file without a label row, or a file whose label is not 0/1, is a
+    SpecInvalid.
     """
     labels = {row[0]: (row[1], row[2])
               for _, row in _read_csv_rows(labels_path, ["path", "label", "epoch"])}
@@ -422,8 +431,6 @@ def ingest(directory, labels_path) -> Manifest:
         label, epoch = row
         if label not in ("0", "1"):
             raise SpecInvalid(f"{path}: label {label!r} is not 0 or 1")
-        if epoch not in EPOCHS:
-            raise SpecInvalid(f"{path}: epoch {epoch!r} is not one of {', '.join(EPOCHS)}")
         manifest.records.append(ManifestRecord(
             path=path, sha256=digest, label=int(label), epoch=epoch))
     return manifest

@@ -167,17 +167,18 @@ class GbdtModel:
 
 def _bin_features(X: np.ndarray):
     """Quantile cut points per feature, and the (features, rows) uint8 bins:
-    binned[f, i] = index of the first cut >= X[i, f]."""
+    binned[f, i] = index of the first cut >= X[i, f].
+
+    Each column is converted to float64 on its own, so a float32 matrix bins
+    exactly as its float64 copy would, without that copy ever existing."""
     n, d = X.shape
     cuts = []
     binned = np.empty((d, n), dtype=np.uint8)
     for f in range(d):
-        col = X[:, f]
-        uniq = np.unique(col)
-        if len(uniq) > MAX_BINS:
-            qs = np.quantile(col, np.linspace(0, 1, MAX_BINS + 1)[1:-1])
-            uniq = np.unique(qs)
-        cuts_f = uniq.astype(np.float64)
+        col = X[:, f].astype(np.float64)
+        cuts_f = np.unique(col)
+        if len(cuts_f) > MAX_BINS:
+            cuts_f = np.unique(np.quantile(col, np.linspace(0, 1, MAX_BINS + 1)[1:-1]))
         assert len(cuts_f) <= MAX_BINS, "bin index must fit a uint8"
         cuts.append(cuts_f)
         binned[f] = np.searchsorted(cuts_f, col, side="left")
@@ -319,7 +320,7 @@ def _grow_tree(binned, cuts, blocks, g, h, cfg, leaf_of) -> Tree:
 
 def train_gbdt(X, y, cfg: TrainConfig) -> GbdtModel:
     """Boosted logistic-loss trees; deterministic given (X, y, cfg)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DegenerateData("empty training matrix")
@@ -328,7 +329,6 @@ def train_gbdt(X, y, cfg: TrainConfig) -> GbdtModel:
 
     n, d = X.shape
     cuts, binned = _bin_features(X)
-    del X  # training reads only the bins; frees a float64 copy of the input
     nbins = np.array([len(c) + 1 for c in cuts])
     rng = np.random.default_rng(cfg.seed)
     prior = y.mean()

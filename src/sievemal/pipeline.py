@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
 from .evaluation import read_report, roc, tpr_at_fpr, write_report
-from .features import extract_features
+from .features import DIM, extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
 
@@ -146,33 +146,38 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
     that reads each file once; threshold calibrated on a held-out split of the
     survivors at the target FPR."""
     report = FilterReport()
-    rows, labels = [], []
+    # one float32 matrix, filled in place; the rows past the survivors are never
+    # written, so their pages are never touched
+    X = np.empty((len(records), DIM), dtype=np.float32)
+    labels = []
     for rec, raw in _route_training(records, allow, block, report):
         try:
-            rows.append(extract_features(raw))
+            X[len(labels)] = extract_features(raw)
         except (MalformedPe, FeatureFailure):
             continue
         labels.append(rec.label)
-    if not rows:
+    if not labels:
         raise DegenerateData("no extractable samples")
-    X, y = np.vstack(rows), np.array(labels)
+    y = np.array(labels)
     if len(np.unique(y)) < 2:
         raise DegenerateData("survivors contain a single class")
 
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(y))
     n_calib = max(2, int(len(y) * CALIB_FRACTION))
-    calib_idx = perm[:n_calib]
-    train_idx = perm[n_calib:]
-    if len(np.unique(y[train_idx])) < 2:
-        train_idx = perm  # tiny corpus: train on everything
-    model = train_model(X[train_idx], y[train_idx], cfg)
+    # the one copy: calibration rows first, then the training rows in perm order
+    X, y = X[perm], y[perm]
+    X_train, y_train = X[n_calib:], y[n_calib:]
+    if len(np.unique(y_train)) < 2:
+        X_train, y_train = X, y  # tiny corpus: train on everything
+    model = train_model(X_train, y_train, cfg)
 
-    calib_scores = score_model(model, X[calib_idx])
-    if len(np.unique(y[calib_idx])) < 2:
+    y_calib = y[:n_calib]
+    calib_scores = score_model(model, X[:n_calib])
+    if len(np.unique(y_calib)) < 2:
         threshold = 0.5
     else:
-        _, threshold = tpr_at_fpr(roc(calib_scores, y[calib_idx]), TARGET_FPR)
+        _, threshold = tpr_at_fpr(roc(calib_scores, y_calib), TARGET_FPR)
 
     metadata = {
         "filtered": bool(len(allow.rules) or len(block.rules)),
@@ -180,7 +185,7 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
         "seed": cfg.seed,
         "target_fpr": TARGET_FPR,
         "threshold": float(threshold),
-        "train_samples": int(len(train_idx)),
+        "train_samples": int(len(y_train)),
         "calibration_samples": int(n_calib),
         "config": cfg.to_dict(),
     }

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sievemal.cli import main
 from sievemal.corpus import (
     EPOCHS,
     CorpusSpec,
@@ -46,9 +47,12 @@ def test_spec_defaults_validate():
     (dict(allowlist_fraction=-0.1), "allowlist_fraction"),
     (dict(seed=-1), "seed"),
     (dict(bank=()), "bank"),
+    # an empty pattern would make a blocklist.yar that `rules check` refuses
+    (dict(bank=(("bank_00", "text", b""),)), "bank"),
+    (dict(bank=(("bank_06", "hex", ()),)), "bank"),
 ], ids=["counts-epochs", "counts-negative", "plant-rate", "drift", "allowlist", "seed",
-        "bank-empty"])
-def test_spec_checks_agree_in_code_and_in_files(tmp_path, kwargs, name):
+        "bank-empty", "bank-empty-text", "bank-empty-hex"])
+def test_spec_checks_agree_in_code_and_in_files(tmp_path, capsys, kwargs, name):
     spec = CorpusSpec(**{"counts": UNIT_COUNTS, **kwargs})
     with pytest.raises(SpecInvalid, match=f"^field '{name}' must be ") as in_code:
         spec.validate()
@@ -57,6 +61,10 @@ def test_spec_checks_agree_in_code_and_in_files(tmp_path, kwargs, name):
     with pytest.raises(SpecInvalid) as in_file:
         load_spec(path)
     assert str(in_file.value) == f"{path}: {in_code.value}"
+    out = tmp_path / "out"
+    assert main(["gen-corpus", "--spec", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {in_file.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -187,14 +195,19 @@ CSV_FORMATS = {
 
 
 @pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
-@pytest.mark.parametrize("case", ["empty", "bad-header", "short-row"])
+@pytest.mark.parametrize("case", ["empty", "bad-header", "short-row", "bad-epoch"])
 def test_csv_readers_name_the_file_and_line(tmp_path, fmt, case):
     header, good_row, read_csv = CSV_FORMATS[fmt]
+    cells = good_row.rstrip("\n").split(",")
+    cells[header.split(",").index("epoch")] = "futrue"
     text, message = {
         "empty": ("", f"line 1: header is not '{header}'"),
         "bad-header": ("who,knows\n", f"line 1: header is not '{header}'"),
         "short-row": (f"{header}\n{good_row}a.bin,1\n",
                       f"line 3: 2 columns, want {header.count(',') + 1}"),
+        "bad-epoch": (f"{header}\n{good_row}{','.join(cells)}\n",
+                      "line 3: epoch 'futrue' is not one of present-train, present-test, "
+                      "future"),
     }[case]
     p = tmp_path / f"{fmt}.csv"
     p.write_text(text)
@@ -224,12 +237,13 @@ def test_ingest_dedups_by_digest(tmp_path):
     assert rec_c.label == 0 and rec_c.epoch == "future"
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("b.bin,1,present-train\n", "no row"),
-    ("a.bin,2,present-train\n", "label '2'"),
-    ("a.bin,1,futrue\n", "epoch 'futrue'"),
+@pytest.mark.parametrize("rows, message, where", [
+    ("b.bin,1,present-train\n", "no row", "a.bin"),
+    ("a.bin,2,present-train\n", "label '2'", "a.bin"),
+    # an epoch is checked as the labels file is read, so the error names its line
+    ("a.bin,1,futrue\n", "epoch 'futrue'", "labels.csv, line 2"),
 ], ids=["missing-row", "bad-label", "bad-epoch"])
-def test_ingest_rejects_files_without_a_valid_label(tmp_path, rows, message):
+def test_ingest_rejects_files_without_a_valid_label(tmp_path, rows, message, where):
     d = tmp_path / "files"
     d.mkdir()
     (d / "a.bin").write_bytes(b"content")
@@ -237,7 +251,7 @@ def test_ingest_rejects_files_without_a_valid_label(tmp_path, rows, message):
     labels.write_text("path,label,epoch\n" + rows)
     with pytest.raises(SpecInvalid, match=message) as exc:
         ingest(d, labels)
-    assert "a.bin" in str(exc.value)
+    assert where in str(exc.value)
 
 
 # --- pe builder --------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from sievemal.corpus import ManifestRecord, emit_allowlist, emit_rules_from_bank
 from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.features import extract_features
-from sievemal.learners import TrainConfig
+from sievemal.learners import TrainConfig, train_model
 from sievemal.pe import build_pe
 from sievemal.pipeline import (
+    CALIB_FRACTION,
     AiSystem,
     FilterReport,
     filter_training,
@@ -152,6 +153,21 @@ def test_train_system_reads_each_file_once(unit_corpus, unit_allowlist, unit_blo
     assert len(opened) == 200
     assert sorted(opened) == sorted(r.path for r in samples)
     assert len(extracted) == system.metadata["filter_report"]["survivors"] == 156
+
+
+def test_train_system_model_equals_one_trained_on_stacked_rows(
+        filtered_system, unit_corpus, unit_allowlist, unit_blocklist):
+    """The one-matrix build trains the model that stacking the survivors' rows
+    and taking the training rows perm[n_calib:] in float64 would train."""
+    survivors, _ = filter_training(unit_corpus.samples("present-train"),
+                                   unit_allowlist, unit_blocklist)
+    X = np.vstack([extract_features(read(rec.path)) for rec in survivors]).astype(np.float64)
+    y = np.array([rec.label for rec in survivors])
+    perm = np.random.default_rng(GBDT_CFG.seed).permutation(len(y))
+    train_idx = perm[max(2, int(len(y) * CALIB_FRACTION)):]
+    reference = train_model(X[train_idx], y[train_idx], GBDT_CFG)
+    assert filtered_system.model.to_dict() == reference.to_dict()
+    assert filtered_system.metadata["train_samples"] == len(train_idx)
 
 
 def test_train_system_metadata(filtered_system):
