@@ -11,6 +11,7 @@ patterns (2-byte mutations that evade literal matching).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -246,18 +247,31 @@ def read_manifest(path) -> Manifest:
     return manifest
 
 
+@functools.lru_cache(maxsize=8)
+def _blob_pieces(tokens: tuple):
+    """pieces[i][p]: token i, its NUL and p spaces of low-entropy filler; and
+    the length of each token with its NUL."""
+    return ([[t + b"\x00" + b" " * p for p in range(16)] for t in tokens],
+            np.array([len(t) + 1 for t in tokens]))
+
+
 def _token_blob(rng, tokens, size: int) -> bytes:
-    parts = []
-    total = 0
-    while total < size:
-        tok = tokens[rng.integers(0, len(tokens))]
-        parts.append(tok + b"\x00")
-        total += len(tok) + 1
-        # low-entropy filler between strings
-        pad = bytes([0x20]) * int(rng.integers(1, 16))
-        parts.append(pad)
-        total += len(pad)
-    return b"".join(parts)[:size]
+    """The first `size` bytes of pieces drawn until they reach `size`: a
+    token with its NUL, then 1-15 spaces. The (token index, pad) pairs come
+    from one array-bounded draw, which takes the same values from the stream
+    as one scalar call per index and per pad, and leaves `rng` where those
+    calls would."""
+    if size <= 0:
+        return b""
+    pieces, lens = _blob_pieces(tokens)
+    bounds = (0, 1), (len(tokens), 16)
+    state = rng.bit_generator.state
+    # no piece is shorter than the shortest token, its NUL and one space
+    pairs = rng.integers(*bounds, size=(size // (int(lens.min()) + 1) + 1, 2))
+    n = int(np.searchsorted(np.cumsum(lens[pairs[:, 0]] + pairs[:, 1]), size)) + 1
+    rng.bit_generator.state = state
+    pairs = rng.integers(*bounds, size=(n, 2)).tolist()
+    return b"".join([pieces[i][p] for i, p in pairs])[:size]
 
 
 def _mutate_pattern(rng, body: bytes) -> bytes:

@@ -13,17 +13,28 @@ from ..errors import DegenerateData
 from .common import TrainConfig, sigmoid32
 
 
+_BLOCK_CELLS = 1 << 16   # cells of the one temporary block of _sq_dists
+
+
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(aa + bb) - 2 A B^T, clipped at 0, written into the one A @ B.T array
+    a block of rows at a time."""
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    d = aa + bb - 2.0 * (A @ B.T)
+    d = A @ B.T
+    step = max(1, _BLOCK_CELLS // max(1, d.shape[1]))
+    for i in range(0, len(d), step):
+        blk = d[i:i + step]
+        blk *= 2.0
+        np.subtract(aa[i:i + step] + bb, blk, out=blk)
     np.maximum(d, 0.0, out=d)
     return d
 
 
 def rbf_kernel(A, B, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * _sq_dists(np.asarray(A, dtype=np.float64),
-                                     np.asarray(B, dtype=np.float64)))
+    k = _sq_dists(np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64))
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,7 @@ def train_svm_rbf(X, y, cfg: TrainConfig) -> RbfSvmModel:
         if y[i] * margin_i < 1.0:
             alpha[i] += 1.0
             s += y[i] * K[:, i]
+    del K   # the support rows below are copied after the n x n kernel is freed
 
     scale = 1.0 / (cfg.reg * T)
     mask = alpha > 0

@@ -295,10 +295,11 @@ class Parser:
         self.rule_name = None
         self.depth = 0            # the '(' and 'not' the condition factor is inside
 
-    def error(self, message, cls=ParseError):
-        # a regex token is reported as the '/' it starts with
-        near = "/" if self.tok.kind == "regex" else self.tok.value
-        self.lexer.error(message, cls, near, self.tok.pos)
+    def error(self, message, cls=ParseError, tok=None):
+        """Raises at `tok`, by default the current token; a regex token is
+        reported as the '/' it starts with."""
+        tok = tok or self.tok
+        self.lexer.error(message, cls, "/" if tok.kind == "regex" else tok.value, tok.pos)
 
     def advance(self):
         self.tok = self.lexer.next()
@@ -526,19 +527,20 @@ class Parser:
             if word == "hash":
                 self.advance()
                 self.expect("op", ".")
-                fn = self.expect("name").value
-                if fn != "sha256":
-                    self.error(f"hash.{fn} is outside the supported subset",
-                               UnsupportedConstruct)
+                fn = self.expect("name")
+                if fn.value != "sha256":
+                    self.error(f"hash.{fn.value} is outside the supported subset",
+                               UnsupportedConstruct, fn)
                 self.expect("op", "(")
                 self.expect("num")  # offset; only whole-file digests supported
                 self.expect("op", ",")
                 self.expect("name", "filesize")
                 self.expect("op", ")")
                 self.expect("op", "==")
-                digest = self.expect("string").value.decode("latin-1").lower()
+                tok = self.expect("string")
+                digest = tok.value.decode("latin-1").lower()
                 if not re.fullmatch(r"[0-9a-f]{64}", digest):
-                    self.error("sha256 digest must be 64 hex characters")
+                    self.error("sha256 digest must be 64 hex characters", tok=tok)
                 return Sha256Eq(digest)
             if word in ("true", "false"):
                 self.error("bare boolean literals are not supported", UnsupportedConstruct)

@@ -329,8 +329,9 @@ class Parser:
         self.lexer = Lexer(text)
         self.tok = self.lexer.next()
 
-    def error(self, message, cls=ParseError):
-        self.lexer.error(message, cls, self.tok.value, self.tok.pos)
+    def error(self, message, cls=ParseError, tok=None):
+        tok = tok or self.tok
+        self.lexer.error(message, cls, tok.value, tok.pos)
 
     def advance(self):
         self.tok = self.lexer.next()
@@ -551,19 +552,20 @@ class Parser:
             if word == "hash":
                 self.advance()
                 self.expect("op", ".")
-                fn = self.expect("name").value
-                if fn != "sha256":
-                    self.error(f"hash.{fn} is outside the supported subset",
-                               UnsupportedConstruct)
+                fn = self.expect("name")
+                if fn.value != "sha256":
+                    self.error(f"hash.{fn.value} is outside the supported subset",
+                               UnsupportedConstruct, fn)
                 self.expect("op", "(")
                 self.expect("num")  # offset; only whole-file digests supported
                 self.expect("op", ",")
                 self.expect("name", "filesize")
                 self.expect("op", ")")
                 self.expect("op", "==")
-                digest = self.expect("string").value.decode("ascii").lower()
+                tok = self.expect("string")
+                digest = tok.value.decode("ascii").lower()
                 if not re.fullmatch(r"[0-9a-f]{64}", digest):
-                    self.error("sha256 digest must be 64 hex characters")
+                    self.error("sha256 digest must be 64 hex characters", tok=tok)
                 return Sha256Eq(digest)
             if word in ("true", "false"):
                 self.error("bare boolean literals are not supported", UnsupportedConstruct)

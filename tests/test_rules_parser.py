@@ -300,6 +300,23 @@ def test_unsupported_is_a_parse_error():
     assert issubclass(UnsupportedConstruct, ParseError)
 
 
+@pytest.mark.parametrize("condition,cls,message,col,near", [
+    ('hash.sha256(0, filesize) == "abc"', ParseError,
+     "sha256 digest must be 64 hex characters", 37, b"abc"),
+    ('hash.md5(0, filesize) == "00"', UnsupportedConstruct,
+     "hash.md5 is outside the supported subset", 14, "md5"),
+], ids=["bad-digest", "hash-function"])
+def test_hash_errors_point_at_the_checked_token(condition, cls, message, col, near):
+    # the digest string and the function name are checked after the parser
+    # has moved past them; the error still names their line and column
+    text = f"rule r\n{{\n    condition:\n        {condition}\n}}\n"
+    for parse in (parse_rules, naive_parser.parse_rules):
+        with pytest.raises(cls) as info:
+            parse(text)
+        assert str(info.value).startswith(message)
+        assert (info.value.line, info.value.column, info.value.token) == (4, col, near)
+
+
 def test_string_escapes():
     rs = parse_rules(r'rule e { strings: $a = "a\n\t\r\"\\\xff" condition: $a }')
     assert rs.rules[0].strings[0].body == b'a\n\t\r"\\\xff'
