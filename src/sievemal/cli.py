@@ -12,15 +12,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
-from .features import DIM, extract_features, write_feature_file
+from .features import write_feature_file
 from .learners import TrainConfig
 from .pe import MAX_SECTIONS, parse_pe
 from .rules import RuleSet, parse_rules
@@ -88,25 +86,15 @@ def cmd_rules(args) -> int:
 
 
 def cmd_extract_features(args) -> int:
-    manifest = corpus_mod.read_manifest(args.corpus)
-    # one matrix, one row per extracted file; the records hold row views of it
-    X = np.empty((len(manifest.records), DIM), dtype=np.float32)
-    records = []
-    failures = 0
-    for r in manifest.records:
-        with open(r.path, "rb") as fh:
-            raw = fh.read()
-        try:
-            X[len(records)] = extract_features(raw)
-        except SievemalError as exc:
-            print(f"excluded {r.path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        records.append((r.sha256, r.label, r.epoch, X[len(records)]))
-    write_feature_file(args.out, records)
+    records = corpus_mod.read_manifest(args.corpus).records
+    X, kept, failures = pipeline_mod.featurize(
+        ((r, _read_bytes(r.path)) for r in records), len(records))
+    for r, reason in failures:
+        print(f"excluded {r.path}: {reason}", file=sys.stderr)
+    write_feature_file(args.out, [(r.sha256, r.label, r.epoch, row) for r, row in zip(kept, X)])
     _write_runconfig(os.path.dirname(os.path.abspath(args.out)),
                      "extract-features", vars(args))
-    print(f"wrote {len(records)} vectors ({failures} excluded)")
+    print(f"wrote {len(kept)} vectors ({len(failures)} excluded)")
     return 0
 
 
@@ -158,34 +146,11 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     system = pipeline_mod.load_system(args.system)
-    manifest = corpus_mod.read_manifest(args.corpus)
-    samples = manifest.samples(epoch=args.split)
-    routes, bare_scores = [], []
-    for s in samples:
-        with open(s.path, "rb") as fh:
-            raw = fh.read()
-        route = system.stage(raw)
-        # the bare model's score; rule routes never ran the model
-        score = (route.score if route.stage == "ml"
-                 else pipeline_mod.model_score(system.model, raw))
-        routes.append(route)
-        bare_scores.append(1.0 if score is None else score)
-    labels = [s.label for s in samples]
-    composite = evaluation.composite_roc(routes, labels)
-    bare = evaluation.roc(bare_scores, labels)
-    stats = evaluation.rule_stats(routes, labels, [s.epoch for s in samples])
-    report = {
-        "split": args.split,
-        "threshold": system.threshold,
-        "composite_roc": evaluation.curve_rows(composite),
-        "model_roc": evaluation.curve_rows(bare),
-        "composite_tpr_at_1fpr": evaluation.tpr_at_fpr(composite, pipeline_mod.TARGET_FPR)[0],
-        "model_tpr_at_1fpr": evaluation.tpr_at_fpr(bare, pipeline_mod.TARGET_FPR)[0],
-        "rule_stats": stats.to_dict(),
-    }
+    samples = corpus_mod.read_manifest(args.corpus).samples(epoch=args.split)
+    report = {"split": args.split, **pipeline_mod.evaluate(system, samples)}
     evaluation.write_report(args.report, report)
-    stem = os.path.splitext(args.report)[0]
-    evaluation.write_curve_files(stem, {"composite": composite, "model": bare})
+    evaluation.write_curve_files(os.path.splitext(args.report)[0], {
+        "composite": report["composite_roc"], "model": report["model_roc"]})
     print(f"wrote {args.report}")
     return 0
 
@@ -226,15 +191,20 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _is_attack_row(row) -> bool:
+    return (isinstance(row, dict) and isinstance(row.get("payload_kb"), (int, float))
+            and math.isfinite(row["payload_kb"]) and "adv_score" in row
+            and (row["adv_score"] is None or isinstance(row["adv_score"], (int, float))))
+
+
 def cmd_report(args) -> int:
     path = os.path.join(args.results, "results.json")
     doc = evaluation.read_report(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("threshold"), (int, float))
-            and isinstance(doc.get("rows"), list)
-            and all(isinstance(row, dict) and {"payload_kb", "adv_score"} <= row.keys()
-                    for row in doc["rows"])):
+            and isinstance(doc.get("rows"), list) and all(map(_is_attack_row, doc["rows"]))):
         raise SpecInvalid(f"{path}: not attack results: want a numeric 'threshold' and "
-                          "'rows' that each have 'payload_kb' and 'adv_score'")
+                          "'rows' that each have a finite numeric 'payload_kb' and an "
+                          "'adv_score' that is a number or null")
     threshold = doc["threshold"]
     entries = [(round(row["payload_kb"]),
                 1.0 if row["adv_score"] is None else row["adv_score"])

@@ -9,7 +9,7 @@ point reachable by an actual threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,15 @@ def _sweep(scores, labels, tp, fp, n_pos, n_neg) -> RocCurve:
 
 
 def tpr_at_fpr(curve: RocCurve, target_fpr: float):
-    """Conservative operating point: maximal achievable fpr <= target."""
+    """Conservative operating point: (tpr, threshold) at the maximal achievable
+    fpr <= target; (None, None) when a composite curve's rule floor lies above it."""
     best = None
     for fpr, tpr, thr in curve.points:
         if fpr <= target_fpr:
             if best is None or (fpr, tpr) >= (best[0], best[1]):
                 best = (fpr, tpr, thr)
+    if best is None:
+        return None, None
     _, tpr, thr = best
     return tpr, thr
 
@@ -97,49 +100,27 @@ def composite_roc(routes, labels) -> RocCurve:
     return _sweep(ml_scores, ml_labels, m_rules, f_rules, m_total, g_total)
 
 
-@dataclass
-class RuleStats:
-    """Per-split rule fire counts; allowlist hits count as true negatives."""
-    counts: dict = field(default_factory=dict)
-
-    def _split(self, epoch):
-        return self.counts.setdefault(epoch, {
-            "malware_total": 0, "goodware_total": 0,
-            "blocklist_malware": 0, "blocklist_goodware": 0,
-            "allowlist_malware": 0, "allowlist_goodware": 0,
-        })
-
-    def tpr(self, epoch) -> float:
-        c = self.counts[epoch]
-        return c["blocklist_malware"] / c["malware_total"] if c["malware_total"] else 0.0
-
-    def fpr(self, epoch) -> float:
-        c = self.counts[epoch]
-        return c["blocklist_goodware"] / c["goodware_total"] if c["goodware_total"] else 0.0
-
-    def to_dict(self) -> dict:
-        out = {}
-        for epoch in sorted(self.counts):
-            out[epoch] = dict(self.counts[epoch])
-            out[epoch]["tpr"] = self.tpr(epoch)
-            out[epoch]["fpr"] = self.fpr(epoch)
-        return out
-
-
-def rule_stats(routes, labels, epochs) -> RuleStats:
-    """Exact counting per split from per-sample routes, labels and epochs.
+def rule_stats(routes, labels, epochs) -> dict:
+    """Exact counts per split from per-sample routes, labels and epochs:
+    {epoch: {<class>_total, <list>_<class> for both lists, tpr, fpr}}, where tpr
+    and fpr are the blocklist's fire rates on the split's malware and goodware.
 
     A sample the allowlist decided never counts as a blocklist hit: the routes
     carry the pipeline's precedence.
     """
-    stats = RuleStats()
+    counts = {}
     for (stage, _, _), label, epoch in zip(routes, labels, epochs):
-        c = stats._split(epoch)
+        c = counts.setdefault(epoch, dict.fromkeys((
+            "malware_total", "goodware_total", "blocklist_malware", "blocklist_goodware",
+            "allowlist_malware", "allowlist_goodware"), 0))
         key = "malware" if label == 1 else "goodware"
         c[f"{key}_total"] += 1
         if stage in ("allowlist", "blocklist"):
             c[f"{stage}_{key}"] += 1
-    return stats
+    for c in counts.values():
+        c["tpr"] = c["blocklist_malware"] / c["malware_total"] if c["malware_total"] else 0.0
+        c["fpr"] = c["blocklist_goodware"] / c["goodware_total"] if c["goodware_total"] else 0.0
+    return counts
 
 
 def detection_rate_curve(results, threshold: float):
@@ -179,13 +160,14 @@ def read_report(path):
 
 
 def write_curve_files(stem, curves: dict):
-    """Tabular curve data plus a gnuplot script (no rendered images)."""
+    """Tabular curve data plus a gnuplot script (no rendered images); curves
+    maps a name to its curve_rows."""
     data_paths = []
-    for name, curve in sorted(curves.items()):
+    for name, rows in sorted(curves.items()):
         data_path = f"{stem}.{name}.dat"
         with open(data_path, "w", encoding="utf-8") as fh:
             fh.write("# fpr tpr threshold\n")
-            for fpr, tpr, thr in curve.points:
+            for fpr, tpr, thr in rows:
                 fh.write(f"{fpr!r} {tpr!r} {thr!r}\n")
         data_paths.append((name, data_path))
     script = f"{stem}.gnuplot"

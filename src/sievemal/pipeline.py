@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
-from .evaluation import read_report, roc, tpr_at_fpr, write_report
+from . import evaluation
 from .features import DIM, extract_features
 from .learners import TrainConfig, load_model, save_model, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
@@ -140,25 +140,32 @@ def filter_training(records, allow: RuleSet, block: RuleSet):
     return survivors, report
 
 
+def featurize(pairs, n: int):
+    """Features of up to n (record, raw) pairs in one preallocated float32
+    (n, DIM) matrix, whose unfilled rows are never touched: (the filled rows,
+    their records, (record, reason) for each file that cannot be featurized)."""
+    X = np.empty((n, DIM), dtype=np.float32)
+    kept, failures = [], []
+    for rec, raw in pairs:
+        try:
+            X[len(kept)] = extract_features(raw)
+        except (MalformedPe, FeatureFailure) as exc:
+            failures.append((rec, str(exc)))
+            continue
+        kept.append(rec)
+    return X[:len(kept)], kept, failures
+
+
 def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
                  allow_text: str = "", block_text: str = "") -> AiSystem:
     """Filter the records with the rules and train on the survivors, in one pass
     that reads each file once; threshold calibrated on a held-out split of the
     survivors at the target FPR."""
     report = FilterReport()
-    # one float32 matrix, filled in place; the rows past the survivors are never
-    # written, so their pages are never touched
-    X = np.empty((len(records), DIM), dtype=np.float32)
-    labels = []
-    for rec, raw in _route_training(records, allow, block, report):
-        try:
-            X[len(labels)] = extract_features(raw)
-        except (MalformedPe, FeatureFailure):
-            continue
-        labels.append(rec.label)
-    if not labels:
+    X, kept, _ = featurize(_route_training(records, allow, block, report), len(records))
+    if not kept:
         raise DegenerateData("no extractable samples")
-    y = np.array(labels)
+    y = np.array([rec.label for rec in kept])
     if len(np.unique(y)) < 2:
         raise DegenerateData("survivors contain a single class")
 
@@ -177,7 +184,7 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
     if len(np.unique(y_calib)) < 2:
         threshold = 0.5
     else:
-        _, threshold = tpr_at_fpr(roc(calib_scores, y_calib), TARGET_FPR)
+        _, threshold = evaluation.tpr_at_fpr(evaluation.roc(calib_scores, y_calib), TARGET_FPR)
 
     metadata = {
         "filtered": bool(len(allow.rules) or len(block.rules)),
@@ -192,6 +199,33 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
     return AiSystem(allowlist=allow, blocklist=block, model=model,
                     threshold=float(threshold), allow_text=allow_text,
                     block_text=block_text, metadata=metadata)
+
+
+def evaluate(system: AiSystem, samples) -> dict:
+    """The eval report of a system on manifest records: both ROC curves (the
+    composite system's and the bare model's) as rows, their TPRs at TARGET_FPR
+    (None where a curve's rule floor lies above it) and the rule statistics per
+    split. Each file is read and routed once; the model also scores the files
+    a rule decided, for the bare curve."""
+    routes, bare_scores = [], []
+    for s in samples:
+        with open(s.path, "rb") as fh:
+            raw = fh.read()
+        route = system.stage(raw)
+        score = route.score if route.stage == "ml" else model_score(system.model, raw)
+        routes.append(route)
+        bare_scores.append(1.0 if score is None else score)
+    labels = [s.label for s in samples]
+    composite = evaluation.composite_roc(routes, labels)
+    bare = evaluation.roc(bare_scores, labels)
+    return {
+        "threshold": system.threshold,
+        "composite_roc": evaluation.curve_rows(composite),
+        "model_roc": evaluation.curve_rows(bare),
+        "composite_tpr_at_1fpr": evaluation.tpr_at_fpr(composite, TARGET_FPR)[0],
+        "model_tpr_at_1fpr": evaluation.tpr_at_fpr(bare, TARGET_FPR)[0],
+        "rule_stats": evaluation.rule_stats(routes, labels, [s.epoch for s in samples]),
+    }
 
 
 def make_oracle(system: AiSystem):
@@ -225,7 +259,7 @@ def save_system(system: AiSystem, directory):
         fh.write(system.block_text)
     save_model(system.model, os.path.join(directory, "model.json"),
                training_digest=_training_digest(system.metadata))
-    write_report(os.path.join(directory, "metadata.json"), system.metadata)
+    evaluation.write_report(os.path.join(directory, "metadata.json"), system.metadata)
 
 
 def load_system(directory) -> AiSystem:
@@ -236,7 +270,7 @@ def load_system(directory) -> AiSystem:
     with open(os.path.join(directory, "blocklist.yar"), encoding="utf-8") as fh:
         block_text = fh.read()
     meta_path = os.path.join(directory, "metadata.json")
-    metadata = read_report(meta_path)
+    metadata = evaluation.read_report(meta_path)
     if not (isinstance(metadata, dict) and isinstance(metadata.get("threshold"), (int, float))):
         raise SpecInvalid(f"{meta_path}: not system metadata: want an object with a numeric "
                           "'threshold'")

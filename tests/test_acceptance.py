@@ -120,18 +120,17 @@ def test_c3_rule_stats_exact_counts(default_corpus):
     samples = manifest.samples()
     routes = [route_rules(read(s.path), allow, block) or Route("ml", None, ())
               for s in samples]
-    stats = rule_stats(routes, [s.label for s in samples], [s.epoch for s in samples])
+    c = rule_stats(routes, [s.label for s in samples], [s.epoch for s in samples])
 
     # by-count equality, zero tolerance
-    c = stats.counts
     assert c["present-train"]["blocklist_malware"] * 10 == c["present-train"]["malware_total"] * 3
     assert c["present-test"]["blocklist_malware"] * 10 == c["present-test"]["malware_total"] * 3
     assert c["future"]["blocklist_malware"] * 20 == c["future"]["malware_total"] * 9
-    assert stats.tpr("present-train") == 0.3000
-    assert stats.tpr("present-test") == 0.3000
-    assert stats.tpr("future") == 0.4500
+    assert c["present-train"]["tpr"] == 0.3000
+    assert c["present-test"]["tpr"] == 0.3000
+    assert c["future"]["tpr"] == 0.4500
     for epoch in c:
-        assert stats.fpr(epoch) == 0.0
+        assert c[epoch]["fpr"] == 0.0
 
     # the allowlist fires on exactly the registered-hash goodware
     registered = {r.sha256 for r in manifest.records if r.allowlisted}

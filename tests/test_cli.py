@@ -15,6 +15,7 @@ from sievemal.corpus import (
     write_manifest,
 )
 from sievemal.pe import build_pe
+from sievemal.pipeline import load_system, route_rules
 
 TINY_COUNTS = {"present-train": (30, 20), "present-test": (10, 10), "future": (10, 10)}
 
@@ -185,6 +186,36 @@ def test_extract_features(workdir, tmp_path, capsys):
     assert first == "sievemal-features v1, dim=721, n=90"
 
 
+def test_extract_features_excludes_a_file_that_is_not_a_pe(workdir, tmp_path, capsys):
+    records = read_manifest(workdir / "corpus" / "manifest.csv").records[:5]
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"not a pe at all")
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(Manifest(records=[records[0], ManifestRecord(str(junk), "0" * 64, 0, "future"),
+                                     *records[1:]]), manifest)
+    out = tmp_path / "features.csv"
+    assert main(["extract-features", "--corpus", str(manifest), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"excluded {junk}: file shorter than a DOS header\n"
+    assert captured.out == "wrote 5 vectors (1 excluded)\n"
+    lines = out.read_text().splitlines()
+    assert lines[0] == "sievemal-features v1, dim=721, n=5"
+    assert [line.split(",")[0] for line in lines[1:]] == [r.sha256 for r in records]
+
+
+def test_extract_features_on_a_missing_file_exits_one(workdir, tmp_path, capsys):
+    records = read_manifest(workdir / "corpus" / "manifest.csv").records[:2]
+    missing = tmp_path / "absent.bin"
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(Manifest(records=[records[0], ManifestRecord(str(missing), "0" * 64, 0,
+                                                                "future"), records[1]]), manifest)
+    out = tmp_path / "features.csv"
+    assert main(["extract-features", "--corpus", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_filter_command(workdir, tmp_path):
     out = tmp_path / "survivors.csv"
     report = tmp_path / "filter.json"
@@ -314,6 +345,41 @@ def test_eval_command(workdir, tmp_path):
     assert 0.0 <= doc["composite_tpr_at_1fpr"] <= 1.0
     assert (tmp_path / "eval.composite.dat").exists()
     assert (tmp_path / "eval.gnuplot").exists()
+
+
+FP_PRONE = 'rule fp_prone { strings: $a = "InstallShield Setup" condition: #a >= 12 }\n'
+
+
+def test_eval_below_the_rule_floor_writes_null(unit_system_dir, unit_corpus, tmp_path):
+    """A blocklist rule that fires on more than 1% of the split's goodware puts
+    every composite point above the target FPR: the report holds null for that
+    TPR and the floor as the composite curve's first point."""
+    system = tmp_path / "system"
+    shutil.copytree(unit_system_dir / "system", system)
+    with open(system / "blocklist.yar", "a", encoding="utf-8") as fh:
+        fh.write("\n" + FP_PRONE)
+    report = tmp_path / "eval.json"
+    assert main(["eval", "--system", str(system),
+                 "--corpus", str(unit_system_dir / "manifest.csv"),
+                 "--split", "present-test", "--report", str(report)]) == 0
+
+    rules = load_system(system)
+    fired = {0: 0, 1: 0}
+    samples = unit_corpus.samples("present-test")
+    for s in samples:
+        with open(s.path, "rb") as fh:
+            route = route_rules(fh.read(), rules.allowlist, rules.blocklist)
+        fired[s.label] += route is not None and route.stage == "blocklist"
+    totals = {label: sum(s.label == label for s in samples) for label in (0, 1)}
+    floor = [fired[0] / totals[0], fired[1] / totals[1], float("inf")]
+    assert floor[0] > 0.01
+    doc = json.loads(report.read_text())
+    assert doc["composite_tpr_at_1fpr"] is None
+    assert doc["composite_roc"][0] == floor
+    assert all(row[0] >= floor[0] for row in doc["composite_roc"])
+    assert isinstance(doc["model_tpr_at_1fpr"], float)
+    dat = (tmp_path / "eval.composite.dat").read_text().splitlines()
+    assert dat[1] == f"{floor[0]!r} {floor[1]!r} inf"
 
 
 def count_calls(monkeypatch, original, key, counts):
@@ -517,10 +583,15 @@ def test_rule_file_that_is_not_utf8_exits_one(tmp_path, capsys):
         f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n")
 
 
-@pytest.mark.parametrize("doc", ['{"rows": []}', '{"threshold": 0.5}', "[]",
-                                 '{"threshold": 0.5, "rows": [{"payload_kb": 4}]}',
-                                 "not json"],
-                         ids=["no-threshold", "no-rows", "list", "row-fields", "not-json"])
+@pytest.mark.parametrize("doc", [
+    '{"rows": []}', '{"threshold": 0.5}', "[]",
+    '{"threshold": 0.5, "rows": [{"payload_kb": 4}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": "x", "adv_score": 0.2}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": "a"}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": Infinity, "adv_score": 0.2}]}',
+    "not json",
+], ids=["no-threshold", "no-rows", "list", "row-fields", "kb-string", "score-string",
+        "kb-infinite", "not-json"])
 def test_report_on_malformed_results_exits_one(tmp_path, capsys, doc):
     (tmp_path / "results.json").write_text(doc)
     assert main(["report", "--results", str(tmp_path),

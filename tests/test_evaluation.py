@@ -126,6 +126,16 @@ def test_tpr_at_fpr_full_confidence_tie():
     assert tpr == 0.0
 
 
+def test_tpr_at_fpr_below_the_rule_floor_is_none():
+    # one of four goodware is blocklisted: every composite point has fpr >= 0.25
+    routes = [Route("blocklist", None, ("r",)), Route("ml", 0.9, ()), Route("ml", 0.2, ()),
+              Route("ml", 0.1, ()), Route("ml", 0.8, ()), Route("ml", 0.3, ())]
+    curve = composite_roc(routes, [0, 0, 0, 0, 1, 1])
+    assert curve.points[0] == (0.25, 0.0, float("inf"))
+    assert tpr_at_fpr(curve, 0.01) == (None, None)
+    assert tpr_at_fpr(curve, 0.25) == (0.0, float("inf"))
+
+
 # --- composite pipeline roc --------------------------------------------------
 
 def routed(table, samples):
@@ -231,20 +241,17 @@ def test_rule_stats_exact_counts(unit_corpus, unit_blocklist, unit_allowlist):
     samples = unit_corpus.samples()
     stats = rule_stats(rule_routes(samples, unit_allowlist, unit_blocklist),
                        [s.label for s in samples], [s.epoch for s in samples])
-    c = stats.counts
-    assert c["present-train"]["malware_total"] == 120
-    assert c["present-train"]["goodware_total"] == 80
-    assert stats.tpr("present-train") == pytest.approx(0.30)
-    assert stats.tpr("present-test") == pytest.approx(0.30)
-    assert stats.tpr("future") == pytest.approx(0.45)
+    assert stats["present-train"]["malware_total"] == 120
+    assert stats["present-train"]["goodware_total"] == 80
+    assert stats["present-train"]["tpr"] == pytest.approx(0.30)
+    assert stats["present-test"]["tpr"] == pytest.approx(0.30)
+    assert stats["future"]["tpr"] == pytest.approx(0.45)
     for epoch in ("present-train", "present-test", "future"):
-        assert stats.fpr(epoch) == 0.0
+        assert stats[epoch]["fpr"] == 0.0
     # allowlist registered 10% of present goodware by hash
-    assert c["present-train"]["allowlist_goodware"] == 8
-    assert c["present-test"]["allowlist_goodware"] == 2
-    assert c["future"]["allowlist_goodware"] == 0
-    d = stats.to_dict()
-    assert d["future"]["tpr"] == pytest.approx(0.45)
+    assert stats["present-train"]["allowlist_goodware"] == 8
+    assert stats["present-test"]["allowlist_goodware"] == 2
+    assert stats["future"]["allowlist_goodware"] == 0
 
 
 def test_rule_stats_allowlist_precedence():
@@ -257,8 +264,7 @@ def test_rule_stats_allowlist_precedence():
         role="allowlist")
     block = parse_rules('rule b { strings: $t = "token" condition: $t }')
     route = route_rules(b"token-both-lists", allow, block)
-    stats = rule_stats([route], [0], ["present-test"])
-    c = stats.counts["present-test"]
+    c = rule_stats([route], [0], ["present-test"])["present-test"]
     assert c["allowlist_goodware"] == 1
     assert c["blocklist_goodware"] == 0
 
@@ -293,7 +299,7 @@ def test_write_report_and_curves(tmp_path):
     assert doc["tpr"] == 1.0
     assert doc["curve"][0][2] == float("inf")
 
-    script = write_curve_files(str(tmp_path / "curves"), {"bare": curve})
+    script = write_curve_files(str(tmp_path / "curves"), {"bare": curve_rows(curve)})
     dat = (tmp_path / "curves.bare.dat").read_text().splitlines()
     assert dat[0].startswith("#")
     assert len(dat) == 1 + len(curve.points)
