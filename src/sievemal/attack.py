@@ -4,7 +4,7 @@ per-section injection fractions, trading target score against payload size.
 The search point is a vector s in [0,1]^k, one gene per section of the
 payload pool; gene i injects the first round(s_i * len_i) bytes of harvested
 section i as a new non-executable section named ".gammaNN". The search
-minimizes score(x + s) + lambda * payload_size(s) with a fixed population of
+minimizes score(x + s) + lambda * payload bytes with a fixed population of
 POPULATION and Gaussian mutation of scale MUTATION_SIGMA, and it stops at the
 first query that scores under the success threshold: that query is then the
 reported best, so "evaded" and "succeeded" are one fact.
@@ -54,6 +54,8 @@ class AttackConfig:
     success_threshold: float = 0.5
 
     def __post_init__(self):
+        if not self.query_budget >= 1:
+            raise BudgetZero("query budget must be positive")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
 
@@ -120,15 +122,10 @@ def gene_bytes(pool: PayloadPool, s) -> list:
                                            pool.lengths())]
 
 
-def payload_size(pool: PayloadPool, s) -> int:
-    return sum(gene_bytes(pool, s))
-
-
 def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     """(mutant bytes, payload size): one ".gammaNN" section per gene with a
     nonzero byte budget, emitted from the clean sample's injection plan in one
-    layout pass. The payload size is payload_size(pool, s), from the same
-    per-gene byte counts."""
+    layout pass. The payload size is the sum of the same per-gene byte counts."""
     if len(s) != len(pool):
         raise ValueError("manipulation vector length disagrees with pool size")
     counts = gene_bytes(pool, s)
@@ -146,11 +143,10 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     batch breeds the better half of the last one. The best query is the one
     with the lowest objective, until a query scores under the success
     threshold: that query becomes the best and ends the search, as does
-    budget exhaustion. A candidate the target has no room for raises
+    budget exhaustion; only then are the best query's digest and rule_probe's
+    rules taken. A candidate the target has no room for raises
     SectionLimitExceeded before any query is spent on it.
     """
-    if cfg.query_budget <= 0:
-        raise BudgetZero("query budget must be positive")
     plan = InjectionPlan(parse_pe(malware))
     rng = np.random.default_rng(cfg.seed)
     k = len(pool)
@@ -169,10 +165,11 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
                 trace.best_s = s
                 trace.best_score = score
                 trace.best_payload = payload
-                trace.best_digest = hashlib.sha256(raw).hexdigest()
-                if rule_probe is not None:
-                    trace.fired_on_best = tuple(rule_probe(raw))
+                best_raw = raw
             if trace.succeeded or trace.queries_used == cfg.query_budget:
+                trace.best_digest = hashlib.sha256(best_raw).hexdigest()
+                if rule_probe is not None:
+                    trace.fired_on_best = tuple(rule_probe(best_raw))
                 return trace
             population.append(s)
             objectives.append(objective)
@@ -190,9 +187,9 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
 
 def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,
                   rule_probe=None):
-    """(row, trace) for one attacked sample; a row holds the clean and best
-    adversarial scores, the best payload, the queries spent, the rules firing
-    on the best candidate and whether the search evaded cfg.success_threshold."""
+    """(row, trace); the row is the sample's one record, as results.json holds
+    it: the clean and best adversarial scores, the best payload, the queries
+    spent, the rules firing on the best candidate and whether the search evaded."""
     clean_score = float(score_fn(raw))
     trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
     row = {

@@ -193,8 +193,8 @@ def cmd_attack(args) -> int:
 
 def _is_attack_row(row) -> bool:
     return (isinstance(row, dict) and isinstance(row.get("payload_kb"), (int, float))
-            and math.isfinite(row["payload_kb"]) and "adv_score" in row
-            and (row["adv_score"] is None or isinstance(row["adv_score"], (int, float))))
+            and math.isfinite(row["payload_kb"])
+            and isinstance(row.get("adv_score"), (int, float)))
 
 
 def cmd_report(args) -> int:
@@ -203,13 +203,10 @@ def cmd_report(args) -> int:
     if not (isinstance(doc, dict) and isinstance(doc.get("threshold"), (int, float))
             and isinstance(doc.get("rows"), list) and all(map(_is_attack_row, doc["rows"]))):
         raise SpecInvalid(f"{path}: not attack results: want a numeric 'threshold' and "
-                          "'rows' that each have a finite numeric 'payload_kb' and an "
-                          "'adv_score' that is a number or null")
+                          "'rows' that each have a finite numeric 'payload_kb' and a "
+                          "numeric 'adv_score'")
     threshold = doc["threshold"]
-    entries = [(round(row["payload_kb"]),
-                1.0 if row["adv_score"] is None else row["adv_score"])
-               for row in doc["rows"]]
-    curve = evaluation.detection_rate_curve(entries, threshold=threshold)
+    curve = evaluation.detection_rate_curve(doc["rows"], threshold=threshold)
     report = {"detection_rate_by_payload_kb": curve,
               "threshold": threshold,
               "attacked": len(doc["rows"])}

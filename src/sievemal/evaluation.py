@@ -123,14 +123,15 @@ def rule_stats(routes, labels, epochs) -> dict:
     return counts
 
 
-def detection_rate_curve(results, threshold: float):
+def detection_rate_curve(rows, threshold: float):
     """Detection rate per payload bucket at a fixed precalibrated threshold.
 
-    results: iterable of (payload_kb, score); rate = fraction with score >= threshold.
-    Returns a list of (payload_kb, rate) sorted by payload size.
+    rows: attack_sample rows; a row's bucket is round(payload_kb), and it is
+    detected when adv_score >= threshold. Returns [(bucket, rate)] by bucket.
     """
     buckets = {}
-    for kb, score in results:
+    for row in rows:
+        kb, score = round(row["payload_kb"]), row["adv_score"]
         total, hit = buckets.get(kb, (0, 0))
         buckets[kb] = (total + 1, hit + (1 if score >= threshold else 0))
     return [(kb, hit / total) for kb, (total, hit) in sorted(buckets.items())]

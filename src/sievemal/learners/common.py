@@ -28,8 +28,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.kind not in ("gbdt", "svm"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
+        for name, low in (("seed", 0), ("n_trees", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
         if not (0.0 < self.colsample <= 1.0):
             raise ValueError("colsample must be in (0, 1]")
         # with H + lambda > 0 at every node no split gain or leaf weight is 0/0;

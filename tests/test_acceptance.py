@@ -16,7 +16,7 @@ import pytest
 
 import fuzz_gen
 import naive_rules
-from sievemal.attack import AttackConfig, gamma_attack, harvest_sections, payload_size
+from sievemal.attack import AttackConfig, attack_sample, gamma_attack, harvest_sections
 from sievemal.cli import main as cli_main
 from sievemal.corpus import (
     CorpusSpec,
@@ -315,14 +315,13 @@ def test_c7_attack_properties(default_corpus, bare_model):
     assert len(attacked) == 10
     cfg = AttackConfig(query_budget=200, lam=1e-5, seed=7,
                        success_threshold=threshold)
-    bare_results = []
+    bare_rows = []
     for rec, raw in attacked:
-        trace = gamma_attack(score, raw, pool, cfg)
-        assert trace.queries_used <= cfg.query_budget
-        kb = round(payload_size(pool, trace.best_s) / 1024)
-        bare_results.append((kb, trace.best_score))
+        row, _ = attack_sample(score, raw, pool, cfg)
+        assert row["queries"] <= cfg.query_budget
+        bare_rows.append(row)
     clean_rate = 1.0  # subset chosen above threshold
-    adv_rate = sum(1 for _, s in bare_results if s >= threshold) / len(bare_results)
+    adv_rate = sum(1 for row in bare_rows if row["adv_score"] >= threshold) / len(bare_rows)
     assert adv_rate < clean_rate
 
     # (c) the rule-armed pipeline resists at least as well per payload bucket
@@ -331,22 +330,15 @@ def test_c7_attack_properties(default_corpus, bare_model):
     pipeline = AiSystem(allowlist=allow, blocklist=block,
                         model=bare_model.model, threshold=threshold)
     oracle, probe = make_oracle(pipeline)
-    planted = [(rec, read(rec.path)) for rec in manifest.samples("present-test")
-               if rec.planted][:10]
-    pipe_results, bare_on_planted = [], []
-    for rec, raw in planted:
-        t_pipe = gamma_attack(oracle, raw, pool, cfg, rule_probe=probe)
-        t_bare = gamma_attack(score, raw, pool, cfg)
-        pipe_results.append((round(payload_size(pool, t_pipe.best_s) / 1024),
-                             t_pipe.best_score))
-        bare_on_planted.append((round(payload_size(pool, t_bare.best_s) / 1024),
-                                t_bare.best_score))
-    pipe_curve = dict(detection_rate_curve(pipe_results, threshold))
-    bare_curve = dict(detection_rate_curve(bare_on_planted, threshold))
+    planted = [read(rec.path) for rec in manifest.samples("present-test") if rec.planted][:10]
+    pipe_rows = [attack_sample(oracle, raw, pool, cfg, probe)[0] for raw in planted]
+    bare_rows = [attack_sample(score, raw, pool, cfg)[0] for raw in planted]
+    pipe_curve = dict(detection_rate_curve(pipe_rows, threshold))
+    bare_curve = dict(detection_rate_curve(bare_rows, threshold))
     for bucket in set(pipe_curve) & set(bare_curve):
         assert pipe_curve[bucket] >= bare_curve[bucket]
-    pipe_rate = sum(1 for _, s in pipe_results if s >= threshold) / len(pipe_results)
-    bare_rate = sum(1 for _, s in bare_on_planted if s >= threshold) / len(bare_on_planted)
+    pipe_rate = sum(1 for row in pipe_rows if row["adv_score"] >= threshold) / len(pipe_rows)
+    bare_rate = sum(1 for row in bare_rows if row["adv_score"] >= threshold) / len(bare_rows)
     assert pipe_rate >= bare_rate
 
     # (d) backfire: a filesize-guarded rule fires on the adversarial file

@@ -11,8 +11,8 @@ from sievemal.attack import (
     apply_manipulation,
     attack_sample,
     gamma_attack,
+    gene_bytes,
     harvest_sections,
-    payload_size,
 )
 from sievemal.errors import BudgetZero, PoolExhausted, SectionLimitExceeded
 from sievemal.pe import InjectionPlan, build_pe, parse_pe
@@ -66,12 +66,12 @@ def test_harvest_from_corpus_is_seeded(unit_corpus):
 
 # --- manipulation ------------------------------------------------------------
 
-def test_payload_size_rounds_per_gene():
+def test_gene_bytes_round_per_gene():
     pool = tiny_pool(2)
     lens = pool.lengths()
-    assert payload_size(pool, [0.0, 0.0]) == 0
-    assert payload_size(pool, [1.0, 1.0]) == sum(pool.lengths())
-    assert payload_size(pool, [0.5, 0.0]) == round(0.5 * lens[0])
+    assert gene_bytes(pool, [0.0, 0.0]) == [0, 0]
+    assert gene_bytes(pool, [1.0, 1.0]) == list(lens)
+    assert gene_bytes(pool, [0.5, 0.0]) == [round(0.5 * lens[0]), 0]
 
 
 def test_apply_manipulation_zero_vector_is_identity():
@@ -87,7 +87,7 @@ def test_apply_manipulation_injects_exact_prefixes():
     pe = parse_pe(raw)
     pool = tiny_pool(3)
     out, payload = apply_manipulation(InjectionPlan(pe), pool, [1.0, 0.0, 0.25])
-    assert payload == payload_size(pool, [1.0, 0.0, 0.25])
+    assert payload == sum(gene_bytes(pool, [1.0, 0.0, 0.25]))
     adv = parse_pe(out)
     names = [s.name for s in adv.sections]
     assert names[:2] == [b".text", b".data"]
@@ -124,10 +124,10 @@ def test_every_oracle_call_is_traced():
     assert not trace.succeeded
 
 
-def test_budget_zero_rejected():
-    with pytest.raises(BudgetZero):
-        gamma_attack(lambda raw: 1.0, malware_bytes(), tiny_pool(3),
-                     AttackConfig(query_budget=0, seed=0))
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_zero_rejected(budget):
+    with pytest.raises(BudgetZero, match="query budget must be positive"):
+        AttackConfig(query_budget=budget, seed=0)
 
 
 def test_constant_low_oracle_succeeds_in_one_query():
@@ -152,7 +152,7 @@ def test_best_objective_is_monotone_over_the_trace():
         best = min(best, score + cfg.lam * payload)
     assert trace.best_objective == best
     assert trace.best_score is not None
-    assert payload_size(pool, trace.best_s) <= sum(pool.lengths())
+    assert trace.best_payload == sum(gene_bytes(pool, trace.best_s)) <= sum(pool.lengths())
 
 
 def test_payload_pressure_prefers_smaller_injections():
@@ -162,7 +162,7 @@ def test_payload_pressure_prefers_smaller_injections():
                        success_threshold=0.0)
     trace = gamma_attack(lambda raw: 0.9, malware_bytes(), pool, cfg)
     first_payload = trace.queries[0][2]
-    assert payload_size(pool, trace.best_s) <= first_payload
+    assert trace.best_payload <= first_payload
 
 
 def test_search_is_deterministic():
@@ -255,8 +255,36 @@ def test_attack_sample_rows():
         assert row["queries"] == trace.queries_used <= cfg.query_budget
         assert row["clean_score"] == clean
         assert row["evaded"] is evaded
-        assert row["payload_kb"] == payload_size(pool, trace.best_s) / 1024
+        assert row["payload_kb"] == sum(gene_bytes(pool, trace.best_s)) / 1024
         assert row["fired_on_best"] == [trace.best_digest]
+
+
+def test_attack_sample_probes_the_rules_once_on_the_rebuilt_best():
+    """The rule probe runs once per sample, on the best query's bytes, which
+    the clean sample's plan rebuilds from best_s alone. An oracle that falls
+    with the payload improves the best query many times before the budget
+    ends the search."""
+    pool = tiny_pool(3)
+    raw = malware_bytes()
+    cfg = AttackConfig(query_budget=60, seed=3, lam=0.0, success_threshold=0.0)
+    probed = []
+
+    def probe(mutant):
+        probed.append(mutant)
+        return ("r",)
+
+    def target(mutant):
+        return 1.0 / len(mutant)
+
+    row, trace = attack_sample(target, raw, pool, cfg, rule_probe=probe)
+    assert trace.queries_used == cfg.query_budget
+    improvements = sum(1 for i, q in enumerate(trace.queries)
+                       if all(q[1] < p[1] for p in trace.queries[:i]))
+    assert improvements > 1
+    rebuilt = apply_manipulation(InjectionPlan(parse_pe(raw)), pool, trace.best_s)[0]
+    assert probed == [rebuilt]
+    assert hashlib.sha256(rebuilt).hexdigest() == trace.best_digest
+    assert row["fired_on_best"] == ["r"]
 
 
 def test_search_stops_at_an_evading_query_and_reports_it():

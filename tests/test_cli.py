@@ -589,9 +589,10 @@ def test_rule_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     '{"threshold": 0.5, "rows": [{"payload_kb": "x", "adv_score": 0.2}]}',
     '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": "a"}]}',
     '{"threshold": 0.5, "rows": [{"payload_kb": Infinity, "adv_score": 0.2}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": null}]}',
     "not json",
 ], ids=["no-threshold", "no-rows", "list", "row-fields", "kb-string", "score-string",
-        "kb-infinite", "not-json"])
+        "kb-infinite", "score-null", "not-json"])
 def test_report_on_malformed_results_exits_one(tmp_path, capsys, doc):
     (tmp_path / "results.json").write_text(doc)
     assert main(["report", "--results", str(tmp_path),

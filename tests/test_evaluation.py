@@ -271,14 +271,23 @@ def test_rule_stats_allowlist_precedence():
 
 # --- detection-rate summaries ------------------------------------------------
 
+def attack_rows(*pairs):
+    return [{"payload_kb": kb, "adv_score": score} for kb, score in pairs]
+
+
 def test_detection_rate_curve_buckets():
-    results = [(10, 0.9), (10, 0.1), (50, 0.8), (50, 0.9), (50, 0.2), (5, 0.99)]
-    curve = detection_rate_curve(results, threshold=0.5)
+    rows = attack_rows((10, 0.9), (10, 0.1), (50, 0.8), (50, 0.9), (50, 0.2), (5, 0.99))
+    curve = detection_rate_curve(rows, threshold=0.5)
     assert curve == [(5, 1.0), (10, 0.5), (50, 2 / 3)]
 
 
+def test_detection_rate_curve_rounds_payload_to_whole_kb():
+    rows = attack_rows((9.6, 0.9), (10.4, 0.1), (0.4, 0.8), (50.3, 0.9))
+    assert detection_rate_curve(rows, threshold=0.5) == [(0, 1.0), (10, 0.5), (50, 1.0)]
+
+
 def test_detection_rate_curve_threshold_inclusive():
-    assert detection_rate_curve([(1, 0.5)], threshold=0.5) == [(1, 1.0)]
+    assert detection_rate_curve(attack_rows((1, 0.5)), threshold=0.5) == [(1, 1.0)]
 
 
 # --- emission ----------------------------------------------------------------

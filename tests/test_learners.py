@@ -73,8 +73,11 @@ def test_grad_hess_match_finite_differences():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(kind="forest", seed=0)
-    with pytest.raises(ValueError):
-        TrainConfig(seed=None)
+    # seed and n_trees as the CLI's --seed and --n-trees take them
+    for bad in (dict(seed=None), dict(seed=-1), dict(seed=1.5), dict(seed="0"),
+                dict(seed=True), dict(n_trees=0), dict(n_trees=-3), dict(n_trees=2.0)):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            TrainConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(seed=0, colsample=0.0)
     with pytest.raises(ValueError):
