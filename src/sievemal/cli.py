@@ -64,7 +64,8 @@ def cmd_gen_corpus(args) -> int:
     with open(os.path.join(args.out, "allowlist.yar"), "w", encoding="utf-8") as fh:
         fh.write(corpus_mod.emit_allowlist(manifest))
     corpus_mod.save_spec(spec, os.path.join(args.out, "spec.json"))
-    _write_runconfig(args.out, "gen-corpus", vars(args))
+    # a --spec run records the seed of its spec, the one the corpus used
+    _write_runconfig(args.out, "gen-corpus", {**vars(args), "seed": spec.seed})
     print(f"wrote {len(manifest.records)} files under {args.out}")
     return 0
 
@@ -249,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="synthesize a corpus with ground truth")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", default=None)
+    source.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
 

@@ -36,6 +36,8 @@ def _sweep(scores, labels, tp, fp, n_pos, n_neg) -> RocCurve:
     """Curve from the operating point (fp, tp) down through the scores, highest
     first; each distinct score adds one point."""
     scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError("a ROC score is NaN: scores must be numbers")
     labels = np.asarray(labels)
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
@@ -72,9 +74,10 @@ def composite_roc(routes, labels) -> RocCurve:
     """Pipeline ROC: rule verdicts fix TPR/FPR offsets, the ML threshold sweeps.
 
     routes: per-sample (stage, score, fired) records, as AiSystem.stage returns
-    them; labels: the matching 0/1 labels. Allowlisted malware is undetectable
-    at every threshold; the minimum-FPR point sits at the blocklist's goodware
-    fire rate (the horizontal-floor phenomenon).
+    them; labels: the matching 0/1 labels. The threshold sweeps the scores of
+    the ml and error routes alike. Allowlisted malware is undetectable at every
+    threshold; the minimum-FPR point sits at the blocklist's goodware fire rate
+    (the horizontal-floor phenomenon).
     """
     m_total = g_total = 0
     m_rules = f_rules = 0
@@ -93,7 +96,7 @@ def composite_roc(routes, labels) -> RocCurve:
             else:
                 f_rules += 1
             continue
-        ml_scores.append(1.0 if score is None else float(score))  # failed extraction => positive
+        ml_scores.append(score)
         ml_labels.append(label)
     if m_total == 0 or g_total == 0:
         raise DegenerateLabels("both classes are required for a composite ROC")

@@ -26,11 +26,18 @@ CALIB_FRACTION = 0.1
 
 
 class Route(NamedTuple):
-    """How one sample was routed: the deciding stage, the model score and the
-    rules that fired."""
-    stage: str                    # allowlist | blocklist | ml
-    score: float | None           # ml only; None when extraction failed
-    fired: tuple                  # rule names; empty for ml
+    """How the composite system decides one file: the deciding stage, the score
+    the system gives the file and the rules that fired. Every ROC curve and
+    attack reads its score off this one field.
+
+    The stage is allowlist (score 0.0), blocklist (1.0), ml (the model's score)
+    or error (1.0: a file the model cannot parse or featurize counts as
+    detected). Route stays a 3-tuple: the benchmark's tracer unpacks
+    AiSystem.stage() as (stage, score, fired) and counts each call under its
+    stage name, so an unscorable file counts under error."""
+    stage: str                    # allowlist | blocklist | ml | error
+    score: float                  # never None
+    fired: tuple                  # rule names; empty for ml and error
 
 
 @dataclass(frozen=True)
@@ -70,28 +77,28 @@ class AiSystem:
     def stage(self, raw: bytes) -> Route:
         """Rules first; the model scores only what no rule decides."""
         return (route_rules(raw, self.allowlist, self.blocklist)
-                or Route("ml", model_score(self.model, raw), ()))
+                or model_route(self.model, raw))
 
 
 def route_rules(raw: bytes, allow: RuleSet, block: RuleSet) -> Route | None:
     """The allowlist -> blocklist precedence: the route of the first ruleset
     that fires on raw, or None when neither does."""
-    for stage, rs in (("allowlist", allow), ("blocklist", block)):
+    for stage, rs, score in (("allowlist", allow, 0.0), ("blocklist", block, 1.0)):
         if len(rs.rules):
             res = scan(raw, rs)
             if res.verdict:
-                return Route(stage, None, res.rule_names)
+                return Route(stage, score, res.rule_names)
     return None
 
 
-def model_score(model, raw: bytes) -> float | None:
-    """The model's score for one file, or None when it cannot be parsed or
-    featurized."""
+def model_route(model, raw: bytes) -> Route:
+    """The model's route for one file: its score, or the error route when the
+    file cannot be parsed or featurized."""
     try:
         vec = extract_features(raw)
     except (MalformedPe, FeatureFailure):
-        return None
-    return float(score_model(model, vec[None, :])[0])
+        return Route("error", 1.0, ())
+    return Route("ml", float(score_model(model, vec[None, :])[0]), ())
 
 
 def predict(system: AiSystem, raw: bytes) -> Verdict:
@@ -101,8 +108,8 @@ def predict(system: AiSystem, raw: bytes) -> Verdict:
         return Verdict(stage="benign_by_allowlist", fired=fired)
     if stage == "blocklist":
         return Verdict(stage="malicious_by_blocklist", fired=fired)
-    if score is None:
-        # model_score keeps no reason; extraction is deterministic, so it fails again
+    if stage == "error":
+        # model_route keeps no reason; extraction is deterministic, so it fails again
         try:
             extract_features(raw)
         except (MalformedPe, FeatureFailure) as exc:
@@ -160,7 +167,13 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
                  allow_text: str = "", block_text: str = "") -> AiSystem:
     """Filter the records with the rules and train on the survivors, in one pass
     that reads each file once; threshold calibrated on a held-out split of the
-    survivors at the target FPR."""
+    survivors at the target FPR. allow_text and block_text are the sources that
+    save_system writes, so each must parse to the ruleset it goes with."""
+    for text, rs, name in ((allow_text, allow, "allow_text"), (block_text, block, "block_text")):
+        if parse_rules(text, role=rs.role).rules != rs.rules:
+            raise ValueError(f"{name} does not parse to the {rs.role} the records are "
+                             f"filtered with ({len(rs.rules)} rules), and it is the text "
+                             "that save_system saves")
     report = FilterReport()
     X, kept, _ = featurize(_route_training(records, allow, block, report), len(records))
     if not kept:
@@ -185,6 +198,9 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
         threshold = 0.5
     else:
         _, threshold = evaluation.tpr_at_fpr(evaluation.roc(calib_scores, y_calib), TARGET_FPR)
+        # the curve's first point has threshold inf; model scores lie in [0, 1]
+        # and the blocklist scores 1.0, which must stay detected
+        threshold = min(threshold, 1.0)
 
     metadata = {
         "filtered": bool(len(allow.rules) or len(block.rules)),
@@ -212,9 +228,9 @@ def evaluate(system: AiSystem, samples) -> dict:
         with open(s.path, "rb") as fh:
             raw = fh.read()
         route = system.stage(raw)
-        score = route.score if route.stage == "ml" else model_score(system.model, raw)
         routes.append(route)
-        bare_scores.append(1.0 if score is None else score)
+        rule_decided = route.stage in ("allowlist", "blocklist")
+        bare_scores.append((model_route(system.model, raw) if rule_decided else route).score)
     labels = [s.label for s in samples]
     composite = evaluation.composite_roc(routes, labels)
     bare = evaluation.roc(bare_scores, labels)
@@ -229,14 +245,11 @@ def evaluate(system: AiSystem, samples) -> dict:
 
 
 def make_oracle(system: AiSystem):
-    """(score_fn, rule_probe) for black-box attacks: blocklist hit scores 1.0,
-    allowlist hit 0.0, otherwise the model score. Extraction failure scores 1.0."""
+    """(score_fn, rule_probe) for black-box attacks: the score of the file's
+    route, and the rules that fire on it."""
 
     def score_fn(raw: bytes) -> float:
-        stage, score, _ = system.stage(raw)
-        if stage == "allowlist":
-            return 0.0
-        return 1.0 if score is None else score  # blocklist routes carry no score
+        return system.stage(raw).score
 
     def rule_probe(raw: bytes):
         route = route_rules(raw, system.allowlist, system.blocklist)

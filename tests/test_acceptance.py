@@ -118,7 +118,8 @@ def test_c3_rule_stats_exact_counts(default_corpus):
     block = parse_rules(emit_rules_from_bank(spec))
     allow = parse_rules(emit_allowlist(manifest), role="allowlist")
     samples = manifest.samples()
-    routes = [route_rules(read(s.path), allow, block) or Route("ml", None, ())
+    # files no rule decides go to the model, whose score rule_stats never reads
+    routes = [route_rules(read(s.path), allow, block) or Route("ml", 0.5, ())
               for s in samples]
     c = rule_stats(routes, [s.label for s in samples], [s.epoch for s in samples])
 
@@ -190,7 +191,7 @@ def test_c4_composite_roc_floor(default_corpus, bare_model):
         label = 1 if i < 9 else 0
         r = rng.random()
         if r < 0.3:
-            table[raw] = ("blocklist", None, ("r",))
+            table[raw] = ("blocklist", 1.0, ("r",))
         else:
             table[raw] = ("ml", rng.choice([0.2, 0.5, 0.5, 0.8, 1.0]), ())
         samples20.append((raw, label))
@@ -215,10 +216,12 @@ def test_c4_composite_roc_floor(default_corpus, bare_model):
 def test_c5_filtered_training_parity_under_drift(default_corpus, bare_model):
     start = time.perf_counter()
     spec, manifest = default_corpus
-    allow = parse_rules(emit_allowlist(manifest), role="allowlist")
-    block = parse_rules(emit_rules_from_bank(spec))
+    allow_text, block_text = emit_allowlist(manifest), emit_rules_from_bank(spec)
+    allow = parse_rules(allow_text, role="allowlist")
+    block = parse_rules(block_text)
     cfg = TrainConfig(kind="gbdt", seed=0, n_trees=100)
-    filtered = train_system(manifest.samples("present-train"), allow, block, cfg)
+    filtered = train_system(manifest.samples("present-train"), allow, block, cfg,
+                            allow_text=allow_text, block_text=block_text)
 
     corpus_count = len(manifest.samples("present-train"))
     report = filtered.metadata["filter_report"]

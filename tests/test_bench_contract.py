@@ -13,6 +13,7 @@ import pytest
 
 import sievemal.rules.engine
 from sievemal import cli, pipeline
+from sievemal.corpus import emit_allowlist, emit_rules_from_bank
 from sievemal.learners import TrainConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -40,13 +41,14 @@ def test_tracer_sees_predict_oracle_and_eval(tracing, unit_system_dir, unit_corp
                                     next(r for r in recs if r.planted),
                                     next(r for r in recs if not r.planted
                                          and not r.allowlisted))]
+    files.append(b"not a pe at all")
     tracer = tracing.Tracer().install()
     try:
         tracer.phase = "pass"
         system = pipeline.load_system(unit_system_dir / "system")
         verdicts = [pipeline.predict(system, raw) for raw in files]
         score_fn, rule_probe = pipeline.make_oracle(system)
-        assert score_fn(files[1]) == 1.0
+        assert score_fn(files[1]) == score_fn(files[3]) == 1.0
         assert rule_probe(files[1]) == verdicts[1].fired
         assert cli.main(["eval", "--system", str(unit_system_dir / "system"),
                          "--corpus", str(unit_system_dir / "manifest.csv"),
@@ -55,11 +57,13 @@ def test_tracer_sees_predict_oracle_and_eval(tracing, unit_system_dir, unit_corp
         tracer.uninstall()
 
     assert [v.stage for v in verdicts] == [
-        "benign_by_allowlist", "malicious_by_blocklist", "ml_score"]
+        "benign_by_allowlist", "malicious_by_blocklist", "ml_score", "error"]
+    assert verdicts[3].error == "file shorter than a DOS header"
     names = {name for (_, name) in tracer.calls}
     for name in ("pipeline.load_system", "pipeline.predict", "pipeline.stage.allowlist",
-                 "pipeline.stage.blocklist", "pipeline.stage.ml", "rules.scan.allowlist",
-                 "rules.scan.blocklist", "features.extract_features", "pe.parse_pe",
+                 "pipeline.stage.blocklist", "pipeline.stage.ml", "pipeline.stage.error",
+                 "rules.scan.allowlist", "rules.scan.blocklist", "features.extract_features",
+                 "pe.parse_pe",
                  "learners.predict_gbdt.single", "attack.oracle", "attack.rule_probe",
                  "evaluation.composite_roc", "evaluation.rule_stats", "evaluation.roc"):
         assert name in names, name
@@ -93,9 +97,11 @@ def sievemal_attributes():
     return attrs
 
 
-def test_tracer_and_counter_see_one_training_pass(tracing, unit_corpus, unit_allowlist,
-                                                  unit_blocklist):
+def test_tracer_and_counter_see_one_training_pass(tracing, unit_corpus, unit_spec,
+                                                  unit_allowlist, unit_blocklist):
     """The set-up of a traced benchmark run: train_system under both instruments."""
+    texts = {"allow_text": emit_allowlist(unit_corpus),
+             "block_text": emit_rules_from_bank(unit_spec)}
     before = sievemal_attributes()
     counter = tracing.CallCounter().install()
     tracer = tracing.Tracer().install()
@@ -103,7 +109,8 @@ def test_tracer_and_counter_see_one_training_pass(tracing, unit_corpus, unit_all
         counter.phase = tracer.phase = "train"
         system = pipeline.train_system(unit_corpus.samples("present-train"),
                                        unit_allowlist, unit_blocklist,
-                                       TrainConfig(kind="gbdt", seed=0, n_trees=5))
+                                       TrainConfig(kind="gbdt", seed=0, n_trees=5),
+                                       **texts)
     finally:
         tracer.uninstall()
         counter.uninstall()

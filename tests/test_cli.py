@@ -46,6 +46,18 @@ def test_gen_corpus_outputs(workdir):
         assert (corpus / name).exists()
     manifest = read_manifest(corpus / "manifest.csv")
     assert len(manifest.records) == 90
+    # the corpus is the spec's seed-11 corpus, and the record says so
+    config = json.loads((corpus / "runconfig.json").read_text())["config"]
+    assert config["seed"] == 11
+
+
+def test_gen_corpus_spec_and_seed_exclude_each_other(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-corpus", "--spec", str(workdir / "spec.json"), "--seed", "3",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rules_check_exit_codes(workdir, tmp_path, capsys):

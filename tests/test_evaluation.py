@@ -68,6 +68,14 @@ def test_roc_ties_collapse_to_single_diagonal_step():
     assert curve.points == ((0.0, 0.0, float("inf")), (1.0, 1.0, 0.5))
 
 
+def test_roc_refuses_a_nan_score():
+    # a NaN never equals itself, so a sweep over one would never advance
+    with pytest.raises(ValueError, match="NaN"):
+        roc([float("nan"), 0.2], [1, 0])
+    with pytest.raises(ValueError, match="NaN"):
+        composite_roc([("ml", None, ()), ("ml", 0.2, ())], [1, 0])
+
+
 def test_roc_requires_both_classes():
     with pytest.raises(DegenerateLabels):
         roc([0.1, 0.2], [1, 1])
@@ -128,7 +136,7 @@ def test_tpr_at_fpr_full_confidence_tie():
 
 def test_tpr_at_fpr_below_the_rule_floor_is_none():
     # one of four goodware is blocklisted: every composite point has fpr >= 0.25
-    routes = [Route("blocklist", None, ("r",)), Route("ml", 0.9, ()), Route("ml", 0.2, ()),
+    routes = [Route("blocklist", 1.0, ("r",)), Route("ml", 0.9, ()), Route("ml", 0.2, ()),
               Route("ml", 0.1, ()), Route("ml", 0.8, ()), Route("ml", 0.3, ())]
     curve = composite_roc(routes, [0, 0, 0, 0, 1, 1])
     assert curve.points[0] == (0.25, 0.0, float("inf"))
@@ -145,11 +153,10 @@ def routed(table, samples):
 
 
 def exhaustive_composite_points(samples, table):
-    """Oracle: enumerate every threshold over the ml scores explicitly."""
+    """Oracle: enumerate every threshold over the ml and error scores explicitly."""
     m_total = sum(1 for _, y in samples if y == 1)
     g_total = len(samples) - m_total
-    ml = [(1.0 if table[r][1] is None else table[r][1], y)
-          for r, y in samples if table[r][0] == "ml"]
+    ml = [(table[r][1], y) for r, y in samples if table[r][0] in ("ml", "error")]
     m_rules = sum(1 for r, y in samples if table[r][0] == "blocklist" and y == 1)
     f_rules = sum(1 for r, y in samples if table[r][0] == "blocklist" and y == 0)
     pts = {(f_rules / g_total, m_rules / m_total)}
@@ -161,7 +168,7 @@ def exhaustive_composite_points(samples, table):
 
 
 def make_composite_instance(seed):
-    """20 samples across all three routing stages with score ties."""
+    """20 samples across all four routing stages with score ties."""
     rng = random.Random(seed)
     table = {}
     samples = []
@@ -170,12 +177,12 @@ def make_composite_instance(seed):
         label = rng.randint(0, 1)
         r = rng.random()
         if r < 0.15:
-            table[raw] = ("allowlist", None, ("allow_hash",))
+            table[raw] = ("allowlist", 0.0, ("allow_hash",))
         elif r < 0.40:
-            table[raw] = ("blocklist", None, ("bank_00",))
+            table[raw] = ("blocklist", 1.0, ("bank_00",))
         else:
-            score = rng.choice([None, 0.1, 0.5, 0.5, 0.9, 1.0])
-            table[raw] = ("ml", score, ())
+            score = rng.choice(["error", 0.1, 0.5, 0.5, 0.9, 1.0])
+            table[raw] = ("error", 1.0, ()) if score == "error" else ("ml", score, ())
         samples.append((raw, label))
     return samples, table
 
@@ -209,7 +216,7 @@ def test_composite_roc_floor_point():
 def test_composite_roc_allowlisted_malware_never_detected():
     samples = [(b"am", 1), (b"m", 1), (b"g", 0)]
     table = {
-        b"am": ("allowlist", None, ("h",)),
+        b"am": ("allowlist", 0.0, ("h",)),
         b"m": ("ml", 0.99, ()),
         b"g": ("ml", 0.01, ()),
     }
@@ -220,7 +227,7 @@ def test_composite_roc_allowlisted_malware_never_detected():
 
 def test_composite_roc_extraction_failure_scores_positive():
     samples = [(b"broken", 1), (b"g", 0)]
-    table = {b"broken": ("ml", None, ()), b"g": ("ml", 0.2, ())}
+    table = {b"broken": ("error", 1.0, ()), b"g": ("ml", 0.2, ())}
     curve = composite_roc(*routed(table, samples))
     assert (0.0, 1.0, 1.0) in curve.points
 
@@ -229,11 +236,11 @@ def test_composite_roc_extraction_failure_scores_positive():
 
 def rule_routes(samples, allow, block):
     """Routes of sample files through the rules alone; a file no rule decides
-    goes to the model, which rule statistics never consult."""
+    goes to the model, whose score rule statistics never read."""
     routes = []
     for s in samples:
         with open(s.path, "rb") as fh:
-            routes.append(route_rules(fh.read(), allow, block) or Route("ml", None, ()))
+            routes.append(route_rules(fh.read(), allow, block) or Route("ml", 0.5, ()))
     return routes
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
+from sievemal.attack import AttackConfig, attack_sample, harvest_sections
 from sievemal.corpus import ManifestRecord, emit_allowlist, emit_rules_from_bank
 from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.features import extract_features
@@ -13,9 +15,12 @@ from sievemal.pipeline import (
     CALIB_FRACTION,
     AiSystem,
     FilterReport,
+    Route,
+    evaluate,
     filter_training,
     load_system,
     make_oracle,
+    model_route,
     predict,
     save_system,
     train_system,
@@ -90,6 +95,22 @@ def test_unparsable_file_reports_error(filtered_system):
     assert verdict.stage == "error"
     assert verdict.score is None
     assert verdict.error == "file shorter than a DOS header"
+    assert model_route(filtered_system.model, b"not a pe at all") == Route("error", 1.0, ())
+    assert filtered_system.stage(b"not a pe at all") == Route("error", 1.0, ())
+
+
+def test_evaluate_scores_unparsable_files_one_on_both_curves(filtered_system, tmp_path):
+    samples = []
+    for label in (1, 0):
+        path = tmp_path / f"broken{label}.bin"
+        path.write_bytes(b"not a pe, label %d" % label)
+        samples.append(ManifestRecord(path=str(path), sha256="0" * 64, label=label,
+                                      epoch="present-test"))
+    report = evaluate(filtered_system, samples)
+    # both files share the one score 1.0: a single diagonal step
+    expected = [[0.0, 0.0, float("inf")], [1.0, 1.0, 1.0]]
+    assert report["composite_roc"] == expected
+    assert report["model_roc"] == expected
 
 
 # --- training-time filtering -------------------------------------------------
@@ -130,8 +151,8 @@ def test_filter_training_records_io_failures(empty_allowlist, empty_blocklist):
 
 # --- system training ---------------------------------------------------------
 
-def test_train_system_reads_each_file_once(unit_corpus, unit_allowlist, unit_blocklist,
-                                           monkeypatch):
+def test_train_system_reads_each_file_once(unit_corpus, unit_spec, unit_allowlist,
+                                           unit_blocklist, monkeypatch):
     import builtins
 
     import sievemal.pipeline
@@ -149,7 +170,9 @@ def test_train_system_reads_each_file_once(unit_corpus, unit_allowlist, unit_blo
     monkeypatch.setattr(sievemal.pipeline, "open", counted_open, raising=False)
     monkeypatch.setattr(sievemal.pipeline, "extract_features", counted_extract)
     samples = unit_corpus.samples("present-train")
-    system = train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG)
+    system = train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG,
+                          allow_text=emit_allowlist(unit_corpus),
+                          block_text=emit_rules_from_bank(unit_spec))
     assert len(opened) == 200
     assert sorted(opened) == sorted(r.path for r in samples)
     assert len(extracted) == system.metadata["filter_report"]["survivors"] == 156
@@ -196,6 +219,44 @@ def test_train_system_svm(unit_corpus, empty_allowlist, empty_blocklist):
     raw = read(samples[0].path)
     verdict = predict(system, raw)
     assert verdict.stage == "ml_score"
+
+
+def test_train_system_refuses_rules_without_their_text(unit_corpus, unit_spec,
+                                                       unit_allowlist, unit_blocklist):
+    # save_system writes the texts; rule sets without them would be saved empty
+    samples = unit_corpus.samples("present-train")
+    with pytest.raises(ValueError, match="allow_text"):
+        train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG)
+    with pytest.raises(ValueError, match="block_text"):
+        train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG,
+                     allow_text=emit_allowlist(unit_corpus))
+
+
+def test_calibrated_threshold_stays_at_or_below_the_blocklist_score(
+        unit_corpus, unit_spec, unit_blocklist, empty_allowlist):
+    """Shuffled labels leave a model whose top calibration score is a
+    goodware's, so no point of the calibration curve but its (0, 0, inf) start
+    lies within the target FPR. The threshold stays at 1.0, where a
+    blocklisted file, which scores 1.0, is still detected."""
+    samples = unit_corpus.samples("present-train")
+    labels = [r.label for r in samples]
+    random.Random(2).shuffle(labels)
+    shuffled = [dataclasses.replace(r, label=y) for r, y in zip(samples, labels)]
+    system = train_system(shuffled, empty_allowlist, unit_blocklist,
+                          TrainConfig(kind="gbdt", seed=0, n_trees=5),
+                          block_text=emit_rules_from_bank(unit_spec))
+    assert system.threshold == system.metadata["threshold"] == 1.0
+
+    target = next(r for r in unit_corpus.samples("future") if r.planted)
+    score_fn, rule_probe = make_oracle(system)
+    goodware = [r for r in samples if r.label == 0]
+    row, _ = attack_sample(score_fn, read(target.path), harvest_sections(goodware, 10, 0),
+                           AttackConfig(query_budget=5, seed=0,
+                                        success_threshold=system.threshold), rule_probe)
+    assert row["adv_score"] == 1.0
+    assert row["fired_on_best"]
+    assert not row["evaded"]
+    assert row["queries"] == 5
 
 
 def test_train_system_single_class_survivors_rejected(
