@@ -12,7 +12,9 @@ Layout (float32 throughout):
               accumulating 1 per occurrence
 
 Both histograms come from one bincount over (1024-byte block, byte value); an
-entropy window is a pair of adjacent full blocks. Token bins walk a 7-bit table.
+entropy window is a pair of adjacent full blocks, and its entropy is read from a
+c*log2(c) table. Section and token bins walk a 7-bit table, and token bins are
+memoized per distinct string.
 """
 
 from __future__ import annotations
@@ -40,11 +42,31 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _FNV7 = [(x * FNV_PRIME) & 127 for x in range(256)]
 
+# c * log2(c) for every count a 2048-byte window can hold (0 for c = 0)
+_CLOG = np.arange(2 * BLOCK + 1) * np.log2(np.maximum(np.arange(2 * BLOCK + 1), 1))
+
+# Token bin of each printable string as found (before lower()). Strings repeat
+# across files (section names, version-info keys, padded tokens); the memo is
+# cleared when full, so its memory stays bounded on any input. Over the seed-0
+# present-test and future files in manifest order, 40% of lookups hit with 256
+# entries, 72% with 1024 and 76% with 4096.
+_TOKEN_MEMO_SIZE = 1024
+_token_memo: dict[bytes, int] = {}
+
 
 def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def _fnv7(data: bytes) -> int:
+    """fnv1a64(data) % 128. (h ^ b) * FNV_PRIME mod 128 depends only on
+    (h ^ b) mod 128, so the walk keeps just the low 7 bits of h."""
+    h, table = FNV_OFFSET & 127, _FNV7
+    for b in data:
+        h = table[h ^ b]
     return h
 
 
@@ -54,11 +76,13 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def _entropy_histogram(blocks: np.ndarray) -> np.ndarray:
-    """blocks: byte counts of the full blocks. A window within 1e-9 of a bin
-    edge (k/2 bits, k >= 1) takes `_entropy`, whose summation order may differ."""
+    """blocks: byte counts of the full blocks. A window's counts sum to 2048,
+    so its entropy is 11 - sum(c * log2(c)) / 2048 bits, read from `_CLOG`:
+    exactly 0 for one byte value and 8 for 256 equally frequent ones. A window
+    within 2e-9 half-bits of a bin edge (k/2 bits, k >= 1) takes `_entropy`
+    instead, so that its bin does not depend on how either sum rounds."""
     windows = blocks[:-1] + blocks[1:]
-    probs = windows / (2 * BLOCK)
-    half_bits = -(probs * np.log2(probs + (windows == 0))).sum(axis=1) * 2
+    half_bits = 22 - _CLOG.take(windows).sum(axis=1) / BLOCK
     near_edge = (abs(half_bits - np.rint(half_bits)) < 2e-9) & (half_bits > 0.5)
     half_bits[near_edge] = [_entropy(w) * 2 for w in windows[near_edge]]
     ebin = np.minimum(half_bits.astype(np.intp), 15)
@@ -104,18 +128,20 @@ def _general_stats(pe: PeFile, raw: bytes, n_strings: int) -> np.ndarray:
 def _section_bins(pe: PeFile) -> np.ndarray:
     out = np.zeros(SECTION_BIN_COUNT)
     for s in pe.sections:
-        out[fnv1a64(s.name) % SECTION_BIN_COUNT] += np.log1p(s.raw_size)
+        out[_fnv7(s.name) % SECTION_BIN_COUNT] += np.log1p(s.raw_size)
     return out
 
 
 def _token_bins(strings: list[bytes]) -> np.ndarray:
-    """Counts of fnv1a64(s.lower()) % 128. (h ^ b) * FNV_PRIME mod 128 depends
-    only on (h ^ b) mod 128, so the walk keeps just the low 7 bits of h."""
-    bins, table, offset = [], _FNV7, FNV_OFFSET & 127
+    """Counts of fnv1a64(s.lower()) % 128, each distinct s hashed once per
+    `_token_memo` fill."""
+    bins, memo = [], _token_memo
     for s in strings:
-        h = offset
-        for b in s.lower():
-            h = table[h ^ b]
+        h = memo.get(s)
+        if h is None:
+            if len(memo) >= _TOKEN_MEMO_SIZE:
+                memo.clear()
+            h = memo[s] = _fnv7(s.lower())
         bins.append(h)
     return np.bincount(bins, minlength=TOKEN_BIN_COUNT)
 
@@ -123,6 +149,7 @@ def _token_bins(strings: list[bytes]) -> np.ndarray:
 def extract_features(raw: bytes) -> np.ndarray:
     """Deterministic 721-dim float32 feature vector of a PE file's bytes; raises
     MalformedPe when they do not parse and FeatureFailure on a non-finite value."""
+    raw = bytes(raw)  # no copy for bytes; the token memo needs hashable strings
     pe = parse_pe(raw)
     arr = np.frombuffer(raw, dtype=np.uint8)
     block_base = np.repeat(np.arange(0, -(-arr.size // BLOCK) * 256, 256), BLOCK)[:arr.size]

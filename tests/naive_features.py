@@ -1,13 +1,13 @@
 """Reference feature blocks and row format used as the exactness oracle.
 
 Deliberately plain: one bincount per entropy window, a regex for printable
-strings, a join and re-count for the string entropy, the 64-bit FNV-1a loop
-per token, and one `repr` per value of a feature-file row. This is the code
-that the block-bincount, span-based and 7-bit-table paths of
-`sievemal.features` replaced; `extract_features` and `write_feature_file`
-must reproduce its vectors and rows bit for bit. Only the header statistics
-and the section-name bins are shared with `sievemal.features`, because those
-paths did not change.
+strings, a join and re-count for the string entropy, its own 64-bit FNV-1a
+loop per section name and per token, and one `repr` per value of a
+feature-file row. This is the code that the block-bincount, c*log2(c)-table,
+span-based, memoized and 7-bit-table paths of `sievemal.features` replaced;
+`extract_features` and `write_feature_file` must reproduce its vectors and
+rows bit for bit. Only the layout constants and the header statistics are
+shared with `sievemal.features`.
 """
 
 import re
@@ -24,16 +24,22 @@ from sievemal.features import (
     STRINGS,
     TOKEN_BINS,
     _general_stats,
-    _section_bins,
-    fnv1a64,
 )
 from sievemal.pe import parse_pe
 
 ENTROPY_WINDOW = 2048
 ENTROPY_STRIDE = 1024
+SECTION_BIN_COUNT = 64
 TOKEN_BIN_COUNT = 128
 
 _STRING_RE = re.compile(rb"[\x20-\x7e]{5,}")
+
+
+def fnv1a64(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def byte_histogram(raw: bytes) -> np.ndarray:
@@ -85,6 +91,13 @@ def string_stats(raw: bytes, strings: list[bytes]) -> np.ndarray:
     return out
 
 
+def section_bins(pe) -> np.ndarray:
+    out = np.zeros(SECTION_BIN_COUNT)
+    for s in pe.sections:
+        out[fnv1a64(s.name) % SECTION_BIN_COUNT] += np.log1p(s.raw_size)
+    return out
+
+
 def token_bins(strings: list[bytes]) -> np.ndarray:
     out = np.zeros(TOKEN_BIN_COUNT)
     for s in strings:
@@ -100,7 +113,7 @@ def extract_features(raw: bytes) -> np.ndarray:
     vec[ENTROPY] = entropy_histogram(raw)
     vec[STRINGS] = string_stats(raw, strings)
     vec[GENERAL] = _general_stats(pe, raw, len(strings))
-    vec[SECTION_BINS] = _section_bins(pe)
+    vec[SECTION_BINS] = section_bins(pe)
     vec[TOKEN_BINS] = token_bins(strings)
     vec = vec.astype(np.float32)
     if not np.all(np.isfinite(vec)):

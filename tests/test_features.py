@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from sievemal.features import (
     SECTION_BINS,
     STRINGS,
     TOKEN_BINS,
+    _fnv7,
+    _section_bins,
     _token_bins,
     extract_features,
     fnv1a64,
@@ -47,12 +50,13 @@ def test_fnv1a64_matches_naive(data):
 @given(st.binary(max_size=64))
 @settings(max_examples=200)
 def test_token_bin_walk_is_fnv1a64_mod_128(data):
-    # the 7-bit walk also gives the section-name bin, fnv1a64 mod 64
-    token = data.lower()
+    # the 7-bit walk gives the token bin and, from the name as is, the section bin
+    assert _fnv7(data) == fnv1a64(data) % 128
     bins = _token_bins([data])
     assert bins.sum() == 1
-    assert bins[fnv1a64(token) % 128] == 1
-    assert np.flatnonzero(bins)[0] % 64 == fnv1a64(token) % 64
+    assert bins[fnv1a64(data.lower()) % 128] == 1
+    section = _section_bins(SimpleNamespace(sections=[SimpleNamespace(name=data, raw_size=1)]))
+    assert np.flatnonzero(section).tolist() == [fnv1a64(data) % 64]
 
 
 def test_vector_shape_and_dtype():
@@ -144,6 +148,11 @@ def test_locality_distant_edit_preserves_untouched_blocks():
 def test_determinism():
     raw = build_pe([(b".d", bytes(range(256)) * 20, DATA)])
     assert np.array_equal(extract_features(raw), extract_features(raw))
+
+
+def test_bytearray_input_gives_the_same_vector():
+    raw = build_pe([(b".d", b"\x00tokenword\x00" * 40, DATA)])
+    assert extract_features(bytearray(raw)).tobytes() == extract_features(raw).tobytes()
 
 
 def test_feature_file_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 """extract_features and the feature-file writer against the naive oracle.
 
 `tests/naive_features.py` holds the per-window entropy loop, the regex string
-scan, the 64-bit FNV-1a token loop and the one-repr-per-value row format that
-`sievemal.features` replaced. Vectors must be bit-identical as float32 bytes
-and rows must be the same text, so a changed entropy bin at an edge, a string
-cut in the wrong place or a lost zero sign fails here.
+scan, the 64-bit FNV-1a section and token loops and the one-repr-per-value row
+format that `sievemal.features` replaced. Vectors must be bit-identical as
+float32 bytes and rows must be the same text, so a changed entropy bin at an
+edge, a string cut in the wrong place, a stale memoized token bin or a lost
+zero sign fails here.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_features
+from sievemal import features
 from sievemal.features import DIM, ENTROPY, STRINGS, extract_features, write_feature_file
 from sievemal.pe import build_pe
 
@@ -38,9 +40,50 @@ def assert_same_vector(raw: bytes) -> np.ndarray:
 
 def test_unit_corpus_vectors_are_identical(unit_corpus):
     assert len(unit_corpus.records) > 100
+    raws = []
     for rec in unit_corpus.records:
         with open(rec.path, "rb") as fh:
-            assert_same_vector(fh.read())
+            raws.append(fh.read())
+    features._token_memo.clear()
+    for _ in range(2):  # with a cold and then a warm token memo
+        for raw in raws:
+            assert_same_vector(raw)
+
+
+class SizeRecordingDict(dict):
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+def test_token_memo_stays_within_its_bound(monkeypatch):
+    bound = features._TOKEN_MEMO_SIZE
+    memo = SizeRecordingDict()
+    monkeypatch.setattr(features, "_token_memo", memo)
+    words = [b"tok%05d" % i for i in range(bound * 3 // 2)]
+    raw = pe_file(b"\x00".join(words + words[:50]))
+    assert assert_same_vector(raw)[STRINGS][0] == len(words) + 50
+    assert memo.peak == bound and 0 < len(memo) <= bound
+
+
+def test_token_memo_keys_each_case_and_shares_the_bin():
+    features._token_memo.clear()
+    assert_same_vector(pe_file(b"\x00KERNEL32.DLL\x00kernel32.dll\x00"))
+    memo = features._token_memo
+    assert set(memo) == {b"KERNEL32.DLL", b"kernel32.dll"}
+    assert memo[b"KERNEL32.DLL"] == memo[b"kernel32.dll"] == (
+        naive_features.fnv1a64(b"kernel32.dll") % 128)
+
+
+@pytest.mark.parametrize("bits", range(9))
+def test_windows_of_equally_frequent_values_sit_on_a_bin_edge(bits):
+    # the section starts at 1024 and the period 2**bits divides 1024, so every
+    # window inside the body holds 2**bits values 2048 / 2**bits times each:
+    # exactly `bits` bits of entropy, the edge below bin 2 * bits
+    vec = assert_same_vector(pe_file(bytes(range(2 ** bits)) * (4096 >> bits)))
+    assert vec[ENTROPY].reshape(16, 16)[min(2 * bits, 15)].sum() > 0
 
 
 def token_text():
