@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,19 +33,22 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        # every kind checks every field: each lands in the saved system's config
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if not (0.0 < self.colsample <= 1.0):
             raise ValueError("colsample must be in (0, 1]")
-        # with H + lambda > 0 at every node no split gain or leaf weight is 0/0;
-        # written so that NaN fails too
+        # with H + lambda > 0 at every node no split gain or leaf weight is 0/0
         if not self.reg_lambda > 0:
             raise ValueError("reg_lambda must be positive")
         if not self.min_child_hessian >= 0:
             raise ValueError("min_child_hessian must be non-negative")
-        if self.kind == "svm":
-            if not (1e-6 <= self.gamma <= 1e4):
-                raise ValueError("gamma must lie in [1e-6, 1e4]")
-            if self.reg <= 0:
-                raise ValueError("reg must be positive")
+        if not (1e-6 <= self.gamma <= 1e4):
+            raise ValueError("gamma must lie in [1e-6, 1e4]")
+        if not self.reg > 0:
+            raise ValueError("reg must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -7,8 +7,6 @@ model last; a sample decided by rules never reaches the model.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -18,11 +16,13 @@ import numpy as np
 from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
 from . import evaluation
 from .features import DIM, extract_features
-from .learners import TrainConfig, load_model, save_model, score_model, train_model
+from .learners import TrainConfig, model_from_dict, score_model, train_model
 from .rules import RuleSet, parse_rules, scan
 
 TARGET_FPR = 0.01
 CALIB_FRACTION = 0.1
+SYSTEM_FORMAT = "sievemal-system"
+SYSTEM_FORMAT_VERSION = 1
 
 
 class Route(NamedTuple):
@@ -188,19 +188,18 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
     # the one copy: calibration rows first, then the training rows in perm order
     X, y = X[perm], y[perm]
     X_train, y_train = X[n_calib:], y[n_calib:]
-    if len(np.unique(y_train)) < 2:
-        X_train, y_train = X, y  # tiny corpus: train on everything
+    y_calib = y[:n_calib]
+    for split, labels in (("training", y_train), ("calibration", y_calib)):
+        if len(np.unique(labels)) < 2:
+            raise DegenerateData(f"the {len(labels)} {split} rows of the {len(y)} survivors "
+                                 "hold a single class")
     model = train_model(X_train, y_train, cfg)
 
-    y_calib = y[:n_calib]
     calib_scores = score_model(model, X[:n_calib])
-    if len(np.unique(y_calib)) < 2:
-        threshold = 0.5
-    else:
-        _, threshold = evaluation.tpr_at_fpr(evaluation.roc(calib_scores, y_calib), TARGET_FPR)
-        # the curve's first point has threshold inf; model scores lie in [0, 1]
-        # and the blocklist scores 1.0, which must stay detected
-        threshold = min(threshold, 1.0)
+    _, threshold = evaluation.tpr_at_fpr(evaluation.roc(calib_scores, y_calib), TARGET_FPR)
+    # the curve's first point has threshold inf; model scores lie in [0, 1]
+    # and the blocklist scores 1.0, which must stay detected
+    threshold = min(threshold, 1.0)
 
     metadata = {
         "filtered": bool(len(allow.rules) or len(block.rules)),
@@ -260,40 +259,44 @@ def make_oracle(system: AiSystem):
 
 # --- system artifact directory ----------------------------------------------
 
-def _training_digest(metadata) -> str:
-    return hashlib.sha256(json.dumps(metadata, sort_keys=True).encode()).hexdigest()
-
-
 def save_system(system: AiSystem, directory):
+    """The directory holds the two rule texts and model.json, one document with
+    the model and its training metadata, which write_report writes."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "allowlist.yar"), "w", encoding="utf-8") as fh:
-        fh.write(system.allow_text)
-    with open(os.path.join(directory, "blocklist.yar"), "w", encoding="utf-8") as fh:
-        fh.write(system.block_text)
-    save_model(system.model, os.path.join(directory, "model.json"),
-               training_digest=_training_digest(system.metadata))
-    evaluation.write_report(os.path.join(directory, "metadata.json"), system.metadata)
+    for name, text in (("allowlist.yar", system.allow_text), ("blocklist.yar", system.block_text)):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    evaluation.write_report(os.path.join(directory, "model.json"), {
+        "format": SYSTEM_FORMAT, "version": SYSTEM_FORMAT_VERSION,
+        "metadata": system.metadata, "model": system.model.to_dict()})
 
 
 def load_system(directory) -> AiSystem:
-    """The system save_system wrote; a model.json whose training_digest is not
-    the digest of metadata.json (a model of another training) is refused."""
+    """The system save_system wrote. A model.json that is not a system document,
+    or whose threshold is not a number in [0, 1], raises SpecInvalid naming it."""
     with open(os.path.join(directory, "allowlist.yar"), encoding="utf-8") as fh:
         allow_text = fh.read()
     with open(os.path.join(directory, "blocklist.yar"), encoding="utf-8") as fh:
         block_text = fh.read()
-    meta_path = os.path.join(directory, "metadata.json")
-    metadata = evaluation.read_report(meta_path)
-    if not (isinstance(metadata, dict) and isinstance(metadata.get("threshold"), (int, float))):
-        raise SpecInvalid(f"{meta_path}: not system metadata: want an object with a numeric "
-                          "'threshold'")
-    model_path = os.path.join(directory, "model.json")
-    model, training_digest = load_model(model_path)
-    if training_digest != _training_digest(metadata):
-        raise SpecInvalid(f"{model_path} was not saved with {meta_path}: its training_digest "
-                          f"is not the sha256 of that metadata")
-    allow = parse_rules(allow_text, role="allowlist")
-    block = parse_rules(block_text, role="blocklist")
-    return AiSystem(allowlist=allow, blocklist=block, model=model,
-                    threshold=metadata["threshold"], allow_text=allow_text,
+    path = os.path.join(directory, "model.json")
+    doc = evaluation.read_report(path)
+    try:
+        if not (isinstance(doc, dict) and doc.get("format") == SYSTEM_FORMAT
+                and doc.get("version") == SYSTEM_FORMAT_VERSION):
+            raise SpecInvalid(f"not a system document: want format {SYSTEM_FORMAT!r} "
+                              f"version {SYSTEM_FORMAT_VERSION}")
+        metadata = doc.get("metadata")
+        if not isinstance(metadata, dict):
+            raise SpecInvalid("no 'metadata' object")
+        threshold = metadata.get("threshold")
+        # written so that NaN fails too
+        if isinstance(threshold, bool) or not (isinstance(threshold, (int, float))
+                                               and 0.0 <= threshold <= 1.0):
+            raise SpecInvalid(f"threshold {threshold!r} is not a number in [0, 1]")
+        model = model_from_dict(doc.get("model"))
+    except SpecInvalid as exc:
+        raise SpecInvalid(f"{path}: {exc}") from None
+    return AiSystem(allowlist=parse_rules(allow_text, role="allowlist"),
+                    blocklist=parse_rules(block_text, role="blocklist"), model=model,
+                    threshold=float(threshold), allow_text=allow_text,
                     block_text=block_text, metadata=metadata)

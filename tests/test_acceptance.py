@@ -414,7 +414,7 @@ def test_c9_end_to_end_determinism(tmp_path, monkeypatch):
 
     compare = [
         "corpus/manifest.csv", "corpus/blocklist.yar", "corpus/allowlist.yar",
-        "system/model.json", "system/metadata.json",
+        "system/model.json",
         "eval.json", "eval.composite.dat", "eval.model.dat",
         "attack/results.json", "summary.json",
     ]

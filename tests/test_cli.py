@@ -148,14 +148,18 @@ def test_bad_seed_or_tree_count_is_a_usage_error_before_any_file(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option, value, message", [
-    ("--gamma", "0", "gamma must lie in [1e-6, 1e4]"),
-    ("--reg", "0", "reg must be positive"),
+@pytest.mark.parametrize("kind, option, value, message", [
+    ("svm", "--gamma", "0", "gamma must lie in [1e-6, 1e4]"),
+    ("svm", "--reg", "0", "reg must be positive"),
+    ("svm", "--reg", "nan", "reg must be finite, not nan"),
+    ("svm", "--reg", "inf", "reg must be finite, not inf"),
+    ("gbdt", "--gamma", "nan", "gamma must be finite, not nan"),
 ])
-def test_train_config_refusal_exits_one(workdir, tmp_path, capsys, option, value, message):
+def test_train_config_refusal_exits_one(workdir, tmp_path, capsys, kind, option, value,
+                                        message):
     out = tmp_path / "system"
     assert main(["train", "--corpus", str(workdir / "corpus" / "manifest.csv"),
-                 "--kind", "svm", option, value, "--system-out", str(out)]) == 1
+                 "--kind", kind, option, value, "--system-out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -246,11 +250,25 @@ def test_filter_command(workdir, tmp_path):
 
 def test_train_writes_system_artifact(workdir):
     system = workdir / "system"
-    for name in ("model.json", "metadata.json", "allowlist.yar",
-                 "blocklist.yar", "runconfig.json"):
-        assert (system / name).exists()
-    md = json.loads((system / "metadata.json").read_text())
-    assert md["filtered"] is True
+    assert sorted(os.listdir(system)) == ["allowlist.yar", "blocklist.yar", "model.json",
+                                          "runconfig.json"]
+    doc = json.loads((system / "model.json").read_text())
+    assert (doc["format"], doc["version"]) == ("sievemal-system", 1)
+    assert doc["metadata"]["filtered"] is True
+    assert doc["model"]["kind"] == "gbdt"
+
+
+def test_train_refuses_calibration_rows_of_one_class(workdir, tmp_path, capsys):
+    # seed 0 draws both calibration rows of the 10 survivors from the goodware
+    records = read_manifest(workdir / "corpus" / "manifest.csv").samples("present-train")
+    tiny = ([r for r in records if r.label == 1][:3] + [r for r in records if r.label == 0][:7])
+    write_manifest(Manifest(records=tiny), tmp_path / "tiny.csv")
+    out = tmp_path / "system"
+    assert main(["train", "--corpus", str(tmp_path / "tiny.csv"),
+                 "--system-out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the 2 calibration rows of the 10 survivors hold a single class\n")
+    assert not out.exists()
 
 
 def test_train_runconfig_records_the_system_options(workdir):
@@ -267,7 +285,7 @@ def test_all_data_system_is_attacked_at_its_own_threshold(workdir, tmp_path):
     system = tmp_path / "alldata"
     assert main(["train", "--corpus", str(corpus / "manifest.csv"),
                  "--system-out", str(system), "--seed", "0", "--n-trees", "20"]) == 0
-    md = json.loads((system / "metadata.json").read_text())
+    md = json.loads((system / "model.json").read_text())["metadata"]
     assert md["filtered"] is False
     assert md["filter_report"]["removed_by_allowlist"] == 0
     assert md["filter_report"]["removed_by_blocklist"] == 0
@@ -309,41 +327,45 @@ def test_predict_prints_the_error_reason(workdir, tmp_path, capsys):
     assert capsys.readouterr().out == f"{junk}\terror\t\tfile shorter than a DOS header\n"
 
 
-def test_system_with_tampered_metadata_exits_one(workdir, tmp_path, capsys):
-    system = tmp_path / "system"
-    shutil.copytree(workdir / "system", system)
-    meta = json.loads((system / "metadata.json").read_text())
-    meta["threshold"] = 0.5
-    (system / "metadata.json").write_text(json.dumps(meta))
-    junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"not a pe at all")
-    assert main(["predict", "--system", str(system), str(junk)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {system / 'model.json'} was not saved with {system / 'metadata.json'}: "
-        "its training_digest is not the sha256 of that metadata\n")
+def _pre_change_model_file(doc):
+    """The standalone model file that came before the system document."""
+    return {"format": "sievemal-model", "version": 1, "training_digest": "",
+            "model": doc["model"]}
 
 
-@pytest.mark.parametrize("name,text", [
-    ("metadata.json", "{not json"),
-    ("metadata.json", "[]"),
-    ("model.json", "{not json"),
-    ("model.json", "[]"),
-    ("model.json", {"model": {}}),
-    ("model.json", {"model": {"kind": "gbdt"}}),
-    ("model.json", {"version": 2}),
-], ids=["metadata-not-json", "metadata-list", "model-not-json", "model-list", "model-body-empty",
-        "model-body-no-trees", "model-version-2"])
-def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, name, text):
+def _with_threshold(value):
+    return lambda doc: {**doc, "metadata": {**doc["metadata"], "threshold": value}}
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ("{not json", "not a JSON document"),
+    ("[]", "not a system document"),
+    (_pre_change_model_file, "not a system document"),
+    (lambda doc: {**doc, "version": 2}, "not a system document"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "metadata"}, "no 'metadata' object"),
+    (_with_threshold(float("nan")), "threshold nan is not a number in [0, 1]"),
+    (_with_threshold(True), "threshold True is not a number in [0, 1]"),
+    (_with_threshold(7.5), "threshold 7.5 is not a number in [0, 1]"),
+    (lambda doc: {**doc, "model": {}}, "unknown model kind None"),
+    (lambda doc: {**doc, "model": {**doc["model"], "kind": "forest"}},
+     "unknown model kind 'forest'"),
+    (lambda doc: {**doc, "model": {"kind": "gbdt"}}, "malformed gbdt model"),
+], ids=["not-json", "list", "pre-change-model-file", "version-2", "no-metadata",
+        "threshold-nan", "threshold-true", "threshold-7.5", "model-body-empty",
+        "model-kind-unknown", "model-body-no-trees"])
+def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, edit, reason):
     system = tmp_path / "system"
     shutil.copytree(workdir / "system", system)
-    if isinstance(text, dict):    # fields that replace those of the saved model file
-        text = json.dumps({**json.loads((system / name).read_text()), **text})
-    (system / name).write_text(text)
+    path = system / "model.json"
+    if callable(edit):            # a change to the saved document
+        edit = json.dumps(edit(json.loads(path.read_text())))
+    path.write_text(edit)
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"not a pe at all")
     assert main(["predict", "--system", str(system), str(junk)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {system / name}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_eval_command(workdir, tmp_path):

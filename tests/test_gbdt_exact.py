@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import naive_gbdt
+from sievemal.evaluation import read_report, write_report
 from sievemal.features import extract_features
-from sievemal.learners import gbdt
+from sievemal.learners import gbdt, model_from_dict
 from sievemal.learners.common import TrainConfig
 from sievemal.learners.gbdt import GbdtModel, train_gbdt
-from sievemal.learners.io import load_model, save_model
 from sievemal.pipeline import filter_training
 
 MODEL_KEYS = {"kind", "eta", "base_score", "n_features", "config", "train_log_loss", "trees"}
@@ -198,14 +198,16 @@ def test_training_makes_no_float64_copy_of_a_float32_matrix():
 
 @pytest.fixture(scope="module")
 def saved_models(noisy_matrix, tmp_path_factory):
-    """A stump forest and a deep forest, each through save_model/load_model."""
+    """A stump forest and a deep forest, each written and read back as the
+    model of a model.json document is."""
     X, y = noisy_matrix
     root = tmp_path_factory.mktemp("gbdt-models")
     models = []
     for name, cfg in (("stumps", TrainConfig(seed=0, n_trees=20, max_depth=1)),
                       ("deep", TrainConfig(seed=0, n_trees=20, max_depth=6))):
-        save_model(train_gbdt(X, y, cfg), root / f"{name}.json")
-        models.append(load_model(root / f"{name}.json")[0])
+        path = root / f"{name}.json"
+        write_report(path, {"model": train_gbdt(X, y, cfg).to_dict()})
+        models.append(model_from_dict(read_report(path)["model"]))
     return models
 
 

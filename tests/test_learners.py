@@ -8,8 +8,10 @@ import pytest
 from sievemal.errors import DegenerateData, SpecInvalid
 from sievemal.learners.common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 from sievemal.learners.gbdt import GbdtModel, predict_gbdt, train_gbdt
-from sievemal.learners.io import load_model, save_model
+from sievemal.learners.io import model_from_dict
 from sievemal.learners.svm import RbfSvmModel, predict_svm_rbf, rbf_kernel, train_svm_rbf
+from sievemal.pipeline import AiSystem, load_system, save_system
+from sievemal.rules import RuleSet
 
 
 def xor_data(n=400, seed=0):
@@ -86,6 +88,12 @@ def test_config_validation():
         TrainConfig(kind="svm", seed=0, gamma=2e4)
     with pytest.raises(ValueError):
         TrainConfig(kind="svm", seed=0, reg=0.0)
+    # gamma and reg reach every kind's saved config, and every float is finite
+    for kind in ("gbdt", "svm"):
+        for bad in (dict(gamma=0.0), dict(reg=-1.0), dict(gamma=float("nan")),
+                    dict(reg=float("nan")), dict(reg=float("inf")), dict(eta=float("-inf"))):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(kind=kind, seed=0, **bad)
     # leaf weights and split gains divide by H + reg_lambda
     for kind in ("gbdt", "svm"):
         for bad in (dict(reg_lambda=0.0), dict(reg_lambda=-1.0),
@@ -250,30 +258,42 @@ def test_svm_probabilities_in_unit_interval():
 
 # --- persistence -------------------------------------------------------------
 
+def through_system_document(model, cfg, directory):
+    """model saved in a bare system by save_system and loaded by load_system;
+    the metadata comes back as it was saved."""
+    metadata = {"threshold": 0.5, "config": cfg.to_dict()}
+    save_system(AiSystem(RuleSet(rules=(), role="allowlist"), RuleSet(rules=(), role="blocklist"),
+                         model, 0.5, metadata=metadata), directory)
+    loaded = load_system(directory)
+    assert loaded.metadata == metadata
+    return loaded.model
+
+
 def test_gbdt_model_file_round_trip(tmp_path):
     X, y = xor_data(n=200, seed=12)
-    model = train_gbdt(X, y, TrainConfig(seed=0, n_trees=5))
-    path = tmp_path / "m.json"
-    save_model(model, path, training_digest="abc123")
-    loaded, training_digest = load_model(path)
-    assert training_digest == "abc123"
+    cfg = TrainConfig(seed=0, n_trees=5)
+    model = train_gbdt(X, y, cfg)
+    loaded = through_system_document(model, cfg, tmp_path)
     assert isinstance(loaded, GbdtModel)
     assert np.array_equal(predict_gbdt(loaded, X), predict_gbdt(model, X))
 
 
 def test_svm_model_file_round_trip(tmp_path):
     X, y = blob_data(n=80, sep=5.0, seed=13)
-    model = train_svm_rbf(X, y, TrainConfig(kind="svm", seed=0, gamma=0.1, reg=1e-2,
-                                            max_iters=300))
-    path = tmp_path / "m.json"
-    save_model(model, path)
-    loaded, _ = load_model(path)
+    cfg = TrainConfig(kind="svm", seed=0, gamma=0.1, reg=1e-2, max_iters=300)
+    model = train_svm_rbf(X, y, cfg)
+    loaded = through_system_document(model, cfg, tmp_path)
     assert isinstance(loaded, RbfSvmModel)
     assert np.array_equal(predict_svm_rbf(loaded, X), predict_svm_rbf(model, X))
 
 
-def test_load_model_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"not": "a model"}')
-    with pytest.raises(SpecInvalid, match="unrecognized model file"):
-        load_model(p)
+@pytest.mark.parametrize("body, message", [
+    ({"not": "a model"}, "unknown model kind None"),
+    ([], "unknown model kind None"),
+    ({"kind": "forest"}, "unknown model kind 'forest'"),
+    ({"kind": "gbdt"}, r"malformed gbdt model \(KeyError"),
+    ({"kind": "svm", "gamma": 0.1}, r"malformed svm model \(KeyError"),
+], ids=["no-kind", "list", "unknown-kind", "gbdt-no-trees", "svm-no-vectors"])
+def test_model_from_dict_rejects_garbage(body, message):
+    with pytest.raises(SpecInvalid, match=message):
+        model_from_dict(body)
