@@ -8,12 +8,23 @@ minimizes score(x + s) + lambda * payload bytes with a fixed population of
 POPULATION and Gaussian mutation of scale MUTATION_SIGMA, and it stops at the
 first query that scores under the success threshold: that query is then the
 reported best, so "evaded" and "succeeded" are one fact.
+
+The search's random draws depend only on (seed, number of genes), never on
+the target's scores: every breeding keeps ELITES = POPULATION // 2, so each
+child draws two parent indices, a crossover mask and a mutation from the
+same bounds. Those draws are made once per process into a shared read-only
+tape (_tape), one generation at a time as the deepest search reaches it, and
+each target's search reads a prefix of it; only the choice of elites depends
+on the target.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +34,7 @@ from .pe import InjectionPlan, parse_pe
 
 
 POPULATION = 10
+ELITES = POPULATION // 2          # kept at each breeding; the other POPULATION - ELITES are bred
 MUTATION_SIGMA = 0.2
 MAX_GENES = 100                   # ".gamma%02d" fits a section name's 8 bytes up to gene 99
 
@@ -76,21 +88,30 @@ class AttackTrace:
         return len(self.queries)
 
     def to_jsonl(self, path):
+        lines = [_JSONL.encode({
+            "s": _floats(s),
+            "score": float(score),
+            "payload_bytes": int(payload),
+        }) + "\n" for s, score, payload in self.queries]
+        lines.append(_JSONL.encode({
+            "best_s": None if self.best_s is None else _floats(self.best_s),
+            "best_score": self.best_score,
+            "best_digest": self.best_digest,
+            "fired_on_best": list(self.fired_on_best),
+            "queries_used": self.queries_used,
+            "succeeded": self.succeeded,
+        }) + "\n")
         with open(path, "w", encoding="utf-8") as fh:
-            for s, score, payload in self.queries:
-                fh.write(json.dumps({
-                    "s": [float(v) for v in s],
-                    "score": float(score),
-                    "payload_bytes": int(payload),
-                }, sort_keys=True) + "\n")
-            fh.write(json.dumps({
-                "best_s": None if self.best_s is None else [float(v) for v in self.best_s],
-                "best_score": self.best_score,
-                "best_digest": self.best_digest,
-                "fired_on_best": list(self.fired_on_best),
-                "queries_used": self.queries_used,
-                "succeeded": self.succeeded,
-            }, sort_keys=True) + "\n")
+            fh.writelines(lines)
+
+
+# one encoder for every trace line: json.dumps(..., sort_keys=True) builds a new one per call
+_JSONL = json.JSONEncoder(sort_keys=True)
+
+
+def _floats(s) -> list:
+    """A vector as the Python floats float(v) gives for each entry, in one call."""
+    return np.asarray(s, dtype=np.float64).tolist()
 
 
 def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
@@ -134,6 +155,54 @@ def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     return plan.inject(items), sum(counts)
 
 
+class _Tape:
+    """The search's random draws for one (seed, gene count), in the order the
+    per-child search makes them: POPULATION uniform vectors for the first
+    batch, then per generation, child by child, two parent indices below
+    ELITES, a 0/1 crossover mask and a Gaussian mutation. Generation g is
+    drawn the first time a search reaches it; every array is read-only, so
+    no search can change what a later one reads."""
+
+    def __init__(self, seed: int, k: int):
+        self._rng = np.random.default_rng(seed)
+        self._k = k
+        self._generations = []
+        self._lock = threading.Lock()
+        self.first = _read_only(np.array([self._rng.uniform(0.0, 1.0, size=k)
+                                          for _ in range(POPULATION)]))
+
+    def generation(self, g: int) -> tuple:
+        """(parents_a, parents_b, mask, noise) of breeding g: the first two of
+        shape (POPULATION - ELITES,), the others (POPULATION - ELITES, k)."""
+        with self._lock:
+            while len(self._generations) <= g:
+                self._generations.append(self._draw())
+            return self._generations[g]
+
+    def _draw(self) -> tuple:
+        rng, n = self._rng, POPULATION - ELITES
+        parents_a, parents_b = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        mask = np.empty((n, self._k), dtype=bool)
+        noise = np.empty((n, self._k))
+        for j in range(n):
+            parents_a[j], parents_b[j] = rng.integers(0, ELITES, size=2)
+            mask[j] = rng.integers(0, 2, size=self._k).astype(bool)
+            noise[j] = rng.normal(0.0, MUTATION_SIGMA, size=self._k)
+        return tuple(map(_read_only, (parents_a, parents_b, mask, noise)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _tape(seed: int, k: int) -> _Tape:
+    """The one tape per process for (seed, k); an evicted tape is drawn again
+    from its seed, with the same values."""
+    return _Tape(seed, k)
+
+
 def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
                  rule_probe=None) -> AttackTrace:
     """Seeded elitist genetic search under a strict query budget.
@@ -148,12 +217,11 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
     SectionLimitExceeded before any query is spent on it.
     """
     plan = InjectionPlan(parse_pe(malware))
-    rng = np.random.default_rng(cfg.seed)
-    k = len(pool)
+    tape = _tape(cfg.seed, len(pool))
     trace = AttackTrace()
     population, objectives = [], []
-    batch = [rng.uniform(0.0, 1.0, size=k) for _ in range(POPULATION)]
-    while True:
+    batch = tape.first
+    for generation in itertools.count():
         for s in batch:
             raw, payload = apply_manipulation(plan, pool, s)
             score = float(target(raw))
@@ -173,16 +241,14 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
                 return trace
             population.append(s)
             objectives.append(objective)
-        elite = np.argsort(objectives, kind="stable")[:POPULATION // 2]
+        elite = np.argsort(objectives, kind="stable")[:ELITES]
         population = [population[i] for i in elite]
         objectives = [objectives[i] for i in elite]
-        batch = []
-        for _ in range(POPULATION - len(population)):
-            pa, pb = rng.integers(0, len(population), size=2)
-            mask = rng.integers(0, 2, size=k).astype(bool)
-            child = np.where(mask, population[pa], population[pb])
-            child = child + rng.normal(0.0, MUTATION_SIGMA, size=k)
-            batch.append(np.clip(child, 0.0, 1.0))
+        # the whole brood in one step: row j is child j of the per-child recipe
+        # clip(where(mask, a, b) + noise, 0, 1), elementwise and so bit-identical
+        parents_a, parents_b, mask, noise = tape.generation(generation)
+        elites = np.array(population)
+        batch = np.clip(np.where(mask, elites[parents_a], elites[parents_b]) + noise, 0.0, 1.0)
 
 
 def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,

@@ -201,12 +201,15 @@ def _is_attack_row(row) -> bool:
 def cmd_report(args) -> int:
     path = os.path.join(args.results, "results.json")
     doc = evaluation.read_report(path)
-    if not (isinstance(doc, dict) and isinstance(doc.get("threshold"), (int, float))
-            and isinstance(doc.get("rows"), list) and all(map(_is_attack_row, doc["rows"]))):
-        raise SpecInvalid(f"{path}: not attack results: want a numeric 'threshold' and "
-                          "'rows' that each have a finite numeric 'payload_kb' and a "
-                          "numeric 'adv_score'")
-    threshold = doc["threshold"]
+    if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)
+            and all(map(_is_attack_row, doc["rows"]))):
+        raise SpecInvalid(f"{path}: not attack results: want 'rows' that each have a "
+                          "finite numeric 'payload_kb' and a numeric 'adv_score'")
+    threshold = doc.get("threshold")
+    try:
+        evaluation.check_threshold(threshold)
+    except SpecInvalid as exc:
+        raise SpecInvalid(f"{path}: {exc}") from None
     curve = evaluation.detection_rate_curve(doc["rows"], threshold=threshold)
     report = {"detection_rate_by_payload_kb": curve,
               "threshold": threshold,

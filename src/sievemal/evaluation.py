@@ -126,6 +126,15 @@ def rule_stats(routes, labels, epochs) -> dict:
     return counts
 
 
+def check_threshold(threshold):
+    """Raise SpecInvalid unless a stored threshold is a number in [0, 1]: not a
+    bool, NaN or an infinity."""
+    # written so that NaN fails too
+    if isinstance(threshold, bool) or not (isinstance(threshold, (int, float))
+                                           and 0.0 <= threshold <= 1.0):
+        raise SpecInvalid(f"threshold {threshold!r} is not a number in [0, 1]")
+
+
 def detection_rate_curve(rows, threshold: float):
     """Detection rate per payload bucket at a fixed precalibrated threshold.
 

@@ -289,10 +289,7 @@ def load_system(directory) -> AiSystem:
         if not isinstance(metadata, dict):
             raise SpecInvalid("no 'metadata' object")
         threshold = metadata.get("threshold")
-        # written so that NaN fails too
-        if isinstance(threshold, bool) or not (isinstance(threshold, (int, float))
-                                               and 0.0 <= threshold <= 1.0):
-            raise SpecInvalid(f"threshold {threshold!r} is not a number in [0, 1]")
+        evaluation.check_threshold(threshold)
         model = model_from_dict(doc.get("model"))
     except SpecInvalid as exc:
         raise SpecInvalid(f"{path}: {exc}") from None

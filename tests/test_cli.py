@@ -634,3 +634,17 @@ def test_report_on_malformed_results_exits_one(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'results.json'}: ") and err.count("\n") == 1
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text,shown", [("true", "True"), ("NaN", "nan"), ("1.5", "1.5"),
+                                        ("-0.1", "-0.1")], ids=["true", "nan", "1.5", "-0.1"])
+def test_report_refuses_a_threshold_outside_the_unit_interval(tmp_path, capsys, text, shown):
+    """The rule load_system applies to model.json: a threshold is a number in
+    [0, 1], and a bool or NaN is not one (`score >= True` would read as >= 1)."""
+    (tmp_path / "results.json").write_text(
+        '{"threshold": %s, "rows": [{"payload_kb": 1.0, "adv_score": 0.7}]}' % text)
+    assert main(["report", "--results", str(tmp_path),
+                 "--out", str(tmp_path / "summary.json")]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'results.json'}: "
+                                       f"threshold {shown} is not a number in [0, 1]\n")
+    assert not (tmp_path / "summary.json").exists()
