@@ -24,13 +24,17 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted
-from .pe import InjectionPlan, parse_pe
+from .evaluation import is_threshold
+from .pe import InjectionPlan, PeFile, parse_pe
+from .rules import RuleSet, scan
+from .rules.engine import stays_fired
 
 
 POPULATION = 10
@@ -66,10 +70,18 @@ class AttackConfig:
     success_threshold: float = 0.5
 
     def __post_init__(self):
-        if not self.query_budget >= 1:
+        # the search stops at queries_used == query_budget, which 2.5 never meets
+        if isinstance(self.query_budget, bool) or not isinstance(self.query_budget, int):
+            raise ValueError(f"query budget must be an integer, got {self.query_budget!r}")
+        if self.query_budget < 1:
             raise BudgetZero("query budget must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        # no objective is below a NaN or infinite one, so no query would become the best
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
+        # a blocklisted file scores 1.0, which must never count as an evasion
+        if not is_threshold(self.success_threshold):
+            raise ValueError(f"success threshold must be a number in [0, 1], "
+                             f"got {self.success_threshold!r}")
 
 
 @dataclass
@@ -153,6 +165,22 @@ def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     items = [(b".gamma%02d" % i, content[:n])
              for i, ((_, _, content), n) in enumerate(zip(pool.sections, counts)) if n > 0]
     return plan.inject(items), sum(counts)
+
+
+def blocklist_settled(blocklist: RuleSet, raw: bytes, pe: PeFile) -> bool:
+    """Whether the blocklist is proved to fire on every mutant that
+    apply_manipulation can emit from raw, whose parse is pe.
+
+    Every mutant keeps the clean file's section data and overlay verbatim and
+    is no shorter (InjectionPlan.kept), so a fired rule that needs only hits
+    inside those spans, and a file at least this long, fires on each one
+    (rules.engine.stays_fired). The spans are spans of the plan's clean file,
+    so raw must be that file. A settled target scores 1.0 under its system
+    on every query unless the allowlist fires, which scores 0.0.
+    """
+    plan = InjectionPlan(pe)
+    return plan.clean == raw and stays_fired(blocklist, scan(raw, blocklist), len(raw),
+                                             plan.kept)
 
 
 class _Tape:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error (malformed input, degenerate data),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -168,19 +169,25 @@ def cmd_attack(args) -> int:
     targets = [r for r in corpus_mod.read_manifest(args.malware).records if r.label == 1]
     # every target must parse and have room for one section per gene before
     # --out is made, so a bad one leaves no output
+    settled = []
     for r in targets:
+        raw = _read_bytes(r.path)
         try:
-            pe = parse_pe(_read_bytes(r.path))
+            pe = parse_pe(raw)
         except MalformedPe as exc:
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
         if pe.num_sections + len(pool) > MAX_SECTIONS:
             raise SectionLimitExceeded(
                 f"attack target {r.path}: {pe.num_sections} sections leave no room for "
                 f"{len(pool)} more (at most {MAX_SECTIONS})")
+        settled.append(attack_mod.blocklist_settled(system.blocklist, raw, pe))
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for r in targets:
-        row, trace = attack_mod.attack_sample(score_fn, _read_bytes(r.path), pool, cfg,
+    for r, blocklisted in zip(targets, settled):
+        # a target the blocklist provably fires on in every mutant is scored
+        # without rescanning the blocklist; its scores are the same
+        oracle = functools.partial(score_fn, blocklisted=True) if blocklisted else score_fn
+        row, trace = attack_mod.attack_sample(oracle, _read_bytes(r.path), pool, cfg,
                                               rule_probe)
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})

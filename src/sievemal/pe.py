@@ -246,6 +246,11 @@ class InjectionPlan:
     and the overlay. No PeFile or Section is built per call, and the bytes
     are those that serializing the injected PeFile gives.
 
+    Every file `inject` emits holds the section-data region and the overlay
+    of `clean` verbatim, and is no shorter than `clean`; `kept` names those
+    two spans of `clean` as (start, end) pairs. The header region is not one
+    of them: its table and counts are patched.
+
     pe is a PeFile as parse_pe returns it: its header blob holds the section
     table and ends where the first section's raw data starts.
     """
@@ -272,6 +277,8 @@ class InjectionPlan:
         self.header = self.clean[:self.header_len]
         self.body = self.clean[self.header_len:body_end]
         self.overlay = self.clean[len(self.clean) - len(pe.overlay):]
+        self.kept = ((self.header_len, body_end),
+                     (len(self.clean) - len(pe.overlay), len(self.clean)))
 
     def inject(self, items) -> bytes:
         """The file with one non-executable section appended per (name,

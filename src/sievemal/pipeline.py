@@ -37,7 +37,7 @@ class Route(NamedTuple):
     stage name, so an unscorable file counts under error."""
     stage: str                    # allowlist | blocklist | ml | error
     score: float                  # never None
-    fired: tuple                  # rule names; empty for ml and error
+    fired: tuple                  # rule names; empty for ml, error and an unscanned blocklist
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,17 @@ class AiSystem:
                 or model_route(self.model, raw))
 
 
-def route_rules(raw: bytes, allow: RuleSet, block: RuleSet) -> Route | None:
+def route_rules(raw: bytes, allow: RuleSet, block: RuleSet,
+                blocklisted: bool = False) -> Route | None:
     """The allowlist -> blocklist precedence: the route of the first ruleset
-    that fires on raw, or None when neither does."""
+    that fires on raw, or None when neither does.
+
+    blocklisted says that the blocklist is known to fire on raw, as it is on
+    every mutant of a target that attack.blocklist_settled settles: the
+    blocklist is then not scanned, and its route names no rules."""
     for stage, rs, score in (("allowlist", allow, 0.0), ("blocklist", block, 1.0)):
+        if stage == "blocklist" and blocklisted:
+            return Route(stage, score, ())
         if len(rs.rules):
             res = scan(raw, rs)
             if res.verdict:
@@ -245,9 +252,16 @@ def evaluate(system: AiSystem, samples) -> dict:
 
 def make_oracle(system: AiSystem):
     """(score_fn, rule_probe) for black-box attacks: the score of the file's
-    route, and the rules that fire on it."""
+    route, and the rules that fire on it.
 
-    def score_fn(raw: bytes) -> float:
+    score_fn(raw, blocklisted=True) is for a file the blocklist is known to
+    fire on: it scans the allowlist alone and gives the same score, 0.0 where
+    the allowlist fires and 1.0 elsewhere. The allowlist still runs, since a
+    mutant may be byte-identical to an allowlisted file."""
+
+    def score_fn(raw: bytes, blocklisted: bool = False) -> float:
+        if blocklisted:
+            return route_rules(raw, system.allowlist, system.blocklist, blocklisted).score
         return system.stage(raw).score
 
     def rule_probe(raw: bytes):

@@ -22,6 +22,11 @@ one digest -> rules dict, so a scan hashes the data once and finds every one
 of them that fires with one lookup. A hash equality inside a larger condition
 (`$a and hash...`, `not hash...`) stays on the evaluated path. Fired rules are
 reported in rule order either way.
+
+`stays_fired` extends the candidate check from "can fire with no hit" to
+"stays fired when bytes are added": given a scan's result and spans of the
+data that another file keeps verbatim, it proves, conservatively, that some
+fired rule fires on that file too.
 """
 
 from __future__ import annotations
@@ -242,6 +247,72 @@ def _needs_hit(node, n_strings: int) -> bool:
         return any(_needs_hit(i, n_strings) for i in node.items)
     if isinstance(node, Or):
         return all(_needs_hit(i, n_strings) for i in node.items)
+    return False
+
+
+def _longest_match(p: PatternDef) -> int:
+    """The most bytes one match of a text or hex pattern can cover."""
+    if p.kind == "text":
+        return max(map(len, _text_variants(p)))
+    return sum(item[2] if item[0] == "jump" else 1 for item in p.body)
+
+
+def _stays_true(node, kept: dict, counts: dict, filesize: int) -> bool:
+    """Whether node holds on every file no shorter than filesize that holds
+    the kept spans of the scanned data verbatim, each in a place of its own.
+
+    kept: pattern id -> whether a hit's longest possible match lies inside a
+    span, for text and hex patterns; counts: pattern id -> the number of such
+    hits of a text pattern, else 0. Conservative, like _needs_hit: only
+    conditions that more bytes cannot unfire pass. A regex reads the bytes
+    around its match (`^`, `$`, `\\b`), hex matches are leftmost
+    non-overlapping and can regroup, and `not`, the other comparisons, uintN
+    and hash equality can all turn false when bytes are added or moved.
+    """
+    if isinstance(node, StringMatch):
+        return kept[node.id]
+    if isinstance(node, CountCmp):
+        return node.op in (">", ">=") and _OPS[node.op](counts["$" + node.id[1:]], node.value)
+    if isinstance(node, OfQuantifier):
+        ids = node.ids if node.ids is not None else tuple(kept)
+        hits = sum(1 for i in ids if kept[i])
+        if node.count == "any":
+            return hits >= 1
+        if node.count == "all":
+            return hits == len(ids)
+        return hits >= node.count
+    if isinstance(node, FilesizeCmp):
+        return node.op in (">", ">=") and _OPS[node.op](filesize, node.value)
+    if isinstance(node, And):
+        return all(_stays_true(i, kept, counts, filesize) for i in node.items)
+    if isinstance(node, Or):
+        return any(_stays_true(i, kept, counts, filesize) for i in node.items)
+    return False
+
+
+def stays_fired(rs: RuleSet, result: MatchResult, filesize: int, spans) -> bool:
+    """Whether some rule that fired in result, which is scan(data, rs) for a
+    data of filesize bytes, is proved to fire on every file that is no shorter
+    than data and holds each (start, end) span of data in spans verbatim, the
+    spans in places that do not overlap.
+
+    Conservative: False means only that the proof cannot tell (see
+    _stays_true), never that such a file exists.
+    """
+    rules = {rule.name: rule for rule in rs.rules}
+    for name, offsets in result.fired:
+        rule = rules[name]
+        kept, counts = {}, {}
+        for p in rule.strings:
+            inside = 0
+            if p.kind != "regex":
+                width = _longest_match(p)
+                inside = sum(1 for o in offsets[p.id]
+                             if any(a <= o and o + width <= b for a, b in spans))
+            kept[p.id] = inside > 0
+            counts[p.id] = inside if p.kind == "text" else 0
+        if _stays_true(rule.condition, kept, counts, filesize):
+            return True
     return False
 
 

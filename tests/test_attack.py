@@ -1,15 +1,21 @@
+import functools
 import hashlib
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
 
+import fuzz_gen
+import naive_attack
 import naive_pe
 from sievemal.attack import (
     AttackConfig,
     PayloadPool,
     apply_manipulation,
     attack_sample,
+    blocklist_settled,
     gamma_attack,
     gene_bytes,
     harvest_sections,
@@ -17,6 +23,7 @@ from sievemal.attack import (
 from sievemal.errors import BudgetZero, PoolExhausted, SectionLimitExceeded
 from sievemal.pe import InjectionPlan, build_pe, parse_pe
 from sievemal.pipeline import load_system, make_oracle, route_rules
+from sievemal.rules import parse_rules, scan
 
 DATA = 0xC0000040
 EXEC = 0x60000020
@@ -34,6 +41,19 @@ def tiny_pool(k=3, seed=0):
 def malware_bytes():
     return build_pe([(b".text", b"\xcc" * 200, EXEC),
                      (b".data", b"mal payload body", DATA)])
+
+
+def fields(trace):
+    """Every trace field, vectors as (dtype, shape, bytes) so equality is bit equality."""
+    def bits(s):
+        return None if s is None else (s.dtype.str, s.shape, s.tobytes())
+    return {
+        "queries": [(bits(s), score, payload) for s, score, payload in trace.queries],
+        "best_s": bits(trace.best_s), "best_score": trace.best_score,
+        "best_objective": trace.best_objective, "best_payload": trace.best_payload,
+        "best_digest": trace.best_digest, "fired_on_best": trace.fired_on_best,
+        "succeeded": trace.succeeded, "queries_used": trace.queries_used,
+    }
 
 
 # --- pool harvesting ---------------------------------------------------------
@@ -362,5 +382,221 @@ def test_target_with_exactly_enough_room_is_attacked():
 
 
 def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(lam=-1.0)
+    """A NaN or infinite lambda leaves no query with a finite objective, a
+    fractional budget is never met exactly, and a threshold above 1 would
+    count a blocklisted score of 1.0 as an evasion: each is refused."""
+    for field_name, value, match in [
+            ("lam", -1.0, "lambda"),
+            ("lam", float("nan"), "lambda"),
+            ("lam", float("inf"), "lambda"),
+            ("query_budget", 2.5, "integer"),
+            ("query_budget", 200.0, "integer"),
+            ("query_budget", True, "integer"),
+            ("success_threshold", float("nan"), "threshold"),
+            ("success_threshold", 1.5, "threshold"),
+            ("success_threshold", -0.1, "threshold"),
+            ("success_threshold", True, "threshold")]:
+        with pytest.raises(ValueError, match=match):
+            AttackConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_attack_config_accepts_the_threshold_bounds(threshold):
+    assert AttackConfig(success_threshold=threshold).success_threshold == threshold
+
+
+# --- targets settled by the blocklist ---------------------------------------
+
+def planted_future_malware(unit_corpus, system):
+    """(record, bytes) of each future malware the unit system blocklists."""
+    found = []
+    for rec in unit_corpus.samples("future"):
+        with open(rec.path, "rb") as fh:
+            raw = fh.read()
+        route = route_rules(raw, system.allowlist, system.blocklist)
+        if rec.label == 1 and route is not None and route.stage == "blocklist":
+            found.append((rec, raw))
+    return found
+
+
+def test_settled_oracle_gives_the_full_oracle_trace(unit_system_dir, unit_corpus):
+    """Every planted future malware of the unit system is settled, and its
+    search under the settled oracle (allowlist only) equals, field for field,
+    the search under the full composite oracle and the naive search."""
+    system = load_system(str(unit_system_dir / "system"))
+    score_fn, rule_probe = make_oracle(system)
+    settled_fn = functools.partial(score_fn, blocklisted=True)
+    goodware = [s for s in unit_corpus.samples("present-train") if s.label == 0]
+    pool = harvest_sections(goodware, k=10, seed=0)
+    cfg = AttackConfig(query_budget=200, seed=0, success_threshold=system.threshold)
+    targets = planted_future_malware(unit_corpus, system)
+    assert len(targets) == sum(1 for r in unit_corpus.samples("future") if r.planted)
+    for rec, raw in targets:
+        assert blocklist_settled(system.blocklist, raw, parse_pe(raw)), rec.path
+        row, got = attack_sample(settled_fn, raw, pool, cfg, rule_probe)
+        full_row, full = attack_sample(score_fn, raw, pool, cfg, rule_probe)
+        naive = naive_attack.gamma_attack(score_fn, raw, pool, cfg, rule_probe)
+        assert fields(got) == fields(full) == fields(naive)
+        assert row == full_row
+        assert got.queries_used == cfg.query_budget and got.fired_on_best
+
+
+def random_pool(rng, k, witnesses=()):
+    """k sections of random bytes, with witnesses planted in some, so that
+    an injection can add hits as well as bytes."""
+    return PayloadPool(sections=tuple(
+        (f"src{i}", b".p%d" % i, fuzz_gen.gen_data(rng, witnesses)) for i in range(k)))
+
+
+def random_target(rng, witnesses):
+    """A PE whose data section holds random bytes with witnesses planted, its
+    overlay sometimes too; a small header region makes injections shift the
+    section data, a large one leaves room in the section table."""
+    overlay = fuzz_gen.gen_data(rng, witnesses) if rng.random() < 0.3 else b""
+    return build_pe([(b".text", rng.randbytes(rng.randint(0, 300)), EXEC),
+                     (b".data", fuzz_gen.gen_data(rng, witnesses), DATA)],
+                    overlay=overlay, file_align=rng.choice([0x10, 0x200]),
+                    min_headers=rng.choice([0, 0x400]))
+
+
+def test_settled_targets_fire_on_random_mutants():
+    """Soundness: every fuzzed target that the proof settles is blocklisted on
+    each of its random mutants. The fuzz settles many targets and leaves many
+    blocklisted ones unsettled, so both sides of the proof are exercised."""
+    rng = random.Random(2026)
+    settled = unsettled = 0
+    for i in range(300):
+        text, _, witnesses = fuzz_gen.gen_rule(rng, f"fz{i}")
+        rs = parse_rules(text)
+        for _ in range(2):
+            raw = random_target(rng, witnesses)
+            if not scan(raw, rs).verdict:
+                continue
+            if not blocklist_settled(rs, raw, parse_pe(raw)):
+                unsettled += 1
+                continue
+            settled += 1
+            pool = random_pool(rng, rng.randint(1, 6), witnesses)
+            plan = InjectionPlan(parse_pe(raw))
+            for _ in range(5):
+                s = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(len(pool))]
+                mutant, _ = apply_manipulation(plan, pool, s)
+                assert scan(mutant, rs).verdict, (text, s)
+    assert settled >= 50 and unsettled >= 50, (settled, unsettled)
+
+
+def test_every_mutant_keeps_the_spans_and_grows():
+    """Every injected file is at least as long as the clean file and holds
+    each kept span verbatim: the section data where the first data section
+    now starts, and the overlay at its end."""
+    rng = random.Random(5)
+    for _ in range(60):
+        raw = random_target(rng, [b"witness"])
+        pe = parse_pe(raw)
+        plan = InjectionPlan(pe)
+        (data_start, data_end), (overlay_start, overlay_end) = plan.kept
+        assert plan.clean == raw
+        assert data_start == pe.sections[0].raw_offset and overlay_end == len(raw)
+        pool = random_pool(rng, rng.randint(1, 12), [b"witness"])
+        for _ in range(4):
+            s = [rng.choice([0.0, rng.random()]) for _ in range(len(pool))]
+            mutant, _ = apply_manipulation(plan, pool, s)
+            assert len(mutant) >= len(plan.clean)
+            moved = parse_pe(mutant).sections[0].raw_offset - data_start
+            assert mutant[data_start + moved:data_end + moved] == raw[data_start:data_end]
+            assert mutant[len(mutant) - (overlay_end - overlay_start):] \
+                == raw[overlay_start:overlay_end]
+
+
+PLANT = b"PLANTED!"
+TAIL = b"tail OVERLAY"
+
+
+def plain_target():
+    """.data holds PLANT twice; the overlay follows it."""
+    return build_pe([(b".text", b"\xcc" * 200, EXEC),
+                     (b".data", b"xx " + PLANT + b" yy " + PLANT, DATA)], overlay=TAIL)
+
+
+def rule(strings, condition):
+    """A blocklist of one rule with these string lines and this condition."""
+    lines = "".join(f"        {line}\n" for line in strings)
+    return parse_rules("rule r\n{\n" + (f"    strings:\n{lines}" if strings else "")
+                       + f"    condition:\n        {condition}\n}}\n")
+
+
+TEXT = '$a = "PLANTED!"'
+HEX = "$a = { " + " ".join(f"{b:02X}" for b in PLANT) + " }"
+ABSENT = '$b = "nowhere"'
+
+
+@pytest.mark.parametrize("strings,condition", [
+    ([TEXT], "$a"),
+    ([HEX], "$a"),
+    ([TEXT], "#a >= 2"),
+    ([TEXT], "#a > 1"),
+    ([TEXT, ABSENT], "any of them"),
+    ([TEXT, ABSENT], "$a or not $b"),
+    ([TEXT], "$a and filesize > 100"),
+    ([], "filesize >= 100"),
+], ids=["text", "hex", "count-ge", "count-gt", "any-of", "or-not", "and-filesize", "filesize"])
+def test_monotone_conditions_settle(strings, condition):
+    raw = plain_target()
+    rs = rule(strings, condition)
+    assert scan(raw, rs).verdict
+    assert blocklist_settled(rs, raw, parse_pe(raw))
+
+
+@pytest.mark.parametrize("strings,condition", [
+    ([ABSENT], "not $b"),
+    ([], "filesize < 100000"),
+    ([], f'hash.sha256(0, filesize) == "{hashlib.sha256(plain_target()).hexdigest()}"'),
+    ([TEXT], "#a == 2"),
+    ([HEX], "#a >= 2"),
+    (['$a = /PLANTED!/'], "$a"),
+    ([TEXT], "$a and filesize < 100000"),
+    ([TEXT, "$b = /xx /"], "all of them"),
+    ([], "uint16(0) == 0x5A4D"),
+], ids=["not", "filesize-lt", "hash", "count-eq", "hex-count", "regex", "and-filesize-lt",
+        "all-of-regex", "uint"])
+def test_excluded_constructs_do_not_settle(strings, condition):
+    raw = plain_target()
+    rs = rule(strings, condition)
+    assert scan(raw, rs).verdict
+    assert not blocklist_settled(rs, raw, parse_pe(raw))
+
+
+def test_a_hit_in_the_patched_header_does_not_settle():
+    raw = bytearray(plain_target())
+    raw[0x40:0x40 + 6] = b"HEADER"          # the DOS stub, inside the header region
+    raw = bytes(raw)
+    rs = rule(['$a = "HEADER"'], "$a")
+    assert scan(raw, rs).verdict and InjectionPlan(parse_pe(raw)).clean == raw
+    assert not blocklist_settled(rs, raw, parse_pe(raw))
+
+
+def test_a_hit_across_a_span_end_does_not_settle():
+    """The section data ends in END! and the overlay starts right after it;
+    an injected section lands between the two."""
+    raw = build_pe([(b".data", b"\x01" * 0x1FC + b"END!", DATA)], overlay=TAIL)
+    rs = rule(['$a = "END!tail"'], "$a")
+    assert scan(raw, rs).verdict
+    assert not blocklist_settled(rs, raw, parse_pe(raw))
+    mutant, _ = apply_manipulation(InjectionPlan(parse_pe(raw)), tiny_pool(1), [1.0])
+    assert not scan(mutant, rs).verdict
+
+
+def test_a_hit_the_clean_file_drops_does_not_settle():
+    """A hit in a gap between sections is in raw but not in the clean file
+    the injection plan emits from, so no mutant holds it."""
+    raw = bytearray(build_pe([(b".data", b"\x01" * 0x400, DATA), (b".rsrc", b"\x02" * 16, DATA)]))
+    pe = parse_pe(bytes(raw))
+    table = pe.section_table_offset()
+    struct.pack_into("<I", raw, table + 16, 0x200)    # .data's raw size: the rest is a gap
+    at = pe.sections[0].raw_offset + 0x300
+    raw[at:at + len(PLANT)] = PLANT
+    raw = bytes(raw)
+    rs = rule([TEXT], "$a")
+    assert scan(raw, rs).verdict
+    assert InjectionPlan(parse_pe(raw)).clean != raw
+    assert not blocklist_settled(rs, raw, parse_pe(raw))

@@ -21,7 +21,7 @@ import sievemal
 from sievemal import attack
 from sievemal.attack import ELITES, POPULATION, AttackConfig, apply_manipulation, gamma_attack
 from sievemal.pe import InjectionPlan, parse_pe
-from test_attack import malware_bytes, tiny_pool
+from test_attack import fields, malware_bytes, tiny_pool
 
 SEEDS = range(4)
 GENES = (1, 3, 10)
@@ -69,19 +69,6 @@ def run(search, kind, seed, k, budget):
     trace = search(target, malware_bytes(), pool, cfg,
                    rule_probe=lambda raw: ("len%d" % (len(raw) % 7),))
     return trace, received
-
-
-def fields(trace):
-    """Every trace field, vectors as (dtype, shape, bytes) so equality is bit equality."""
-    def bits(s):
-        return None if s is None else (s.dtype.str, s.shape, s.tobytes())
-    return {
-        "queries": [(bits(s), score, payload) for s, score, payload in trace.queries],
-        "best_s": bits(trace.best_s), "best_score": trace.best_score,
-        "best_objective": trace.best_objective, "best_payload": trace.best_payload,
-        "best_digest": trace.best_digest, "fired_on_best": trace.fired_on_best,
-        "succeeded": trace.succeeded, "queries_used": trace.queries_used,
-    }
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

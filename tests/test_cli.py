@@ -448,6 +448,41 @@ def test_eval_reads_routes_and_features_once_per_file(unit_system_dir, unit_corp
     assert counts["extract"] == files
 
 
+def test_attack_scans_the_blocklist_once_per_settled_target(unit_system_dir, unit_corpus,
+                                                            tmp_path, monkeypatch):
+    """A blocklisted future malware of the unit system is settled: the blocklist
+    scans it once, for the proof, and then only the rule probe's best mutant.
+    Every other target has both lists scan its clean file, every query and
+    its best mutant, and the blocklist scan it once more for the proof. No
+    allowlist fires on a future malware, so no scan is skipped."""
+    import sievemal.rules.engine
+
+    system = load_system(str(unit_system_dir / "system"))
+    future = [r for r in unit_corpus.samples("future") if r.label == 1]
+    blocked = set()
+    for r in future:
+        with open(r.path, "rb") as fh:
+            route = route_rules(fh.read(), system.allowlist, system.blocklist)
+        assert route is None or route.stage == "blocklist"
+        if route is not None:
+            blocked.add(r.sha256)
+    assert 0 < len(blocked) < len(future)
+    targets = tmp_path / "future.csv"
+    write_manifest(Manifest(records=future), targets)
+
+    counts = {}
+    count_calls(monkeypatch, sievemal.rules.engine.scan, lambda a: a[1].role, counts)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(unit_system_dir / "system"),
+                 "--malware", str(targets), "--pool-source", str(unit_system_dir / "manifest.csv"),
+                 "--budget", "20", "--out", str(out)]) == 0
+    rows = json.loads((out / "results.json").read_text())["rows"]
+    assert {row["sha256"] for row in rows} == {r.sha256 for r in future}
+    assert counts["allowlist"] == sum(2 + row["queries"] for row in rows)
+    assert counts["blocklist"] == sum(2 if row["sha256"] in blocked else 3 + row["queries"]
+                                      for row in rows)
+
+
 def test_attack_and_report_commands(workdir, tmp_path):
     manifest = read_manifest(workdir / "corpus" / "manifest.csv")
     malware = [r for r in manifest.records

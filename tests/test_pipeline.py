@@ -81,6 +81,10 @@ def test_allowlist_beats_blocklist():
     bare = AiSystem(allowlist=RuleSet(rules=(), role="allowlist"),
                     blocklist=block, model=None, threshold=0.5)
     assert predict(bare, raw).stage == "malicious_by_blocklist"
+    # the oracle for a file known to be blocklisted keeps the precedence
+    for composite, score in ((system, 0.0), (bare, 1.0)):
+        score_fn, _ = make_oracle(composite)
+        assert score_fn(raw, blocklisted=True) == score_fn(raw) == score
 
 
 def test_ruleset_role_slots_enforced():
