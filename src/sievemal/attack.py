@@ -16,10 +16,15 @@ same bounds. Those draws are made once per process into a shared read-only
 tape (_tape), one generation at a time as the deepest search reaches it, and
 each target's search reads a prefix of it; only the choice of elites depends
 on the target.
+
+A target whose scores are all 1.0 has no say in even that, so the searches of
+the blocklist-settled targets of one attack are one search, run once
+(SettledSchedule); each such target only builds and scores its mutants.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted
 from .evaluation import is_threshold
-from .pe import InjectionPlan, PeFile, parse_pe
+from .pe import InjectionPlan, parse_pe
 from .rules import RuleSet, scan
 from .rules.engine import stays_fired
 
@@ -100,25 +105,44 @@ class AttackTrace:
         return len(self.queries)
 
     def to_jsonl(self, path):
-        lines = [_JSONL.encode({
-            "s": _floats(s),
-            "score": float(score),
-            "payload_bytes": int(payload),
-        }) + "\n" for s, score, payload in self.queries]
-        lines.append(_JSONL.encode({
+        lines = getattr(self.queries, "lines", None)
+        if lines is None:
+            lines = _query_lines(self.queries)
+        last = _JSONL.encode({
             "best_s": None if self.best_s is None else _floats(self.best_s),
             "best_score": self.best_score,
             "best_digest": self.best_digest,
             "fired_on_best": list(self.fired_on_best),
             "queries_used": self.queries_used,
             "succeeded": self.succeeded,
-        }) + "\n")
+        })
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            fh.write(lines)
+            fh.write(last + "\n")
 
 
 # one encoder for every trace line: json.dumps(..., sort_keys=True) builds a new one per call
 _JSONL = json.JSONEncoder(sort_keys=True)
+
+
+def _query_lines(queries) -> str:
+    """The trace lines of queries, one per (s, score, payload), joined."""
+    return "".join(_JSONL.encode({
+        "s": _floats(s),
+        "score": float(score),
+        "payload_bytes": int(payload),
+    }) + "\n" for s, score, payload in queries)
+
+
+class _SharedQueries(tuple):
+    """The queries of a settled search, shared by every trace read from its
+    schedule, with their trace lines encoded once (`lines`). A tuple of
+    tuples of read-only vectors, so no trace can change what another holds."""
+
+    def __new__(cls, queries):
+        self = super().__new__(cls, queries)
+        self.lines = _query_lines(self)
+        return self
 
 
 def _floats(s) -> list:
@@ -167,9 +191,9 @@ def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     return plan.inject(items), sum(counts)
 
 
-def blocklist_settled(blocklist: RuleSet, raw: bytes, pe: PeFile) -> bool:
+def blocklist_settled(blocklist: RuleSet, raw: bytes, plan: InjectionPlan) -> bool:
     """Whether the blocklist is proved to fire on every mutant that
-    apply_manipulation can emit from raw, whose parse is pe.
+    apply_manipulation can emit from plan, the injection plan of raw.
 
     Every mutant keeps the clean file's section data and overlay verbatim and
     is no shorter (InjectionPlan.kept), so a fired rule that needs only hits
@@ -178,7 +202,6 @@ def blocklist_settled(blocklist: RuleSet, raw: bytes, pe: PeFile) -> bool:
     so raw must be that file. A settled target scores 1.0 under its system
     on every query unless the allowlist fires, which scores 0.0.
     """
-    plan = InjectionPlan(pe)
     return plan.clean == raw and stays_fired(blocklist, scan(raw, blocklist), len(raw),
                                              plan.kept)
 
@@ -231,28 +254,24 @@ def _tape(seed: int, k: int) -> _Tape:
     return _Tape(seed, k)
 
 
-def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
-                 rule_probe=None) -> AttackTrace:
-    """Seeded elitist genetic search under a strict query budget.
+def _search(evaluate, k: int, cfg: AttackConfig) -> tuple:
+    """The search loop of every attack: (trace, what evaluate kept of the
+    best query). evaluate(s) -> (score, payload, kept) queries candidate s.
 
-    target: callable raw bytes -> score in [0, 1]. Every oracle call is one
-    trace entry. The first batch of candidates is drawn uniformly; each later
-    batch breeds the better half of the last one. The best query is the one
-    with the lowest objective, until a query scores under the success
-    threshold: that query becomes the best and ends the search, as does
-    budget exhaustion; only then are the best query's digest and rule_probe's
-    rules taken. A candidate the target has no room for raises
-    SectionLimitExceeded before any query is spent on it.
+    The first batch of candidates is drawn uniformly; each later batch breeds
+    the better half of the last one. The best query is the one with the
+    lowest objective, until a query scores under the success threshold: that
+    query becomes the best and ends the search, as does budget exhaustion.
+    Every batch is read-only, so the vectors a trace holds cannot be changed
+    through another that shares them.
     """
-    plan = InjectionPlan(parse_pe(malware))
-    tape = _tape(cfg.seed, len(pool))
+    tape = _tape(cfg.seed, k)
     trace = AttackTrace()
     population, objectives = [], []
     batch = tape.first
     for generation in itertools.count():
         for s in batch:
-            raw, payload = apply_manipulation(plan, pool, s)
-            score = float(target(raw))
+            score, payload, kept = evaluate(s)
             trace.queries.append((s, score, payload))
             objective = score + cfg.lam * payload
             trace.succeeded = bool(score < cfg.success_threshold)
@@ -261,12 +280,9 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
                 trace.best_s = s
                 trace.best_score = score
                 trace.best_payload = payload
-                best_raw = raw
+                best = kept
             if trace.succeeded or trace.queries_used == cfg.query_budget:
-                trace.best_digest = hashlib.sha256(best_raw).hexdigest()
-                if rule_probe is not None:
-                    trace.fired_on_best = tuple(rule_probe(best_raw))
-                return trace
+                return trace, best
             population.append(s)
             objectives.append(objective)
         elite = np.argsort(objectives, kind="stable")[:ELITES]
@@ -276,16 +292,100 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
         # clip(where(mask, a, b) + noise, 0, 1), elementwise and so bit-identical
         parents_a, parents_b, mask, noise = tape.generation(generation)
         elites = np.array(population)
-        batch = np.clip(np.where(mask, elites[parents_a], elites[parents_b]) + noise, 0.0, 1.0)
+        batch = _read_only(np.clip(np.where(mask, elites[parents_a], elites[parents_b]) + noise,
+                                   0.0, 1.0))
+
+
+def _finish(trace: AttackTrace, best_raw: bytes, rule_probe) -> AttackTrace:
+    """trace with its best query's digest and, given rule_probe, its rules."""
+    trace.best_digest = hashlib.sha256(best_raw).hexdigest()
+    if rule_probe is not None:
+        trace.fired_on_best = tuple(rule_probe(best_raw))
+    return trace
+
+
+def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
+                 rule_probe=None, plan: InjectionPlan | None = None) -> AttackTrace:
+    """Seeded elitist genetic search under a strict query budget (_search).
+
+    target: callable raw bytes -> score in [0, 1]. Every oracle call is one
+    trace entry. The best query's digest and rule_probe's rules are taken
+    once, when the search stops. A candidate the target has no room for
+    raises SectionLimitExceeded before any query is spent on it. plan is
+    malware's InjectionPlan, when the caller has built it.
+    """
+    if plan is None:
+        plan = InjectionPlan(parse_pe(malware))
+
+    def evaluate(s):
+        raw, payload = apply_manipulation(plan, pool, s)
+        return float(target(raw)), payload, raw
+
+    trace, best_raw = _search(evaluate, len(pool), cfg)
+    return _finish(trace, best_raw, rule_probe)
+
+
+class SettledSchedule:
+    """The search of every blocklist-settled target, run once for all of them.
+
+    While each mutant of a target scores 1.0, its search does not depend on
+    the target: every objective is 1.0 + lam * payload, the payload depends
+    only on the pool's section lengths, the draws only on (seed, gene count),
+    and 1.0 is never under the success threshold, which AttackConfig keeps at
+    most 1. So the search is run once against the constant 1.0, with each
+    query's per-gene byte counts and trace lines worked out once. A target
+    then builds each scheduled mutant from its own plan and scores it, and
+    leaves the schedule at the first mutant that does not score 1.0 (one the
+    allowlist fires on); gamma_attack then searches it from the start.
+    """
+
+    def __init__(self, pool: PayloadPool, cfg: AttackConfig):
+        self.pool, self.cfg = pool, cfg
+        # the pool's contents are sliced through views, so no query holds a copy
+        self._genes = [(b".gamma%02d" % i, memoryview(content))
+                       for i, (_, _, content) in enumerate(pool.sections)]
+        self._counts = []
+
+        def evaluate(s):
+            counts = gene_bytes(pool, s)
+            self._counts.append(counts)
+            return 1.0, sum(counts), len(self._counts) - 1
+
+        self._trace, self._best = _search(evaluate, len(pool), cfg)
+        self._trace.queries = _SharedQueries(self._trace.queries)
+
+    def trace(self, target, plan: InjectionPlan, rule_probe=None) -> AttackTrace | None:
+        """The trace gamma_attack gives the target of plan, or None when one of
+        its scheduled mutants does not score 1.0 under target."""
+        for i, counts in enumerate(self._counts):
+            raw = plan.inject([(name, view[:n]) for (name, view), n in zip(self._genes, counts)
+                               if n])
+            if float(target(raw)) != 1.0:
+                return None
+            if i == self._best:
+                best_raw = raw
+        return _finish(dataclasses.replace(self._trace), best_raw, rule_probe)
 
 
 def attack_sample(score_fn, raw: bytes, pool: PayloadPool, cfg: AttackConfig,
-                  rule_probe=None):
+                  rule_probe=None, plan: InjectionPlan | None = None,
+                  schedule: SettledSchedule | None = None):
     """(row, trace); the row is the sample's one record, as results.json holds
     it: the clean and best adversarial scores, the best payload, the queries
-    spent, the rules firing on the best candidate and whether the search evaded."""
+    spent, the rules firing on the best candidate and whether the search evaded.
+
+    plan is raw's InjectionPlan, when the caller has built it. schedule is the
+    SettledSchedule of (pool, cfg), for a target that blocklist_settled
+    settles: its trace is then read from the schedule, unless a mutant leaves it.
+    """
+    if schedule is not None and (schedule.pool is not pool or schedule.cfg != cfg):
+        raise ValueError("the schedule was made for another pool or config")
     clean_score = float(score_fn(raw))
-    trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe)
+    if plan is None:
+        plan = InjectionPlan(parse_pe(raw))
+    trace = None if schedule is None else schedule.trace(score_fn, plan, rule_probe)
+    if trace is None:
+        trace = gamma_attack(score_fn, raw, pool, cfg, rule_probe=rule_probe, plan=plan)
     row = {
         "clean_score": clean_score,
         "adv_score": trace.best_score,

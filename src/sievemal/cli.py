@@ -21,7 +21,7 @@ from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import write_feature_file
 from .learners import TrainConfig
-from .pe import MAX_SECTIONS, parse_pe
+from .pe import MAX_SECTIONS, InjectionPlan, parse_pe
 from .rules import RuleSet, parse_rules
 
 
@@ -169,26 +169,28 @@ def cmd_attack(args) -> int:
     targets = [r for r in corpus_mod.read_manifest(args.malware).records if r.label == 1]
     # every target must parse and have room for one section per gene before
     # --out is made, so a bad one leaves no output
-    settled = []
     for r in targets:
-        raw = _read_bytes(r.path)
         try:
-            pe = parse_pe(raw)
+            pe = parse_pe(_read_bytes(r.path))
         except MalformedPe as exc:
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
         if pe.num_sections + len(pool) > MAX_SECTIONS:
             raise SectionLimitExceeded(
                 f"attack target {r.path}: {pe.num_sections} sections leave no room for "
                 f"{len(pool)} more (at most {MAX_SECTIONS})")
-        settled.append(attack_mod.blocklist_settled(system.blocklist, raw, pe))
     os.makedirs(args.out, exist_ok=True)
+    schedule = attack_mod.SettledSchedule(pool, cfg)
     rows = []
-    for r, blocklisted in zip(targets, settled):
+    for r in targets:
+        raw = _read_bytes(r.path)
+        plan = InjectionPlan(parse_pe(raw))
         # a target the blocklist provably fires on in every mutant is scored
-        # without rescanning the blocklist; its scores are the same
-        oracle = functools.partial(score_fn, blocklisted=True) if blocklisted else score_fn
-        row, trace = attack_mod.attack_sample(oracle, _read_bytes(r.path), pool, cfg,
-                                              rule_probe)
+        # without rescanning the blocklist, and its search is read from the
+        # schedule shared by all such targets; its scores and trace are the same
+        settled = attack_mod.blocklist_settled(system.blocklist, raw, plan)
+        oracle = functools.partial(score_fn, blocklisted=True) if settled else score_fn
+        row, trace = attack_mod.attack_sample(oracle, raw, pool, cfg, rule_probe, plan=plan,
+                                              schedule=schedule if settled else None)
         trace.to_jsonl(os.path.join(args.out, f"{r.sha256}.jsonl"))
         rows.append({"sha256": r.sha256, **row})
     evaluation.write_report(os.path.join(args.out, "results.json"), {

@@ -340,6 +340,9 @@ class CompiledRuleSet:
     or more bytes long adds it to the index as a needle under its own key. The
     search reports a needle that only gates at its first occurrence, and the
     regex runs once if the gate occurs at all.
+
+    A ruleset of hash-only rules alone has nothing to search or evaluate: its
+    scan hashes the data and looks the digest up, and nothing else.
     """
 
     def __init__(self, rs: RuleSet):
@@ -382,6 +385,7 @@ class CompiledRuleSet:
         self._index = _TextIndex([needle for needle, _ in owners],
                                  [folded for _, folded in owners], once)
         self._owners = list(owners.values())
+        self._digest_only = not (owners or regexes or self.always)
 
     def _hits(self, data: bytes) -> dict:
         """key -> sorted offsets, for every pattern with at least one hit."""
@@ -404,6 +408,11 @@ class CompiledRuleSet:
         return hits
 
     def scan(self, data: bytes) -> MatchResult:
+        if self._digest_only:
+            matched = (self.by_digest.get(hashlib.sha256(data).hexdigest(), ())
+                       if self.by_digest else ())
+            return MatchResult(fired=tuple((rule.name, {}) for _, rule in matched),
+                               verdict=bool(matched))
         hits = self._hits(data)
         ctx = _EvalContext(data)
         fired = []                   # [(position, (rule_name, offsets))]

@@ -51,6 +51,15 @@ def gen_hex_pattern(rng: random.Random):
     return tuple(items)
 
 
+def gen_periodic_hex(rng: random.Random):
+    """(items, unit): a hex pattern that repeats a unit of a fixed byte and a
+    byte or ??, then ends with that fixed byte, so its matches can overlap.
+    hex_witness(rng, unit + items) holds two overlapping matches, of which a
+    scan counts one (matches are leftmost non-overlapping)."""
+    unit = (("byte", rng.randrange(256)), rng.choice([("any",), ("byte", rng.randrange(256))]))
+    return unit * rng.randint(1, 3) + unit[:1], unit
+
+
 def render_hex(items) -> str:
     parts = []
     for item in items:
@@ -76,6 +85,8 @@ def hex_witness(rng: random.Random, items) -> bytes:
 
 
 # --- regex ASTs (see naive_rules.regex_match_ends for node shapes) -----------
+# The anchors ("bol",) ^, ("eol",) $ and ("wordb",) \b match no byte: they read
+# the bytes around a match, so a match can come and go with its neighbours.
 
 def gen_regex_atom(rng: random.Random):
     r = rng.random()
@@ -101,6 +112,24 @@ def gen_regex(rng: random.Random, depth: int = 0):
     return ("seq", atoms)
 
 
+def gen_anchored_regex(rng: random.Random):
+    """A run of literals and classes, a literal sometimes repeated, between
+    anchors: ^ or \\b before it, $ or \\b after it, at least one of the two.
+    Nothing in it is a dot or nests, so a scan of it stays linear."""
+    atoms = []
+    for _ in range(rng.randint(2, 5)):
+        atom = gen_regex_atom(rng)
+        while atom[0] == "dot":
+            atom = gen_regex_atom(rng)
+        atoms.append(("plus", atom) if atom[0] == "lit" and rng.random() < 0.2 else atom)
+    lead, tail = rng.choice([(True, False), (False, True), (True, True)])
+    if lead:
+        atoms.insert(0, (rng.choice(["bol", "wordb", "wordb"]),))
+    if tail:
+        atoms.append((rng.choice(["eol", "wordb"]),))
+    return ("seq", atoms)
+
+
 def render_regex(node) -> str:
     kind = node[0]
     if kind == "lit":
@@ -119,7 +148,12 @@ def render_regex(node) -> str:
         return render_regex(node[1]) + "+"
     if kind == "opt":
         return render_regex(node[1]) + "?"
+    if kind in _ANCHORS:
+        return _ANCHORS[kind]
     raise ValueError(node)
+
+
+_ANCHORS = {"bol": "^", "eol": "$", "wordb": "\\b"}
 
 
 def regex_witness(rng: random.Random, node) -> bytes:
@@ -140,6 +174,8 @@ def regex_witness(rng: random.Random, node) -> bytes:
         return b"".join(regex_witness(rng, node[1]) for _ in range(rng.randint(1, 3)))
     if kind == "opt":
         return regex_witness(rng, node[1]) if rng.random() < 0.5 else b""
+    if kind in _ANCHORS:
+        return b""
     raise ValueError(node)
 
 
@@ -147,9 +183,9 @@ def regex_witness(rng: random.Random, node) -> bytes:
 
 def gen_condition(rng: random.Random, patterns, depth: int = 0) -> str:
     """patterns: list of (id, kind). Returns condition source text."""
-    text_ids = [pid for pid, kind in patterns if kind == "text"]
+    counted = [pid for pid, kind in patterns if kind != "regex"]
     choices = ["match", "of", "filesize", "uint"]
-    if text_ids:
+    if counted:
         choices.append("count")
     if depth < 2:
         choices += ["and", "or", "not"]
@@ -158,7 +194,7 @@ def gen_condition(rng: random.Random, patterns, depth: int = 0) -> str:
     if op == "match":
         return rng.choice(patterns)[0]
     if op == "count":
-        return f"#{rng.choice(text_ids)[1:]} {relop} {rng.randint(0, 3)}"
+        return f"#{rng.choice(counted)[1:]} {relop} {rng.randint(0, 3)}"
     if op == "of":
         if rng.random() < 0.5:
             quant = rng.choice(["any", "all", str(rng.randint(1, len(patterns)))])
@@ -197,13 +233,18 @@ def gen_rule(rng: random.Random, name: str):
                 witnesses.append(b"".join(bytes([c, 0]) for c in body))
             else:
                 witnesses.append(body)
-        elif r < 0.8:
+        elif r < 0.65:
             items = gen_hex_pattern(rng)
             lines.append(f"        {pid} = {render_hex(items)}")
             patterns.append((pid, "hex"))
             witnesses.append(hex_witness(rng, items))
+        elif r < 0.8:
+            items, unit = gen_periodic_hex(rng)
+            lines.append(f"        {pid} = {render_hex(items)}")
+            patterns.append((pid, "hex"))
+            witnesses.append(hex_witness(rng, unit + items))
         else:
-            ast = gen_regex(rng)
+            ast = gen_anchored_regex(rng) if rng.random() < 0.5 else gen_regex(rng)
             lines.append(f"        {pid} = /{render_regex(ast)}/")
             patterns.append((pid, "regex"))
             regex_asts[pid] = ast
@@ -214,13 +255,24 @@ def gen_rule(rng: random.Random, name: str):
     return text, regex_asts, witnesses
 
 
+def gen_anchored_rule(rng: random.Random, name: str):
+    """gen_rule's (rule_text, regex_asts, witnesses) for a rule that fires on
+    one anchored regex: its hits come and go with the bytes next to them."""
+    ast = gen_anchored_regex(rng)
+    text = (f"rule {name}\n{{\n    strings:\n        $p0 = /{render_regex(ast)}/"
+            f"\n    condition:\n        $p0\n}}\n")
+    return text, {"$p0": ast}, [regex_witness(rng, ast)]
+
+
 def gen_data(rng: random.Random, witnesses) -> bytes:
+    """Random bytes with witnesses planted; some at the start or the end, where
+    an anchored regex reads past the data."""
     data = bytearray(rng.randrange(256) for _ in range(rng.randint(50, 400)))
     if witnesses and rng.random() < 0.7:
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(witnesses)
             if not w:
                 continue
-            off = rng.randint(0, len(data))
+            off = rng.choice([0, len(data)]) if rng.random() < 0.3 else rng.randint(0, len(data))
             data[off:off] = w
     return bytes(data)

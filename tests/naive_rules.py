@@ -91,11 +91,25 @@ def hex_offsets(data, items):
 
 # --- tiny regex AST matcher --------------------------------------------------
 # nodes: ("lit", byte) ("class", frozenset) ("dot",) ("seq", [..]) ("alt", [..])
-# ("star", node) ("plus", node) ("opt", node)
+# ("star", node) ("plus", node) ("opt", node), and the anchors ("bol",) for ^,
+# ("eol",) for $ and ("wordb",) for \b, with Python's meaning on bytes
+
+_WORD = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+
+
+def _is_word(data, i):
+    return 0 <= i < len(data) and data[i] in _WORD
+
 
 def regex_match_ends(node, data, pos):
     """All end positions of matches of node starting at pos (set)."""
     kind = node[0]
+    if kind == "bol":
+        return {pos} if pos == 0 else set()
+    if kind == "eol":     # the end, or just before a newline that ends the data
+        return {pos} if pos == len(data) or data[pos:] == b"\n" else set()
+    if kind == "wordb":
+        return {pos} if _is_word(data, pos - 1) != _is_word(data, pos) else set()
     if kind == "lit":
         return {pos + 1} if pos < len(data) and data[pos] == node[1] else set()
     if kind == "class":

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -13,6 +14,7 @@ import naive_pe
 from sievemal.attack import (
     AttackConfig,
     PayloadPool,
+    SettledSchedule,
     apply_manipulation,
     attack_sample,
     blocklist_settled,
@@ -419,21 +421,30 @@ def planted_future_malware(unit_corpus, system):
     return found
 
 
+def unit_pool(unit_corpus):
+    goodware = [s for s in unit_corpus.samples("present-train") if s.label == 0]
+    return harvest_sections(goodware, k=10, seed=0)
+
+
 def test_settled_oracle_gives_the_full_oracle_trace(unit_system_dir, unit_corpus):
     """Every planted future malware of the unit system is settled, and its
-    search under the settled oracle (allowlist only) equals, field for field,
-    the search under the full composite oracle and the naive search."""
+    search read from the schedule under the settled oracle (allowlist only)
+    equals, field for field, the search under the full composite oracle and
+    the naive search."""
     system = load_system(str(unit_system_dir / "system"))
     score_fn, rule_probe = make_oracle(system)
     settled_fn = functools.partial(score_fn, blocklisted=True)
-    goodware = [s for s in unit_corpus.samples("present-train") if s.label == 0]
-    pool = harvest_sections(goodware, k=10, seed=0)
+    pool = unit_pool(unit_corpus)
     cfg = AttackConfig(query_budget=200, seed=0, success_threshold=system.threshold)
+    schedule = SettledSchedule(pool, cfg)
     targets = planted_future_malware(unit_corpus, system)
     assert len(targets) == sum(1 for r in unit_corpus.samples("future") if r.planted)
     for rec, raw in targets:
-        assert blocklist_settled(system.blocklist, raw, parse_pe(raw)), rec.path
-        row, got = attack_sample(settled_fn, raw, pool, cfg, rule_probe)
+        plan = InjectionPlan(parse_pe(raw))
+        assert blocklist_settled(system.blocklist, raw, plan), rec.path
+        assert schedule.trace(settled_fn, plan) is not None
+        row, got = attack_sample(settled_fn, raw, pool, cfg, rule_probe, plan=plan,
+                                 schedule=schedule)
         full_row, full = attack_sample(score_fn, raw, pool, cfg, rule_probe)
         naive = naive_attack.gamma_attack(score_fn, raw, pool, cfg, rule_probe)
         assert fields(got) == fields(full) == fields(naive)
@@ -441,43 +452,148 @@ def test_settled_oracle_gives_the_full_oracle_trace(unit_system_dir, unit_corpus
         assert got.queries_used == cfg.query_budget and got.fired_on_best
 
 
+def allowing(system, digest):
+    """system with an allowlist of one hash rule, on digest."""
+    text = f'rule allowed_mutant {{ condition: hash.sha256(0, filesize) == "{digest}" }}\n'
+    return dataclasses.replace(system, allowlist=parse_rules(text, role="allowlist"),
+                               allow_text=text)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.0])
+def test_an_allowlisted_scheduled_mutant_leaves_the_schedule(unit_system_dir, unit_corpus,
+                                                             threshold):
+    """Target A's k-th scheduled mutant is allowlisted, so it scores 0.0 there.
+    At threshold 0.5 that query evades and ends A's search; at 0.0 it does
+    not, but it becomes an elite and the search goes on along another path.
+    Either way A's trace is gamma_attack's under the full oracle and the naive
+    search's, field for field, and B, read from the same schedule before or
+    after A, keeps the schedule's trace."""
+    base = load_system(str(unit_system_dir / "system"))
+    pool = unit_pool(unit_corpus)
+    cfg = AttackConfig(query_budget=200, seed=0, success_threshold=threshold)
+    (_, a), (_, b) = planted_future_malware(unit_corpus, base)[:2]
+    k = 37
+    scheduled = SettledSchedule(pool, cfg).trace(
+        functools.partial(make_oracle(base)[0], blocklisted=True), InjectionPlan(parse_pe(a)))
+    s_k = scheduled.queries[k][0]
+    mutant, _ = apply_manipulation(InjectionPlan(parse_pe(a)), pool, s_k)
+    system = allowing(base, hashlib.sha256(mutant).hexdigest())
+    score_fn, rule_probe = make_oracle(system)
+    settled_fn = functools.partial(score_fn, blocklisted=True)
+
+    def attack(targets):
+        """Each target's trace, attacked in this order from one schedule."""
+        schedule = SettledSchedule(pool, cfg)
+        return {raw: attack_sample(settled_fn, raw, pool, cfg, rule_probe,
+                                   schedule=schedule)[1] for raw in targets}
+
+    forward, backward = attack([a, b]), attack([b, a])
+    got = forward[a]
+    assert fields(got) == fields(backward[a])
+    assert fields(got) == fields(gamma_attack(score_fn, a, pool, cfg, rule_probe)) \
+        == fields(naive_attack.gamma_attack(score_fn, a, pool, cfg, rule_probe))
+    assert got.queries[k][1] == 0.0 and np.array_equal(got.queries[k][0], s_k)
+    assert [q[1] for q in got.queries[:k]] == [1.0] * k
+    if threshold > 0.0:
+        assert got.succeeded and got.queries_used == k + 1
+        assert got.best_digest == hashlib.sha256(mutant).hexdigest()
+    else:
+        assert not got.succeeded and got.queries_used == cfg.query_budget
+        assert got.best_score == 0.0 and np.array_equal(got.best_s, s_k)
+        assert any(not np.array_equal(q[0], p[0])
+                   for q, p in zip(got.queries[k + 1:], scheduled.queries[k + 1:]))
+    assert fields(forward[b]) == fields(backward[b]) \
+        == fields(gamma_attack(score_fn, b, pool, cfg, rule_probe))
+
+
+def test_a_settled_trace_cannot_change_another(unit_system_dir, unit_corpus):
+    """Traces read from one schedule share its queries and vectors, which are
+    read-only: writing to them raises, and every other trace is unchanged."""
+    system = load_system(str(unit_system_dir / "system"))
+    score_fn, rule_probe = make_oracle(system)
+    settled_fn = functools.partial(score_fn, blocklisted=True)
+    pool = unit_pool(unit_corpus)
+    cfg = AttackConfig(query_budget=60, seed=0, success_threshold=system.threshold)
+    schedule = SettledSchedule(pool, cfg)
+    (_, a), (_, b) = planted_future_malware(unit_corpus, system)[:2]
+    one = schedule.trace(settled_fn, InjectionPlan(parse_pe(a)), rule_probe)
+    other = schedule.trace(settled_fn, InjectionPlan(parse_pe(b)), rule_probe)
+    before = fields(other)
+    with pytest.raises(ValueError):
+        one.best_s[0] = 0.5
+    with pytest.raises(ValueError):
+        one.queries[-1][0][:] = 0.0
+    with pytest.raises(AttributeError):
+        one.queries.append((one.best_s, 0.0, 0))
+    one.best_score = 0.0
+    assert fields(other) == before
+    assert fields(schedule.trace(settled_fn, InjectionPlan(parse_pe(b)), rule_probe)) == before
+
+
+def filled(rng, data, align):
+    """data led by random bytes to a multiple of align, so that it fills its
+    raw size: its last bytes then meet whatever follows it."""
+    return rng.randbytes(-len(data) % align) + data
+
+
 def random_pool(rng, k, witnesses=()):
     """k sections of random bytes, with witnesses planted in some, so that
-    an injection can add hits as well as bytes."""
-    return PayloadPool(sections=tuple(
-        (f"src{i}", b".p%d" % i, fuzz_gen.gen_data(rng, witnesses)) for i in range(k)))
+    an injection can add hits as well as bytes. Half end with a witness and
+    fill a raw size of 0x200, so that injected in full they end right where
+    the overlay starts."""
+    def section():
+        data = fuzz_gen.gen_data(rng, witnesses)
+        if witnesses and rng.random() < 0.5:
+            data = filled(rng, data + rng.choice(witnesses), 0x200)
+        return data
+
+    return PayloadPool(sections=tuple((f"src{i}", b".p%d" % i, section()) for i in range(k)))
 
 
 def random_target(rng, witnesses):
     """A PE whose data section holds random bytes with witnesses planted, its
     overlay sometimes too; a small header region makes injections shift the
-    section data, a large one leaves room in the section table."""
+    section data, a large one leaves room in the section table.
+
+    Half the time a witness sits at an edge of a kept span, where an anchored
+    regex reads bytes that an injection changes: at the end of section data
+    that fills its raw size with no overlay after it (the first injected byte
+    follows it), or at the start of the overlay (the last injected byte
+    precedes it)."""
+    align = rng.choice([0x10, 0x200])
+    data = fuzz_gen.gen_data(rng, witnesses)
     overlay = fuzz_gen.gen_data(rng, witnesses) if rng.random() < 0.3 else b""
-    return build_pe([(b".text", rng.randbytes(rng.randint(0, 300)), EXEC),
-                     (b".data", fuzz_gen.gen_data(rng, witnesses), DATA)],
-                    overlay=overlay, file_align=rng.choice([0x10, 0x200]),
-                    min_headers=rng.choice([0, 0x400]))
+    edge = rng.random() if witnesses else 1.0
+    if edge < 0.25:
+        data, overlay = filled(rng, data + rng.choice(witnesses), align), b""
+    elif edge < 0.5:
+        overlay = rng.choice(witnesses) + fuzz_gen.gen_data(rng, witnesses)
+    return build_pe([(b".text", rng.randbytes(rng.randint(0, 300)), EXEC), (b".data", data, DATA)],
+                    overlay=overlay, file_align=align, min_headers=rng.choice([0, 0x400]))
 
 
 def test_settled_targets_fire_on_random_mutants():
     """Soundness: every fuzzed target that the proof settles is blocklisted on
     each of its random mutants. The fuzz settles many targets and leaves many
-    blocklisted ones unsettled, so both sides of the proof are exercised."""
+    blocklisted ones unsettled, so both sides of the proof are exercised.
+    Every other rule fires on one anchored regex, which the proof must refuse:
+    at a span's edge an injection breaks its hits."""
     rng = random.Random(2026)
     settled = unsettled = 0
     for i in range(300):
-        text, _, witnesses = fuzz_gen.gen_rule(rng, f"fz{i}")
+        gen = fuzz_gen.gen_anchored_rule if i % 2 else fuzz_gen.gen_rule
+        text, _, witnesses = gen(rng, f"fz{i}")
         rs = parse_rules(text)
         for _ in range(2):
             raw = random_target(rng, witnesses)
             if not scan(raw, rs).verdict:
                 continue
-            if not blocklist_settled(rs, raw, parse_pe(raw)):
+            plan = InjectionPlan(parse_pe(raw))
+            if not blocklist_settled(rs, raw, plan):
                 unsettled += 1
                 continue
             settled += 1
             pool = random_pool(rng, rng.randint(1, 6), witnesses)
-            plan = InjectionPlan(parse_pe(raw))
             for _ in range(5):
                 s = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(len(pool))]
                 mutant, _ = apply_manipulation(plan, pool, s)
@@ -495,14 +611,16 @@ def test_every_mutant_keeps_the_spans_and_grows():
         pe = parse_pe(raw)
         plan = InjectionPlan(pe)
         (data_start, data_end), (overlay_start, overlay_end) = plan.kept
+        # the first section with raw data: an empty .text has none and no offset
+        first = next(i for i, section in enumerate(pe.sections) if section.raw_size)
         assert plan.clean == raw
-        assert data_start == pe.sections[0].raw_offset and overlay_end == len(raw)
+        assert data_start == pe.sections[first].raw_offset and overlay_end == len(raw)
         pool = random_pool(rng, rng.randint(1, 12), [b"witness"])
         for _ in range(4):
             s = [rng.choice([0.0, rng.random()]) for _ in range(len(pool))]
             mutant, _ = apply_manipulation(plan, pool, s)
             assert len(mutant) >= len(plan.clean)
-            moved = parse_pe(mutant).sections[0].raw_offset - data_start
+            moved = parse_pe(mutant).sections[first].raw_offset - data_start
             assert mutant[data_start + moved:data_end + moved] == raw[data_start:data_end]
             assert mutant[len(mutant) - (overlay_end - overlay_start):] \
                 == raw[overlay_start:overlay_end]
@@ -544,7 +662,7 @@ def test_monotone_conditions_settle(strings, condition):
     raw = plain_target()
     rs = rule(strings, condition)
     assert scan(raw, rs).verdict
-    assert blocklist_settled(rs, raw, parse_pe(raw))
+    assert blocklist_settled(rs, raw, InjectionPlan(parse_pe(raw)))
 
 
 @pytest.mark.parametrize("strings,condition", [
@@ -563,7 +681,7 @@ def test_excluded_constructs_do_not_settle(strings, condition):
     raw = plain_target()
     rs = rule(strings, condition)
     assert scan(raw, rs).verdict
-    assert not blocklist_settled(rs, raw, parse_pe(raw))
+    assert not blocklist_settled(rs, raw, InjectionPlan(parse_pe(raw)))
 
 
 def test_a_hit_in_the_patched_header_does_not_settle():
@@ -572,7 +690,7 @@ def test_a_hit_in_the_patched_header_does_not_settle():
     raw = bytes(raw)
     rs = rule(['$a = "HEADER"'], "$a")
     assert scan(raw, rs).verdict and InjectionPlan(parse_pe(raw)).clean == raw
-    assert not blocklist_settled(rs, raw, parse_pe(raw))
+    assert not blocklist_settled(rs, raw, InjectionPlan(parse_pe(raw)))
 
 
 def test_a_hit_across_a_span_end_does_not_settle():
@@ -581,7 +699,7 @@ def test_a_hit_across_a_span_end_does_not_settle():
     raw = build_pe([(b".data", b"\x01" * 0x1FC + b"END!", DATA)], overlay=TAIL)
     rs = rule(['$a = "END!tail"'], "$a")
     assert scan(raw, rs).verdict
-    assert not blocklist_settled(rs, raw, parse_pe(raw))
+    assert not blocklist_settled(rs, raw, InjectionPlan(parse_pe(raw)))
     mutant, _ = apply_manipulation(InjectionPlan(parse_pe(raw)), tiny_pool(1), [1.0])
     assert not scan(mutant, rs).verdict
 
@@ -599,4 +717,4 @@ def test_a_hit_the_clean_file_drops_does_not_settle():
     rs = rule([TEXT], "$a")
     assert scan(raw, rs).verdict
     assert InjectionPlan(parse_pe(raw)).clean != raw
-    assert not blocklist_settled(rs, raw, parse_pe(raw))
+    assert not blocklist_settled(rs, raw, InjectionPlan(parse_pe(raw)))

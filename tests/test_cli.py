@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import hashlib
 import json
 import os
 import shutil
@@ -14,8 +17,15 @@ from sievemal.corpus import (
     save_spec,
     write_manifest,
 )
-from sievemal.pe import build_pe
-from sievemal.pipeline import load_system, route_rules
+from sievemal.attack import (
+    AttackConfig,
+    SettledSchedule,
+    apply_manipulation,
+    harvest_sections,
+)
+from sievemal.pe import InjectionPlan, build_pe, parse_pe
+from sievemal.pipeline import load_system, make_oracle, route_rules, save_system
+from sievemal.rules import parse_rules
 
 TINY_COUNTS = {"present-train": (30, 20), "present-test": (10, 10), "future": (10, 10)}
 
@@ -481,6 +491,50 @@ def test_attack_scans_the_blocklist_once_per_settled_target(unit_system_dir, uni
     assert counts["allowlist"] == sum(2 + row["queries"] for row in rows)
     assert counts["blocklist"] == sum(2 if row["sha256"] in blocked else 3 + row["queries"]
                                       for row in rows)
+
+
+def test_attack_order_does_not_change_a_target_that_leaves_the_schedule(
+        unit_system_dir, unit_corpus, tmp_path):
+    """Settled target A's 20th scheduled mutant is allowlisted, so A leaves
+    the schedule there and evades; settled target B keeps it. Attacking
+    [A, B] and [B, A] writes the same traces and the same rows."""
+    base = load_system(str(unit_system_dir / "system"))
+    planted = [r for r in unit_corpus.samples("future") if r.label == 1 and r.planted]
+    a, b = planted[:2]
+    manifest = str(unit_system_dir / "manifest.csv")
+    pool = harvest_sections([r for r in read_manifest(manifest).records if r.label == 0],
+                            10, 0)
+    cfg = AttackConfig(query_budget=60, seed=0, success_threshold=0.5)
+    with open(a.path, "rb") as fh:
+        plan = InjectionPlan(parse_pe(fh.read()))
+    scheduled = SettledSchedule(pool, cfg).trace(
+        functools.partial(make_oracle(base)[0], blocklisted=True), plan)
+    mutant, _ = apply_manipulation(plan, pool, scheduled.queries[20][0])
+    allow = (f'rule allowed_mutant {{ condition: hash.sha256(0, filesize) == '
+             f'"{hashlib.sha256(mutant).hexdigest()}" }}\n')
+    save_system(dataclasses.replace(
+        base, allowlist=parse_rules(allow, role="allowlist"), allow_text=allow, threshold=0.5,
+        metadata={**base.metadata, "threshold": 0.5}), tmp_path / "system")
+
+    outs = []
+    for order in ([a, b], [b, a]):
+        targets = tmp_path / f"targets-{len(outs)}.csv"
+        write_manifest(Manifest(records=order), targets)
+        outs.append(tmp_path / f"attack-{len(outs)}")
+        assert main(["attack", "--system", str(tmp_path / "system"), "--malware", str(targets),
+                     "--pool-source", manifest, "--sections", "10", "--budget", "60",
+                     "--seed", "0", "--out", str(outs[-1])]) == 0
+    rows = [{row["sha256"]: row for row in json.loads((out / "results.json").read_text())["rows"]}
+            for out in outs]
+    assert rows[0] == rows[1]
+    assert rows[0][a.sha256]["queries"] == 21 and rows[0][a.sha256]["evaded"]
+    assert rows[0][b.sha256]["queries"] == 60 and not rows[0][b.sha256]["evaded"]
+    for r in (a, b):
+        name = f"{r.sha256}.jsonl"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert (outs[0] / f"{b.sha256}.jsonl").read_text().splitlines()[:-1] == \
+        [json.dumps({"payload_bytes": payload, "s": s.tolist(), "score": 1.0}, sort_keys=True)
+         for s, _, payload in scheduled.queries]
 
 
 def test_attack_and_report_commands(workdir, tmp_path):

@@ -280,6 +280,33 @@ def test_digest_index_fuzz_against_the_evaluated_path():
             assert_same_as_evaluated(rs, data)
 
 
+def test_a_hash_only_ruleset_scans_as_one_digest_lookup(monkeypatch):
+    """A ruleset of hash-only rules alone is scanned without a pattern search,
+    an evaluation context or the rule loop, and gives the evaluated path's
+    MatchResult: rules in rule order, a digest that two rules share included."""
+    a, b, c = b"first file", b"second file", b"third file"
+    rulesets = [
+        parse_rules(hash_rule("h_a", sha(a)) + hash_rule("h_b", sha(b).upper())
+                    + hash_rule("h_a_again", sha(a)) + hash_rule("h_none", "0" * 64),
+                    role="allowlist"),
+        parse_rules(hash_rule("h_b", sha(b))),
+    ]
+    want = {(i, data): naive_engine.scan(data, rs)
+            for i, rs in enumerate(rulesets) for data in (a, b, c, b"")}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a hash-only scan searched or evaluated")
+
+    monkeypatch.setattr(engine, "_EvalContext", unreachable)
+    monkeypatch.setattr(engine, "_eval", unreachable)
+    monkeypatch.setattr(engine.CompiledRuleSet, "_hits", unreachable)
+    for (i, data), result in want.items():
+        assert scan(data, rulesets[i]) == result
+    assert scan(a, rulesets[0]).rule_names == ("h_a", "h_a_again")
+    assert scan(b, rulesets[0]).rule_names == ("h_b",)
+    assert not scan(c, rulesets[0]).verdict and scan(b, rulesets[1]).verdict
+
+
 def test_every_seed0_file_matches_the_oracle(default_corpus, perfbench_decoys):
     # the triage rule sets: the allowlist, the bank, and the bank plus the
     # 2,000 decoys; whole MatchResults (names, offsets, order) must be equal
