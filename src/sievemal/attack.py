@@ -19,7 +19,7 @@ on the target.
 
 A target whose scores are all 1.0 has no say in even that, so the searches of
 the blocklist-settled targets of one attack are one search, run once
-(SettledSchedule); each such target only builds and scores its mutants.
+(SettledSchedule); each such target only emits and scores its mutants.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted
 from .evaluation import is_threshold
-from .pe import InjectionPlan, parse_pe
+from .pe import InjectedSections, InjectionPlan, parse_pe
 from .rules import RuleSet, scan
 from .rules.engine import stays_fired
 
@@ -116,28 +116,30 @@ class AttackTrace:
             "queries_used": self.queries_used,
             "succeeded": self.succeeded,
         })
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             fh.write(lines)
-            fh.write(last + "\n")
+            fh.write(last.encode("ascii") + b"\n")
 
 
-# one encoder for every trace line: json.dumps(..., sort_keys=True) builds a new one per call
+# one encoder for every trace line: json.dumps(..., sort_keys=True) builds a new one per call;
+# it escapes every non-ASCII character, so each line is ASCII
 _JSONL = json.JSONEncoder(sort_keys=True)
 
 
-def _query_lines(queries) -> str:
-    """The trace lines of queries, one per (s, score, payload), joined."""
+def _query_lines(queries) -> bytes:
+    """The trace lines of queries, one per (s, score, payload), joined and encoded."""
     return "".join(_JSONL.encode({
         "s": _floats(s),
         "score": float(score),
         "payload_bytes": int(payload),
-    }) + "\n" for s, score, payload in queries)
+    }) + "\n" for s, score, payload in queries).encode("ascii")
 
 
 class _SharedQueries(tuple):
     """The queries of a settled search, shared by every trace read from its
-    schedule, with their trace lines encoded once (`lines`). A tuple of
-    tuples of read-only vectors, so no trace can change what another holds."""
+    schedule, with their trace lines encoded once (`lines`, the bytes every
+    such trace file starts with). A tuple of tuples of read-only vectors, so
+    no trace can change what another holds."""
 
     def __new__(cls, queries):
         self = super().__new__(cls, queries)
@@ -332,9 +334,10 @@ class SettledSchedule:
     the target: every objective is 1.0 + lam * payload, the payload depends
     only on the pool's section lengths, the draws only on (seed, gene count),
     and 1.0 is never under the success threshold, which AttackConfig keeps at
-    most 1. So the search is run once against the constant 1.0, with each
-    query's per-gene byte counts and trace lines worked out once. A target
-    then builds each scheduled mutant from its own plan and scores it, and
+    most 1. So the search is run once against the constant 1.0, with its
+    trace lines encoded once, and each query's injected sections laid out
+    once per (file, section) alignment pair (pe.InjectedSections). A target
+    then emits each scheduled mutant from its own plan and scores it, and
     leaves the schedule at the first mutant that does not score 1.0 (one the
     allowlist fires on); gamma_attack then searches it from the start.
     """
@@ -344,22 +347,32 @@ class SettledSchedule:
         # the pool's contents are sliced through views, so no query holds a copy
         self._genes = [(b".gamma%02d" % i, memoryview(content))
                        for i, (_, _, content) in enumerate(pool.sections)]
-        self._counts = []
+        self._sections = {}
+        index = itertools.count()
 
         def evaluate(s):
-            counts = gene_bytes(pool, s)
-            self._counts.append(counts)
-            return 1.0, sum(counts), len(self._counts) - 1
+            return 1.0, sum(gene_bytes(pool, s)), next(index)
 
         self._trace, self._best = _search(evaluate, len(pool), cfg)
         self._trace.queries = _SharedQueries(self._trace.queries)
 
+    def sections(self, alignments: tuple) -> tuple:
+        """Each scheduled query's InjectedSections for the (file, section)
+        alignment pair, laid out the first time a target with that pair asks."""
+        queries = self._sections.get(alignments)
+        if queries is None:
+            queries = self._sections[alignments] = tuple(
+                InjectedSections([(name, view[:n])
+                                  for (name, view), n in zip(self._genes, gene_bytes(self.pool, s))
+                                  if n], *alignments)
+                for s, _, _ in self._trace.queries)
+        return queries
+
     def trace(self, target, plan: InjectionPlan, rule_probe=None) -> AttackTrace | None:
         """The trace gamma_attack gives the target of plan, or None when one of
         its scheduled mutants does not score 1.0 under target."""
-        for i, counts in enumerate(self._counts):
-            raw = plan.inject([(name, view[:n]) for (name, view), n in zip(self._genes, counts)
-                               if n])
+        for i, sections in enumerate(self.sections(plan.alignments)):
+            raw = plan.emit(sections)
             if float(target(raw)) != 1.0:
                 return None
             if i == self._best:

@@ -9,12 +9,17 @@ build_pe assembles new files (the synthetic corpus's) and emits them through
 serialize_pe, so the PE layout is written in this module alone.
 
 Injection works on bytes: an InjectionPlan serializes the clean file once, and
-each injected layout is a patched copy of its header joined with slices of the
-clean file and the new contents, so an attack query builds no PeFile.
+each injected file is a patched copy of its header joined with slices of the
+clean file and the new contents, so an attack query builds no PeFile. The
+layout is closed-form: the injected sections are laid out relative to the
+first of them (InjectedSections), which depends only on the items and the two
+alignments, and the plan places the first one and grows its header once per
+number of injected sections.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -234,22 +239,106 @@ def build_pe(sections, *, timestamp=0, entry_rva=0x1000, pe64=False, overlay=b""
         sections=tuple(placed), overlay=overlay, header_blob=bytes(header)))
 
 
+@functools.lru_cache(maxsize=128)
+def _table_struct(k: int) -> struct.Struct:
+    """The section-table entries of k sections, packed in one call."""
+    return struct.Struct("<" + "8s8I" * k)
+
+
+class InjectedSections:
+    """The sections that one list of (name, content) items injects, laid out
+    for a file and section alignment but not yet for a file.
+
+    Once the first injected section is placed, each next one starts where the
+    one before it ends: its raw offset is the first one's plus the raw sizes
+    before it, and its virtual address the first one's plus those raw sizes
+    aligned to the section alignment (InjectionPlan._layout says why). So
+    everything but the first placement is worked out here, once, relative to
+    it:
+
+    - `count`, the number of non-empty items (empty contents are skipped);
+    - `table`, their section-table entries, packed with raw offsets and
+      virtual addresses relative to the first section's, read as one
+      little-endian integer;
+    - `image`, SizeOfImage less the first section's virtual address;
+    - `parts`, each content and the zero padding to its raw size, in order.
+
+    The contents are held as given, so memoryviews stay views. The names are
+    checked in item order, and given `room` (how many sections a file can
+    take, InjectionPlan.room) so is the section limit, before anything is
+    laid out; InjectionPlan.emit checks the limit for sections made without
+    it.
+    """
+
+    __slots__ = ("alignments", "count", "table", "image", "parts")
+
+    def __init__(self, items, file_alignment: int, section_alignment: int, room=None):
+        self.alignments = (file_alignment, section_alignment)
+        kept = []
+        for name, content in items:
+            if len(name) > 8:
+                raise ValueError("section name exceeds 8 bytes")
+            if len(content):
+                if len(kept) == room:
+                    raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
+                kept.append((name, content))
+        # align_up(x, a) is written out as -(-x // a) * a: the items of every
+        # query of the attack's one-off searches are laid out here
+        fa, sa = file_alignment, section_alignment
+        fields, parts = [], []
+        offset = vaddr = end = 0
+        for name, content in kept:
+            size = len(content)
+            raw_size = -(-size // fa) * fa
+            fields += (name, size, vaddr, raw_size, offset, 0, 0, 0,
+                       INJECTED_SECTION_CHARACTERISTICS)
+            parts += (content, _zeros(raw_size - size))
+            end = vaddr + size
+            offset += raw_size
+            vaddr += -(-raw_size // sa) * sa
+        self.count = len(kept)
+        self.table = int.from_bytes(_table_struct(len(kept)).pack(*fields), "little")
+        self.image = -(-end // sa) * sa
+        self.parts = tuple(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _short_zeros(n: int) -> bytes:
+    return bytes(n)
+
+
+def _zeros(n: int) -> bytes:
+    """n zero bytes. A padding is shorter than the file alignment, so below
+    1 KiB (the usual alignment is 512) one object per length serves every
+    padding of that length, whatever laid it out."""
+    return _short_zeros(n) if n < 0x400 else bytes(n)
+
+
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """Where an InjectionPlan puts k injected sections."""
+    header: bytes   # grown for their entries; its section count and data offsets patched
+    slot: int       # where their first table entry starts
+    gap: bytes      # the zeros between the clean section data and the first of them
+    vaddr: int      # the first one's virtual address
+    fields: int     # offset and vaddr in each of the k entries: added to InjectedSections.table
+
+
 class InjectionPlan:
     """A clean PeFile, serialized once, from which any list of injected
     sections is emitted as bytes.
 
     The clean file is kept as three slices: the header region (everything
     before the first section's raw data), the section-data region and the
-    overlay, next to the integers the layout pass starts from. Each call to
-    `inject` works out the layout and joins a patched copy of the header, the
-    clean data region, the injected contents with their zero gaps and padding,
+    overlay. An injected file is a patched copy of the header joined with the
+    clean data region, a zero gap, the injected contents with their padding,
     and the overlay. No PeFile or Section is built per call, and the bytes
     are those that serializing the injected PeFile gives.
 
-    Every file `inject` emits holds the section-data region and the overlay
-    of `clean` verbatim, and is no shorter than `clean`; `kept` names those
-    two spans of `clean` as (start, end) pairs. The header region is not one
-    of them: its table and counts are patched.
+    Every file `emit` gives holds the section-data region and the overlay of
+    `clean` verbatim, and is no shorter than `clean`; `kept` names those two
+    spans of `clean` as (start, end) pairs. The header region is not one of
+    them: its table and counts are patched.
 
     pe is a PeFile as parse_pe returns it: its header blob holds the section
     table and ends where the first section's raw data starts.
@@ -259,11 +348,13 @@ class InjectionPlan:
         data = [(i, s) for i, s in enumerate(pe.sections) if s.raw_size > 0]
         self.clean = serialize_pe(pe)
         self.e_lfanew = pe.e_lfanew
-        self.file_alignment = pe.file_alignment
-        self.section_alignment = pe.section_alignment
+        self.alignments = (pe.file_alignment, pe.section_alignment)
         self.table_off = pe.section_table_offset()
         self.n_sections = len(pe.sections)
-        self.count = pe.num_sections              # what the section limit sees
+        # how many sections may be injected: the limit reads the header's
+        # section count before the first injection and the real count after it
+        self.room = (0 if pe.num_sections >= MAX_SECTIONS
+                     else max(1, MAX_SECTIONS - self.n_sections))
         self.header_len = len(pe.header_blob)
         self.data_start = min((s.raw_offset for _, s in data), default=None)
         self.data_end = max((s.raw_end() for _, s in data), default=-1)
@@ -279,10 +370,11 @@ class InjectionPlan:
         self.overlay = self.clean[len(self.clean) - len(pe.overlay):]
         self.kept = ((self.header_len, body_end),
                      (len(self.clean) - len(pe.overlay), len(self.clean)))
+        self._layouts = {}
 
     def inject(self, items) -> bytes:
         """The file with one non-executable section appended per (name,
-        content) item, in order.
+        content) item, in order: emit(InjectedSections(items, ...)).
 
         Existing section data, the entry point, and the overlay are
         preserved; empty contents are skipped, and with nothing to inject the
@@ -290,90 +382,79 @@ class InjectionPlan:
         before the first section's raw data, every raw offset of a section
         with data is shifted by the file-aligned shortfall (data untouched,
         offsets move).
-
-        The layout is the one that appending the items one at a time gives,
-        worked out in a single pass over integers: a shift moves every data
-        section, injected ones included, by the same amount, so an injected
-        section's offset is kept relative to the shift so far and made
-        absolute at the end. A section of raw size zero never moves, and its
-        offset still bounds where the next section's data may start.
         """
-        fa, sa = self.file_alignment, self.section_alignment
-        table_off = self.table_off
-        n_sections = self.n_sections
-        count = self.count
-        header_len = self.header_len
-        data_start, data_end, empty_end = self.data_start, self.data_end, self.empty_end
-        virtual_end = self.virtual_end
-        shift = 0
-        placed = []                               # (name, content, raw_size, offset - shift, vaddr)
-        # align_up(x, a) is written out as -(-x // a) * a: this loop runs once
-        # per injected section of every attack query
-        for name, content in items:
-            if len(name) > 8:
-                raise ValueError("section name exceeds 8 bytes")
-            size = len(content)
-            if not size:
-                continue
-            if count >= MAX_SECTIONS:
-                raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
-            table_end = table_off + (n_sections + 1) * SECTION_HEADER_SIZE
-            if data_start is None:
-                if table_end > header_len:
-                    header_len = table_end
-            elif table_end > data_start:
-                step = -((data_start - table_end) // fa) * fa
-                shift += step
-                data_start += step
-                data_end += step
-                header_len += step
-            if n_sections:
-                start = data_end if data_end > empty_end else empty_end
-            else:
-                start = header_len
-            if table_end > start:
-                start = table_end
-            raw_offset = -(-start // fa) * fa
-            raw_size = -(-size // fa) * fa
-            vaddr = -(-(virtual_end if virtual_end > sa else sa) // sa) * sa
-            placed.append((name, content, raw_size, raw_offset - shift, vaddr))
-            if data_start is None:
-                data_start = raw_offset
-            data_end = raw_offset + raw_size
-            virtual_end = vaddr + raw_size
-            n_sections += 1
-            count = n_sections
-        if not placed:
-            return self.clean
-        _, content, _, _, vaddr = placed[-1]
-        size_of_image = align_up(vaddr + len(content), sa)
+        return self.emit(InjectedSections(items, *self.alignments, self.room))
 
-        # the header grows by the shift (or, with no section data, to the new
-        # table) and the table grows into it; the clean data region follows
-        # it, and each injected section starts at its offset after a zero gap
-        # and is padded to its raw size
+    def emit(self, sections: InjectedSections) -> bytes:
+        """The file with sections injected, laid out for this plan's file and
+        section alignments."""
+        if sections.alignments != self.alignments:
+            raise ValueError(f"sections laid out for alignments {sections.alignments}, "
+                             f"not the file's {self.alignments}")
+        k = sections.count
+        if not k:
+            return self.clean
+        if k > self.room:
+            raise SectionLimitExceeded(f"cannot exceed {MAX_SECTIONS} sections")
+        layout = self._layouts.get(k) or self._layout(k)
+        head = bytearray(layout.header)
+        # SizeOfImage, where serialize_pe writes it. As it packs, every
+        # injected virtual address is below 2**32, and every raw offset is
+        # below the file's length (a PE is under 4 GiB), so the addition
+        # below carries no table field into the next
+        struct.pack_into("<I", head, self.e_lfanew + 24 + 56, layout.vaddr + sections.image)
+        head[layout.slot:layout.slot + k * SECTION_HEADER_SIZE] = (
+            sections.table + layout.fields).to_bytes(k * SECTION_HEADER_SIZE, "little")
+        return b"".join([head, self.body, layout.gap, *sections.parts, self.overlay])
+
+    def _layout(self, k: int) -> _Layout:
+        """The placement of k injected sections, in closed form.
+
+        Appending the sections one at a time, section j's table entry ends at
+        table_end(j) = table_off + (n_sections + j) * 40. Whenever that passes
+        the first data section's raw offset, every data section, injected
+        ones included, moves by the file-aligned shortfall, so after k
+        sections the total shift is the least multiple of the file alignment
+        that keeps table_end(k) at or before that offset. Only the first
+        section's placement reads the clean file's data end, its sections of
+        raw size zero (which never move, but bound where new data may start)
+        and the table end; each later section starts at the aligned end of
+        the one before it, which is past all three. Likewise the first
+        section's virtual address is the clean file's aligned virtual end, and
+        each later one is the aligned end of the one before it.
+        """
+        fa, sa = self.alignments
+        first_table_end = self.table_off + (self.n_sections + 1) * SECTION_HEADER_SIZE
+        table_end = self.table_off + (self.n_sections + k) * SECTION_HEADER_SIZE
+        if self.data_start is None:
+            # the header grows to the first entry; the first section's data
+            # then starts the section data that later entries shift
+            header_len = max(self.header_len, first_table_end)
+            start = max(self.empty_end, first_table_end) if self.n_sections else header_len
+            data_start = offset = align_up(start, fa)
+        else:
+            header_len = self.header_len
+            data_start = self.data_start
+            first_shift = align_up(max(0, first_table_end - data_start), fa)
+            offset = align_up(max(self.data_end + first_shift, self.empty_end, first_table_end),
+                              fa) - first_shift
+        shift = align_up(max(0, table_end - data_start), fa)
+        header_len += shift
+        offset += shift
+        vaddr = align_up(max(self.virtual_end, sa), sa)
         head = bytearray(self.header)
-        head += bytes(max(header_len, table_off + n_sections * SECTION_HEADER_SIZE) - len(head))
-        # NumberOfSections and SizeOfImage, where serialize_pe writes them
-        struct.pack_into("<H", head, self.e_lfanew + 6, n_sections)
-        struct.pack_into("<I", head, self.e_lfanew + 24 + 56, size_of_image)
-        if shift:
-            for slot, raw_offset in self.offset_slots:
-                struct.pack_into("<I", head, slot, raw_offset + shift)
-        parts = [head, self.body]
-        end = len(head) + len(self.body)
-        slot = table_off + self.n_sections * SECTION_HEADER_SIZE
-        for name, content, raw_size, offset, vaddr in placed:
-            offset += shift
-            _SECTION_ENTRY.pack_into(head, slot, name, len(content), vaddr, raw_size, offset,
-                                     0, 0, 0, INJECTED_SECTION_CHARACTERISTICS)
-            slot += SECTION_HEADER_SIZE
-            parts.append(bytes(offset - end))
-            parts.append(content)
-            end = offset + len(content)
-        parts.append(bytes(raw_size - len(content)))
-        parts.append(self.overlay)
-        return b"".join(parts)
+        head += bytes(max(header_len, table_end) - len(head))
+        # NumberOfSections, where serialize_pe writes it
+        struct.pack_into("<H", head, self.e_lfanew + 6, self.n_sections + k)
+        for slot, raw_offset in self.offset_slots:
+            struct.pack_into("<I", head, slot, raw_offset + shift)
+        entry = _SECTION_ENTRY.pack(b"", 0, vaddr, 0, offset, 0, 0, 0, 0)
+        layout = _Layout(
+            header=bytes(head), slot=self.table_off + self.n_sections * SECTION_HEADER_SIZE,
+            gap=bytes(offset - len(head) - len(self.body)), vaddr=vaddr,
+            fields=int.from_bytes(entry * k, "little"))
+        self._layouts[k] = layout
+        return layout
 
 
 def inject_section(pe: PeFile, name: bytes, content: bytes) -> bytes:

@@ -1,8 +1,39 @@
 """Seeded random generator of subset-grammar rules and inputs for oracle fuzzing."""
 
+import contextlib
 import random
+import signal
+import threading
 
 _SAFE_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+# a fuzz scan takes milliseconds; a regex whose scan time is polynomial in the
+# data (ROADMAP item 5) can take minutes on a few KB
+SCAN_DEADLINE_S = 20.0
+
+
+@contextlib.contextmanager
+def deadline(case: str, seconds: float = SCAN_DEADLINE_S):
+    """Fail the block, naming `case` (the fuzz case's seed and rule source),
+    when it runs past `seconds`, so a stalled scan fails instead of hanging
+    the suite. A SIGALRM timer raises in the main thread, and the regex
+    engine checks for signals while it backtracks. Where there is no SIGALRM,
+    or off the main thread, the block runs without a deadline."""
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def expired(signum, frame):
+        raise AssertionError(f"fuzz scan still running after {seconds} s: {case}")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def escape_text(body: bytes) -> str:

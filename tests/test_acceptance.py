@@ -75,8 +75,9 @@ def test_c1_rule_engine_oracle_equivalence():
         rule = rs.rules[0]
         for _ in range(3):
             data = fuzz_gen.gen_data(rng, witnesses)
-            got = scan(data, rs).verdict
-            want = naive_rules.naive_scan_verdict(rule, data, regex_asts)
+            with fuzz_gen.deadline(f"seed 1729, rule {i}\n{text}"):
+                got = scan(data, rs).verdict
+                want = naive_rules.naive_scan_verdict(rule, data, regex_asts)
             assert got == want, f"case {cases}\n{text}\ndata={data.hex()}"
             cases += 1
     assert cases >= 1000

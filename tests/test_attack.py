@@ -11,6 +11,7 @@ import pytest
 import fuzz_gen
 import naive_attack
 import naive_pe
+import sievemal.attack as attack_mod
 from sievemal.attack import (
     AttackConfig,
     PayloadPool,
@@ -23,7 +24,7 @@ from sievemal.attack import (
     harvest_sections,
 )
 from sievemal.errors import BudgetZero, PoolExhausted, SectionLimitExceeded
-from sievemal.pe import InjectionPlan, build_pe, parse_pe
+from sievemal.pe import InjectedSections, InjectionPlan, build_pe, parse_pe
 from sievemal.pipeline import load_system, make_oracle, route_rules
 from sievemal.rules import parse_rules, scan
 
@@ -530,6 +531,35 @@ def test_a_settled_trace_cannot_change_another(unit_system_dir, unit_corpus):
     assert fields(schedule.trace(settled_fn, InjectionPlan(parse_pe(b)), rule_probe)) == before
 
 
+def test_every_scheduled_mutant_is_apply_manipulation(monkeypatch):
+    """A settled target's scheduled mutants are, query for query, what
+    apply_manipulation emits from its plan for that query's s. The schedule
+    lays out each query's sections once per alignment pair: a second target
+    with the same alignments reuses them, one with another file alignment
+    gets its own."""
+    built = []
+    monkeypatch.setattr(attack_mod, "InjectedSections",
+                        lambda *args: built.append(args[1:]) or InjectedSections(*args))
+    pool = tiny_pool(k=5)
+    cfg = AttackConfig(query_budget=60, seed=3)
+    schedule = SettledSchedule(pool, cfg)
+    targets = [build_pe([(b".text", b"\xcc" * n, EXEC), (b".data", b"d" * 3 * n, DATA)],
+                        file_align=align, min_headers=headers)
+               for n, align, headers in ((200, 0x200, 0x400), (90, 0x200, 0), (200, 0x10, 0))]
+    for raw, layouts in zip(targets, (60, 60, 120)):
+        plan = InjectionPlan(parse_pe(raw))
+        mutants = []
+        trace = schedule.trace(lambda mutant: mutants.append(mutant) or 1.0, plan)
+        assert len(mutants) == trace.queries_used == cfg.query_budget
+        for mutant, (s, _, _) in zip(mutants, trace.queries):
+            assert mutant == apply_manipulation(plan, pool, s)[0]
+        assert len(built) == layouts
+    assert built == [(0x200, 0x1000)] * 60 + [(0x10, 0x1000)] * 60
+    plans = [InjectionPlan(parse_pe(raw)) for raw in targets]
+    assert schedule.sections(plans[0].alignments) is schedule.sections(plans[1].alignments)
+    assert schedule.sections(plans[2].alignments) is not schedule.sections(plans[0].alignments)
+
+
 def filled(rng, data, align):
     """data led by random bytes to a multiple of align, so that it fills its
     raw size: its last bytes then meet whatever follows it."""
@@ -586,7 +616,9 @@ def test_settled_targets_fire_on_random_mutants():
         rs = parse_rules(text)
         for _ in range(2):
             raw = random_target(rng, witnesses)
-            if not scan(raw, rs).verdict:
+            with fuzz_gen.deadline(f"seed 2026, rule {i}\n{text}"):
+                fired = scan(raw, rs).verdict
+            if not fired:
                 continue
             plan = InjectionPlan(parse_pe(raw))
             if not blocklist_settled(rs, raw, plan):
@@ -597,7 +629,9 @@ def test_settled_targets_fire_on_random_mutants():
             for _ in range(5):
                 s = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(len(pool))]
                 mutant, _ = apply_manipulation(plan, pool, s)
-                assert scan(mutant, rs).verdict, (text, s)
+                with fuzz_gen.deadline(f"seed 2026, rule {i}, s={s}\n{text}"):
+                    fired = scan(mutant, rs).verdict
+                assert fired, (text, s)
     assert settled >= 50 and unsettled >= 50, (settled, unsettled)
 
 

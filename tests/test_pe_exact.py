@@ -10,6 +10,7 @@ pad of the wrong length fails here.
 """
 
 import dataclasses
+import random
 import struct
 
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_pe
+import sievemal.pe as pe_mod
 from sievemal.errors import SectionLimitExceeded
-from sievemal.pe import InjectionPlan, build_pe, parse_pe, serialize_pe
+from sievemal.pe import InjectedSections, InjectionPlan, build_pe, parse_pe, serialize_pe
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -175,13 +177,125 @@ def test_section_limit_raises_as_before():
                                 (65535, [(b".morethan8", b"y")]),
                                 (65534, items_of([1])),
                                 (65534, items_of([0, 3, 4])),
-                                (65534, items_of([2]) + [(b".morethan8", b"y")])):
+                                (65534, items_of([2]) + [(b".morethan8", b"y")]),
+                                # the limit, met first, is the error
+                                (65535, items_of([1]) + [(b".morethan8", b"y")])):
         crowded = dataclasses.replace(pe, num_sections=num_sections)
         got = outcome(lambda: InjectionPlan(crowded).inject(items))
         assert got == outcome(lambda: oracle(crowded, items))
     crowded = dataclasses.replace(pe, num_sections=65535)
     assert outcome(lambda: InjectionPlan(crowded).inject(items_of([1]))) == \
         (SectionLimitExceeded, "cannot exceed 65535 sections")
+
+
+def shifts(pe, items):
+    """How many times appending items one at a time moves the section data."""
+    moves, first = 0, pe.sections[0].raw_offset
+    for name, content in items:
+        pe = naive_pe.inject_section(pe, name, content)
+        moves += pe.sections[0].raw_offset != first
+        first = pe.sections[0].raw_offset
+    return moves
+
+
+@pytest.mark.parametrize("file_align, moves", [(0x200, 1), (8, 9)])
+def test_the_table_grows_into_the_section_data_within_one_query(file_align, moves):
+    # an alignment of 0x200 leaves slack for a dozen entries after the first
+    # shift; one of 8 none, so each of the 9 non-empty items shifts the data
+    pe = make_pe([b"\x90" * 64, b"data" * 30], file_align=file_align, min_headers=0)
+    items = items_of([30, 0, 70] * 4 + [5])
+    assert shifts(pe, items) == moves
+    assert_same_as_oracle(pe, items)
+
+
+@pytest.mark.parametrize("bodies", [[], [b""]])
+def test_the_table_grows_into_the_first_injected_section(bodies):
+    # with no section data, the first injected section starts the data, right
+    # after its table entry, and the next entry pushes it back
+    pe = make_pe(bodies, file_align=8, min_headers=0)
+    alone = assert_same_as_oracle(pe, items_of([100]))
+    out = assert_same_as_oracle(pe, items_of([100, 0, 60, 9]))
+    assert out.sections[len(bodies)].raw_offset > alone.sections[len(bodies)].raw_offset
+
+
+@pytest.mark.parametrize("pe64", [False, True])
+@pytest.mark.parametrize("file_align", [1, 0x1000])
+@pytest.mark.parametrize("bodies", [[], [b"\x90" * 64, b"", b"data" * 10]])
+def test_alignments_one_and_0x1000_with_and_without_sections(pe64, file_align, bodies):
+    for min_headers in (0, 0x400):
+        pe = make_pe(bodies, pe64=pe64, file_align=file_align, min_headers=min_headers,
+                     overlay=b"ov" * 7)
+        assert_same_as_oracle(pe, items_of([0, 1, 4097, 0, 300] * 3, seed=file_align))
+
+
+def test_sections_laid_out_once_serve_every_plan_of_their_alignments():
+    sections = InjectedSections(items_of([40, 0, 700, 3]), 8, 0x1000)
+    for bodies in ([], [b""], [b"\x90" * 64, b"data" * 10], [b"\x90" * 64, b"", b"d"]):
+        for min_headers in (0, 0x400):
+            pe = make_pe(bodies, file_align=8, min_headers=min_headers, overlay=b"tail")
+            assert InjectionPlan(pe).emit(sections) == oracle(pe, items_of([40, 0, 700, 3]))
+    with pytest.raises(ValueError, match="alignments"):
+        InjectionPlan(make_pe([b"\x90" * 64])).emit(sections)
+
+
+def test_errors_are_raised_before_any_byte_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("bytes were built before the error")
+
+    pe = make_pe([b"\x90" * 64])
+    crowded = dataclasses.replace(pe, num_sections=65535)
+    unchecked = InjectedSections(items_of([1]), pe.file_alignment, pe.section_alignment)
+    for name in ("_zeros", "_table_struct"):
+        monkeypatch.setattr(pe_mod, name, build)
+    monkeypatch.setattr(InjectionPlan, "_layout", build)
+    with pytest.raises(ValueError, match="section name exceeds 8 bytes"):
+        InjectionPlan(pe).inject(items_of([5, 0, 9]) + [(b".morethan8", b"y")])
+    with pytest.raises(SectionLimitExceeded):
+        InjectionPlan(crowded).inject(items_of([0, 1]))
+    # sections laid out with no room given meet the limit when emitted
+    with pytest.raises(SectionLimitExceeded):
+        InjectionPlan(crowded).emit(unchecked)
+
+
+@pytest.mark.parametrize("vaddr", [0xFFFFF000, 0xFFFF0000])
+def test_a_virtual_address_past_32_bits_raises_as_before(vaddr):
+    # at 0xFFFF0000 the first injected section fits and a later one does not:
+    # SizeOfImage, packed before the table, must fail rather than let a field
+    # carry into the next
+    raw = bytearray(build_pe([(b".text", b"\x90" * 64, EXEC)]))
+    struct.pack_into("<I", raw, parse_pe(bytes(raw)).section_table_offset() + 12, vaddr)
+    pe = parse_pe(bytes(raw))
+    items = items_of([0xF000, 0x10])
+    with pytest.raises(struct.error):
+        oracle(pe, items)
+    with pytest.raises(struct.error):
+        InjectionPlan(pe).inject(items)
+
+
+def test_random_plans_and_item_lists_equal_the_oracle():
+    """Seeded: random build_pe files (PE32 and PE32+, tables with and without
+    slack, no section data, empty sections past the data, file alignments
+    1 to 0x1000) and item lists with empty contents, each list injected into
+    two plans from one InjectedSections."""
+    rng = random.Random(28)
+    for case in range(300):
+        bodies = [rng.choice([b"", rng.randbytes(rng.randint(1, 700))])
+                  for _ in range(rng.randint(0, 4))]
+        empty = [i for i, body in enumerate(bodies) if not body]
+        overlay = rng.choice([b"", rng.randbytes(rng.randint(1, 300))])
+        fa = rng.choice([1, 2, 8, 0x10, 0x200, 0x1000])
+        sa = rng.choice([1, 0x200, 0x1000, 0x2000])
+        sizes = [rng.choice([0, rng.randint(1, 3000)]) for _ in range(rng.randint(1, 20))]
+        items = items_of(sizes, seed=case)
+        sections = InjectedSections(items, fa, sa)
+        for _ in range(2):
+            pe = make_pe(bodies, pe64=rng.random() < 0.5, overlay=overlay, file_align=fa,
+                         sect_align=sa, min_headers=rng.choice([0, 0x400]),
+                         empty_past_data=((empty[-1], rng.randint(0, 700))
+                                          if empty and overlay and rng.random() < 0.5 else None))
+            want = oracle(pe, items)
+            assert InjectionPlan(pe).inject(items) == want, case
+            assert InjectionPlan(pe).emit(sections) == want, case
 
 
 # --- property ----------------------------------------------------------------

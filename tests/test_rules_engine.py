@@ -4,6 +4,8 @@ import importlib.util
 import pathlib
 import random
 import re
+import signal
+import time
 import weakref
 
 import pytest
@@ -409,8 +411,10 @@ def test_seeded_rulesets_match_the_oracle():
                  bytes(rng.randrange(65, 69) for _ in range(300)),
                  bytes(rng.choice(MIXED_CASE) for _ in range(300)))
         for data in blobs:
-            got = scan(data, rs)
-            assert got == reference.scan(data), f"case {case}\n{text}\ndata={data.hex()}"
+            with fuzz_gen.deadline(f"seed 20261018, case {case}\n{text}"):
+                got = scan(data, rs)
+                want = reference.scan(data)
+            assert got == want, f"case {case}\n{text}\ndata={data.hex()}"
             fired += len(got.fired)
             hitless_fired += sum(1 for name, offsets in got.fired
                                  if not any(offsets.values()))
@@ -621,8 +625,9 @@ def test_fuzz_against_naive_interpreter():
         rule = rs.rules[0]
         for _ in range(2):
             data = fuzz_gen.gen_data(rng, witnesses)
-            got = scan(data, rs).verdict
-            want = naive_rules.naive_scan_verdict(rule, data, regex_asts)
+            with fuzz_gen.deadline(f"seed 20260825, case {case}\n{text}"):
+                got = scan(data, rs).verdict
+                want = naive_rules.naive_scan_verdict(rule, data, regex_asts)
             assert got == want, f"case {case}\n{text}\ndata={data.hex()}"
 
 
@@ -635,10 +640,26 @@ def test_many_rule_fuzz_against_naive_interpreter():
         witnesses = [w for _, _, ws in gens for w in ws]
         for trial in range(15):
             data = fuzz_gen.gen_data(rng, witnesses)
-            got = scan(data, rs).rule_names
-            want = tuple(rule.name for rule, (_, asts, _) in zip(rs.rules, gens)
-                         if naive_rules.naive_scan_verdict(rule, data, asts))
+            with fuzz_gen.deadline(f"seed 20261018, pad {pad}, trial {trial}\n"
+                                   + "".join(text for text, _, _ in gens)):
+                got = scan(data, rs).rule_names
+                want = tuple(rule.name for rule, (_, asts, _) in zip(rs.rules, gens)
+                             if naive_rules.naive_scan_verdict(rule, data, asts))
             assert got == want, f"pad {pad} trial {trial}\ndata={data.hex()}"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the deadline needs SIGALRM")
+def test_a_stalled_fuzz_scan_fails_with_its_case():
+    """A fuzz case whose regex backtracks for minutes (ROADMAP item 5: the
+    parser accepts three unbounded repeats before a group that never matches)
+    fails at its deadline, naming its case, and leaves no timer behind."""
+    rs = one_rule("$r = /.+.*2?.*(.?5r[1cn]|[09m].[48j]l+[46g])/", "$r")
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="seed 1, rule 7"):
+        with fuzz_gen.deadline("seed 1, rule 7", seconds=0.2):
+            scan(bytes(1 << 16), rs)
+    assert time.perf_counter() - start < 10
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_empty_ruleset_never_fires():
