@@ -52,6 +52,7 @@ MAX_GENES = 100                   # ".gamma%02d" fits a section name's 8 bytes u
 class PayloadPool:
     sections: tuple               # ((source_id, name, content), ...)
     _lengths: tuple = field(init=False, repr=False, compare=False)
+    _genes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < len(self.sections) <= MAX_GENES:
@@ -59,12 +60,22 @@ class PayloadPool:
                              f"got {len(self.sections)}")
         object.__setattr__(self, "_lengths",
                            tuple(len(content) for _, _, content in self.sections))
+        # each gene's section name and a view of its content, so no injection copies it
+        object.__setattr__(self, "_genes", tuple(
+            (b".gamma%02d" % i, memoryview(content))
+            for i, (_, _, content) in enumerate(self.sections)))
 
     def __len__(self):
         return len(self.sections)
 
     def lengths(self) -> tuple:
         return self._lengths
+
+    def items(self, counts) -> list:
+        """The (name, content) items that per-gene byte counts inject: for each
+        gene i with n = counts[i] > 0, ".gamma<i>" and the first n bytes of
+        section i, as a view."""
+        return [(name, view[:n]) for (name, view), n in zip(self._genes, counts) if n]
 
 
 @dataclass(frozen=True)
@@ -188,9 +199,7 @@ def apply_manipulation(plan: InjectionPlan, pool: PayloadPool, s) -> tuple:
     if len(s) != len(pool):
         raise ValueError("manipulation vector length disagrees with pool size")
     counts = gene_bytes(pool, s)
-    items = [(b".gamma%02d" % i, content[:n])
-             for i, ((_, _, content), n) in enumerate(zip(pool.sections, counts)) if n > 0]
-    return plan.inject(items), sum(counts)
+    return plan.inject(pool.items(counts)), sum(counts)
 
 
 def blocklist_settled(blocklist: RuleSet, raw: bytes, plan: InjectionPlan) -> bool:
@@ -344,9 +353,6 @@ class SettledSchedule:
 
     def __init__(self, pool: PayloadPool, cfg: AttackConfig):
         self.pool, self.cfg = pool, cfg
-        # the pool's contents are sliced through views, so no query holds a copy
-        self._genes = [(b".gamma%02d" % i, memoryview(content))
-                       for i, (_, _, content) in enumerate(pool.sections)]
         self._sections = {}
         index = itertools.count()
 
@@ -362,9 +368,7 @@ class SettledSchedule:
         queries = self._sections.get(alignments)
         if queries is None:
             queries = self._sections[alignments] = tuple(
-                InjectedSections([(name, view[:n])
-                                  for (name, view), n in zip(self._genes, gene_bytes(self.pool, s))
-                                  if n], *alignments)
+                InjectedSections(self.pool.items(gene_bytes(self.pool, s)), *alignments)
                 for s, _, _ in self._trace.queries)
         return queries
 

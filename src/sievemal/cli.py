@@ -22,7 +22,6 @@ from . import pipeline as pipeline_mod
 from .features import write_feature_file
 from .learners import TrainConfig
 from .pe import MAX_SECTIONS, InjectionPlan, parse_pe
-from .rules import RuleSet, parse_rules
 
 
 def _write_runconfig(out_dir, command, args_dict):
@@ -33,24 +32,9 @@ def _write_runconfig(out_dir, command, args_dict):
         "config": {k: v for k, v in args_dict.items() if k != "func"}})
 
 
-def _load_ruleset(path, role) -> RuleSet:
-    return parse_rules(_read_text(path), role=role)
-
-
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _read_text(path) -> str:
-    if not path:
-        return ""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise SpecInvalid(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
-                              f"{exc.reason})") from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -82,7 +66,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    rs = parse_rules(_read_text(args.path))
+    _, rs = pipeline_mod.read_rules(args.path, "blocklist")
     print(f"{len(rs.rules)} rules")
     return 0
 
@@ -102,8 +86,8 @@ def cmd_extract_features(args) -> int:
 
 def cmd_filter(args) -> int:
     manifest = corpus_mod.read_manifest(args.corpus)
-    allow = _load_ruleset(args.allow, "allowlist")
-    block = _load_ruleset(args.block, "blocklist")
+    _, allow = pipeline_mod.read_rules(args.allow, "allowlist")
+    _, block = pipeline_mod.read_rules(args.block, "blocklist")
     survivors, report = pipeline_mod.filter_training(
         manifest.samples(epoch="present-train"), allow, block)
     corpus_mod.write_manifest(corpus_mod.Manifest(records=survivors), args.out)
@@ -120,11 +104,10 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise SpecInvalid(str(exc)) from None
     manifest = corpus_mod.read_manifest(args.corpus)
-    allow_text, block_text = _read_text(args.allow), _read_text(args.block)
-    system = pipeline_mod.train_system(
-        manifest.samples(epoch="present-train"),
-        parse_rules(allow_text, role="allowlist"), parse_rules(block_text, role="blocklist"),
-        cfg, allow_text=allow_text, block_text=block_text)
+    allow_text, allow = pipeline_mod.read_rules(args.allow, "allowlist")
+    block_text, block = pipeline_mod.read_rules(args.block, "blocklist")
+    system = pipeline_mod.train_system(manifest.samples(epoch="present-train"), allow, block,
+                                       cfg, allow_text=allow_text, block_text=block_text)
     pipeline_mod.save_system(system, args.system_out)
     _write_runconfig(args.system_out, "train", vars(args))
     print(f"trained {'filtered' if system.metadata['filtered'] else 'all-data'} "
@@ -135,9 +118,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     system = pipeline_mod.load_system(args.system)
     for path in args.files:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        verdict = pipeline_mod.predict(system, raw)
+        verdict = pipeline_mod.predict(system, _read_bytes(path))
         if verdict.stage == "ml_score":
             label = "malicious" if verdict.score >= system.threshold else "benign"
             print(f"{path}\tml_score\t{verdict.score}\t{label}")
@@ -202,9 +183,11 @@ def cmd_attack(args) -> int:
 
 
 def _is_attack_row(row) -> bool:
-    return (isinstance(row, dict) and isinstance(row.get("payload_kb"), (int, float))
-            and math.isfinite(row["payload_kb"])
-            and isinstance(row.get("adv_score"), (int, float)))
+    """A row with a payload that is a finite number >= 0 and a score in [0, 1];
+    the comparison, unlike math.isfinite, takes an int too large for a float."""
+    kb = row.get("payload_kb") if isinstance(row, dict) else None
+    return (not isinstance(kb, bool) and isinstance(kb, (int, float))
+            and 0 <= kb <= sys.float_info.max and evaluation.is_threshold(row.get("adv_score")))
 
 
 def cmd_report(args) -> int:
@@ -213,7 +196,8 @@ def cmd_report(args) -> int:
     if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)
             and all(map(_is_attack_row, doc["rows"]))):
         raise SpecInvalid(f"{path}: not attack results: want 'rows' that each have a "
-                          "finite numeric 'payload_kb' and a numeric 'adv_score'")
+                          "'payload_kb' that is a finite number >= 0 and an 'adv_score' "
+                          "in [0, 1]")
     threshold = doc.get("threshold")
     try:
         evaluation.check_threshold(threshold)
@@ -343,11 +327,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"rule parse error: {exc}", file=sys.stderr)
-        return 1
+        message = f"rule parse error: {exc}"
     except (SievemalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = f"error: {exc}"
+    # one line, whatever line breaks the message quotes from its input
+    print("\\n".join(message.splitlines()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpecInvalid
-from .evaluation import read_report, write_report
+from .evaluation import read_report, read_text, write_report
 from .pe import (
     IMAGE_SCN_CNT_CODE,
     IMAGE_SCN_CNT_INITIALIZED_DATA,
@@ -214,13 +215,19 @@ def write_manifest(manifest: Manifest, path):
 
 
 def _read_csv_rows(path, header):
-    """Yields ("FILE, line N", row) for each row of a CSV file that starts with
-    `header`; a file that does not, a row of another column count, or a row
-    whose epoch column is not one of EPOCHS, is a SpecInvalid naming the file
-    and the line."""
+    """Yields ("FILE, line N", row) for each row of a CSV file (read_text) that
+    starts with `header`; a file that does not, a row of another column count,
+    a row whose epoch column is not one of EPOCHS, a NUL character, or text
+    that the csv module refuses, is a SpecInvalid naming the file and the line."""
     epoch = header.index("epoch")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    text = read_text(path)
+    # no file path holds a NUL, and Python 3.10's csv module refuses one
+    nul = text.find("\x00")
+    if nul >= 0:
+        line = text.count("\n", 0, nul) + 1
+        raise SpecInvalid(f"{path}, line {line}: a NUL character")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         if next(reader, None) != header:
             raise SpecInvalid(f"{path}, line 1: header is not {','.join(header)!r}")
         for row in reader:
@@ -231,6 +238,8 @@ def _read_csv_rows(path, header):
                 raise SpecInvalid(f"{where}: epoch {row[epoch]!r} is not one of "
                                   f"{', '.join(EPOCHS)}")
             yield where, row
+    except csv.Error as exc:
+        raise SpecInvalid(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def read_manifest(path) -> Manifest:

@@ -1,6 +1,6 @@
 """ROC computation, fixed-FPR operating points, composite pipeline curves,
-rule performance tables, detection-rate-vs-payload summaries, and
-write_report, the one writer of sievemal's indented JSON artifacts.
+rule performance tables, detection-rate-vs-payload summaries, read_text, the
+one reader of text inputs, and write_report, the one writer of JSON artifacts.
 
 No interpolation anywhere: every reported point is an empirical operating
 point reachable by an actual threshold.
@@ -166,14 +166,22 @@ def write_report(path, report: dict):
         fh.write("\n")
 
 
-def read_report(path):
-    """The JSON document in a file; one that is not JSON, or not UTF-8, raises
-    SpecInvalid naming the file."""
+def read_text(path) -> str:
+    """A file's UTF-8 text; a byte that does not decode is a SpecInvalid naming both."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise SpecInvalid(f"{path}: not a JSON document ({exc})") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecInvalid(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                              f"{exc.reason})") from None
+
+
+def read_report(path):
+    """The JSON document in a file (read_text), or a SpecInvalid naming the file."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise SpecInvalid(f"{path}: not a JSON document ({exc})") from None
 
 
 def write_curve_files(stem, curves: dict):

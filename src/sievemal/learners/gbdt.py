@@ -34,13 +34,15 @@ sequential cumsum, which rounds as a tree-by-tree sum does.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DegenerateData
-from .common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
+from .common import (TrainConfig, check_number, check_numbers, log_loss, logistic_grad_hess,
+                     sigmoid32)
 
 MAX_BINS = 255
 _BLOCK = 64  # features per histogram in the split search
@@ -111,13 +113,34 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """The tree of a to_dict body, if it is one _TreeBuilder could write for
+        n_features inputs: five arrays of one nonzero length, finite numbers,
+        feature -1 exactly at the nodes whose children are both -1 (the
+        leaves), other features in [0, n_features), and every node but the
+        first the child of exactly one earlier node, which rules out cycles.
+        Anything else raises ValueError."""
+        n = len(d["feature"])
+        feature = check_numbers(d["feature"], "feature", -1, n_features - 1, integer=True)
+        left = check_numbers(d["left"], "left", -1, n - 1, integer=True)
+        right = check_numbers(d["right"], "right", -1, n - 1, integer=True)
+        threshold = check_numbers(d["threshold"], "threshold")
+        value = check_numbers(d["value"], "value")
+        if not n or any(len(a) != n for a in (left, right, threshold, value)):
+            raise ValueError("a tree's five arrays must share one nonzero length")
+        nodes = list(zip(feature, left, right))
+        if any((f == -1) != (lo == hi == -1) for f, lo, hi in nodes):
+            raise ValueError("a node's feature is -1 exactly when both its children are -1")
+        inner = [(i, lo, hi) for i, (f, lo, hi) in enumerate(nodes) if f != -1]
+        if (sorted(c for _, lo, hi in inner for c in (lo, hi)) != list(range(1, n))
+                or any(min(lo, hi) <= i for i, lo, hi in inner)):
+            raise ValueError("every node but the first must be a later child of one node")
         return cls(
-            feature=np.array(d["feature"], dtype=np.int32),
-            threshold=np.array(d["threshold"], dtype=np.float64),
-            left=np.array(d["left"], dtype=np.int32),
-            right=np.array(d["right"], dtype=np.int32),
-            value=np.array(d["value"], dtype=np.float64),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            value=np.array(value, dtype=np.float64),
         )
 
 
@@ -155,14 +178,24 @@ class GbdtModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtModel":
-        return cls(
-            trees=tuple(Tree.from_dict(t) for t in d["trees"]),
-            eta=d["eta"],
-            base_score=d["base_score"],
+        """The model of a to_dict body, if its numbers are finite, its trees
+        read n_features inputs (Tree.from_dict) and no margin can overflow;
+        else ValueError."""
+        n_features = check_number(d["n_features"], "n_features", 1, integer=True)
+        model = cls(
+            trees=tuple(Tree.from_dict(t, n_features) for t in d["trees"]),
+            eta=check_number(d["eta"], "eta"),
+            base_score=check_number(d["base_score"], "base_score"),
             config=TrainConfig.from_dict(d["config"]),
-            n_features=d["n_features"],
-            train_log_loss=tuple(d.get("train_log_loss", ())),
+            n_features=n_features,
+            train_log_loss=tuple(check_numbers(d.get("train_log_loss", []), "train_log_loss")),
         )
+        # every partial sum of a margin is at most this; as floats, a sum overflows to inf
+        reach = abs(model.base_score) + abs(model.eta) * sum(
+            float(max(map(abs, t["value"]))) for t in d["trees"])
+        if not math.isfinite(reach):
+            raise ValueError("base_score plus eta times the leaf values can overflow")
+        return model
 
 
 def _bin_features(X: np.ndarray):

@@ -5,15 +5,17 @@ with a logistic link fitted on training margins to map scores into [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DegenerateData
-from .common import TrainConfig, sigmoid32
+from .common import TrainConfig, check_number, check_numbers, sigmoid32
 
 
 _BLOCK_CELLS = 1 << 16   # cells of the one temporary block of _sq_dists
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -65,17 +67,34 @@ class RbfSvmModel:
             "config": self.config.to_dict(),
         }
 
+    @property
+    def n_features(self) -> int:
+        return self.support.shape[1]
+
     @classmethod
     def from_dict(cls, d: dict) -> "RbfSvmModel":
-        return cls(
-            support=np.array(d["support"], dtype=np.float64).reshape(len(d["coef"]), -1),
-            coef=np.array(d["coef"], dtype=np.float64),
-            gamma=d["gamma"],
-            reg=d["reg"],
-            platt_a=d["platt_a"],
-            bias=d["bias"],
+        """The model of a to_dict body, if every number is finite, gamma lies in
+        [1e-6, 1e4], each coefficient has one support row of one width, whose
+        entries are float32 values as features are, and no score can
+        overflow; else ValueError."""
+        coef = check_numbers(d["coef"], "coef")
+        if not isinstance(d["support"], list) or len(d["support"]) != len(coef):
+            raise ValueError("support must be a list with one row per coefficient")
+        model = cls(
+            support=np.array([check_numbers(row, "support row", -_FLOAT32_MAX, _FLOAT32_MAX)
+                              for row in d["support"]], dtype=np.float64).reshape(len(coef), -1),
+            coef=np.array(coef, dtype=np.float64),
+            gamma=check_number(d["gamma"], "gamma", 1e-6, 1e4),
+            reg=check_number(d["reg"], "reg"),
+            platt_a=check_number(d["platt_a"], "platt_a"),
+            bias=check_number(d["bias"], "bias"),
             config=TrainConfig.from_dict(d["config"]),
         )
+        # a kernel value lies in [0, 1], so no margin is larger than sum |coef|
+        reach = abs(model.platt_a) * sum(abs(float(c)) for c in coef) + abs(model.bias)
+        if not math.isfinite(reach):
+            raise ValueError("platt_a times the coefficients plus bias can overflow")
+        return model
 
 
 def _fit_logistic_link(margins: np.ndarray, y01: np.ndarray, iters: int = 100):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateData, FeatureFailure, MalformedPe, SpecInvalid
+from .errors import DegenerateData, FeatureFailure, MalformedPe, ParseError, SpecInvalid
 from . import evaluation
 from .features import DIM, extract_features
 from .learners import TrainConfig, model_from_dict, score_model, train_model
@@ -285,13 +285,23 @@ def save_system(system: AiSystem, directory):
         "metadata": system.metadata, "model": system.model.to_dict()})
 
 
+def read_rules(path, role: str) -> tuple:
+    """(text, RuleSet) of a rule file (evaluation.read_text), or no rules for an
+    empty path; a parse error names the file."""
+    text = evaluation.read_text(path) if path else ""
+    try:
+        return text, parse_rules(text, role=role)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_system(directory) -> AiSystem:
-    """The system save_system wrote. A model.json that is not a system document,
-    or whose threshold is not a number in [0, 1], raises SpecInvalid naming it."""
-    with open(os.path.join(directory, "allowlist.yar"), encoding="utf-8") as fh:
-        allow_text = fh.read()
-    with open(os.path.join(directory, "blocklist.yar"), encoding="utf-8") as fh:
-        block_text = fh.read()
+    """The system save_system wrote. A rule file read_rules refuses, or a
+    model.json that is not a system document, whose threshold is not a number
+    in [0, 1] or whose model does not read DIM features, raises naming it."""
+    allow_text, allowlist = read_rules(os.path.join(directory, "allowlist.yar"), "allowlist")
+    block_text, blocklist = read_rules(os.path.join(directory, "blocklist.yar"), "blocklist")
     path = os.path.join(directory, "model.json")
     doc = evaluation.read_report(path)
     try:
@@ -305,9 +315,10 @@ def load_system(directory) -> AiSystem:
         threshold = metadata.get("threshold")
         evaluation.check_threshold(threshold)
         model = model_from_dict(doc.get("model"))
+        if model.n_features != DIM:
+            raise SpecInvalid(f"the model reads {model.n_features} features, not {DIM}")
     except SpecInvalid as exc:
         raise SpecInvalid(f"{path}: {exc}") from None
-    return AiSystem(allowlist=parse_rules(allow_text, role="allowlist"),
-                    blocklist=parse_rules(block_text, role="blocklist"), model=model,
+    return AiSystem(allowlist=allowlist, blocklist=blocklist, model=model,
                     threshold=float(threshold), allow_text=allow_text,
                     block_text=block_text, metadata=metadata)

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import fuzz_gen
+
 from sievemal.cli import main
 from sievemal.corpus import (
     CorpusSpec,
@@ -17,6 +19,7 @@ from sievemal.corpus import (
     save_spec,
     write_manifest,
 )
+from sievemal.features import DIM
 from sievemal.attack import (
     AttackConfig,
     SettledSchedule,
@@ -347,6 +350,24 @@ def _with_threshold(value):
     return lambda doc: {**doc, "metadata": {**doc["metadata"], "threshold": value}}
 
 
+def _model_edit(edit):
+    """A change to the saved document that edit makes to its model body in place."""
+    def change(doc):
+        assert doc["model"]["trees"][0]["feature"][0] != -1, "the first tree must split"
+        edit(doc["model"])
+        return doc
+    return change
+
+
+def _model_field(name, value):
+    return _model_edit(lambda model: model.update({name: value}))
+
+
+def _tree_field(name, index, value):
+    """A change that sets entry index of the first tree's name array."""
+    return _model_edit(lambda model: model["trees"][0][name].__setitem__(index, value))
+
+
 @pytest.mark.parametrize("edit, reason", [
     ("{not json", "not a JSON document"),
     ("[]", "not a system document"),
@@ -360,10 +381,40 @@ def _with_threshold(value):
     (lambda doc: {**doc, "model": {**doc["model"], "kind": "forest"}},
      "unknown model kind 'forest'"),
     (lambda doc: {**doc, "model": {"kind": "gbdt"}}, "malformed gbdt model"),
+    (_tree_field("left", 0, 0), "every node but the first must be a later child of one node"),
+    (_tree_field("left", 0, 10 ** 6), "left must be a list, each entry an integer in [-1, "),
+    (_tree_field("right", 0, -5), "right must be a list, each entry an integer in [-1, "),
+    (_model_edit(lambda m: m["trees"][0]["value"].pop()),
+     "a tree's five arrays must share one nonzero length"),
+    (_model_edit(lambda m: [a.clear() for a in m["trees"][0].values()]),
+     "a tree's five arrays must share one nonzero length"),
+    (_tree_field("feature", 0, 5000), f"feature must be a list, each entry an integer in "
+                                      f"[-1, {DIM - 1}]"),
+    (_tree_field("feature", -1, 3), "a node's feature is -1 exactly when both its children are -1"),
+    (_tree_field("threshold", 0, True), "threshold must be a list, each entry a finite number"),
+    (_tree_field("value", -1, float("nan")), "value must be a list, each entry a finite number"),
+    (_model_field("eta", "x"), "eta must be a finite number, not 'x'"),
+    (_model_field("eta", float("nan")), "eta must be a finite number, not nan"),
+    (_model_field("base_score", "abc"), "base_score must be a finite number, not 'abc'"),
+    (_model_field("base_score", False), "base_score must be a finite number, not False"),
+    (_model_field("n_features", float(DIM)), "n_features must be an integer >= 1, not 721.0"),
+    (_model_field("n_features", DIM + 1), f"the model reads {DIM + 1} features, not {DIM}"),
+    (_model_field("train_log_loss", [None]), "train_log_loss must be a list"),
+    (_model_edit(lambda m: m["config"].update(eta=True)), "eta must be finite, not True"),
+    (_model_edit(lambda m: (m.update(eta=1e308), m["trees"][0]["value"].__setitem__(-1, 10.0))),
+     "base_score plus eta times the leaf values can overflow"),
+    (_model_edit(lambda m: (m.update(eta=1), [t["value"].__setitem__(-1, 10 ** 308)
+                                              for t in m["trees"][:2]])),
+     "base_score plus eta times the leaf values can overflow"),
 ], ids=["not-json", "list", "pre-change-model-file", "version-2", "no-metadata",
         "threshold-nan", "threshold-true", "threshold-7.5", "model-body-empty",
-        "model-kind-unknown", "model-body-no-trees"])
-def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, edit, reason):
+        "model-kind-unknown", "model-body-no-trees", "tree-cycle", "tree-child-past-the-end",
+        "tree-child-negative", "tree-value-short", "tree-empty", "tree-feature-past-the-width",
+        "tree-leaf-with-a-feature", "tree-threshold-bool", "tree-value-nan", "eta-string",
+        "eta-nan", "base-score-string", "base-score-bool", "n-features-float",
+        "n-features-not-dim", "loss-null", "config-eta-bool", "margin-overflows",
+        "integer-margin-overflows"])
+def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, request, edit, reason):
     system = tmp_path / "system"
     shutil.copytree(workdir / "system", system)
     path = system / "model.json"
@@ -372,7 +423,9 @@ def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, edit, r
     path.write_text(edit)
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"not a pe at all")
-    assert main(["predict", "--system", str(system), str(junk)]) == 1
+    # a tree cycle once made the forest's depth loop run forever
+    with fuzz_gen.deadline(request.node.name):
+        assert main(["predict", "--system", str(system), str(junk)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert reason in err
@@ -666,7 +719,9 @@ def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
     ("a.bin,abc", "2 columns, want 6"),
     ("a.bin,abc,x,present-train,,0", "label 'x' and allowlisted '0' must each be 0 or 1"),
     ("a.bin,abc,1,present-train,,yes", "label '1' and allowlisted 'yes' must each be 0 or 1"),
-], ids=["short-row", "bad-label", "bad-allowlisted"])
+    ("a\x00.bin,abc,1,present-train,,0", "a NUL character"),
+    ("a" * 200_000 + ",abc,1,present-train,,0", "field larger than field limit (131072)"),
+], ids=["short-row", "bad-label", "bad-allowlisted", "nul", "past-the-field-limit"])
 def test_filter_bad_manifest_row_exits_one(workdir, tmp_path, capsys, row, message):
     bad = tmp_path / "bad.csv"
     bad.write_text("path,sha256,label,epoch,planted,allowlisted\n" + row + "\n")
@@ -714,8 +769,14 @@ def test_rule_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     '{"threshold": 0.5, "rows": [{"payload_kb": Infinity, "adv_score": 0.2}]}',
     '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": null}]}',
     "not json",
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": NaN}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": true}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1.0, "adv_score": 1.5}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": -3.0, "adv_score": 0.1}]}',
+    '{"threshold": 0.5, "rows": [{"payload_kb": 1%s, "adv_score": 0.1}]}' % ("0" * 400),
 ], ids=["no-threshold", "no-rows", "list", "row-fields", "kb-string", "score-string",
-        "kb-infinite", "score-null", "not-json"])
+        "kb-infinite", "score-null", "not-json", "score-nan", "score-true", "score-1.5",
+        "kb-negative", "kb-past-the-largest-float"])
 def test_report_on_malformed_results_exits_one(tmp_path, capsys, doc):
     (tmp_path / "results.json").write_text(doc)
     assert main(["report", "--results", str(tmp_path),

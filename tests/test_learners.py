@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sievemal.errors import DegenerateData, SpecInvalid
+from sievemal.features import DIM
 from sievemal.learners.common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 from sievemal.learners.gbdt import GbdtModel, predict_gbdt, train_gbdt
 from sievemal.learners.io import model_from_dict
@@ -42,6 +43,11 @@ def test_sigmoid32_saturates_exactly():
     assert sigmoid32(-200.0) == np.float32(0.0)
     assert 0.0 < float(sigmoid32(0.3)) < 1.0
     assert sigmoid32(0.0) == np.float32(0.5)
+
+
+def test_sigmoid32_of_a_huge_negative_margin_is_zero_without_a_warning():
+    # exp(-margin) overflows to inf; pytest turns a RuntimeWarning into an error
+    assert np.array_equal(sigmoid32(np.array([-710.0, -1e307])), np.zeros(2, np.float32))
 
 
 def test_log_loss_reference_points():
@@ -269,8 +275,14 @@ def through_system_document(model, cfg, directory):
     return loaded.model
 
 
+def as_feature_rows(X):
+    """X padded with zero columns to features.DIM, the width load_system wants."""
+    return np.pad(X, ((0, 0), (0, DIM - X.shape[1])))
+
+
 def test_gbdt_model_file_round_trip(tmp_path):
     X, y = xor_data(n=200, seed=12)
+    X = as_feature_rows(X)
     cfg = TrainConfig(seed=0, n_trees=5)
     model = train_gbdt(X, y, cfg)
     loaded = through_system_document(model, cfg, tmp_path)
@@ -280,6 +292,7 @@ def test_gbdt_model_file_round_trip(tmp_path):
 
 def test_svm_model_file_round_trip(tmp_path):
     X, y = blob_data(n=80, sep=5.0, seed=13)
+    X = as_feature_rows(X)
     cfg = TrainConfig(kind="svm", seed=0, gamma=0.1, reg=1e-2, max_iters=300)
     model = train_svm_rbf(X, y, cfg)
     loaded = through_system_document(model, cfg, tmp_path)

@@ -345,7 +345,7 @@ def test_non_ascii_digest_is_a_parse_error_in_rules_check(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["rules", "check", str(rule)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("rule parse error: sha256 digest must be 64 hex characters")
+    assert err.startswith(f"rule parse error: {rule}: sha256 digest must be 64 hex characters")
     assert err.count("\n") == 1
 
 
