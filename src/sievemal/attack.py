@@ -167,23 +167,32 @@ def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
     """k distinct non-executable, non-empty sections sampled across the corpus.
 
     goodware: iterable of samples providing .path (and .sha256 as source id).
+    The draw is over (sample, section index) pairs in corpus order; only the
+    files of the k drawn sections are read again for their bytes, so no other
+    section's bytes are held.
     """
-    candidates = []
+    candidates = []                  # (sample, section index)
     for sample in goodware:
-        with open(sample.path, "rb") as fh:
-            raw = fh.read()
         try:
-            pe = parse_pe(raw)
+            pe = parse_pe(_read(sample.path))
         except MalformedPe:
             continue
-        for s in pe.sections:
-            if not s.is_executable and s.raw_size > 0:
-                candidates.append((sample.sha256, bytes(s.name), s.data))
+        candidates.extend((sample, i) for i, s in enumerate(pe.sections)
+                          if not s.is_executable and s.raw_size > 0)
     if len(candidates) < k:
         raise PoolExhausted(f"{len(candidates)} harvestable sections, need {k}")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(candidates), size=k, replace=False)
-    return PayloadPool(sections=tuple(candidates[i] for i in picks))
+    sections = []
+    for sample, i in (candidates[p] for p in picks):
+        section = parse_pe(_read(sample.path)).sections[i]
+        sections.append((sample.sha256, bytes(section.name), section.data))
+    return PayloadPool(sections=tuple(sections))
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def gene_bytes(pool: PayloadPool, s) -> list:

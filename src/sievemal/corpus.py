@@ -15,6 +15,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,12 @@ MALWARE_TOKENS = (
 )
 
 
+_RULE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the most files of one class in one epoch: a file takes about 1 ms to make,
+# and a count past the float range cannot be scaled by a rate
+MAX_COUNT = 10 ** 6
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -82,7 +89,9 @@ def _is_rate(v) -> bool:
 
 
 def _is_bank_entry(v) -> bool:
-    if not (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str)):
+    # the id names the pattern's blocklist rule and its manifest `planted` entries
+    if not (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str)
+            and _RULE_NAME.fullmatch(v[0])):
         return False
     kind, body = v[1], v[2]
     if kind == "hex":
@@ -104,16 +113,19 @@ _ABSENT = object()   # the value of a field a spec document does not have
 # document; a check that fails on _ABSENT makes its field required.
 _SPEC_FIELDS = (
     ("counts", _per_epoch(lambda p: isinstance(p, list) and len(p) == 2 and all(
-        _is_int(n) and n >= 0 for n in p)),
-     f"an object of non-negative [malware, goodware] count pairs for {', '.join(EPOCHS)}"),
+        _is_int(n) and 0 <= n <= MAX_COUNT for n in p)),
+     f"an object of [malware, goodware] count pairs, each in [0, {MAX_COUNT}], "
+     f"for {', '.join(EPOCHS)}"),
     ("plant_rates", _per_epoch(_is_rate),
      f"an object of rates in [0, 1] for {', '.join(EPOCHS)}"),
     ("drift_mutation_rate", _is_rate, "a number in [0, 1]"),
     ("allowlist_fraction", _is_rate, "a number in [0, 1]"),
     ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    ("bank", lambda v: isinstance(v, list) and v != [] and all(map(_is_bank_entry, v)),
+    ("bank", lambda v: (isinstance(v, list) and v != [] and all(map(_is_bank_entry, v))
+                        and len({entry[0] for entry in v}) == len(v)),
      'a non-empty list of [id, "text", non-empty latin-1 string] or '
-     '[id, "hex", non-empty [byte, ...]] entries'),
+     '[id, "hex", non-empty [byte, ...]] entries with distinct ids of letters, '
+     'digits and _ that do not start with a digit'),
     # an optional switch of earlier spec files, now always on
     ("goodware_epoch_shift", lambda v: v is True or v is _ABSENT,
      "true (the future epoch always has its own goodware)"),
@@ -408,12 +420,16 @@ def emit_rules_from_bank(spec: CorpusSpec) -> str:
 
 
 def emit_allowlist(manifest: Manifest) -> str:
-    """One sha256 rule per allowlisted goodware record."""
+    """One rule per allowlisted goodware record: `filesize == N and
+    hash.sha256(0, filesize) == "D"`, N the size of the record's file on disk
+    and D its digest. The size matches on exactly the files the digest does,
+    and lets a scan skip hashing any file whose size no rule names."""
     chunks = []
     for i, r in enumerate(rec for rec in manifest.records if rec.allowlisted):
         chunks.append(
             f"rule allow_{i:04d}\n{{\n    condition:\n"
-            f"        hash.sha256(0, filesize) == \"{r.sha256}\"\n}}\n")
+            f"        filesize == {os.path.getsize(r.path)} and "
+            f"hash.sha256(0, filesize) == \"{r.sha256}\"\n}}\n")
     return "\n".join(chunks)
 
 
@@ -425,11 +441,15 @@ def ingest(directory, labels_path) -> Manifest:
     Duplicate digests collapse to the first occurrence; unreadable files are
     recorded and skipped. A labels file without the header, with a row of
     other than three columns or with a row whose epoch is outside EPOCHS, a
-    file without a label row, or a file whose label is not 0/1, is a
-    SpecInvalid.
+    file without a label row, a file whose label is not 0/1, or two rows that
+    label one file differently, is a SpecInvalid.
     """
-    labels = {row[0]: (row[1], row[2])
-              for _, row in _read_csv_rows(labels_path, ["path", "label", "epoch"])}
+    labels = {}                       # path column -> ((label, epoch), where its first row is)
+    for where, row in _read_csv_rows(labels_path, ["path", "label", "epoch"]):
+        label, first = labels.setdefault(row[0], ((row[1], row[2]), where))
+        if label != (row[1], row[2]):
+            raise SpecInvalid(f"{where}: {row[0]!r} is labelled {row[1]},{row[2]}, but "
+                              f"{first} labels it {','.join(label)}")
 
     manifest = Manifest()
     seen = {}
@@ -448,10 +468,10 @@ def ingest(directory, labels_path) -> Manifest:
             manifest.duplicates += 1
             continue
         seen[digest] = path
-        row = labels.get(name, labels.get(path))
-        if row is None:
+        entry = labels.get(name, labels.get(path))
+        if entry is None:
             raise SpecInvalid(f"{path}: no row in {labels_path}")
-        label, epoch = row
+        (label, epoch), _ = entry
         if label not in ("0", "1"):
             raise SpecInvalid(f"{path}: label {label!r} is not 0 or 1")
         manifest.records.append(ManifestRecord(

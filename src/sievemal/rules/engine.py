@@ -17,11 +17,15 @@ those whose condition can hold with no hit at all (`not $a`, `#a == 0`,
 condition. Every other rule is false on that data without evaluation.
 
 Hash-only rules (no strings, and a condition that is exactly one
-`hash.sha256(0, filesize) == "..."`) are not evaluated one by one: they sit in
-one digest -> rules dict, so a scan hashes the data once and finds every one
-of them that fires with one lookup. A hash equality inside a larger condition
-(`$a and hash...`, `not hash...`) stays on the evaluated path. Fired rules are
-reported in rule order either way.
+`hash.sha256(0, filesize) == "..."`, alone or and-ed with one
+`filesize == N` in either order) are not evaluated one by one: they sit in
+one digest -> rules dict with the size each names, if any, so a scan hashes
+the data once and finds every one of them that fires with one lookup. A sized
+rule fires only on data of its size, so a scan hashes the data only when its
+length is one that some sized rule names, or when the set holds a bare hash
+rule: for a sized allowlist most scans are one set lookup. A hash equality
+inside a larger condition (`$a and hash...`, `not hash...`) stays on the
+evaluated path. Fired rules are reported in rule order either way.
 
 `stays_fired` extends the candidate check from "can fire with no hit" to
 "stays fired when bytes are added": given a scan's result and spans of the
@@ -316,6 +320,21 @@ def stays_fired(rs: RuleSet, result: MatchResult, filesize: int, spans) -> bool:
     return False
 
 
+def _digest_key(rule):
+    """(digest, size) of a hash-only rule, size None for a bare hash rule and
+    N for one and-ed with `filesize == N`; None for any other rule."""
+    if rule.strings:
+        return None
+    cond = rule.condition
+    if type(cond) is Sha256Eq:
+        return cond.digest, None
+    if type(cond) is And and len(cond.items) == 2:
+        size, digest = sorted(cond.items, key=lambda item: type(item) is Sha256Eq)
+        if type(size) is FilesizeCmp and size.op == "==" and type(digest) is Sha256Eq:
+            return digest.digest, size.value
+    return None
+
+
 def _gate(p: PatternDef) -> bytes:
     """The bytes every match of a hex or regex pattern starts with: its leading
     fixed bytes, or its regex's leading literals up to the first item that is
@@ -333,7 +352,7 @@ class CompiledRuleSet:
     """A RuleSet prepared for scanning: one text index over every needle (as
     is, and lowercased for nocase), one regex per hex or regex pattern, the
     positions of the rules that can fire with no pattern hit, and the digest ->
-    rules dict of the hash-only rules.
+    rules dict of the hash-only rules with the sizes they name.
 
     Patterns are keyed by (rule position, pattern id). When the text index
     uses the prefix filter, a hex or regex pattern whose gate (`_gate`) is 4
@@ -342,19 +361,28 @@ class CompiledRuleSet:
     regex runs once if the gate occurs at all.
 
     A ruleset of hash-only rules alone has nothing to search or evaluate: its
-    scan hashes the data and looks the digest up, and nothing else.
+    scan looks the data's length up, then, if a rule can fire on that length,
+    hashes the data and looks the digest up, and nothing else.
     """
 
     def __init__(self, rs: RuleSet):
         self.rules = rs.rules
-        self.by_digest = {}          # sha256 hex -> [(position, rule)], in rule order
+        self.by_digest = {}          # sha256 hex -> [(position, rule, size or None)], in rule order
+        sizes = set()                # the sizes the sized hash-only rules name
+        bare = False                 # whether some hash-only rule names no size
         self.always = []             # positions of the rules that can fire with no hit
         owners = {}                  # (needle, searched lowercased) -> [key]
         gates = {}                   # (gate, searched lowercased) -> [key]
         regexes = []                 # [(key, re.Pattern)]
         for pos, rule in enumerate(rs.rules):
-            if not rule.strings and type(rule.condition) is Sha256Eq:
-                self.by_digest.setdefault(rule.condition.digest, []).append((pos, rule))
+            key = _digest_key(rule)
+            if key is not None:
+                digest, size = key
+                self.by_digest.setdefault(digest, []).append((pos, rule, size))
+                if size is None:
+                    bare = True
+                else:
+                    sizes.add(size)
                 continue
             if not _needs_hit(rule.condition, len(rule.strings)):
                 self.always.append(pos)
@@ -386,6 +414,8 @@ class CompiledRuleSet:
                                  [folded for _, folded in owners], once)
         self._owners = list(owners.values())
         self._digest_only = not (owners or regexes or self.always)
+        # the lengths on which some hash-only rule can fire; None for any length
+        self._hashed_sizes = None if bare else frozenset(sizes)
 
     def _hits(self, data: bytes) -> dict:
         """key -> sorted offsets, for every pattern with at least one hit."""
@@ -407,10 +437,20 @@ class CompiledRuleSet:
                 hits[key] = offsets
         return hits
 
+    def _hashes(self, size: int) -> bool:
+        """Whether some hash-only rule can fire on data of this size."""
+        return self._hashed_sizes is None or size in self._hashed_sizes
+
+    def _digest_fired(self, digest: str, size: int) -> list:
+        """The (position, rule) of the hash-only rules that fire on data of
+        this digest and size."""
+        return [(pos, rule) for pos, rule, named in self.by_digest.get(digest, ())
+                if named is None or named == size]
+
     def scan(self, data: bytes) -> MatchResult:
         if self._digest_only:
-            matched = (self.by_digest.get(hashlib.sha256(data).hexdigest(), ())
-                       if self.by_digest else ())
+            matched = (self._digest_fired(hashlib.sha256(data).hexdigest(), len(data))
+                       if self._hashes(len(data)) else ())
             return MatchResult(fired=tuple((rule.name, {}) for _, rule in matched),
                                verdict=bool(matched))
         hits = self._hits(data)
@@ -421,8 +461,8 @@ class CompiledRuleSet:
             offsets = {p.id: hits.get((pos, p.id), ()) for p in rule.strings}
             if _eval(rule.condition, offsets, ctx):
                 fired.append((pos, (rule.name, offsets)))
-        if self.by_digest:
-            matched = self.by_digest.get(ctx.sha256(), ())
+        if self._hashes(ctx.filesize):
+            matched = self._digest_fired(ctx.sha256(), ctx.filesize)
             if matched:
                 fired.extend((pos, (rule.name, {})) for pos, rule in matched)
                 fired.sort(key=lambda item: item[0])

@@ -1,6 +1,7 @@
 """Seeded random generator of subset-grammar rules and inputs for oracle fuzzing."""
 
 import contextlib
+import hashlib
 import random
 import signal
 import threading
@@ -293,6 +294,19 @@ def gen_anchored_rule(rng: random.Random, name: str):
     text = (f"rule {name}\n{{\n    strings:\n        $p0 = /{render_regex(ast)}/"
             f"\n    condition:\n        $p0\n}}\n")
     return text, {"$p0": ast}, [regex_witness(rng, ast)]
+
+
+def gen_hash_rule(rng: random.Random, name: str, data: bytes, others) -> str:
+    """A hash-only rule: `hash.sha256(0, filesize) == "D"` alone, or and-ed
+    with `filesize == N` in either order, N the length of data, one less or
+    one more. D is data's digest, or that of one of others."""
+    source = data if rng.random() < 0.7 else rng.choice(others)
+    hash_eq = f'hash.sha256(0, filesize) == "{hashlib.sha256(source).hexdigest()}"'
+    condition = hash_eq
+    if rng.random() < 0.75:
+        size_eq = f"filesize == {max(len(data) + rng.choice((-1, 0, 1)), 0)}"
+        condition = " and ".join(rng.sample([size_eq, hash_eq], 2))
+    return f"rule {name}\n{{\n    condition:\n        {condition}\n}}\n"
 
 
 def gen_data(rng: random.Random, witnesses) -> bytes:

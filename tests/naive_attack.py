@@ -7,6 +7,10 @@ read-only tape of draws per (seed, number of genes) and one numpy step per
 generation; the new search must give every trace field of this one, bit for
 bit. `AttackTrace`, `apply_manipulation` and the constants are shared with
 `sievemal.attack`, because they did not change.
+
+`harvest_sections` is the pool harvesting that held the bytes of every
+candidate section before it sampled k of them; the harvesting that keeps
+(sample, section index) pairs must give its pool.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ from sievemal.attack import (
     PayloadPool,
     apply_manipulation,
 )
+from sievemal.errors import MalformedPe, PoolExhausted
 from sievemal.pe import InjectionPlan, parse_pe
 
 
@@ -73,3 +78,22 @@ def gamma_attack(target, malware: bytes, pool: PayloadPool, cfg: AttackConfig,
             child = np.where(mask, population[pa], population[pb])
             child = child + rng.normal(0.0, MUTATION_SIGMA, size=k)
             batch.append(np.clip(child, 0.0, 1.0))
+
+
+def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
+    candidates = []
+    for sample in goodware:
+        with open(sample.path, "rb") as fh:
+            raw = fh.read()
+        try:
+            pe = parse_pe(raw)
+        except MalformedPe:
+            continue
+        for s in pe.sections:
+            if not s.is_executable and s.raw_size > 0:
+                candidates.append((sample.sha256, bytes(s.name), s.data))
+    if len(candidates) < k:
+        raise PoolExhausted(f"{len(candidates)} harvestable sections, need {k}")
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(candidates), size=k, replace=False)
+    return PayloadPool(sections=tuple(candidates[i] for i in picks))

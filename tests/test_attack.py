@@ -87,6 +87,20 @@ def test_harvest_from_corpus_is_seeded(unit_corpus):
     assert all(content for _, _, content in a.sections)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11, 2026])
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_harvest_draws_the_pool_of_the_reference(unit_corpus, tmp_path, seed, k):
+    """The harvesting that keeps (sample, section index) pairs and reads only
+    the drawn files gives the pool of the one that held every section's bytes,
+    a file that is not a PE among the sources included."""
+    bad = tmp_path / "not-a-pe.bin"
+    bad.write_bytes(b"MZ" + bytes(100))
+    goodware = [s for s in unit_corpus.samples() if s.label == 0]
+    goodware.insert(5, dataclasses.replace(goodware[0], path=str(bad), sha256="bad"))
+    want = naive_attack.harvest_sections(goodware, k, seed)
+    assert harvest_sections(goodware, k, seed).sections == want.sections
+
+
 # --- manipulation ------------------------------------------------------------
 
 def test_gene_bytes_round_per_gene():

@@ -715,6 +715,27 @@ def test_ingest_bad_labels_exits_one(tmp_path, capsys, text, where):
     assert err.startswith("error: ") and f"labels.csv, {where}:" in err
 
 
+def test_ingest_refuses_two_labels_for_one_file(tmp_path, capsys):
+    """Two rows that label one file differently are an error naming the file
+    and both lines, not a silent pick of the last; a repeated row is not."""
+    files = tmp_path / "files"
+    files.mkdir()
+    (files / "a.bin").write_bytes(b"content")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("path,label,epoch\na.bin,1,future\na.bin,1,future\n"
+                      "a.bin,0,present-train\n")
+    out = tmp_path / "manifest.csv"
+    argv = ["ingest", "--dir", str(files), "--labels", str(labels), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {labels}, line 4: 'a.bin' is labelled 0,present-train, "
+                   f"but {labels}, line 2 labels it 1,future\n")
+    assert not out.exists()
+    labels.write_text("path,label,epoch\na.bin,1,future\na.bin,1,future\n")
+    assert main(argv) == 0
+    assert read_manifest(str(out)).records[0].label == 1
+
+
 @pytest.mark.parametrize("row, message", [
     ("a.bin,abc", "2 columns, want 6"),
     ("a.bin,abc,x,present-train,,0", "label 'x' and allowlisted '0' must each be 0 or 1"),

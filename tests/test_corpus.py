@@ -41,6 +41,10 @@ def test_spec_defaults_validate():
 @pytest.mark.parametrize("kwargs, name", [
     (dict(counts={"present-train": (10, 10)}), "counts"),
     (dict(counts=dict(UNIT_COUNTS, future=(-1, 5))), "counts"),
+    # a count past the float range ended in an OverflowError, and a large one
+    # wrote files until the disk was full
+    (dict(counts=dict(UNIT_COUNTS, future=(10 ** 400, 5))), "counts"),
+    (dict(counts=dict(UNIT_COUNTS, future=(5, 10 ** 6 + 1))), "counts"),
     (dict(plant_rates={"present-train": 1.5, "present-test": 0.3, "future": 0.4}),
      "plant_rates"),
     (dict(drift_mutation_rate=2.0), "drift_mutation_rate"),
@@ -50,8 +54,15 @@ def test_spec_defaults_validate():
     # an empty pattern would make a blocklist.yar that `rules check` refuses
     (dict(bank=(("bank_00", "text", b""),)), "bank"),
     (dict(bank=(("bank_06", "hex", ()),)), "bank"),
-], ids=["counts-epochs", "counts-negative", "plant-rate", "drift", "allowlist", "seed",
-        "bank-empty", "bank-empty-text", "bank-empty-hex"])
+    # an id names a blocklist rule, so one that is no rule name, or a repeated
+    # one, would do the same
+    (dict(bank=(("bank{05", "text", b"body"),)), "bank"),
+    (dict(bank=(("", "text", b"body"),)), "bank"),
+    (dict(bank=(("5bank", "text", b"body"),)), "bank"),
+    (dict(bank=(("bank_00", "text", b"one"), ("bank_00", "text", b"two"))), "bank"),
+], ids=["counts-epochs", "counts-negative", "counts-past-float", "counts-past-max",
+        "plant-rate", "drift", "allowlist", "seed", "bank-empty", "bank-empty-text",
+        "bank-empty-hex", "bank-id-brace", "bank-id-empty", "bank-id-digit", "bank-id-repeated"])
 def test_spec_checks_agree_in_code_and_in_files(tmp_path, capsys, kwargs, name):
     spec = CorpusSpec(**{"counts": UNIT_COUNTS, **kwargs})
     with pytest.raises(SpecInvalid, match=f"^field '{name}' must be ") as in_code:

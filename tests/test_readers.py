@@ -19,7 +19,7 @@ import pytest
 import fuzz_gen
 
 from sievemal.cli import main
-from sievemal.corpus import Manifest, write_manifest
+from sievemal.corpus import CorpusSpec, Manifest, save_spec, write_manifest
 from sievemal.evaluation import write_report
 from sievemal.features import DIM
 from sievemal.learners import TrainConfig
@@ -295,9 +295,10 @@ def mutate(data: bytes, fmt: str, rng: random.Random) -> tuple:
     return json.dumps(doc).encode(), f"/{'/'.join(map(str, path))} replaced by {value}"
 
 
-def run_mutants(path, fmt: str, argvs, kind: str, capsys):
+def run_mutants(path, fmt: str, argvs, kind: str, capsys, accepted=None):
     """Runs every argv in argvs on SEEDS mutants of the file at path, one at a
-    time, and puts the file back."""
+    time, and puts the file back. accepted, if given, is called with the case
+    after each mutant that every argv accepts."""
     with open(path, "rb") as fh:
         original = fh.read()
     try:
@@ -305,6 +306,7 @@ def run_mutants(path, fmt: str, argvs, kind: str, capsys):
             data, mutation = mutate(original, fmt, random.Random(f"{kind} {seed}"))
             with open(path, "wb") as fh:
                 fh.write(data)
+            codes = []
             for argv in argvs:
                 case = f"{kind}, seed {seed}, {mutation}, sievemal {argv[0]}"
                 with fuzz_gen.deadline(case):
@@ -318,6 +320,9 @@ def run_mutants(path, fmt: str, argvs, kind: str, capsys):
                 # an error line exactly when the exit code is 1, and no other line
                 assert code in (0, 1, 2) and err == errors and len(errors) == int(code == 1), (
                     f"{case}: exit {code}, stderr {err}")
+                codes.append(code)
+            if accepted and not any(codes):
+                accepted(f"{kind}, seed {seed}, {mutation}")
     finally:
         with open(path, "wb") as fh:
             fh.write(original)
@@ -374,6 +379,25 @@ def test_mutated_attack_results(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     run_mutants(tmp_path / "results.json", "json", [argv], "results.json", capsys)
+
+
+def test_mutated_spec_files(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    save_spec(CorpusSpec(counts={"present-train": (3, 2), "present-test": (1, 1),
+                                 "future": (2, 1)}, seed=5), path)
+    out = tmp_path / "corpus"
+    argv = ["gen-corpus", "--spec", str(path), "--out", str(out)]
+
+    def rules_parse(case):
+        """A spec that gen-corpus accepts gives rule files that parse."""
+        for name in ("blocklist.yar", "allowlist.yar"):
+            code = main(["rules", "check", str(out / name)])
+            assert code == 0, f"{case}: {name}: {capsys.readouterr().err}"
+
+    assert main(argv) == 0
+    rules_parse("spec file")
+    capsys.readouterr()
+    run_mutants(path, "json", [argv], "spec file", capsys, accepted=rules_parse)
 
 
 @pytest.mark.parametrize("name, fmt", [("model.json", "json"), ("allowlist.yar", "rules"),

@@ -17,6 +17,7 @@ from sievemal.corpus import emit_allowlist, emit_rules_from_bank
 from sievemal.errors import ParseError
 from sievemal.rules import RuleSet, parse_rules
 from sievemal.rules import engine
+from sievemal.rules.model import And
 from sievemal.rules.engine import _FILTER_MIN_NEEDLES, compile_ruleset, scan
 
 DECOYS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "decoys.py"
@@ -233,27 +234,46 @@ def assert_same_as_evaluated(rs, data, asts=None):
     return got.rule_names
 
 
+def sized_rule(name: str, size: int, digest: str, hash_first: bool = False) -> str:
+    conjuncts = [f"filesize == {size}", f'hash.sha256(0, filesize) == "{digest}"']
+    condition = " and ".join(conjuncts[::-1] if hash_first else conjuncts)
+    return f"rule {name} {{ condition: {condition} }}\n"
+
+
 def test_digest_index_holds_only_hash_only_rules():
     a, b, c = b"first file with text", b"second file", b"third"
     rs = parse_rules(
         hash_rule("h_a", sha(a))
         + 'rule t1 { strings: $a = "text" condition: $a }\n'
         + hash_rule("h_b", sha(b).upper())
+        + sized_rule("s_a", len(a), sha(a))
         + hash_rule("h_a_again", sha(a))
+        + sized_rule("s_a_hash_first", len(a), sha(a), hash_first=True)
         + f'rule both {{ strings: $a = "text" '
           f'condition: $a and hash.sha256(0, filesize) == "{sha(a)}" }}\n'
         + f'rule not_b {{ condition: not hash.sha256(0, filesize) == "{sha(b)}" }}\n'
+        + sized_rule("s_a_wrong_size", len(a) + 1, sha(a))
+        + f'rule s_ne {{ condition: filesize != 3 and hash.sha256(0, filesize) == "{sha(a)}" }}\n'
+        + f'rule s_three {{ condition: filesize == {len(a)} and filesize > 0 and '
+          f'hash.sha256(0, filesize) == "{sha(a)}" }}\n'
         + 'rule t2 { strings: $x = "file" condition: $x }\n'
+        + sized_rule("s_c", len(c), sha(c), hash_first=True)
         + hash_rule("h_none", "0" * 64),
         role="allowlist")
     compiled = compile_ruleset(rs)
-    assert {d: [r.name for _, r in entries] for d, entries in compiled.by_digest.items()} == {
-        sha(a): ["h_a", "h_a_again"], sha(b): ["h_b"], "0" * 64: ["h_none"]}
-    assert [rs.rules[pos].name for pos in compiled.always] == ["not_b"]
+    # bare hash rules name no size; a `filesize == N` conjunct in either order names N
+    assert {d: [(r.name, size) for _, r, size in entries]
+            for d, entries in compiled.by_digest.items()} == {
+        sha(a): [("h_a", None), ("s_a", len(a)), ("h_a_again", None),
+                 ("s_a_hash_first", len(a)), ("s_a_wrong_size", len(a) + 1)],
+        sha(b): [("h_b", None)], sha(c): [("s_c", len(c))], "0" * 64: [("h_none", None)]}
+    assert [rs.rules[pos].name for pos in compiled.always] == ["not_b", "s_ne", "s_three"]
 
-    assert assert_same_as_evaluated(rs, a) == ("h_a", "t1", "h_a_again", "both", "not_b", "t2")
+    assert assert_same_as_evaluated(rs, a) == (
+        "h_a", "t1", "s_a", "h_a_again", "s_a_hash_first", "both", "not_b", "s_ne", "s_three",
+        "t2")
     assert assert_same_as_evaluated(rs, b) == ("h_b", "t2")
-    assert assert_same_as_evaluated(rs, c) == ("not_b",)
+    assert assert_same_as_evaluated(rs, c) == ("not_b", "s_c")
     assert assert_same_as_evaluated(rs, a + b"!") == ("t1", "not_b", "t2")
     assert scan(a, rs).fired[0] == ("h_a", {})
 
@@ -307,6 +327,92 @@ def test_a_hash_only_ruleset_scans_as_one_digest_lookup(monkeypatch):
     assert scan(a, rulesets[0]).rule_names == ("h_a", "h_a_again")
     assert scan(b, rulesets[0]).rule_names == ("h_b",)
     assert not scan(c, rulesets[0]).verdict and scan(b, rulesets[1]).verdict
+
+
+class CountingHashlib:
+    """Stands in for the engine module's hashlib and counts its sha256 calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, data):
+        self.calls += 1
+        return hashlib.sha256(data)
+
+
+def test_a_scan_hashes_only_data_of_a_named_size(monkeypatch):
+    """A scan computes no sha256 for data whose length no sized hash rule
+    names, and exactly one when the length matches or the set holds a bare
+    hash rule, on the digest-only path and on the evaluated one alike."""
+    a, b = b"first file", b"the second file"
+    same_size = b"first fil!"
+    sized = sized_rule("s_a", len(a), sha(a)) + sized_rule("s_b", len(b), sha(b), hash_first=True)
+    text = 'rule t { strings: $t = "file" condition: $t }\n'
+    counter = CountingHashlib()
+    monkeypatch.setattr(engine, "hashlib", counter)
+    cases = [
+        # (rules, data, sha256 calls, fired)
+        (sized, b"unnamed size", 0, ()),
+        (sized, a, 1, ("s_a",)),
+        (sized, same_size, 1, ()),
+        (sized + text, b"unnamed file", 0, ("t",)),
+        (sized + text, b, 1, ("s_b", "t")),
+        (sized + hash_rule("h", sha(b"unnamed size")), b"unnamed size", 1, ("h",)),
+        (sized + text + hash_rule("h", "0" * 64), b"unnamed file", 1, ("t",)),
+        # an evaluated hash equality and the index share one digest
+        (sized + f'rule e {{ strings: $t = "file" condition: $t and '
+                 f'hash.sha256(0, filesize) == "{sha(a)}" }}\n', a, 1, ("s_a", "e")),
+    ]
+    for rules, data, calls, fired in cases:
+        rs = parse_rules(rules, role="allowlist")
+        counter.calls = 0
+        got = scan(data, rs)
+        assert (counter.calls, got.rule_names) == (calls, fired), (rules, data)
+        assert got == naive_engine.scan(data, rs)
+    assert compile_ruleset(parse_rules(sized))._digest_only
+
+
+def test_a_size_that_disagrees_with_its_digest_never_fires():
+    rng = random.Random(5)
+    for n in (0, 1, 2, 17, 300):
+        data = bytes(rng.randrange(256) for _ in range(n))
+        wrong = [size for size in (n - 1, n + 1, 2 * n + 5) if size >= 0]
+        rules = "".join(sized_rule(f"w{i}", size, sha(data), hash_first=bool(i % 2))
+                        for i, size in enumerate(wrong))
+        rs = parse_rules(rules + sized_rule("right", n, sha(data)), role="allowlist")
+        for probe in (data, data + b"\x00", data[:-1], bytes(n + 1), bytes(2 * n + 5)):
+            assert scan(probe, rs) == naive_engine.scan(probe, rs)
+            assert scan(probe, rs).rule_names == (("right",) if probe == data else ())
+
+
+def test_sized_hash_rules_fuzz_against_the_oracle():
+    """Bare and sized hash rules, N the length of a fuzzed file, one less or
+    one more, mixed with the generator's other rules, scan as the naive
+    interpreter does: on the file, on one a byte shorter and one a byte
+    longer, on the digest-only path and the evaluated one."""
+    rng = random.Random(20261020)
+    digest_only, fired, sized_fired = set(), 0, 0
+    for case in range(150):
+        gens = [fuzz_gen.gen_rule(rng, f"fz{i}") for i in range(rng.choice((0, 0, 1, 3)))]
+        witnesses = [w for _, _, ws in gens for w in ws]
+        files = [fuzz_gen.gen_data(rng, witnesses) for _ in range(3)]
+        rules = [text for text, _, _ in gens] + [
+            fuzz_gen.gen_hash_rule(rng, f"h{i}", rng.choice(files), files)
+            for i in range(rng.randint(1, 6))]
+        rng.shuffle(rules)
+        text = "".join(rules) + padding(rng.choice(PADS))
+        rs = parse_rules(text, role="allowlist")
+        digest_only.add(compile_ruleset(rs)._digest_only)
+        sized = {r.name for r in rs.rules if r.name[0] == "h" and type(r.condition) is And}
+        reference = naive_engine.NaiveRuleSet(rs)
+        for data in files + [files[0][:-1], files[0] + b"\x00"]:
+            with fuzz_gen.deadline(f"seed 20261020, case {case}\n{text}"):
+                got = scan(data, rs)
+                want = reference.scan(data)
+            assert got == want, f"case {case}\n{text}\ndata={data.hex()}"
+            fired += len(got.fired)
+            sized_fired += sum(1 for name, _ in got.fired if name in sized)
+    assert digest_only == {False, True} and fired > 300 and sized_fired > 80
 
 
 def test_every_seed0_file_matches_the_oracle(default_corpus, perfbench_decoys):
