@@ -29,14 +29,11 @@ import functools
 import hashlib
 import itertools
 import json
-import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetZero, MalformedPe, PoolExhausted
-from .evaluation import is_threshold
+from .errors import BudgetZero, MalformedPe, PoolExhausted, check_number, is_number
 from .pe import InjectedSections, InjectionPlan, parse_pe
 from .rules import RuleSet, scan
 from .rules.engine import stays_fired
@@ -87,17 +84,14 @@ class AttackConfig:
 
     def __post_init__(self):
         # the search stops at queries_used == query_budget, which 2.5 never meets
-        if isinstance(self.query_budget, bool) or not isinstance(self.query_budget, int):
-            raise ValueError(f"query budget must be an integer, got {self.query_budget!r}")
-        if self.query_budget < 1:
-            raise BudgetZero("query budget must be positive")
+        if is_number(self.query_budget, high=0, integer=True):
+            raise BudgetZero(f"query budget must be an integer >= 1, not {self.query_budget!r}")
+        check_number(self.query_budget, "query budget", 1, integer=True)
         # no objective is below a NaN or infinite one, so no query would become the best
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
+        check_number(self.lam, "lambda", 0)
+        check_number(self.seed, "seed", 0, integer=True)
         # a blocklisted file scores 1.0, which must never count as an evasion
-        if not is_threshold(self.success_threshold):
-            raise ValueError(f"success threshold must be a number in [0, 1], "
-                             f"got {self.success_threshold!r}")
+        check_number(self.success_threshold, "success threshold", 0, 1)
 
 
 @dataclass
@@ -238,17 +232,15 @@ class _Tape:
         self._rng = np.random.default_rng(seed)
         self._k = k
         self._generations = []
-        self._lock = threading.Lock()
         self.first = _read_only(np.array([self._rng.uniform(0.0, 1.0, size=k)
                                           for _ in range(POPULATION)]))
 
     def generation(self, g: int) -> tuple:
         """(parents_a, parents_b, mask, noise) of breeding g: the first two of
         shape (POPULATION - ELITES,), the others (POPULATION - ELITES, k)."""
-        with self._lock:
-            while len(self._generations) <= g:
-                self._generations.append(self._draw())
-            return self._generations[g]
+        while len(self._generations) <= g:
+            self._generations.append(self._draw())
+        return self._generations[g]
 
     def _draw(self) -> tuple:
         rng, n = self._rng, POPULATION - ELITES

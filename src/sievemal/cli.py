@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 from . import __version__
-from .errors import MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid
+from .errors import (MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid,
+                     check_number)
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import write_feature_file
-from .learners import TrainConfig
-from .pe import MAX_SECTIONS, InjectionPlan, parse_pe
+from .learners import KINDS, TrainConfig
+from .pe import MAX_SECTIONS, InjectionPlan, check_injectable, parse_pe
 
 
 def _write_runconfig(out_dir, command, args_dict):
@@ -148,12 +148,13 @@ def cmd_attack(args) -> int:
                                   seed=args.seed, success_threshold=system.threshold)
 
     targets = [r for r in corpus_mod.read_manifest(args.malware).records if r.label == 1]
-    # every target must parse and have room for one section per gene before
-    # --out is made, so a bad one leaves no output
+    # every target must parse, take every gene's section whole and have room
+    # for one section per gene before --out is made, so a bad one leaves no output
     for r in targets:
         try:
             pe = parse_pe(_read_bytes(r.path))
-        except MalformedPe as exc:
+            check_injectable(pe, pool.lengths())
+        except (MalformedPe, ValueError) as exc:
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
         if pe.num_sections + len(pool) > MAX_SECTIONS:
             raise SectionLimitExceeded(
@@ -182,26 +183,18 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _is_attack_row(row) -> bool:
-    """A row with a payload that is a finite number >= 0 and a score in [0, 1];
-    the comparison, unlike math.isfinite, takes an int too large for a float."""
-    kb = row.get("payload_kb") if isinstance(row, dict) else None
-    return (not isinstance(kb, bool) and isinstance(kb, (int, float))
-            and 0 <= kb <= sys.float_info.max and evaluation.is_threshold(row.get("adv_score")))
-
-
 def cmd_report(args) -> int:
     path = os.path.join(args.results, "results.json")
     doc = evaluation.read_report(path)
-    if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)
-            and all(map(_is_attack_row, doc["rows"]))):
-        raise SpecInvalid(f"{path}: not attack results: want 'rows' that each have a "
-                          "'payload_kb' that is a finite number >= 0 and an 'adv_score' "
-                          "in [0, 1]")
-    threshold = doc.get("threshold")
     try:
-        evaluation.check_threshold(threshold)
-    except SpecInvalid as exc:
+        if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)
+                and all(isinstance(row, dict) for row in doc["rows"])):
+            raise SpecInvalid("not attack results: want an object with a 'rows' list of objects")
+        for i, row in enumerate(doc["rows"]):
+            check_number(row.get("payload_kb"), f"rows[{i}].payload_kb", 0)
+            check_number(row.get("adv_score"), f"rows[{i}].adv_score", 0, 1)
+        threshold = check_number(doc.get("threshold"), "threshold", 0, 1)
+    except (SpecInvalid, ValueError) as exc:
         raise SpecInvalid(f"{path}: {exc}") from None
     curve = evaluation.detection_rate_curve(doc["rows"], threshold=threshold)
     report = {"detection_rate_by_payload_kb": curve,
@@ -214,30 +207,18 @@ def cmd_report(args) -> int:
 
 # --- argument wiring ---------------------------------------------------------
 
-def _non_negative_float(text) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int, want: str):
-    def parse(text) -> int:
+def _number(name: str, low, integer=False):
+    """An argparse type: the int (or float) argument check_number takes, else a usage error."""
+    def parse(text):
         try:
-            value = int(text)
+            value = int(text) if integer else float(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
-        return value
+            value = text
+        try:
+            return check_number(value, name, low, integer=integer)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
-
-
-_positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="synthesize a corpus with ground truth")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None)
-    source.add_argument("--seed", type=_non_negative_int, default=0)
+    source.add_argument("--seed", type=_number("seed", 0, integer=True), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
@@ -282,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow")
     p.add_argument("--block")
     p.add_argument("--system-out", required=True)
-    p.add_argument("--kind", choices=["gbdt", "svm"], default="gbdt")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--n-trees", type=_positive_int, default=100)
+    p.add_argument("--kind", choices=KINDS, default="gbdt")
+    p.add_argument("--seed", type=_number("seed", 0, integer=True), default=0)
+    p.add_argument("--n-trees", type=_number("n_trees", 1, integer=True), default=100)
     p.add_argument("--gamma", type=float, default=1e-3)
     p.add_argument("--reg", type=float, default=1e-4)
     p.set_defaults(func=cmd_train)
@@ -297,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="ROC report for a system on one split")
     p.add_argument("--system", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--split", choices=["present-train", "present-test", "future"],
-                   default="present-test")
+    p.add_argument("--split", choices=corpus_mod.EPOCHS, default="present-test")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -307,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malware", required=True)
     p.add_argument("--pool-source", required=True)
     p.add_argument("--sections", type=int, choices=[10, 20, 30, 50], default=10)
-    p.add_argument("--budget", type=_positive_int, default=200)
-    p.add_argument("--lambda", type=_non_negative_float, default=1e-5)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--budget", type=_number("query budget", 1, integer=True), default=200)
+    p.add_argument("--lambda", type=_number("lambda", 0), default=1e-5)
+    p.add_argument("--seed", type=_number("seed", 0, integer=True), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 

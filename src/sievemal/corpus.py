@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecInvalid
+from .errors import SpecInvalid, is_number
 from .evaluation import read_report, read_text, write_report
 from .pe import (
     IMAGE_SCN_CNT_CODE,
@@ -80,14 +79,6 @@ _RULE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_COUNT = 10 ** 6
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_rate(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and 0.0 <= v <= 1.0
-
-
 def _is_bank_entry(v) -> bool:
     # the id names the pattern's blocklist rule and its manifest `planted` entries
     if not (isinstance(v, list) and len(v) == 3 and isinstance(v[0], str)
@@ -96,7 +87,7 @@ def _is_bank_entry(v) -> bool:
     kind, body = v[1], v[2]
     if kind == "hex":
         return (isinstance(body, list) and body != []
-                and all(_is_int(b) and 0 <= b <= 255 for b in body))
+                and all(is_number(b, 0, 255, integer=True) for b in body))
     return (kind == "text" and isinstance(body, str) and body != ""
             and all(ord(c) < 256 for c in body))
 
@@ -113,14 +104,14 @@ _ABSENT = object()   # the value of a field a spec document does not have
 # document; a check that fails on _ABSENT makes its field required.
 _SPEC_FIELDS = (
     ("counts", _per_epoch(lambda p: isinstance(p, list) and len(p) == 2 and all(
-        _is_int(n) and 0 <= n <= MAX_COUNT for n in p)),
+        is_number(n, 0, MAX_COUNT, integer=True) for n in p)),
      f"an object of [malware, goodware] count pairs, each in [0, {MAX_COUNT}], "
      f"for {', '.join(EPOCHS)}"),
-    ("plant_rates", _per_epoch(_is_rate),
+    ("plant_rates", _per_epoch(lambda v: is_number(v, 0, 1)),
      f"an object of rates in [0, 1] for {', '.join(EPOCHS)}"),
-    ("drift_mutation_rate", _is_rate, "a number in [0, 1]"),
-    ("allowlist_fraction", _is_rate, "a number in [0, 1]"),
-    ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    ("drift_mutation_rate", lambda v: is_number(v, 0, 1), "a number in [0, 1]"),
+    ("allowlist_fraction", lambda v: is_number(v, 0, 1), "a number in [0, 1]"),
+    ("seed", lambda v: is_number(v, 0, integer=True), "a non-negative integer"),
     ("bank", lambda v: (isinstance(v, list) and v != [] and all(map(_is_bank_entry, v))
                         and len({entry[0] for entry in v}) == len(v)),
      'a non-empty list of [id, "text", non-empty latin-1 string] or '
@@ -238,7 +229,9 @@ def _read_csv_rows(path, header):
     if nul >= 0:
         line = text.count("\n", 0, nul) + 1
         raise SpecInvalid(f"{path}, line {line}: a NUL character")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # read_text gives "\n" line ends; the reader takes the lines one at a time,
+    # so no second copy of the text is made
+    reader = csv.reader(m.group() for m in re.finditer(r".*\n|.+", text))
     try:
         if next(reader, None) != header:
             raise SpecInvalid(f"{path}, line 1: header is not {','.join(header)!r}")

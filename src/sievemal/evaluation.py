@@ -126,19 +126,6 @@ def rule_stats(routes, labels, epochs) -> dict:
     return counts
 
 
-def is_threshold(value) -> bool:
-    """Whether value is a number in [0, 1]: not a bool, NaN or an infinity."""
-    # written so that NaN fails too
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0.0 <= value <= 1.0
-
-
-def check_threshold(threshold):
-    """Raise SpecInvalid unless a stored threshold is a number in [0, 1]
-    (is_threshold)."""
-    if not is_threshold(threshold):
-        raise SpecInvalid(f"threshold {threshold!r} is not a number in [0, 1]")
-
-
 def detection_rate_curve(rows, threshold: float):
     """Detection rate per payload bucket at a fixed precalibrated threshold.
 

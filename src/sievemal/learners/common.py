@@ -2,45 +2,21 @@
 
 from __future__ import annotations
 
-import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-_MAX = sys.float_info.max
+from ..errors import check_number
 
-
-def _want(integer: bool, low, high) -> str:
-    want = "an integer" if integer else "a finite number"
-    if high != _MAX:
-        return f"{want} in [{low}, {high}]"
-    return want if low == -_MAX else f"{want} >= {low}"
-
-
-def check_number(value, name: str, low=-_MAX, high=_MAX, integer=False):
-    """value, if it is an int (or, unless integer is set, a float) in [low,
-    high]; else ValueError naming the field. The bounds rule out NaN and the
-    infinities, and the type test rules out bools."""
-    if type(value) not in ((int,) if integer else (int, float)) or not low <= value <= high:
-        raise ValueError(f"{name} must be {_want(integer, low, high)}, not {value!r}")
-    return value
-
-
-def check_numbers(values, name: str, low=-_MAX, high=_MAX, integer=False) -> list:
-    """values, if it is a list whose every entry check_number accepts; else
-    ValueError naming the field."""
-    kinds = (int,) if integer else (int, float)
-    if not (isinstance(values, list)
-            and all(type(v) in kinds and low <= v <= high for v in values)):
-        raise ValueError(f"{name} must be a list, each entry {_want(integer, low, high)}")
-    return values
+# the model families, by the kind a config and a model body name
+KINDS = ("gbdt", "svm")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for either model family; seed is mandatory for determinism."""
 
-    kind: str = "gbdt"            # "gbdt" | "svm"
+    kind: str = "gbdt"            # one of KINDS
     seed: int = 0
     # gbdt
     n_trees: int = 100            # desk-scale default; 1000 matches the full setup
@@ -55,28 +31,22 @@ class TrainConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.kind not in ("gbdt", "svm"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         for name, low in (("seed", 0), ("n_trees", 1), ("max_depth", 0), ("max_iters", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+            check_number(getattr(self, name), name, low, integer=True)
         # every kind checks every field: each lands in the saved system's config
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (type(value) in (int, float) and -_MAX <= value <= _MAX):
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
-        if not (0.0 < self.colsample <= 1.0):
-            raise ValueError("colsample must be in (0, 1]")
+        for name in ("eta", "colsample", "reg_lambda", "reg"):
+            check_number(getattr(self, name), name)
+        check_number(self.min_child_hessian, "min_child_hessian", 0)
+        check_number(self.gamma, "gamma", 1e-6, 1e4)
+        if not 0 < self.colsample <= 1:
+            raise ValueError(f"colsample must be a number in (0, 1], not {self.colsample!r}")
         # with H + lambda > 0 at every node no split gain or leaf weight is 0/0
         if not self.reg_lambda > 0:
-            raise ValueError("reg_lambda must be positive")
-        if not self.min_child_hessian >= 0:
-            raise ValueError("min_child_hessian must be non-negative")
-        if not (1e-6 <= self.gamma <= 1e4):
-            raise ValueError("gamma must lie in [1e-6, 1e4]")
+            raise ValueError(f"reg_lambda must be a number > 0, not {self.reg_lambda!r}")
         if not self.reg > 0:
-            raise ValueError("reg must be positive")
+            raise ValueError(f"reg must be a number > 0, not {self.reg!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -34,15 +34,13 @@ sequential cumsum, which rounds as a tree-by-tree sum does.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateData
-from .common import (TrainConfig, check_number, check_numbers, log_loss, logistic_grad_hess,
-                     sigmoid32)
+from ..errors import DegenerateData, check_number, check_numbers
+from .common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 
 MAX_BINS = 255
 _BLOCK = 64  # features per histogram in the split search
@@ -193,8 +191,7 @@ class GbdtModel:
         # every partial sum of a margin is at most this; as floats, a sum overflows to inf
         reach = abs(model.base_score) + abs(model.eta) * sum(
             float(max(map(abs, t["value"]))) for t in d["trees"])
-        if not math.isfinite(reach):
-            raise ValueError("base_score plus eta times the leaf values can overflow")
+        check_number(reach, "base_score plus eta times the largest leaf values")
         return model
 
 

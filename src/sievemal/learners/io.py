@@ -4,7 +4,7 @@ its to_dict body."""
 from __future__ import annotations
 
 from ..errors import SpecInvalid
-from .common import TrainConfig
+from .common import KINDS, TrainConfig
 from .gbdt import GbdtModel, predict_gbdt, train_gbdt
 from .svm import RbfSvmModel, predict_svm_rbf, train_svm_rbf
 
@@ -27,7 +27,7 @@ def model_from_dict(body):
     """The model whose to_dict() is body, of the family its "kind" names; a body
     that is not one raises SpecInvalid saying why."""
     kind = body.get("kind") if isinstance(body, dict) else None
-    family = {"gbdt": GbdtModel, "svm": RbfSvmModel}.get(kind)
+    family = dict(zip(KINDS, (GbdtModel, RbfSvmModel))).get(kind)
     if family is None:
         raise SpecInvalid(f"unknown model kind {kind!r}")
     try:

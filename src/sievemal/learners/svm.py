@@ -5,13 +5,12 @@ with a logistic link fitted on training margins to map scores into [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateData
-from .common import TrainConfig, check_number, check_numbers, sigmoid32
+from ..errors import DegenerateData, check_number, check_numbers
+from .common import TrainConfig, sigmoid32
 
 
 _BLOCK_CELLS = 1 << 16   # cells of the one temporary block of _sq_dists
@@ -92,8 +91,7 @@ class RbfSvmModel:
         )
         # a kernel value lies in [0, 1], so no margin is larger than sum |coef|
         reach = abs(model.platt_a) * sum(abs(float(c)) for c in coef) + abs(model.bias)
-        if not math.isfinite(reach):
-            raise ValueError("platt_a times the coefficients plus bias can overflow")
+        check_number(reach, "platt_a times the coefficients plus bias")
         return model
 
 

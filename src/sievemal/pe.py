@@ -23,7 +23,7 @@ import functools
 import struct
 from dataclasses import dataclass
 
-from .errors import MalformedPe, SectionLimitExceeded
+from .errors import MalformedPe, SectionLimitExceeded, check_number
 
 DOS_MAGIC = b"MZ"
 PE_SIGNATURE = b"PE\x00\x00"
@@ -461,3 +461,18 @@ def inject_section(pe: PeFile, name: bytes, content: bytes) -> bytes:
     """The bytes of pe with one non-executable section holding `content`
     appended: InjectionPlan(pe).inject with a single item."""
     return InjectionPlan(pe).inject(((name, content),))
+
+
+# the PE format's largest file alignment; each injected section is padded to it
+MAX_FILE_ALIGNMENT = 0x10000
+
+
+def check_injectable(pe: PeFile, lengths):
+    """Raises ValueError unless sections of these content lengths, injected whole,
+    fit pe: its file alignment is at most MAX_FILE_ALIGNMENT and its image ends
+    below 4 GiB (SizeOfImage is 32-bit). Shorter prefixes move no section further."""
+    fa, sa = pe.file_alignment, pe.section_alignment
+    check_number(fa, "file alignment", 1, MAX_FILE_ALIGNMENT, integer=True)
+    end = align_up(max(pe.virtual_end(), sa), sa) + sum(
+        align_up(align_up(n, fa), sa) for n in lengths)
+    check_number(end, "SizeOfImage with every section injected", 0, 0xFFFFFFFF, integer=True)

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateData, FeatureFailure, MalformedPe, ParseError, SpecInvalid
+from .errors import (DegenerateData, FeatureFailure, MalformedPe, ParseError, SpecInvalid,
+                     check_number)
 from . import evaluation
 from .features import DIM, extract_features
 from .learners import TrainConfig, model_from_dict, score_model, train_model
@@ -312,12 +313,11 @@ def load_system(directory) -> AiSystem:
         metadata = doc.get("metadata")
         if not isinstance(metadata, dict):
             raise SpecInvalid("no 'metadata' object")
-        threshold = metadata.get("threshold")
-        evaluation.check_threshold(threshold)
+        threshold = check_number(metadata.get("threshold"), "threshold", 0, 1)
         model = model_from_dict(doc.get("model"))
         if model.n_features != DIM:
             raise SpecInvalid(f"the model reads {model.n_features} features, not {DIM}")
-    except SpecInvalid as exc:
+    except (SpecInvalid, ValueError) as exc:
         raise SpecInvalid(f"{path}: {exc}") from None
     return AiSystem(allowlist=allowlist, blocklist=blocklist, model=model,
                     threshold=float(threshold), allow_text=allow_text,

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import struct
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_every_oracle_call_is_traced():
 
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_zero_rejected(budget):
-    with pytest.raises(BudgetZero, match="query budget must be positive"):
+    with pytest.raises(BudgetZero, match=f"^query budget must be an integer >= 1, not {budget}$"):
         AttackConfig(query_budget=budget, seed=0)
 
 
@@ -400,20 +401,25 @@ def test_target_with_exactly_enough_room_is_attacked():
 
 def test_attack_config_validation():
     """A NaN or infinite lambda leaves no query with a finite objective, a
-    fractional budget is never met exactly, and a threshold above 1 would
-    count a blocklisted score of 1.0 as an evasion: each is refused."""
+    fractional budget is never met exactly, a threshold above 1 would count a
+    blocklisted score of 1.0 as an evasion, and the search's draws take a
+    seed that is an integer >= 0: each is refused, as the CLI refuses it."""
     for field_name, value, match in [
             ("lam", -1.0, "lambda"),
             ("lam", float("nan"), "lambda"),
             ("lam", float("inf"), "lambda"),
+            ("lam", True, "lambda must be a finite number >= 0, not True"),
             ("query_budget", 2.5, "integer"),
             ("query_budget", 200.0, "integer"),
             ("query_budget", True, "integer"),
+            ("seed", -1, "seed must be an integer >= 0, not -1"),
+            ("seed", 1.5, "seed must be an integer >= 0, not 1.5"),
+            ("seed", True, "seed must be an integer >= 0, not True"),
             ("success_threshold", float("nan"), "threshold"),
             ("success_threshold", 1.5, "threshold"),
             ("success_threshold", -0.1, "threshold"),
             ("success_threshold", True, "threshold")]:
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             AttackConfig(**{field_name: value})
 
 

@@ -126,10 +126,10 @@ def test_bare_model_options_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--lambda", "-1", "argument --lambda: must be a finite number >= 0, got '-1'"),
-    ("--lambda", "nan", "argument --lambda: must be a finite number >= 0, got 'nan'"),
-    ("--budget", "0", "argument --budget: must be a positive integer, got '0'"),
-    ("--seed", "-1", "argument --seed: must be a non-negative integer, got '-1'"),
+    ("--lambda", "-1", "argument --lambda: lambda must be a finite number >= 0, not -1.0"),
+    ("--lambda", "nan", "argument --lambda: lambda must be a finite number >= 0, not nan"),
+    ("--budget", "0", "argument --budget: query budget must be an integer >= 1, not 0"),
+    ("--seed", "-1", "argument --seed: seed must be an integer >= 0, not -1"),
 ])
 def test_bad_attack_option_is_a_usage_error_before_any_file(tmp_path, capsys, option,
                                                             value, message):
@@ -145,10 +145,10 @@ def test_bad_attack_option_is_a_usage_error_before_any_file(tmp_path, capsys, op
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gen-corpus", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
-    (["gen-corpus", "--seed", "x"], "argument --seed: must be a non-negative integer, got 'x'"),
-    (["train", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
-    (["train", "--n-trees", "0"], "argument --n-trees: must be a positive integer, got '0'"),
+    (["gen-corpus", "--seed", "-1"], "argument --seed: seed must be an integer >= 0, not -1"),
+    (["gen-corpus", "--seed", "x"], "argument --seed: seed must be an integer >= 0, not 'x'"),
+    (["train", "--seed", "-1"], "argument --seed: seed must be an integer >= 0, not -1"),
+    (["train", "--n-trees", "0"], "argument --n-trees: n_trees must be an integer >= 1, not 0"),
 ], ids=["gen-corpus-seed", "gen-corpus-seed-string", "train-seed", "train-n-trees"])
 def test_bad_seed_or_tree_count_is_a_usage_error_before_any_file(tmp_path, capsys, argv,
                                                                  message):
@@ -162,12 +162,12 @@ def test_bad_seed_or_tree_count_is_a_usage_error_before_any_file(tmp_path, capsy
 
 
 @pytest.mark.parametrize("kind, option, value, message", [
-    ("svm", "--gamma", "0", "gamma must lie in [1e-6, 1e4]"),
-    ("svm", "--reg", "0", "reg must be positive"),
-    ("svm", "--reg", "nan", "reg must be finite, not nan"),
-    ("svm", "--reg", "inf", "reg must be finite, not inf"),
-    ("gbdt", "--gamma", "nan", "gamma must be finite, not nan"),
-])
+    ("svm", "--gamma", "0", "gamma must be a finite number in [1e-06, 10000.0], not 0.0"),
+    ("svm", "--reg", "0", "reg must be a number > 0, not 0.0"),
+    ("svm", "--reg", "nan", "reg must be a finite number, not nan"),
+    ("svm", "--reg", "inf", "reg must be a finite number, not inf"),
+    ("gbdt", "--gamma", "nan", "gamma must be a finite number in [1e-06, 10000.0], not nan"),
+], ids=["svm-gamma-0", "svm-reg-0", "svm-reg-nan", "svm-reg-inf", "gbdt-gamma-nan"])
 def test_train_config_refusal_exits_one(workdir, tmp_path, capsys, kind, option, value,
                                         message):
     out = tmp_path / "system"
@@ -374,9 +374,9 @@ def _tree_field(name, index, value):
     (_pre_change_model_file, "not a system document"),
     (lambda doc: {**doc, "version": 2}, "not a system document"),
     (lambda doc: {k: v for k, v in doc.items() if k != "metadata"}, "no 'metadata' object"),
-    (_with_threshold(float("nan")), "threshold nan is not a number in [0, 1]"),
-    (_with_threshold(True), "threshold True is not a number in [0, 1]"),
-    (_with_threshold(7.5), "threshold 7.5 is not a number in [0, 1]"),
+    (_with_threshold(float("nan")), "threshold must be a finite number in [0, 1], not nan"),
+    (_with_threshold(True), "threshold must be a finite number in [0, 1], not True"),
+    (_with_threshold(7.5), "threshold must be a finite number in [0, 1], not 7.5"),
     (lambda doc: {**doc, "model": {}}, "unknown model kind None"),
     (lambda doc: {**doc, "model": {**doc["model"], "kind": "forest"}},
      "unknown model kind 'forest'"),
@@ -394,24 +394,25 @@ def _tree_field(name, index, value):
     (_tree_field("threshold", 0, True), "threshold must be a list, each entry a finite number"),
     (_tree_field("value", -1, float("nan")), "value must be a list, each entry a finite number"),
     (_model_field("eta", "x"), "eta must be a finite number, not 'x'"),
+    (_model_field("eta", "x" * 10 ** 6), "eta must be a finite number, not '" + "x" * 59 + ")\n"),
     (_model_field("eta", float("nan")), "eta must be a finite number, not nan"),
     (_model_field("base_score", "abc"), "base_score must be a finite number, not 'abc'"),
     (_model_field("base_score", False), "base_score must be a finite number, not False"),
     (_model_field("n_features", float(DIM)), "n_features must be an integer >= 1, not 721.0"),
     (_model_field("n_features", DIM + 1), f"the model reads {DIM + 1} features, not {DIM}"),
     (_model_field("train_log_loss", [None]), "train_log_loss must be a list"),
-    (_model_edit(lambda m: m["config"].update(eta=True)), "eta must be finite, not True"),
+    (_model_edit(lambda m: m["config"].update(eta=True)), "eta must be a finite number, not True"),
     (_model_edit(lambda m: (m.update(eta=1e308), m["trees"][0]["value"].__setitem__(-1, 10.0))),
-     "base_score plus eta times the leaf values can overflow"),
+     "base_score plus eta times the largest leaf values must be a finite number, not inf"),
     (_model_edit(lambda m: (m.update(eta=1), [t["value"].__setitem__(-1, 10 ** 308)
                                               for t in m["trees"][:2]])),
-     "base_score plus eta times the leaf values can overflow"),
+     "base_score plus eta times the largest leaf values must be a finite number, not inf"),
 ], ids=["not-json", "list", "pre-change-model-file", "version-2", "no-metadata",
         "threshold-nan", "threshold-true", "threshold-7.5", "model-body-empty",
         "model-kind-unknown", "model-body-no-trees", "tree-cycle", "tree-child-past-the-end",
         "tree-child-negative", "tree-value-short", "tree-empty", "tree-feature-past-the-width",
         "tree-leaf-with-a-feature", "tree-threshold-bool", "tree-value-nan", "eta-string",
-        "eta-nan", "base-score-string", "base-score-bool", "n-features-float",
+        "eta-long-string", "eta-nan", "base-score-string", "base-score-bool", "n-features-float",
         "n-features-not-dim", "loss-null", "config-eta-bool", "margin-overflows",
         "integer-margin-overflows"])
 def test_malformed_system_directory_exits_one(workdir, tmp_path, capsys, request, edit, reason):
@@ -653,6 +654,28 @@ def test_crowded_attack_target_is_named(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout, message", [
+    # each injected section would be padded to 128 KiB
+    (dict(file_align=0x20000), "file alignment must be an integer in [1, 65536], not 131072"),
+    # the first injected section starts at 2 GiB and the next at 4 GiB
+    (dict(sect_align=0x80000000), "SizeOfImage with every section injected must be an integer "
+                                  f"in [0, {2 ** 32 - 1}], not {11 * 2 ** 31}"),
+], ids=["file-alignment", "image-past-4-gib"])
+def test_attack_target_that_cannot_take_the_pool_is_named(workdir, tmp_path, capsys, layout,
+                                                          message):
+    target = tmp_path / "target.exe"
+    target.write_bytes(build_pe([], **layout))
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=[ManifestRecord(str(target), "0" * 64, 1, "future")]),
+                   targets)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
+                 "--pool-source", str(workdir / "corpus" / "manifest.csv"),
+                 "--sections", "10", "--budget", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: attack target {target}: {message}\n"
+    assert not out.exists()
+
+
 def test_attack_rows_report_what_their_traces_end_with(unit_system_dir, unit_corpus,
                                                        tmp_path):
     malware = [r for r in unit_corpus.samples("future") if r.label == 1]
@@ -753,6 +776,21 @@ def test_filter_bad_manifest_row_exits_one(workdir, tmp_path, capsys, row, messa
     assert capsys.readouterr().err == f"error: {bad}, line 2: {message}\n"
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_bad_row_after_a_quoted_line_break_names_its_own_line(workdir, tmp_path, capsys,
+                                                                 newline):
+    # the first row's quoted path spans lines 2 and 3
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(newline.join(["path,sha256,label,epoch,planted,allowlisted",
+                                  '"two', 'lines.bin",abc,1,present-train,,0',
+                                  "a.bin,abc", ""]).encode())
+    assert main(["filter", "--corpus", str(bad),
+                 "--block", str(workdir / "corpus" / "blocklist.yar"),
+                 "--out", str(tmp_path / "out.csv"),
+                 "--report", str(tmp_path / "filter.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}, line 4: 2 columns, want 6\n"
+
+
 @pytest.mark.parametrize("change,message", [
     (lambda doc: doc.pop("bank"), "missing field 'bank'"),
     (None, "not a JSON document"),
@@ -817,5 +855,6 @@ def test_report_refuses_a_threshold_outside_the_unit_interval(tmp_path, capsys, 
     assert main(["report", "--results", str(tmp_path),
                  "--out", str(tmp_path / "summary.json")]) == 1
     assert capsys.readouterr().err == (f"error: {tmp_path / 'results.json'}: "
-                                       f"threshold {shown} is not a number in [0, 1]\n")
+                                       f"threshold must be a finite number in [0, 1], "
+                                       f"not {shown}\n")
     assert not (tmp_path / "summary.json").exists()

@@ -9,6 +9,7 @@ mutated copies of valid inputs of each kind to cli.main, in-process, and
 wants an exit code of 0, 1 or 2, at most one error line and no exception.
 """
 
+import dataclasses
 import json
 import random
 import shutil
@@ -24,6 +25,7 @@ from sievemal.evaluation import write_report
 from sievemal.features import DIM
 from sievemal.learners import TrainConfig
 from sievemal.learners.svm import train_svm_rbf
+from sievemal.pe import SECTION_HEADER_SIZE, parse_pe
 from sievemal.pipeline import AiSystem, save_system
 from sievemal.rules import RuleSet
 
@@ -188,6 +190,7 @@ def narrower(model):
         row.pop()
 
 
+SVM_OVERFLOW = "platt_a times the coefficients plus bias must be a finite number, not inf"
 SVM_EDITS = {
     "gamma-string": (field("gamma", "x"), "gamma must be a finite number in [1e-06, 10000.0]"),
     "gamma-negative": (field("gamma", -1.0), "gamma must be a finite number in"),
@@ -200,9 +203,9 @@ SVM_EDITS = {
     "support-past-float32": (lambda m: m["support"][0].__setitem__(0, 1e39),
                              "support row must be a list, each entry a finite number in ["),
     "score-overflows": (lambda m: (m.__setitem__("platt_a", 1e308), m["coef"].__setitem__(0, 10.0)),
-                        "platt_a times the coefficients plus bias can overflow"),
+                        SVM_OVERFLOW),
     "integer-score-overflows": (lambda m: m.update(platt_a=1, coef=[10 ** 308] * 2 + m["coef"][2:]),
-                                "platt_a times the coefficients plus bias can overflow"),
+                                SVM_OVERFLOW),
     "narrower": (narrower, f"the model reads {DIM - 1} features, not {DIM}"),
 }
 
@@ -221,7 +224,7 @@ def test_malformed_svm_body_exits_one(svm_system_dir, plain_pe, tmp_path, capsys
     assert err.startswith(f"error: {path}: ") and reason in err, err
 
 
-# --- seeded mutations of valid inputs (ROADMAP item 12, first part) ----------
+# --- seeded mutations of valid inputs (ROADMAP item 12) ----------------------
 
 RULES = """// every construct of the rule subset
 rule demo : apt dropper
@@ -255,20 +258,50 @@ def children(node) -> list:
     return list(range(len(node))) if isinstance(node, list) else []
 
 
+def header_fields(raw: bytes) -> list:
+    """(name, offset, width) of each header field that parse_pe reads from
+    the valid PE raw: the DOS, file and optional header fields, and five of
+    each section table entry."""
+    pe = parse_pe(raw)
+    opt = pe.e_lfanew + 24
+    fields = [("e_lfanew", 0x3C, 4), ("NumberOfSections", pe.e_lfanew + 6, 2),
+              ("SizeOfOptionalHeader", pe.e_lfanew + 20, 2), ("Magic", opt, 2),
+              ("AddressOfEntryPoint", opt + 16, 4), ("SectionAlignment", opt + 32, 4),
+              ("FileAlignment", opt + 36, 4), ("SizeOfImage", opt + 56, 4)]
+    for i in range(pe.num_sections):
+        entry = pe.section_table_offset() + i * SECTION_HEADER_SIZE
+        fields += [(f"section {i} {name}", entry + off, 4) for name, off in (
+            ("VirtualSize", 8), ("VirtualAddress", 12), ("SizeOfRawData", 16),
+            ("PointerToRawData", 20), ("Characteristics", 36))]
+    return fields
+
+
 def mutate(data: bytes, fmt: str, rng: random.Random) -> tuple:
     """(mutated data, what was done): a truncation, a byte set to 0xff or a
     random value, an inserted delimiter of the format, or, for JSON, a value
     replaced by one of JSON_VALUES. The value is drawn uniformly from every
     value in the document half of the time, which mostly hits the entries of
     long arrays, and else by a walk from the root that takes a random key at
-    each level and stops at each level after the first with probability 1/5."""
-    op = rng.choice(("truncate", "flip", "insert") + (("substitute",) if fmt == "json" else ()))
+    each level and stops at each level after the first with probability 1/5.
+    A PE takes no insertion: instead a header field (header_fields) is set to
+    0, 1, its largest value, its top bit, a random value, one more or one
+    less than it was, or itself shifted left."""
+    op = rng.choice(("truncate", "flip", "overwrite") if fmt == "pe" else
+                    ("truncate", "flip", "insert") + (("substitute",) if fmt == "json" else ()))
     if op == "truncate":
         n = rng.randrange(len(data))
         return data[:n], f"truncated to {n} bytes"
     if op == "flip":
         i, b = rng.randrange(len(data)), rng.choice((0xff, rng.randrange(256)))
         return data[:i] + bytes([b]) + data[i + 1:], f"byte {i} set to 0x{b:02x}"
+    if op == "overwrite":
+        name, at, width = rng.choice(header_fields(data))
+        old = int.from_bytes(data[at:at + width], "little")
+        top = 1 << (8 * width)
+        value = rng.choice((0, 1, top - 1, top >> 1, rng.randrange(top), (old + 1) % top,
+                            (old - 1) % top, (old << rng.randrange(1, 8)) % top))
+        return (data[:at] + value.to_bytes(width, "little") + data[at + width:],
+                f"{name} set to 0x{value:x}")
     if op == "insert":
         i, c = rng.randrange(len(data) + 1), rng.choice(DELIMITERS[fmt])
         return data[:i] + c.encode() + data[i:], f"{c!r} inserted at byte {i}"
@@ -295,10 +328,11 @@ def mutate(data: bytes, fmt: str, rng: random.Random) -> tuple:
     return json.dumps(doc).encode(), f"/{'/'.join(map(str, path))} replaced by {value}"
 
 
-def run_mutants(path, fmt: str, argvs, kind: str, capsys, accepted=None):
+def run_mutants(path, fmt: str, argvs, kind: str, capsys, accepted=None, notes=()):
     """Runs every argv in argvs on SEEDS mutants of the file at path, one at a
     time, and puts the file back. accepted, if given, is called with the case
-    after each mutant that every argv accepts."""
+    after each mutant that every argv accepts. A stderr line that starts with
+    one of notes may come beside the error line."""
     with open(path, "rb") as fh:
         original = fh.read()
     try:
@@ -314,7 +348,8 @@ def run_mutants(path, fmt: str, argvs, kind: str, capsys, accepted=None):
                         code = main(argv)
                     except BaseException as exc:
                         pytest.fail(f"{case}: raised {type(exc).__name__}: {exc}")
-                err = capsys.readouterr().err.splitlines()
+                err = [line for line in capsys.readouterr().err.splitlines()
+                       if not line.startswith(notes)]
                 errors = [line for line in err
                           if line.startswith(("error: ", "rule parse error: "))]
                 # an error line exactly when the exit code is 1, and no other line
@@ -408,3 +443,23 @@ def test_mutated_systems(unit_system_dir, plain_pe, tmp_path, capsys, name, fmt)
     assert main(argv) == 0
     capsys.readouterr()
     run_mutants(system / name, fmt, [argv], f"system {name}", capsys)
+
+
+def test_mutated_pe_files(unit_system_dir, unit_corpus, tmp_path, capsys):
+    """A malware file that no rule decides, mutated, as predict, extract-features
+    and attack read it; extract-features notes each file it excludes."""
+    record = next(r for r in unit_corpus.samples("future") if r.label == 1 and not r.planted)
+    path = tmp_path / "target.exe"
+    shutil.copyfile(record.path, path)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(Manifest(records=[dataclasses.replace(record, path=str(path))]), manifest)
+    system = unit_system_dir / "system"
+    argvs = [["predict", "--system", str(system), str(path)],
+             ["extract-features", "--corpus", str(manifest), "--out", str(tmp_path / "X.csv")],
+             ["attack", "--system", str(system), "--malware", str(manifest),
+              "--pool-source", str(unit_system_dir / "manifest.csv"), "--budget", "4",
+              "--out", str(tmp_path / "attack")]]
+    for argv in argvs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    run_mutants(path, "pe", argvs, "PE file", capsys, notes=("excluded ",))
