@@ -9,13 +9,11 @@ POPULATION and Gaussian mutation of scale MUTATION_SIGMA, and it stops at the
 first query that scores under the success threshold: that query is then the
 reported best, so "evaded" and "succeeded" are one fact.
 
-The search's random draws depend only on (seed, number of genes), never on
-the target's scores: every breeding keeps ELITES = POPULATION // 2, so each
-child draws two parent indices, a crossover mask and a mutation from the
-same bounds. Those draws are made once per process into a shared read-only
-tape (_tape), one generation at a time as the deepest search reaches it, and
-each target's search reads a prefix of it; only the choice of elites depends
-on the target.
+Each search draws from its own generator, seeded from the config, and its
+draws depend only on (seed, number of genes), never on the target's scores:
+every breeding keeps ELITES = POPULATION // 2, so each child draws two parent
+indices, a crossover mask and a mutation from the same bounds. Only the
+choice of elites depends on the target.
 
 A target whose scores are all 1.0 has no say in even that, so the searches of
 the blocklist-settled targets of one attack are one search, run once
@@ -25,7 +23,6 @@ the blocklist-settled targets of one attack are one search, run once
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -220,50 +217,25 @@ def blocklist_settled(blocklist: RuleSet, raw: bytes, plan: InjectionPlan) -> bo
                                              plan.kept)
 
 
-class _Tape:
-    """The search's random draws for one (seed, gene count), in the order the
-    per-child search makes them: POPULATION uniform vectors for the first
-    batch, then per generation, child by child, two parent indices below
-    ELITES, a 0/1 crossover mask and a Gaussian mutation. Generation g is
-    drawn the first time a search reaches it; every array is read-only, so
-    no search can change what a later one reads."""
-
-    def __init__(self, seed: int, k: int):
-        self._rng = np.random.default_rng(seed)
-        self._k = k
-        self._generations = []
-        self.first = _read_only(np.array([self._rng.uniform(0.0, 1.0, size=k)
-                                          for _ in range(POPULATION)]))
-
-    def generation(self, g: int) -> tuple:
-        """(parents_a, parents_b, mask, noise) of breeding g: the first two of
-        shape (POPULATION - ELITES,), the others (POPULATION - ELITES, k)."""
-        while len(self._generations) <= g:
-            self._generations.append(self._draw())
-        return self._generations[g]
-
-    def _draw(self) -> tuple:
-        rng, n = self._rng, POPULATION - ELITES
-        parents_a, parents_b = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        mask = np.empty((n, self._k), dtype=bool)
-        noise = np.empty((n, self._k))
-        for j in range(n):
-            parents_a[j], parents_b[j] = rng.integers(0, ELITES, size=2)
-            mask[j] = rng.integers(0, 2, size=self._k).astype(bool)
-            noise[j] = rng.normal(0.0, MUTATION_SIGMA, size=self._k)
-        return tuple(map(_read_only, (parents_a, parents_b, mask, noise)))
+def _brood(rng: np.random.Generator, k: int) -> tuple:
+    """(parents_a, parents_b, mask, noise) of one breeding, drawn child by
+    child as the per-child search draws them: two parent indices below
+    ELITES, a 0/1 crossover mask and a Gaussian mutation. The first two have
+    shape (POPULATION - ELITES,), the others (POPULATION - ELITES, k)."""
+    n = POPULATION - ELITES
+    parents_a, parents_b = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    mask = np.empty((n, k), dtype=bool)
+    noise = np.empty((n, k))
+    for j in range(n):
+        parents_a[j], parents_b[j] = rng.integers(0, ELITES, size=2)
+        mask[j] = rng.integers(0, 2, size=k).astype(bool)
+        noise[j] = rng.normal(0.0, MUTATION_SIGMA, size=k)
+    return parents_a, parents_b, mask, noise
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@functools.lru_cache(maxsize=16)
-def _tape(seed: int, k: int) -> _Tape:
-    """The one tape per process for (seed, k); an evicted tape is drawn again
-    from its seed, with the same values."""
-    return _Tape(seed, k)
 
 
 def _search(evaluate, k: int, cfg: AttackConfig) -> tuple:
@@ -277,11 +249,12 @@ def _search(evaluate, k: int, cfg: AttackConfig) -> tuple:
     Every batch is read-only, so the vectors a trace holds cannot be changed
     through another that shares them.
     """
-    tape = _tape(cfg.seed, k)
+    rng = np.random.default_rng(cfg.seed)
     trace = AttackTrace()
     population, objectives = [], []
-    batch = tape.first
-    for generation in itertools.count():
+    # one call draws the bits, and leaves rng in the state, of POPULATION calls of size k
+    batch = _read_only(rng.uniform(0.0, 1.0, size=(POPULATION, k)))
+    while True:
         for s in batch:
             score, payload, kept = evaluate(s)
             trace.queries.append((s, score, payload))
@@ -302,7 +275,7 @@ def _search(evaluate, k: int, cfg: AttackConfig) -> tuple:
         objectives = [objectives[i] for i in elite]
         # the whole brood in one step: row j is child j of the per-child recipe
         # clip(where(mask, a, b) + noise, 0, 1), elementwise and so bit-identical
-        parents_a, parents_b, mask, noise = tape.generation(generation)
+        parents_a, parents_b, mask, noise = _brood(rng, k)
         elites = np.array(population)
         batch = _read_only(np.clip(np.where(mask, elites[parents_a], elites[parents_b]) + noise,
                                    0.0, 1.0))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import write_feature_file
-from .learners import KINDS, TrainConfig
+from .learners import GAMMA_RANGE, KINDS, TrainConfig
 from .pe import MAX_SECTIONS, InjectionPlan, check_injectable, parse_pe
 
 
@@ -207,7 +208,7 @@ def cmd_report(args) -> int:
 
 # --- argument wiring ---------------------------------------------------------
 
-def _number(name: str, low, integer=False):
+def _number(name: str, low=-math.inf, high=math.inf, integer=False):
     """An argparse type: the int (or float) argument check_number takes, else a usage error."""
     def parse(text):
         try:
@@ -215,7 +216,7 @@ def _number(name: str, low, integer=False):
         except ValueError:
             value = text
         try:
-            return check_number(value, name, low, integer=integer)
+            return check_number(value, name, low, high, integer=integer)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -266,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default="gbdt")
     p.add_argument("--seed", type=_number("seed", 0, integer=True), default=0)
     p.add_argument("--n-trees", type=_number("n_trees", 1, integer=True), default=100)
-    p.add_argument("--gamma", type=float, default=1e-3)
-    p.add_argument("--reg", type=float, default=1e-4)
+    p.add_argument("--gamma", type=_number("gamma", *GAMMA_RANGE), default=1e-3)
+    # reg > 0 is strict, so --reg 0 is TrainConfig's domain error
+    p.add_argument("--reg", type=_number("reg"), default=1e-4)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify files with a trained system")

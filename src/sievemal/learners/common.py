@@ -10,6 +10,8 @@ from ..errors import check_number
 
 # the model families, by the kind a config and a model body name
 KINDS = ("gbdt", "svm")
+# the RBF kernel widths a config, a model body and `train --gamma` accept
+GAMMA_RANGE = (1e-6, 1e4)
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class TrainConfig:
         for name in ("eta", "colsample", "reg_lambda", "reg"):
             check_number(getattr(self, name), name)
         check_number(self.min_child_hessian, "min_child_hessian", 0)
-        check_number(self.gamma, "gamma", 1e-6, 1e4)
+        check_number(self.gamma, "gamma", *GAMMA_RANGE)
         if not 0 < self.colsample <= 1:
             raise ValueError(f"colsample must be a number in (0, 1], not {self.colsample!r}")
         # with H + lambda > 0 at every node no split gain or leaf weight is 0/0

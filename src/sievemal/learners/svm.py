@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateData, check_number, check_numbers
-from .common import TrainConfig, sigmoid32
+from .common import GAMMA_RANGE, TrainConfig, sigmoid32
 
 
 _BLOCK_CELLS = 1 << 16   # cells of the one temporary block of _sq_dists
@@ -73,7 +73,7 @@ class RbfSvmModel:
     @classmethod
     def from_dict(cls, d: dict) -> "RbfSvmModel":
         """The model of a to_dict body, if every number is finite, gamma lies in
-        [1e-6, 1e4], each coefficient has one support row of one width, whose
+        GAMMA_RANGE, each coefficient has one support row of one width, whose
         entries are float32 values as features are, and no score can
         overflow; else ValueError."""
         coef = check_numbers(d["coef"], "coef")
@@ -83,7 +83,7 @@ class RbfSvmModel:
             support=np.array([check_numbers(row, "support row", -_FLOAT32_MAX, _FLOAT32_MAX)
                               for row in d["support"]], dtype=np.float64).reshape(len(coef), -1),
             coef=np.array(coef, dtype=np.float64),
-            gamma=check_number(d["gamma"], "gamma", 1e-6, 1e4),
+            gamma=check_number(d["gamma"], "gamma", *GAMMA_RANGE),
             reg=check_number(d["reg"], "reg"),
             platt_a=check_number(d["platt_a"], "platt_a"),
             bias=check_number(d["bias"], "bias"),

@@ -239,12 +239,6 @@ def build_pe(sections, *, timestamp=0, entry_rva=0x1000, pe64=False, overlay=b""
         sections=tuple(placed), overlay=overlay, header_blob=bytes(header)))
 
 
-@functools.lru_cache(maxsize=128)
-def _table_struct(k: int) -> struct.Struct:
-    """The section-table entries of k sections, packed in one call."""
-    return struct.Struct("<" + "8s8I" * k)
-
-
 class InjectedSections:
     """The sections that one list of (name, content) items injects, laid out
     for a file and section alignment but not yet for a file.
@@ -297,7 +291,8 @@ class InjectedSections:
             offset += raw_size
             vaddr += -(-raw_size // sa) * sa
         self.count = len(kept)
-        self.table = int.from_bytes(_table_struct(len(kept)).pack(*fields), "little")
+        # struct caches the compiled format of each k
+        self.table = int.from_bytes(struct.pack("<" + "8s8I" * len(kept), *fields), "little")
         self.image = -(-end // sa) * sa
         self.parts = tuple(parts)
 

@@ -158,8 +158,13 @@ class Lexer:
             self.error(f"string holds a lone surrogate {exc.object[exc.start]!r}", pos=start - 1)
 
     def read_hex_body(self) -> tuple:
-        """Read a hex string's items and its closing '}'; its '{' token was the last one read."""
+        """Read a hex string's items and its closing '}'; its '{' token was the last one read.
+
+        A match attempt can try every combination of jump lengths, so the
+        product of the jumps' spans is bounded by the span of one
+        [0-MAX_HEX_JUMP] jump: no hex string tries more combinations per offset."""
         items = []
+        spans = 1
         for m in _HEX_ITEM_RE.finditer(self.text, self.pos):
             kind = m.lastgroup
             at = m.start(kind)
@@ -176,6 +181,10 @@ class Lexer:
                 hi = int(jump.group(2)) if jump.group(2) else lo
                 if not (0 <= lo <= hi <= MAX_HEX_JUMP):
                     self.error(f"hex jump out of range [{lo}-{hi}], max {MAX_HEX_JUMP}", pos=at)
+                spans *= hi - lo + 1
+                if spans > MAX_HEX_JUMP + 1:
+                    self.error(f"hex jump spans multiply to {spans}, max {MAX_HEX_JUMP + 1}",
+                               pos=at)
                 items.append(("jump", lo, hi))
             elif kind == "end":
                 self.pos = m.end()

@@ -2,10 +2,10 @@
 
 Deliberately plain: one generator per search, seeded from the config, and
 one child bred at a time with its own parent, mask and mutation draws. This
-is the loop that `sievemal.attack.gamma_attack` replaced with one shared,
-read-only tape of draws per (seed, number of genes) and one numpy step per
-generation; the new search must give every trace field of this one, bit for
-bit. `AttackTrace`, `apply_manipulation` and the constants are shared with
+is the loop that `sievemal.attack.gamma_attack` replaced with one uniform
+draw for the first batch and one numpy breeding step per generation, from a
+generator seeded the same way; the new search must give every trace field of
+this one, bit for bit. `AttackTrace`, `apply_manipulation` and the constants are shared with
 `sievemal.attack`, because they did not change.
 
 `harvest_sections` is the pool harvesting that held the bytes of every

@@ -199,6 +199,7 @@ class Lexer:
         assert self.text[self.pos] == "{"
         self.pos += 1
         items = []
+        spans = 1                # the product of the jumps' spans, at most MAX_HEX_JUMP + 1
         while True:
             self._skip_trivia()
             if self.pos >= len(self.text):
@@ -225,6 +226,9 @@ class Lexer:
                 hi = int(m.group(2)) if m.group(2) else lo
                 if not (0 <= lo <= hi <= MAX_HEX_JUMP):
                     self.error(f"hex jump out of range [{lo}-{hi}], max {MAX_HEX_JUMP}")
+                spans *= hi - lo + 1
+                if spans > MAX_HEX_JUMP + 1:
+                    self.error(f"hex jump spans multiply to {spans}, max {MAX_HEX_JUMP + 1}")
                 items.append(("jump", lo, hi))
                 self.pos = end + 1
             elif c == "(":

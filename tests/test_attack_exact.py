@@ -1,11 +1,10 @@
-"""attack.gamma_attack against the naive oracle, and the shared tape's isolation.
+"""attack.gamma_attack against the naive oracle, and the isolation of searches.
 
 `tests/naive_attack.py` holds the per-child search that `gamma_attack`
 replaced: one generator per search and three draws per child. The new search
-reads those draws from one read-only tape per (seed, number of genes) and
-breeds a generation in one numpy step. Every trace field must equal the
-oracle's, bit for bit, and no search may see what another one ran or did
-to its trace.
+also draws from one generator per search, but breeds a generation in one
+numpy step. Every trace field must equal the oracle's, bit for bit, and no
+search may see what another one ran or did to its trace.
 """
 
 import hashlib
@@ -13,12 +12,10 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import naive_attack
 import sievemal
-from sievemal import attack
 from sievemal.attack import ELITES, POPULATION, AttackConfig, apply_manipulation, gamma_attack
 from sievemal.pe import InjectionPlan, parse_pe
 from test_attack import fields, malware_bytes, tiny_pool
@@ -28,6 +25,8 @@ GENES = (1, 3, 10)
 # not multiples of the brood of POPULATION - ELITES = 5 (1, 7, 11, 123) and
 # ends of the first batch and of a brood (10, 15, 60)
 BUDGETS = (1, 7, 10, 11, 15, 60, 123)
+# the largest pool `sievemal attack --sections` takes, at fewer points
+LARGEST_POOL = [(seed, 50, budget) for seed in SEEDS for budget in (15, 60)]
 LENGTH_THRESHOLD = 0.1
 
 
@@ -71,9 +70,8 @@ def run(search, kind, seed, k, budget):
     return trace, received
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("k", GENES)
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed,k,budget", [(seed, k, budget) for seed in SEEDS for k in GENES
+                                            for budget in BUDGETS] + LARGEST_POOL)
 @pytest.mark.parametrize("kind", sorted(TARGETS))
 def test_search_equals_the_per_child_oracle(kind, seed, k, budget):
     got, got_received = run(gamma_attack, kind, seed, k, budget)
@@ -101,10 +99,9 @@ def trace_bytes(trace, path):
 
 def test_a_trace_does_not_depend_on_the_searches_before_it(tmp_path):
     """A (a deep search) then B, B then A, and B in a fresh process give the
-    same traces: a search reads its draws from a tape, not from the state
+    same traces: a search draws from its own generator, not from the state
     earlier searches left."""
     def both(order):
-        attack._tape.cache_clear()
         traces = {kind: run(gamma_attack, kind, 2, 3, budget)[0]
                   for kind, budget in order}
         return {kind: trace_bytes(t, tmp_path / f"{kind}.jsonl") for kind, t in traces.items()}
@@ -128,32 +125,8 @@ def test_changing_a_returned_trace_leaves_later_searches_unchanged(tmp_path):
     for s in vectors:
         try:
             s[:] = 0.5
-        except ValueError:       # the first batch is a read-only row of the tape
+        except ValueError:       # every batch is read-only
             pass
     assert any(not s.flags.writeable for s in vectors)
     again, _ = run(gamma_attack, "flat", 1, 3, 60)
     assert trace_bytes(again, tmp_path / "again.jsonl") == before
-
-
-@pytest.mark.parametrize("budget,drawn", [(10 ** 7, 0), (10, 0), (11, 1), (15, 1), (16, 2)])
-def test_a_generation_is_drawn_only_when_a_search_reaches_it(budget, drawn):
-    """A budget of 10**7 against a target that evades at once draws no brood;
-    a search that spends its budget draws only the broods it queried from."""
-    attack._tape.cache_clear()
-    if budget == 10 ** 7:
-        trace = gamma_attack(lambda raw: 0.0, malware_bytes(), tiny_pool(3),
-                             AttackConfig(query_budget=budget, seed=5))
-        assert trace.queries_used == 1
-    else:
-        run(gamma_attack, "flat", 5, 3, budget)
-    assert len(attack._tape(5, 3)._generations) == drawn
-
-
-def test_the_tape_is_read_only():
-    tape = attack._tape(0, 3)
-    for a in (tape.first, *tape.generation(0)):
-        assert not a.flags.writeable
-    assert tape.first.shape == (POPULATION, 3)
-    parents_a, parents_b, mask, noise = tape.generation(0)
-    assert parents_a.shape == parents_b.shape == (POPULATION - ELITES,)
-    assert mask.shape == noise.shape == (POPULATION - ELITES, 3) and mask.dtype == np.bool_

@@ -245,8 +245,8 @@ def test_errors_are_raised_before_any_byte_is_built(monkeypatch):
     pe = make_pe([b"\x90" * 64])
     crowded = dataclasses.replace(pe, num_sections=65535)
     unchecked = InjectedSections(items_of([1]), pe.file_alignment, pe.section_alignment)
-    for name in ("_zeros", "_table_struct"):
-        monkeypatch.setattr(pe_mod, name, build)
+    # _zeros pads each kept item before its entries are packed
+    monkeypatch.setattr(pe_mod, "_zeros", build)
     monkeypatch.setattr(InjectionPlan, "_layout", build)
     with pytest.raises(ValueError, match="section name exceeds 8 bytes"):
         InjectionPlan(pe).inject(items_of([5, 0, 9]) + [(b".morethan8", b"y")])

@@ -237,6 +237,36 @@ def test_hex_jump_bounds():
         parse_rules('rule r { strings: $a = { 90 [5-2] 90 } condition: $a }')
 
 
+def hex_rule(body):
+    return f"rule r\n{{\n    strings:\n        $a = {{ {body} }}\n    condition:\n        $a\n}}\n"
+
+
+def test_the_product_of_hex_jump_spans_is_bounded():
+    # each jump is in range, but a match attempt can try 65 * 65 * 65 gap
+    # lengths; the jump that takes the product past one [0-4096] jump's is named
+    text = hex_rule("00 [0-64] 00 [0-64] 00 [0-64] FF")
+    for parse in (parse_rules, naive_parser.parse_rules):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value).startswith("hex jump spans multiply to 4225, max 4097")
+        assert (info.value.line, info.value.column) == (4, 29)
+    assert outcome(parse_rules, text) == outcome(naive_parser.parse_rules, text)
+    assert outcome(parse_rules, hex_rule("00 [0-16] 00 [0-241] FF"))[1].startswith(
+        "hex jump spans multiply to 4114,")
+
+
+@pytest.mark.parametrize("body", [
+    "00 [0-4096] FF",                                      # one span of 4097
+    "00 [0-16] 00 [0-240] FF",                             # 17 * 241 = 4097
+    "00 [0-16] 00 [0-240] 00 [7] 00 [3-3] FF",             # spans of 1 leave it at 4097
+    "00 [0-3] 00 [0-3] 00 [0-3] 00 [0-3] 00 [0-3] 00 [0-3] FF",  # fuzz_gen's largest, 4**6
+])
+def test_hex_jump_spans_multiplying_to_at_most_4097_parse(body):
+    rs = parse_rules(hex_rule(body))
+    assert rs == naive_parser.parse_rules(hex_rule(body))
+    assert len(rs.rules[0].strings[0].body) == body.count(" ") + 1
+
+
 @pytest.mark.parametrize("text", [
     'import "pe"\nrule r { condition: filesize > 0 }',
     'rule r { strings: $a = "x" condition: for all i in (1..2) : ( $a ) }',
