@@ -6,10 +6,21 @@ weight -G/(H+l). Split candidates come from per-feature quantile bins (up to
 255 cut points, so at most 256 bins): the training matrix is binned once into
 a column-major (features x rows) uint8 array.
 
+Twin columns, with the same bin count and the same bin on every training
+row, are mapped once per training (`_twin_groups`). They give bit-identical
+histograms, cumulative sums and gains at every node, and the tie rule below
+gives each such tie to the smaller feature, so a tree searches only the
+smallest drawn column of each twin group. The bin count is part of the key: a
+column with the same bins and one bin more has one more split point, which
+sends every row left.
+
 Split search runs once per node, nodes in breadth-first order. Per tree, the
-sampled columns are grouped into blocks of up to `_BLOCK`, narrow columns with
-narrow ones, and each block's bins are copied row-major (rows x columns) so a
-node's rows are one gather. Per node and block, one weighted bincount keyed by
+searched columns are grouped into blocks of up to `_BLOCK`, narrow columns
+with narrow ones, and each block's bins are copied row-major (rows x columns)
+so a node's rows are one gather. At 32 columns a block's histogram (at most
+32 x 256 float64 cells, 64 KB) stays in cache, and the per-node key array and
+the two repeated weight arrays (each rows x `_BLOCK` x 8 bytes) are half
+their size at 64. Per node and block, one weighted bincount keyed by
 (column offset + bin) gives the g histograms of all the block's columns and
 one the h histograms; a cumsum along the bins (padded to the block's widest
 column, padded bins masked out) gives G_L and H_L; one argmax over
@@ -43,7 +54,7 @@ from ..errors import DegenerateData, check_number, check_numbers
 from .common import TrainConfig, log_loss, logistic_grad_hess, sigmoid32
 
 MAX_BINS = 255
-_BLOCK = 64  # features per histogram in the split search
+_BLOCK = 32  # features per histogram in the split search
 
 
 class _Forest:
@@ -241,6 +252,24 @@ class _TreeBuilder:
         )
 
 
+def _twin_groups(binned, nbins):
+    """twin[f]: the smallest column with f's bin count and f's bin on every row.
+
+    Columns are keyed by their bin count and a hash of their bins, and compared
+    in full on a key match, so the map holds no copy of the bins."""
+    twin = np.arange(len(nbins))
+    seen = {}
+    for f, col in enumerate(binned):
+        members = seen.setdefault((nbins[f], hash(col.tobytes())), [])
+        for t in members:
+            if np.array_equal(binned[t], col):
+                twin[f] = t
+                break
+        else:
+            members.append(f)
+    return twin
+
+
 def _candidate_blocks(binned, nbins, columns):
     """A tree's candidate columns in blocks of up to `_BLOCK`, grouped by bin
     count so that histograms padded to a block's widest column waste few cells.
@@ -360,6 +389,7 @@ def train_gbdt(X, y, cfg: TrainConfig) -> GbdtModel:
     n, d = X.shape
     cuts, binned = _bin_features(X)
     nbins = np.array([len(c) + 1 for c in cuts])
+    twin = _twin_groups(binned, nbins)
     rng = np.random.default_rng(cfg.seed)
     prior = y.mean()
     base_score = float(np.log(prior / (1.0 - prior)))
@@ -372,7 +402,9 @@ def train_gbdt(X, y, cfg: TrainConfig) -> GbdtModel:
     for _ in range(cfg.n_trees):
         g, h = logistic_grad_hess(margin, y)
         columns = np.sort(rng.choice(d, size=n_cols, replace=False))
-        blocks = _candidate_blocks(binned, nbins, columns)
+        # the first drawn column of each twin group is its smallest drawn one
+        _, first = np.unique(twin[columns], return_index=True)
+        blocks = _candidate_blocks(binned, nbins, columns[np.sort(first)])
         tree = _grow_tree(binned, cuts, blocks, g, h, cfg, leaf_of)
         trees.append(tree)
         margin += cfg.eta * tree.value[leaf_of]

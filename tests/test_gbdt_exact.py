@@ -135,10 +135,116 @@ def test_tiny_lambda_empty_nodes_are_identical(noisy_matrix, monkeypatch):
     assert 0 in sizes
 
 
+# Twins, columns with one bin count and one bin on every training row, give
+# one histogram and one gain at every node. A tree searches only the smallest
+# drawn member of each twin group; the inputs below fail a search that keeps
+# another member, or that groups columns by their bins alone.
+
+def test_twin_pair_drawn_apart_is_identical():
+    """At colsample=0.5 some trees draw only the larger of two equal columns,
+    which must then be searched; a tree that draws both splits on the smaller."""
+    rng = np.random.default_rng(26)
+    n = 400
+    X = rng.normal(size=(n, 12))
+    X[:, 9] = X[:, 3]
+    y = (X[:, 3] + 0.3 * rng.normal(size=n) > 0).astype(np.int64)
+    model = assert_same_model(X, y, TrainConfig(seed=0, n_trees=12, max_depth=2, colsample=0.5))
+    assert {3, 9} <= {int(f) for t in model.trees for f in t.feature}
+
+
+def test_quantile_binned_twins_write_the_smaller_features_cut():
+    """Column 1 is quantile-binned and column 4 is its exp: the same bins on
+    every row, other cuts, so a threshold names the twin that won. Column 3
+    holds column 1's bin index: the same bins again, but exact cuts and one
+    more bin, whose last split sends every row left. It is not their twin,
+    and at reg_lambda=1e-30 that split wins nodes."""
+    rng = np.random.default_rng(27)
+    n = 900
+    q = rng.normal(size=n)
+    _, q_bins = gbdt._bin_features(q[:, None])
+    X = np.column_stack([rng.normal(size=n), q, rng.normal(size=n), q_bins[0], np.exp(q)])
+    cuts, binned = gbdt._bin_features(X)
+    assert np.array_equal(binned[1], binned[4]) and np.array_equal(binned[1], binned[3])
+    assert len(cuts[1]) == len(cuts[4]) == len(cuts[3]) - 1 and len(cuts[1]) > 200
+    y = (q + 0.5 * X[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
+    used = []
+    for cfg in (TrainConfig(seed=0, n_trees=6, max_depth=3, colsample=1.0),
+                TrainConfig(seed=0, n_trees=4, max_depth=4, colsample=1.0,
+                            reg_lambda=1e-30, min_child_hessian=0.0)):
+        model = assert_same_model(X, y, cfg)
+        used.append({int(f) for t in model.trees for f in t.feature})
+    assert 1 in used[0] and 4 not in used[0]
+    assert 3 in used[1]
+
+
+def test_constant_twin_group_at_tiny_lambda_is_identical(monkeypatch):
+    """Twenty constant columns, each of another value, are one twin group: bin
+    0 on every row. At reg_lambda=1e-30 and min_child_hessian=0 their one
+    split, which sends every row left and so leaves an empty node, wins nodes
+    with a rounding-level gain that is equal across the group, so the smallest
+    drawn constant must take it and write its own value as the threshold."""
+    rng = np.random.default_rng(2)
+    n = 600
+    data = rng.normal(size=(n, 7))
+    constants = range(4, 24)
+    X = np.column_stack([data[:, :4], np.tile(np.arange(20.0) * 0.5 - 3, (n, 1)), data[:, 4:]])
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=2, size=n)
+         > X[:, 0].mean() + X[:, 1].mean()).astype(np.int64)
+    sizes = []
+    best_split = gbdt._best_split
+    monkeypatch.setattr(gbdt, "_best_split", lambda blocks, idx, *rest:
+                        sizes.append(len(idx)) or best_split(blocks, idx, *rest))
+    cfg = TrainConfig(seed=0, n_trees=4, max_depth=5, reg_lambda=1e-30, min_child_hessian=0.0)
+    model = assert_same_model(X, y, cfg)
+    assert any(f in constants for t in model.trees for f in t.feature)
+    assert 0 in sizes
+
+
+def test_each_tree_searches_the_smallest_drawn_column_of_each_twin_group(monkeypatch):
+    """Twin groups {1, 6, 12}, {3, 9} (integers and their exp) and the
+    constants {4, 10, 13, 14}; every other column is its own group. Column 15
+    holds column 2's quantile bin index, so it has column 2's bins but one
+    more bin count, and is not its twin. Each tree's candidate blocks hold
+    the smallest drawn member of every drawn group, and no other column."""
+    rng = np.random.default_rng(29)
+    n = 300
+    X = rng.normal(size=(n, 16))
+    X[:, 6] = X[:, 12] = X[:, 1]
+    X[:, 3] = rng.integers(0, 10, size=n)
+    X[:, 9] = np.exp(X[:, 3])
+    X[:, [4, 10, 13, 14]] = [7.0, -1.0, 0.0, 2.5]
+    X[:, 15] = gbdt._bin_features(X[:, [2]])[1][0]
+    y = (X[:, 1] + 0.2 * X[:, 3] + rng.normal(size=n) > 1).astype(np.int64)
+    groups = [{1, 6, 12}, {3, 9}, {4, 10, 13, 14}]
+    cfg = TrainConfig(seed=0, n_trees=8, max_depth=2, colsample=0.6)
+
+    searched = []
+    candidate_blocks = gbdt._candidate_blocks
+
+    def spy(*args):
+        blocks = candidate_blocks(*args)
+        searched.append(sorted(int(f) for features, *_ in blocks for f in features))
+        return blocks
+
+    monkeypatch.setattr(gbdt, "_candidate_blocks", spy)
+    assert_same_model(X, y, cfg)
+
+    # each tree's column draw, as train_gbdt makes it
+    rng = np.random.default_rng(cfg.seed)
+    n_cols = int(np.ceil(cfg.colsample * X.shape[1]))
+    drawn = [set(rng.choice(X.shape[1], size=n_cols, replace=False).tolist())
+             for _ in range(cfg.n_trees)]
+    expected = [sorted(f for f in cols
+                       if all(f == min(g & cols) for g in groups if f in g))
+                for cols in drawn]
+    assert searched == expected
+    assert any(1 not in cols and cols & {6, 12} for cols in drawn)
+
+
 def test_training_peak_memory_does_not_scale_with_tree_size(noisy_matrix):
     """Split-search temporaries are per node and per block of columns, so
     growing depth-6 trees takes no more memory than growing stumps (measured:
-    about 1.29 MB traced at both depths). Histograms batched over all nodes of
+    about 0.98 MB traced at both depths). Histograms batched over all nodes of
     a level would grow with the nodes per level."""
     X, y = noisy_matrix
     X = np.asarray(X, dtype=np.float64)
@@ -179,19 +285,24 @@ def test_float32_matrix_bins_as_its_float64_copy():
 def test_training_makes_no_float64_copy_of_a_float32_matrix():
     """train_gbdt reads a float32 matrix in place: its traced peak stays below
     the size a float64 copy of the matrix would take on its own (measured:
-    about 1.6 X.nbytes; 2.5 with a float64 copy)."""
+    about 1.2 X.nbytes; 3.2 with a float64 copy). A matrix with 150 constant
+    columns, one twin group, takes the same bound (measured: about 1.1
+    X.nbytes)."""
     rng = np.random.default_rng(25)
     X = rng.normal(size=(2000, 721)).astype(np.float32)
     y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
+    twin_heavy = X.copy()
+    twin_heavy[:, -150:] = 1.0
     cfg = TrainConfig(seed=0, n_trees=1, max_depth=2)
     train_gbdt(X[:50], y[:50], cfg)  # first-call allocations inside numpy
-    tracemalloc.start()
-    try:
-        train_gbdt(X, y, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * X.nbytes, peak / X.nbytes
+    for matrix in (X, twin_heavy):
+        tracemalloc.start()
+        try:
+            train_gbdt(matrix, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix.nbytes, peak / matrix.nbytes
 
 
 # --- predict -----------------------------------------------------------------
