@@ -74,6 +74,7 @@ MALWARE_TOKENS = (
 
 
 _RULE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 # the most files of one class in one epoch: a file takes about 1 ms to make,
 # and a count past the float range cannot be scaled by a rate
 MAX_COUNT = 10 ** 6
@@ -253,6 +254,9 @@ def read_manifest(path) -> Manifest:
         if row[2] not in ("0", "1") or row[5] not in ("0", "1"):
             raise SpecInvalid(f"{where}: label {row[2]!r} and allowlisted {row[5]!r} "
                               "must each be 0 or 1")
+        # the attack writes each target's trace to <out>/<sha256>.jsonl
+        if not _SHA256.fullmatch(row[1]):
+            raise SpecInvalid(f"{where}: sha256 {row[1]!r:.60} is not 64 lowercase hex digits")
         manifest.records.append(ManifestRecord(
             path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
             planted=tuple(p for p in row[4].split(";") if p),

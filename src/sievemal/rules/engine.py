@@ -11,10 +11,14 @@ or regex pattern whose matches all start with the same 4 or more bytes (its
 leading fixed bytes, or its regex's leading literals) is gated on them: they
 join the search as one more needle, and its regex runs only when they occur.
 
+Every condition is read by one three-valued walk (`_truth`) over what all the
+files of a set share: each pattern's least and most hits, the least and most
+file size, and the bytes when the set is one file. It answers True, False, or
+None for "depends on the file". A scan asks it about the one file it reads.
 Only candidate rules are evaluated: those with at least one pattern hit, and
-those whose condition can hold with no hit at all (`not $a`, `#a == 0`,
-`filesize < N`, ...), decided once per rule set by a conservative check of the
-condition. Every other rule is false on that data without evaluation.
+those whose condition the walk does not answer False for every file with no
+hit (`not $a`, `#a == 0`, `filesize < N`, ...), decided once per rule set.
+Every other rule is false on that data without evaluation.
 
 Hash-only rules (no strings, and a condition that is exactly one
 `hash.sha256(0, filesize) == "..."`, alone or and-ed with one
@@ -27,16 +31,16 @@ rule: for a sized allowlist most scans are one set lookup. A hash equality
 inside a larger condition (`$a and hash...`, `not hash...`) stays on the
 evaluated path. Fired rules are reported in rule order either way.
 
-`stays_fired` extends the candidate check from "can fire with no hit" to
-"stays fired when bytes are added": given a scan's result and spans of the
-data that another file keeps verbatim, it proves, conservatively, that some
-fired rule fires on that file too.
+`stays_fired` asks the same walk about every file that is no shorter than
+the scanned data and keeps given spans of it verbatim: a fired rule answered
+True there is proved to fire on each such file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import re
 from collections import defaultdict
 
@@ -68,14 +72,9 @@ _HASH_BITS = 18          # 4-byte prefixes hash into a bitmap of 2**18 slots
 _HASH_MULT = np.uint32(0x9E3779B1)
 _HASH_SHIFT = np.uint32(32 - _HASH_BITS)
 
-_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_INF = float("inf")      # no bound on a count or a file size
 
 
 def _text_variants(p: PatternDef) -> list[bytes]:
@@ -229,69 +228,11 @@ class _TextIndex:
                         yield i, found
 
 
-def _needs_hit(node, n_strings: int) -> bool:
-    """Whether node is false whenever no pattern of its rule has a hit.
-
-    Conservative: False means only that the check cannot tell, so the rule is
-    evaluated on every scan. `not`, filesize, uintN and hash comparisons can
-    hold with no hit; an `and` needs a hit if any item does, an `or` only if
-    every item does.
-    """
-    if isinstance(node, StringMatch):
-        return True
-    if isinstance(node, CountCmp):
-        return not _OPS[node.op](0, node.value)
-    if isinstance(node, OfQuantifier):
-        if node.count == "any":
-            return True
-        if node.count == "all":   # all of an empty set holds
-            return bool(node.ids if node.ids is not None else n_strings)
-        return node.count >= 1
-    if isinstance(node, And):
-        return any(_needs_hit(i, n_strings) for i in node.items)
-    if isinstance(node, Or):
-        return all(_needs_hit(i, n_strings) for i in node.items)
-    return False
-
-
 def _longest_match(p: PatternDef) -> int:
     """The most bytes one match of a text or hex pattern can cover."""
     if p.kind == "text":
         return max(map(len, _text_variants(p)))
     return sum(item[2] if item[0] == "jump" else 1 for item in p.body)
-
-
-def _stays_true(node, kept: dict, counts: dict, filesize: int) -> bool:
-    """Whether node holds on every file no shorter than filesize that holds
-    the kept spans of the scanned data verbatim, each in a place of its own.
-
-    kept: pattern id -> whether a hit's longest possible match lies inside a
-    span, for text and hex patterns; counts: pattern id -> the number of such
-    hits of a text pattern, else 0. Conservative, like _needs_hit: only
-    conditions that more bytes cannot unfire pass. A regex reads the bytes
-    around its match (`^`, `$`, `\\b`), hex matches are leftmost
-    non-overlapping and can regroup, and `not`, the other comparisons, uintN
-    and hash equality can all turn false when bytes are added or moved.
-    """
-    if isinstance(node, StringMatch):
-        return kept[node.id]
-    if isinstance(node, CountCmp):
-        return node.op in (">", ">=") and _OPS[node.op](counts["$" + node.id[1:]], node.value)
-    if isinstance(node, OfQuantifier):
-        ids = node.ids if node.ids is not None else tuple(kept)
-        hits = sum(1 for i in ids if kept[i])
-        if node.count == "any":
-            return hits >= 1
-        if node.count == "all":
-            return hits == len(ids)
-        return hits >= node.count
-    if isinstance(node, FilesizeCmp):
-        return node.op in (">", ">=") and _OPS[node.op](filesize, node.value)
-    if isinstance(node, And):
-        return all(_stays_true(i, kept, counts, filesize) for i in node.items)
-    if isinstance(node, Or):
-        return any(_stays_true(i, kept, counts, filesize) for i in node.items)
-    return False
 
 
 def stays_fired(rs: RuleSet, result: MatchResult, filesize: int, spans) -> bool:
@@ -300,22 +241,28 @@ def stays_fired(rs: RuleSet, result: MatchResult, filesize: int, spans) -> bool:
     than data and holds each (start, end) span of data in spans verbatim, the
     spans in places that do not overlap.
 
-    Conservative: False means only that the proof cannot tell (see
-    _stays_true), never that such a file exists.
+    The proof asks _truth about every such file. Its size is at least
+    filesize. A text pattern has at least as many hits as the scan found
+    whose longest possible match lies inside a span; a hex pattern with such
+    a hit has at least one, since its leftmost non-overlapping matches can
+    regroup; a regex may have none, since `^`, `$` and `\\b` read the bytes
+    around a match. No count or size is bounded from above, and there are no
+    bytes to read. A rule answered True stays fired; False means only that
+    the proof cannot tell, never that such a file exists.
     """
     rules = {rule.name: rule for rule in rs.rules}
+    size = (filesize, _INF)
     for name, offsets in result.fired:
         rule = rules[name]
-        kept, counts = {}, {}
+        least = {}
         for p in rule.strings:
             inside = 0
             if p.kind != "regex":
                 width = _longest_match(p)
                 inside = sum(1 for o in offsets[p.id]
                              if any(a <= o and o + width <= b for a, b in spans))
-            kept[p.id] = inside > 0
-            counts[p.id] = inside if p.kind == "text" else 0
-        if _stays_true(rule.condition, kept, counts, filesize):
+            least[p.id] = inside if p.kind == "text" else min(inside, 1)
+        if _truth(rule.condition, least, dict.fromkeys(least, _INF), size, None):
             return True
     return False
 
@@ -384,11 +331,12 @@ class CompiledRuleSet:
                 else:
                     sizes.add(size)
                 continue
-            if not _needs_hit(rule.condition, len(rule.strings)):
+            no_hits = dict.fromkeys((p.id for p in rule.strings), 0)
+            if _truth(rule.condition, no_hits, no_hits, (0, _INF), None) is not False:
                 self.always.append(pos)
             for p in rule.strings:
                 key = (pos, p.id)
-                folded = p.kind != "hex" and "nocase" in p.modifiers
+                folded = "nocase" in p.modifiers
                 if p.kind == "text":
                     for needle in _text_variants(p):
                         owners.setdefault((needle, folded), []).append(key)
@@ -455,11 +403,13 @@ class CompiledRuleSet:
                                verdict=bool(matched))
         hits = self._hits(data)
         ctx = _EvalContext(data)
+        size = (ctx.filesize, ctx.filesize)
         fired = []                   # [(position, (rule_name, offsets))]
         for pos in sorted({pos for pos, _ in hits}.union(self.always)):
             rule = self.rules[pos]
             offsets = {p.id: hits.get((pos, p.id), ()) for p in rule.strings}
-            if _eval(rule.condition, offsets, ctx):
+            counts = {pid: len(found) for pid, found in offsets.items()}
+            if _truth(rule.condition, counts, counts, size, ctx):
                 fired.append((pos, (rule.name, offsets)))
         if self._hashes(ctx.filesize):
             matched = self._digest_fired(ctx.sha256(), ctx.filesize)
@@ -488,32 +438,57 @@ class _EvalContext:
         return int.from_bytes(chunk, "little")
 
 
-def _eval(node, offsets: dict, ctx: _EvalContext) -> bool:
+def _compare(lo, hi, op: str, value: int):
+    """op against value for every number from lo to hi: True or False when
+    they all agree, else None."""
+    if lo == hi:
+        return _OPS[op](lo, value)
+    if op in ("==", "!="):
+        return None if lo <= value <= hi else op == "!="
+    first = _OPS[op](lo, value)
+    return first if first == _OPS[op](hi, value) else None
+
+
+def _truth(node, least: dict, most: dict, size: tuple, ctx):
+    """Whether node holds on every file of a set (True), on none (False), or
+    on some only (None). The set is given by what its files share: least[i]
+    and most[i], the fewest and the most hits of pattern id i; size, the
+    least and the most file size; and ctx, the _EvalContext of the one file
+    when the set is one file, else None, and then uintN and hash.sha256 are
+    None. `and`, `or` and `not` follow Kleene's three-valued logic."""
     if isinstance(node, StringMatch):
-        return bool(offsets[node.id])
+        return True if least[node.id] else None if most[node.id] else False
     if isinstance(node, CountCmp):
-        return _OPS[node.op](len(offsets["$" + node.id[1:]]), node.value)
+        pid = "$" + node.id[1:]
+        return _compare(least[pid], most[pid], node.op, node.value)
     if isinstance(node, OfQuantifier):
-        ids = node.ids if node.ids is not None else tuple(offsets)
-        hits = sum(1 for i in ids if offsets[i])
-        if node.count == "any":
-            return hits >= 1
-        if node.count == "all":
-            return hits == len(ids)
-        return hits >= node.count
+        ids = node.ids if node.ids is not None else tuple(least)
+        need = 1 if node.count == "any" else len(ids) if node.count == "all" else node.count
+        if sum(1 for i in ids if least[i]) >= need:
+            return True
+        return None if sum(1 for i in ids if most[i]) >= need else False
     if isinstance(node, FilesizeCmp):
-        return _OPS[node.op](ctx.filesize, node.value)
+        return _compare(size[0], size[1], node.op, node.value)
     if isinstance(node, UintCmp):
+        if ctx is None:
+            return None
         value = ctx.read_uint(node.width, node.offset)
         return value is not None and _OPS[node.op](value, node.value)
     if isinstance(node, Sha256Eq):
-        return ctx.sha256() == node.digest
-    if isinstance(node, And):
-        return all(_eval(i, offsets, ctx) for i in node.items)
-    if isinstance(node, Or):
-        return any(_eval(i, offsets, ctx) for i in node.items)
+        return None if ctx is None else ctx.sha256() == node.digest
     if isinstance(node, Not):
-        return not _eval(node.item, offsets, ctx)
+        value = _truth(node.item, least, most, size, ctx)
+        return None if value is None else not value
+    if isinstance(node, (And, Or)):
+        decides = isinstance(node, Or)   # the item value that decides the whole
+        result = not decides
+        for item in node.items:
+            value = _truth(item, least, most, size, ctx)
+            if value is decides:
+                return decides
+            if value is None:
+                result = None
+        return result
     raise TypeError(f"unknown condition node {node!r}")
 
 

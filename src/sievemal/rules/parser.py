@@ -1,8 +1,9 @@
 """Hand-written lexer and recursive-descent parser for the rule language subset.
 
-Supported: text/hex/regex string definitions with nocase/ascii/wide modifiers,
-and conditions built from string matches, #counts, N-of quantifiers, filesize
-and uintN() comparisons, hash.sha256 equality, and and/or/not. Anything else
+Supported: text/hex/regex string definitions (nocase/ascii/wide modifiers on
+text, nocase/ascii on a regex, none on hex), and conditions built from string
+matches, #counts, N-of quantifiers, filesize and uintN() comparisons,
+whole-file hash.sha256 equality, and and/or/not. Anything else
 in the YARA language is rejected with UnsupportedConstruct at parse time; a
 silently dropped rule would corrupt downstream statistics.
 
@@ -446,6 +447,8 @@ class Parser:
             if mod in UNSUPPORTED_MODIFIERS:
                 self.error(f"modifier {mod!r} is outside the supported subset",
                            UnsupportedConstruct)
+            if kind == "hex":
+                self.error("hex strings take no modifiers", UnsupportedConstruct)
             if mod == "wide" and kind != "text":
                 self.error("'wide' applies to text patterns only", UnsupportedConstruct)
             mods.add(mod)
@@ -541,7 +544,10 @@ class Parser:
                     self.error(f"hash.{fn.value} is outside the supported subset",
                                UnsupportedConstruct, fn)
                 self.expect("op", "(")
-                self.expect("num")  # offset; only whole-file digests supported
+                offset = self.expect("num")
+                if offset.value != 0:
+                    self.error("hash.sha256 with an offset other than 0 is outside the "
+                               "supported subset", UnsupportedConstruct, offset)
                 self.expect("op", ",")
                 self.expect("name", "filesize")
                 self.expect("op", ")")

@@ -9,16 +9,17 @@ evaluation in `sievemal.rules.engine.CompiledRuleSet` replaced; its
 search is its own: every occurrence of every needle, found with bytes.find in
 that needle's haystack (the data, or the data lowercased for nocase), with no
 prefix filter and no gates. The needle variants, the pattern regexes and the
-condition evaluator are shared with `sievemal.rules.engine`.
+condition walk, asked about the one scanned file, are shared with
+`sievemal.rules.engine`.
 """
 
 from collections import defaultdict
 
 from sievemal.rules.engine import (
     _EvalContext,
-    _eval,
     _pattern_regex,
     _text_variants,
+    _truth,
 )
 from sievemal.rules.model import MatchResult
 
@@ -51,6 +52,7 @@ class NaiveRuleSet:
     def scan(self, data):
         text_hits = self.text_offsets(data)
         ctx = _EvalContext(data)
+        size = (len(data), len(data))
         fired = []
         for pos, rule in enumerate(self.rules):
             offsets = {}
@@ -60,7 +62,8 @@ class NaiveRuleSet:
                     offsets[p.id] = text_hits.get(key, ())
                 else:
                     offsets[p.id] = tuple(m.start() for m in self.regexes[key].finditer(data))
-            if _eval(rule.condition, offsets, ctx):
+            counts = {pid: len(found) for pid, found in offsets.items()}
+            if _truth(rule.condition, counts, counts, size, ctx):
                 fired.append((rule.name, offsets))
         return MatchResult(fired=tuple(fired), verdict=bool(fired))
 

@@ -711,7 +711,11 @@ ABSENT = '$b = "nowhere"'
     ([TEXT, ABSENT], "$a or not $b"),
     ([TEXT], "$a and filesize > 100"),
     ([], "filesize >= 100"),
-], ids=["text", "hex", "count-ge", "count-gt", "any-of", "or-not", "and-filesize", "filesize"])
+    ([TEXT], "#a != 0"),
+    ([TEXT], "$a and not (filesize < 100)"),
+    ([HEX], "#a >= 1"),
+], ids=["text", "hex", "count-ge", "count-gt", "any-of", "or-not", "and-filesize", "filesize",
+        "count-ne", "and-not-filesize-lt", "hex-count-ge-1"])
 def test_monotone_conditions_settle(strings, condition):
     raw = plain_target()
     rs = rule(strings, condition)

@@ -663,6 +663,25 @@ def test_crowded_attack_target_is_named(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("digest", ["../escaped", "0" * 63 + "A", "0" * 65],
+                         ids=["path", "uppercase", "long"])
+def test_attack_target_digest_that_is_no_sha256_is_refused(workdir, tmp_path, capsys, digest):
+    """The attack writes each trace to <out>/<sha256>.jsonl, so a digest cell
+    that is not 64 lowercase hex digits could name a path outside --out."""
+    manifest = read_manifest(workdir / "corpus" / "manifest.csv")
+    malware = next(r for r in manifest.records if r.label == 1)
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=[ManifestRecord(malware.path, digest, 1, "future")]),
+                   targets)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
+                 "--pool-source", str(workdir / "corpus" / "manifest.csv"),
+                 "--sections", "10", "--budget", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {targets}, line 2: sha256 {digest!r:.60} "
+                                       "is not 64 lowercase hex digits\n")
+    assert not out.exists() and not (tmp_path / "escaped.jsonl").exists()
+
+
 @pytest.mark.parametrize("layout, message", [
     # each injected section would be padded to 128 KiB
     (dict(file_align=0x20000), "file alignment must be an integer in [1, 65536], not 131072"),
@@ -791,7 +810,7 @@ def test_a_bad_row_after_a_quoted_line_break_names_its_own_line(workdir, tmp_pat
     # the first row's quoted path spans lines 2 and 3
     bad = tmp_path / "bad.csv"
     bad.write_bytes(newline.join(["path,sha256,label,epoch,planted,allowlisted",
-                                  '"two', 'lines.bin",abc,1,present-train,,0',
+                                  '"two', f'lines.bin",{"0" * 64},1,present-train,,0',
                                   "a.bin,abc", ""]).encode())
     assert main(["filter", "--corpus", str(bad),
                  "--block", str(workdir / "corpus" / "blocklist.yar"),

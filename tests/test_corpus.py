@@ -199,7 +199,7 @@ def test_manifest_round_trip(unit_corpus, tmp_path):
 
 CSV_FORMATS = {
     "manifest": ("path,sha256,label,epoch,planted,allowlisted",
-                 "a.bin,abc,1,present-train,,0\n", lambda p: read_manifest(p)),
+                 f"a.bin,{'0' * 64},1,present-train,,0\n", lambda p: read_manifest(p)),
     "labels": ("path,label,epoch", "b.bin,0,future\n",
                lambda p: ingest(p.parent, p)),
 }

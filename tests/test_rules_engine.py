@@ -320,7 +320,7 @@ def test_a_hash_only_ruleset_scans_as_one_digest_lookup(monkeypatch):
         raise AssertionError("a hash-only scan searched or evaluated")
 
     monkeypatch.setattr(engine, "_EvalContext", unreachable)
-    monkeypatch.setattr(engine, "_eval", unreachable)
+    monkeypatch.setattr(engine, "_truth", unreachable)
     monkeypatch.setattr(engine.CompiledRuleSet, "_hits", unreachable)
     for (i, data), result in want.items():
         assert scan(data, rulesets[i]) == result
@@ -529,6 +529,11 @@ def test_seeded_rulesets_match_the_oracle():
     assert fired > 500 and hitless_fired > 100
 
 
+def needs_hit(rule) -> bool:
+    """Whether the candidate check finds that rule needs a pattern hit."""
+    return not compile_ruleset(RuleSet(rules=(rule,))).always
+
+
 def test_needs_hit_truth_table():
     cases = {
         "$a": True, "#a == 0": False, "#a == 1": True, "#a != 0": True,
@@ -537,7 +542,7 @@ def test_needs_hit_truth_table():
         "any of them": True, "all of them": True, "all of ($a)": True,
         "1 of them": True, "2 of ($a, $b)": True, "0 of them": False,
         "filesize < 10": False, "uint16(0) == 0x5A4D": False,
-        "not $a": False, "not not $a": False,
+        "not $a": False, "not not $a": True,
         f'hash.sha256(0, filesize) == "{"0" * 64}"': False,
         "$a and filesize < 10": True, "filesize < 10 and not $a": False,
         "$a or $b": True, "$a or filesize < 10": False, "#a == 0 or $b": False,
@@ -545,15 +550,17 @@ def test_needs_hit_truth_table():
     }
     for condition, want in cases.items():
         rule = one_rule('$a = "xy" $b = { 41 ?? 42 }', condition).rules[0]
-        assert engine._needs_hit(rule.condition, len(rule.strings)) is want, condition
+        assert needs_hit(rule) is want, condition
         if want:   # sound: false on data of every size with no hit
+            no_hits = {"$a": 0, "$b": 0}
             for data in (b"", b"MZ" + b"\x00" * 30, b"q" * 500):
                 ctx = engine._EvalContext(data)
-                assert not engine._eval(rule.condition, {"$a": (), "$b": ()}, ctx), condition
+                size = (len(data), len(data))
+                assert not engine._truth(rule.condition, no_hits, no_hits, size, ctx), condition
     # with no strings, "all of them" holds and "any of them" never does
     rules = parse_rules("rule e1 { condition: all of them }\n"
                         "rule e2 { condition: any of them }\n").rules
-    assert [engine._needs_hit(r.condition, 0) for r in rules] == [False, True]
+    assert [needs_hit(r) for r in rules] == [False, True]
     assert scan(b"data", RuleSet(rules=rules)).rule_names == ("e1",)
 
 
@@ -637,9 +644,9 @@ def test_no_hit_evaluates_no_rule_that_needs_one(monkeypatch, regex_runs, unit_c
     assert len(compiled.gated) == len(patterns) and not compiled.regexes
 
     evaluated = []
-    eval_ = engine._eval
-    monkeypatch.setattr(engine, "_eval", lambda node, offsets, ctx: (
-        evaluated.append(id(node)), eval_(node, offsets, ctx))[1])
+    truth = engine._truth
+    monkeypatch.setattr(engine, "_truth", lambda node, *rest: (
+        evaluated.append(id(node)), truth(node, *rest))[1])
     rec = next(r for r in unit_corpus.records if r.label == 0 and not r.allowlisted)
     with open(rec.path, "rb") as fh:
         raw = fh.read()

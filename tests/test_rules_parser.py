@@ -279,6 +279,7 @@ def test_hex_jump_spans_multiplying_to_at_most_4097_parse(body):
     'rule r { strings: $a = /a(?i)b/ condition: $a }',
     'rule r { strings: $a = /(a)\\1/ condition: $a }',
     'rule r { strings: $a = { 90 } wide condition: $a }',
+    'rule r { strings: $a = { 4D 5A } nocase condition: $a }',
     'rule r { strings: $a = /ab/ wide condition: $a }',
     'rule r { strings: $a = "x" condition: $a and entrypoint == 0 }',
     'rule r { strings: $a = "x" condition: pe_machine == 1 }',
@@ -335,10 +336,12 @@ def test_unsupported_is_a_parse_error():
      "sha256 digest must be 64 hex characters", 37, b"abc"),
     ('hash.md5(0, filesize) == "00"', UnsupportedConstruct,
      "hash.md5 is outside the supported subset", 14, "md5"),
-], ids=["bad-digest", "hash-function"])
+    (f'hash.sha256(64, filesize) == "{"0" * 64}"', UnsupportedConstruct,
+     "hash.sha256 with an offset other than 0 is outside the supported subset", 21, 64),
+], ids=["bad-digest", "hash-function", "hash-offset"])
 def test_hash_errors_point_at_the_checked_token(condition, cls, message, col, near):
-    # the digest string and the function name are checked after the parser
-    # has moved past them; the error still names their line and column
+    # the digest string, the function name and the offset are checked after
+    # the parser has moved past them; the error still names their line and column
     text = f"rule r\n{{\n    condition:\n        {condition}\n}}\n"
     for parse in (parse_rules, naive_parser.parse_rules):
         with pytest.raises(cls) as info:
