@@ -25,12 +25,19 @@ from .learners import GAMMA_RANGE, KINDS, TrainConfig
 from .pe import MAX_SECTIONS, InjectionPlan, check_injectable, parse_pe
 
 
-def _write_runconfig(out_dir, command, args_dict):
-    """Reproducibility record: full config + version + seeds, no wall-clock."""
-    os.makedirs(out_dir, exist_ok=True)
-    evaluation.write_report(os.path.join(out_dir, "runconfig.json"), {
+def _write_runconfig(path, command, args_dict):
+    """Reproducibility record: full config + version + seeds, no wall-clock. A
+    command that owns an output directory writes <dir>/runconfig.json; one
+    that writes a single file writes <its stem>.runconfig.json beside it, so
+    that no record overwrites another command's."""
+    evaluation.write_report(path, {
         "tool": "sievemal", "version": __version__, "command": command,
         "config": {k: v for k, v in args_dict.items() if k != "func"}})
+
+
+def _beside(out) -> str:
+    """The run record of a single output file: features.csv -> features.runconfig.json."""
+    return os.path.splitext(out)[0] + ".runconfig.json"
 
 
 def _read_bytes(path) -> bytes:
@@ -51,7 +58,8 @@ def cmd_gen_corpus(args) -> int:
         fh.write(corpus_mod.emit_allowlist(manifest))
     corpus_mod.save_spec(spec, os.path.join(args.out, "spec.json"))
     # a --spec run records the seed of its spec, the one the corpus used
-    _write_runconfig(args.out, "gen-corpus", {**vars(args), "seed": spec.seed})
+    _write_runconfig(os.path.join(args.out, "runconfig.json"), "gen-corpus",
+                     {**vars(args), "seed": spec.seed})
     print(f"wrote {len(manifest.records)} files under {args.out}")
     return 0
 
@@ -59,7 +67,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_ingest(args) -> int:
     manifest = corpus_mod.ingest(args.dir, args.labels)
     corpus_mod.write_manifest(manifest, args.out)
-    _write_runconfig(os.path.dirname(os.path.abspath(args.out)), "ingest", vars(args))
+    _write_runconfig(_beside(args.out), "ingest", vars(args))
     print(f"{len(manifest.records)} records, {manifest.duplicates} duplicates dropped")
     for failure in manifest.io_failures:
         print(f"io failure: {failure}", file=sys.stderr)
@@ -79,8 +87,7 @@ def cmd_extract_features(args) -> int:
     for r, reason in failures:
         print(f"excluded {r.path}: {reason}", file=sys.stderr)
     write_feature_file(args.out, [(r.sha256, r.label, r.epoch, row) for r, row in zip(kept, X)])
-    _write_runconfig(os.path.dirname(os.path.abspath(args.out)),
-                     "extract-features", vars(args))
+    _write_runconfig(_beside(args.out), "extract-features", vars(args))
     print(f"wrote {len(kept)} vectors ({len(failures)} excluded)")
     return 0
 
@@ -110,7 +117,7 @@ def cmd_train(args) -> int:
     system = pipeline_mod.train_system(manifest.samples(epoch="present-train"), allow, block,
                                        cfg, allow_text=allow_text, block_text=block_text)
     pipeline_mod.save_system(system, args.system_out)
-    _write_runconfig(args.system_out, "train", vars(args))
+    _write_runconfig(os.path.join(args.system_out, "runconfig.json"), "train", vars(args))
     print(f"trained {'filtered' if system.metadata['filtered'] else 'all-data'} "
           f"{args.kind} system -> {args.system_out} (threshold {system.threshold})")
     return 0
@@ -178,7 +185,7 @@ def cmd_attack(args) -> int:
         rows.append({"sha256": r.sha256, **row})
     evaluation.write_report(os.path.join(args.out, "results.json"), {
         "threshold": system.threshold, "sections": args.sections, "rows": rows})
-    _write_runconfig(args.out, "attack", vars(args))
+    _write_runconfig(os.path.join(args.out, "runconfig.json"), "attack", vars(args))
     evaded = sum(1 for row in rows if row["evaded"])
     print(f"attacked {len(rows)} samples, {evaded} evaded")
     return 0

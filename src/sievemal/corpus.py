@@ -250,13 +250,18 @@ def _read_csv_rows(path, header):
 
 def read_manifest(path) -> Manifest:
     manifest = Manifest()
+    seen = {}                         # sha256 -> where its first row is
     for where, row in _read_csv_rows(path, MANIFEST_HEADER):
         if row[2] not in ("0", "1") or row[5] not in ("0", "1"):
             raise SpecInvalid(f"{where}: label {row[2]!r} and allowlisted {row[5]!r} "
                               "must each be 0 or 1")
-        # the attack writes each target's trace to <out>/<sha256>.jsonl
+        # the attack writes each target's trace to <out>/<sha256>.jsonl, and a
+        # file listed twice would count twice in training and evaluation
         if not _SHA256.fullmatch(row[1]):
             raise SpecInvalid(f"{where}: sha256 {row[1]!r:.60} is not 64 lowercase hex digits")
+        first = seen.setdefault(row[1], where)
+        if first != where:
+            raise SpecInvalid(f"{where}: sha256 {row[1]} is listed again, first at {first}")
         manifest.records.append(ManifestRecord(
             path=row[0], sha256=row[1], label=int(row[2]), epoch=row[3],
             planted=tuple(p for p in row[4].split(";") if p),

@@ -73,7 +73,7 @@ def tpr_at_fpr(curve: RocCurve, target_fpr: float):
 def composite_roc(routes, labels) -> RocCurve:
     """Pipeline ROC: rule verdicts fix TPR/FPR offsets, the ML threshold sweeps.
 
-    routes: per-sample (stage, score, fired) records, as AiSystem.stage returns
+    routes: per-sample (stage, score, why) records, as AiSystem.stage returns
     them; labels: the matching 0/1 labels. The threshold sweeps the scores of
     the ml and error routes alike. Allowlisted malware is undetectable at every
     threshold; the minimum-FPR point sits at the blocklist's goodware fire rate

@@ -28,17 +28,18 @@ SYSTEM_FORMAT_VERSION = 1
 
 class Route(NamedTuple):
     """How the composite system decides one file: the deciding stage, the score
-    the system gives the file and the rules that fired. Every ROC curve and
-    attack reads its score off this one field.
+    the system gives the file and why. Every ROC curve and attack reads its
+    score off this one field.
 
     The stage is allowlist (score 0.0), blocklist (1.0), ml (the model's score)
     or error (1.0: a file the model cannot parse or featurize counts as
     detected). Route stays a 3-tuple: the benchmark's tracer unpacks
-    AiSystem.stage() as (stage, score, fired) and counts each call under its
+    AiSystem.stage() as (stage, score, why) and counts each call under its
     stage name, so an unscorable file counts under error."""
     stage: str                    # allowlist | blocklist | ml | error
     score: float                  # never None
-    fired: tuple                  # rule names; empty for ml, error and an unscanned blocklist
+    why: tuple                    # the rules that fired (none for an unscanned blocklist),
+                                  # (reason,) for error, () for ml
 
 
 @dataclass(frozen=True)
@@ -104,25 +105,23 @@ def model_route(model, raw: bytes) -> Route:
     file cannot be parsed or featurized."""
     try:
         vec = extract_features(raw)
-    except (MalformedPe, FeatureFailure):
-        return Route("error", 1.0, ())
+    except (MalformedPe, FeatureFailure) as exc:
+        return Route("error", 1.0, (str(exc),))
     return Route("ml", float(score_model(model, vec[None, :])[0]), ())
 
 
+_VERDICT_STAGES = {"allowlist": "benign_by_allowlist", "blocklist": "malicious_by_blocklist",
+                   "ml": "ml_score", "error": "error"}
+
+
 def predict(system: AiSystem, raw: bytes) -> Verdict:
-    """Stage routing per the system definition; rule stages never fail."""
-    stage, score, fired = system.stage(raw)
-    if stage == "allowlist":
-        return Verdict(stage="benign_by_allowlist", fired=fired)
-    if stage == "blocklist":
-        return Verdict(stage="malicious_by_blocklist", fired=fired)
+    """The system's route for raw as a Verdict; rule stages never fail."""
+    stage, score, why = system.stage(raw)
+    if stage == "ml":
+        return Verdict(_VERDICT_STAGES[stage], score=score)
     if stage == "error":
-        # model_route keeps no reason; extraction is deterministic, so it fails again
-        try:
-            extract_features(raw)
-        except (MalformedPe, FeatureFailure) as exc:
-            return Verdict(stage="error", error=str(exc))
-    return Verdict(stage="ml_score", score=score)
+        return Verdict(_VERDICT_STAGES[stage], error=why[0])
+    return Verdict(_VERDICT_STAGES[stage], fired=why)
 
 
 def _route_training(records, allow: RuleSet, block: RuleSet, report: FilterReport):
@@ -144,7 +143,7 @@ def _route_training(records, allow: RuleSet, block: RuleSet, report: FilterRepor
             report.removed_by_allowlist += 1
         else:
             report.removed_by_blocklist += 1
-        for name in route.fired:
+        for name in route.why:
             report.per_rule[name] = report.per_rule.get(name, 0) + 1
 
 
@@ -267,7 +266,7 @@ def make_oracle(system: AiSystem):
 
     def rule_probe(raw: bytes):
         route = route_rules(raw, system.allowlist, system.blocklist)
-        return route.fired if route else ()
+        return route.why if route else ()
 
     return score_fn, rule_probe
 

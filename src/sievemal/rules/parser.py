@@ -7,6 +7,12 @@ whole-file hash.sha256 equality, and and/or/not. Anything else
 in the YARA language is rejected with UnsupportedConstruct at parse time; a
 silently dropped rule would corrupt downstream statistics.
 
+A rule has YARA's one layout: an optional meta: section, an optional
+strings: section, then condition: and '}'. A section repeated or out of that
+order is a ParseError at the token where it stands, and a keyword outside the
+subset is refused wherever it stands, after a condition or a (group) too
+(`$a at 0`).
+
 Every token, with the whitespace and comments before it, is one `_TOKEN_RE`
 match; quoted strings and /regexes/ are tokens like any other, and a hex
 body's items are `_HEX_ITEM_RE` matches read on from its '{' token. Conditions
@@ -328,9 +334,7 @@ class Parser:
         rules = []
         names = set()
         while self.tok.kind != "eof":
-            if self.tok.kind == "name" and self.tok.value in UNSUPPORTED_KEYWORDS:
-                self.error(f"construct {self.tok.value!r} is outside the supported subset",
-                           UnsupportedConstruct)
+            self.refuse_keyword()
             rule = self.parse_rule()
             if rule.name in names:
                 self.error(f"duplicate rule name {rule.name!r}")
@@ -348,34 +352,12 @@ class Parser:
                 tags.append(self.tok.value)
                 self.advance()
         self.expect("op", "{")
-        meta = {}
-        strings = []
-        condition = None
-        while True:
-            if self.tok.kind == "op" and self.tok.value == "}":
-                self.advance()
-                break
-            if self.tok.kind != "name":
-                self.error("expected meta/strings/condition section")
-            section = self.tok.value
-            if section == "meta":
-                self.advance()
-                self.expect("op", ":")
-                meta = self.parse_meta()
-            elif section == "strings":
-                self.advance()
-                self.expect("op", ":")
-                strings = self.parse_strings()
-            elif section == "condition":
-                self.advance()
-                self.expect("op", ":")
-                condition = self.parse_expr()
-            else:
-                self.error(f"unknown section {section!r}",
-                           UnsupportedConstruct if section in UNSUPPORTED_KEYWORDS
-                           else ParseError)
-        if condition is None:
-            self.error(f"rule {name!r} has no condition")
+        meta = self.parse_meta() if self.section("meta") else {}
+        strings = self.parse_strings() if self.section("strings") else []
+        self.expect("name", "condition")
+        self.expect("op", ":")
+        condition = self.parse_expr()
+        self.expect("op", "}")
         defined = {p.id for p in strings}
         for ref in referenced_ids(condition):
             if ref not in defined:
@@ -385,6 +367,20 @@ class Parser:
         # string sets in N-of must not exceed definitions; uses checked above
         return Rule(name=name, tags=tuple(tags), meta=meta,
                     strings=tuple(strings), condition=condition)
+
+    def refuse_keyword(self):
+        """A YARA keyword that the subset leaves out is refused where it stands."""
+        if self.tok.kind == "name" and self.tok.value in UNSUPPORTED_KEYWORDS:
+            self.error(f"construct {self.tok.value!r} is outside the supported subset",
+                       UnsupportedConstruct)
+
+    def section(self, word) -> bool:
+        """Reads `word :` if the next token is `word`; says whether it did."""
+        if self.tok.kind != "name" or self.tok.value != word:
+            return False
+        self.advance()
+        self.expect("op", ":")
+        return True
 
     def parse_meta(self) -> dict:
         meta = {}
@@ -462,6 +458,9 @@ class Parser:
         while self.tok.kind == "name" and self.tok.value == "or":
             self.advance()
             items.append(self.parse_term())
+        # where a condition or a (group) ends, `$a at 0` or `$a matches /x/` is
+        # a construct the subset leaves out, not a missing '}' or ')'
+        self.refuse_keyword()
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_term(self):
@@ -516,9 +515,7 @@ class Parser:
             return OfQuantifier(t.value, self.parse_id_set())
         if t.kind == "name":
             word = t.value
-            if word in UNSUPPORTED_KEYWORDS:
-                self.error(f"construct {word!r} is outside the supported subset",
-                           UnsupportedConstruct)
+            self.refuse_keyword()
             if word in ("any", "all"):
                 self.advance()
                 self.expect("name", "of")

@@ -355,9 +355,7 @@ class Parser:
         rules = []
         names = set()
         while self.tok.kind != "eof":
-            if self.tok.kind == "name" and self.tok.value in UNSUPPORTED_KEYWORDS:
-                self.error(f"construct {self.tok.value!r} is outside the supported subset",
-                           UnsupportedConstruct)
+            self.refuse_keyword()
             rule = self.parse_rule()
             if rule.name in names:
                 self.error(f"duplicate rule name {rule.name!r}")
@@ -375,34 +373,12 @@ class Parser:
                 tags.append(self.tok.value)
                 self.advance()
         self.expect("op", "{")
-        meta = {}
-        strings = []
-        condition = None
-        while True:
-            if self.tok.kind == "op" and self.tok.value == "}":
-                self.advance()
-                break
-            if self.tok.kind != "name":
-                self.error("expected meta/strings/condition section")
-            section = self.tok.value
-            if section == "meta":
-                self.advance()
-                self.expect("op", ":")
-                meta = self.parse_meta()
-            elif section == "strings":
-                self.advance()
-                self.expect("op", ":")
-                strings = self.parse_strings()
-            elif section == "condition":
-                self.advance()
-                self.expect("op", ":")
-                condition = self.parse_expr()
-            else:
-                self.error(f"unknown section {section!r}",
-                           UnsupportedConstruct if section in UNSUPPORTED_KEYWORDS
-                           else ParseError)
-        if condition is None:
-            self.error(f"rule {name!r} has no condition")
+        meta = self.parse_meta() if self.section("meta") else {}
+        strings = self.parse_strings() if self.section("strings") else []
+        self.expect("name", "condition")
+        self.expect("op", ":")
+        condition = self.parse_expr()
+        self.expect("op", "}")
         defined = {p.id for p in strings}
         for ref in referenced_ids(condition):
             if ref not in defined:
@@ -412,6 +388,20 @@ class Parser:
         # string sets in N-of must not exceed definitions; uses checked above
         return Rule(name=name, tags=tuple(tags), meta=meta,
                     strings=tuple(strings), condition=condition)
+
+    def refuse_keyword(self):
+        """A YARA keyword that the subset leaves out is refused where it stands."""
+        if self.tok.kind == "name" and self.tok.value in UNSUPPORTED_KEYWORDS:
+            self.error(f"construct {self.tok.value!r} is outside the supported subset",
+                       UnsupportedConstruct)
+
+    def section(self, word) -> bool:
+        """Reads `word :` if the next token is `word`; says whether it did."""
+        if self.tok.kind != "name" or self.tok.value != word:
+            return False
+        self.advance()
+        self.expect("op", ":")
+        return True
 
     def parse_meta(self) -> dict:
         meta = {}
@@ -491,6 +481,9 @@ class Parser:
         while self.tok.kind == "name" and self.tok.value == "or":
             self.advance()
             items.append(self.parse_term())
+        # where a condition or a (group) ends, `$a at 0` or `$a matches /x/` is
+        # a construct the subset leaves out, not a missing '}' or ')'
+        self.refuse_keyword()
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_term(self):
@@ -536,9 +529,7 @@ class Parser:
             return OfQuantifier(t.value, self.parse_id_set())
         if t.kind == "name":
             word = t.value
-            if word in UNSUPPORTED_KEYWORDS:
-                self.error(f"construct {word!r} is outside the supported subset",
-                           UnsupportedConstruct)
+            self.refuse_keyword()
             if word in ("any", "all"):
                 self.advance()
                 self.expect("name", "of")

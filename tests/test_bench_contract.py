@@ -80,10 +80,14 @@ def test_call_counter_counts_scans_and_extractions(tracing, unit_system_dir, uni
     try:
         counter.phase = "predict"
         pipeline.predict(system, read(plain.path))
+        counter.phase = "unparseable"
+        pipeline.predict(system, b"not a pe at all")
     finally:
         counter.uninstall()
     assert counter.total("rules.scan", "predict") == 2
     assert counter.total("features.extract_features", "predict") == 1
+    # the error route carries its reason, so no second extraction asks for it
+    assert counter.total("features.extract_features", "unparseable") == 1
     assert pipeline.scan is sievemal.rules.engine.scan
 
 

@@ -224,6 +224,26 @@ def test_extract_features(workdir, tmp_path, capsys):
     assert first == "sievemal-features v1, dim=721, n=90"
 
 
+def test_single_file_commands_write_their_run_record_beside_their_file(workdir, tmp_path):
+    """extract-features and ingest each write one file; their run records go
+    beside it, so neither replaces the record of the directory's own command."""
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--spec", str(workdir / "spec.json"), "--out", str(corpus)]) == 0
+    assert main(["extract-features", "--corpus", str(corpus / "manifest.csv"),
+                 "--out", str(corpus / "features.csv")]) == 0
+    (tmp_path / "labels.csv").write_text("path,label,epoch\na.bin,1,future\n")
+    (tmp_path / "files").mkdir()
+    (tmp_path / "files" / "a.bin").write_bytes(b"content")
+    assert main(["ingest", "--dir", str(tmp_path / "files"), "--labels",
+                 str(tmp_path / "labels.csv"), "--out", str(corpus / "ingested.csv")]) == 0
+    record = json.loads((corpus / "runconfig.json").read_text())
+    assert (record["command"], record["config"]["seed"]) == ("gen-corpus", 11)
+    for name, command in (("features", "extract-features"), ("ingested", "ingest")):
+        record = json.loads((corpus / f"{name}.runconfig.json").read_text())
+        assert (record["command"], record["config"]["out"]) == (
+            command, str(corpus / f"{name}.csv"))
+
+
 def test_extract_features_excludes_a_file_that_is_not_a_pe(workdir, tmp_path, capsys):
     records = read_manifest(workdir / "corpus" / "manifest.csv").records[:5]
     junk = tmp_path / "junk.bin"
@@ -680,6 +700,22 @@ def test_attack_target_digest_that_is_no_sha256_is_refused(workdir, tmp_path, ca
     assert capsys.readouterr().err == (f"error: {targets}, line 2: sha256 {digest!r:.60} "
                                        "is not 64 lowercase hex digits\n")
     assert not out.exists() and not (tmp_path / "escaped.jsonl").exists()
+
+
+def test_attack_manifest_that_lists_one_target_twice_is_refused(workdir, tmp_path, capsys):
+    """Each trace goes to <out>/<sha256>.jsonl, so a second row of one digest
+    would overwrite the first row's trace."""
+    manifest = read_manifest(workdir / "corpus" / "manifest.csv")
+    malware = [r for r in manifest.records if r.label == 1 and r.epoch == "future"][:2]
+    targets = tmp_path / "targets.csv"
+    write_manifest(Manifest(records=[*malware, malware[0]]), targets)
+    out = tmp_path / "attack"
+    assert main(["attack", "--system", str(workdir / "system"), "--malware", str(targets),
+                 "--pool-source", str(workdir / "corpus" / "manifest.csv"),
+                 "--sections", "10", "--budget", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {targets}, line 4: sha256 {malware[0].sha256} "
+                                       f"is listed again, first at {targets}, line 2\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("layout, message", [

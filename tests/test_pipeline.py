@@ -98,8 +98,9 @@ def test_unparsable_file_reports_error(filtered_system):
     assert verdict.stage == "error"
     assert verdict.score is None
     assert verdict.error == "file shorter than a DOS header"
-    assert model_route(filtered_system.model, b"not a pe at all") == Route("error", 1.0, ())
-    assert filtered_system.stage(b"not a pe at all") == Route("error", 1.0, ())
+    error = Route("error", 1.0, ("file shorter than a DOS header",))
+    assert model_route(filtered_system.model, b"not a pe at all") == error
+    assert filtered_system.stage(b"not a pe at all") == error
 
 
 def test_evaluate_scores_unparsable_files_one_on_both_curves(filtered_system, tmp_path):

@@ -271,6 +271,9 @@ def test_hex_jump_spans_multiplying_to_at_most_4097_parse(body):
     'import "pe"\nrule r { condition: filesize > 0 }',
     'rule r { strings: $a = "x" condition: for all i in (1..2) : ( $a ) }',
     'rule r { strings: $a = "x" condition: $a at 0 }',
+    'rule r { strings: $a = "x" condition: $a in (0..10) }',
+    'rule r { strings: $a = "x" condition: $a matches /x/ }',
+    'rule r { strings: $a = "x" condition: ($a at 0) or $a }',
     'global rule r { strings: $a = "x" condition: $a }',
     'rule r { strings: $a = "x" fullword condition: $a }',
     'rule r { strings: $a = "x" xor condition: $a }',
@@ -288,8 +291,10 @@ def test_hex_jump_spans_multiplying_to_at_most_4097_parse(body):
     'rule r { strings: $a = "x" condition: hash.md5(0, filesize) == "00" }',
 ])
 def test_unsupported_constructs_rejected_loudly(text):
-    with pytest.raises(UnsupportedConstruct):
+    with pytest.raises(UnsupportedConstruct) as info:
         parse_rules(text)
+    # the message names the construct: a keyword after a condition is no section
+    assert "section" not in str(info.value)
 
 
 def regex_rule(body: str) -> str:
@@ -418,6 +423,40 @@ def test_empty_strings_section_rejected():
 def test_strings_section_optional():
     rs = parse_rules("rule sz { condition: filesize > 10 }")
     assert rs.rules[0].strings == ()
+
+
+def layout_rule(*sections):
+    return "rule r\n{\n" + "".join(f"    {s}\n" for s in sections) + "}\n"
+
+
+STRINGS_A = 'strings:\n        $a = "AAA"'
+CONDITION_A = "condition:\n        $a"
+
+
+@pytest.mark.parametrize("parse", [parse_rules, naive_parser.parse_rules],
+                         ids=["parser", "naive"])
+@pytest.mark.parametrize("text,message,line,col", [
+    # read as an override, the second condition would fire on any file
+    (layout_rule(STRINGS_A, CONDITION_A, "condition:\n        filesize > 0"),
+     "expected '}'", 7, 5),
+    (layout_rule(STRINGS_A, 'strings:\n        $b = "BBB"', "condition:\n        $b"),
+     "expected 'condition'", 5, 5),
+    (layout_rule(CONDITION_A, STRINGS_A), "expected '}'", 5, 5),
+    (layout_rule(STRINGS_A, 'meta:\n        author = "x"', CONDITION_A),
+     "expected 'condition'", 5, 5),
+    (layout_rule('meta:\n        author = "x"', "meta:\n        version = 2",
+                 "condition:\n        filesize > 0"),
+     "expected 'condition'", 5, 5),
+], ids=["repeated-condition", "repeated-strings", "strings-after-condition",
+        "meta-after-strings", "two-meta"])
+def test_sections_come_once_in_yara_order(parse, text, message, line, col):
+    # meta, strings, condition, each at most once and condition required: a
+    # section out of that layout is an error at the token where it stands
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert type(info.value) is ParseError
+    assert str(info.value).startswith(message + " (")
+    assert (info.value.line, info.value.column) == (line, col)
 
 
 # --- the one-regex tokenizer against the previous parser --------------------
