@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetZero, MalformedPe, PoolExhausted, check_number, is_number
+from .evaluation import read_bytes
 from .pe import InjectedSections, InjectionPlan, parse_pe
 from .rules import RuleSet, scan
 from .rules.engine import stays_fired
@@ -165,7 +166,7 @@ def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
     candidates = []                  # (sample, section index)
     for sample in goodware:
         try:
-            pe = parse_pe(_read(sample.path))
+            pe = parse_pe(read_bytes(sample.path))
         except MalformedPe:
             continue
         candidates.extend((sample, i) for i, s in enumerate(pe.sections)
@@ -176,14 +177,9 @@ def harvest_sections(goodware, k: int, seed: int) -> PayloadPool:
     picks = rng.choice(len(candidates), size=k, replace=False)
     sections = []
     for sample, i in (candidates[p] for p in picks):
-        section = parse_pe(_read(sample.path)).sections[i]
+        section = parse_pe(read_bytes(sample.path)).sections[i]
         sections.append((sample.sha256, bytes(section.name), section.data))
     return PayloadPool(sections=tuple(sections))
-
-
-def _read(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def gene_bytes(pool: PayloadPool, s) -> list:

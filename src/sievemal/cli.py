@@ -14,15 +14,14 @@ import os
 import sys
 
 from . import __version__
-from .errors import (MalformedPe, ParseError, SectionLimitExceeded, SievemalError, SpecInvalid,
-                     check_number)
+from .errors import MalformedPe, ParseError, SievemalError, SpecInvalid, check_number
 from . import attack as attack_mod
 from . import corpus as corpus_mod
 from . import evaluation
 from . import pipeline as pipeline_mod
 from .features import write_feature_file
 from .learners import GAMMA_RANGE, KINDS, TrainConfig
-from .pe import MAX_SECTIONS, InjectionPlan, check_injectable, parse_pe
+from .pe import InjectionPlan, check_injectable, parse_pe
 
 
 def _write_runconfig(path, command, args_dict):
@@ -38,11 +37,6 @@ def _write_runconfig(path, command, args_dict):
 def _beside(out) -> str:
     """The run record of a single output file: features.csv -> features.runconfig.json."""
     return os.path.splitext(out)[0] + ".runconfig.json"
-
-
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 # --- subcommands -------------------------------------------------------------
@@ -83,7 +77,7 @@ def cmd_rules(args) -> int:
 def cmd_extract_features(args) -> int:
     records = corpus_mod.read_manifest(args.corpus).records
     X, kept, failures = pipeline_mod.featurize(
-        ((r, _read_bytes(r.path)) for r in records), len(records))
+        ((r, evaluation.read_bytes(r.path)) for r in records), len(records))
     for r, reason in failures:
         print(f"excluded {r.path}: {reason}", file=sys.stderr)
     write_feature_file(args.out, [(r.sha256, r.label, r.epoch, row) for r, row in zip(kept, X)])
@@ -126,7 +120,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     system = pipeline_mod.load_system(args.system)
     for path in args.files:
-        verdict = pipeline_mod.predict(system, _read_bytes(path))
+        verdict = pipeline_mod.predict(system, evaluation.read_bytes(path))
         if verdict.stage == "ml_score":
             label = "malicious" if verdict.score >= system.threshold else "benign"
             print(f"{path}\tml_score\t{verdict.score}\t{label}")
@@ -160,19 +154,14 @@ def cmd_attack(args) -> int:
     # for one section per gene before --out is made, so a bad one leaves no output
     for r in targets:
         try:
-            pe = parse_pe(_read_bytes(r.path))
-            check_injectable(pe, pool.lengths())
-        except (MalformedPe, ValueError) as exc:
+            check_injectable(parse_pe(evaluation.read_bytes(r.path)), pool.lengths())
+        except (SievemalError, ValueError) as exc:  # MalformedPe, SectionLimitExceeded
             raise MalformedPe(f"attack target {r.path}: {exc}") from None
-        if pe.num_sections + len(pool) > MAX_SECTIONS:
-            raise SectionLimitExceeded(
-                f"attack target {r.path}: {pe.num_sections} sections leave no room for "
-                f"{len(pool)} more (at most {MAX_SECTIONS})")
     os.makedirs(args.out, exist_ok=True)
     schedule = attack_mod.SettledSchedule(pool, cfg)
     rows = []
     for r in targets:
-        raw = _read_bytes(r.path)
+        raw = evaluation.read_bytes(r.path)
         plan = InjectionPlan(parse_pe(raw))
         # a target the blocklist provably fires on in every mutant is scored
         # without rescanning the blocklist, and its search is read from the

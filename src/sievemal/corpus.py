@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecInvalid, is_number
-from .evaluation import read_report, read_text, write_report
+from .evaluation import read_bytes, read_report, read_text, write_report
 from .pe import (
     IMAGE_SCN_CNT_CODE,
     IMAGE_SCN_CNT_INITIALIZED_DATA,
@@ -460,8 +460,7 @@ def ingest(directory, labels_path) -> Manifest:
         if not os.path.isfile(path):
             continue
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            raw = read_bytes(path)
         except OSError as exc:
             manifest.io_failures.append(f"{path}: {exc}")
             continue

@@ -1,6 +1,6 @@
 """ROC computation, fixed-FPR operating points, composite pipeline curves,
-rule performance tables, detection-rate-vs-payload summaries, read_text, the
-one reader of text inputs, and write_report, the one writer of JSON artifacts.
+rule performance tables, detection-rate-vs-payload summaries, the one readers
+of text and binary inputs and write_report, the one writer of JSON artifacts.
 
 No interpolation anywhere: every reported point is an empirical operating
 point reachable by an actual threshold.
@@ -161,6 +161,12 @@ def read_text(path) -> str:
         except UnicodeDecodeError as exc:
             raise SpecInvalid(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
                               f"{exc.reason})") from None
+
+
+def read_bytes(path) -> bytes:
+    """A file's bytes: the one reader of binary inputs (samples and PE files)."""
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def read_report(path):

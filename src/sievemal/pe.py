@@ -465,9 +465,13 @@ MAX_FILE_ALIGNMENT = 0x10000
 def check_injectable(pe: PeFile, lengths):
     """Raises ValueError unless sections of these content lengths, injected whole,
     fit pe: its file alignment is at most MAX_FILE_ALIGNMENT and its image ends
-    below 4 GiB (SizeOfImage is 32-bit). Shorter prefixes move no section further."""
+    below 4 GiB (SizeOfImage is 32-bit); then SectionLimitExceeded unless the
+    table has room for them all. Shorter prefixes move no section further."""
     fa, sa = pe.file_alignment, pe.section_alignment
     check_number(fa, "file alignment", 1, MAX_FILE_ALIGNMENT, integer=True)
     end = align_up(max(pe.virtual_end(), sa), sa) + sum(
         align_up(align_up(n, fa), sa) for n in lengths)
     check_number(end, "SizeOfImage with every section injected", 0, 0xFFFFFFFF, integer=True)
+    if pe.num_sections + len(lengths) > MAX_SECTIONS:
+        raise SectionLimitExceeded(f"{pe.num_sections} sections leave no room for "
+                                   f"{len(lengths)} more (at most {MAX_SECTIONS})")

@@ -62,19 +62,26 @@ class FilterReport:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AiSystem:
-    allowlist: RuleSet
-    blocklist: RuleSet
+    """What save_system writes. Construction parses the rule lists from the texts
+    and reads the threshold from the metadata; an error names the file it is in."""
+    allow_text: str
+    block_text: str
     model: object
-    threshold: float
-    allow_text: str = ""
-    block_text: str = ""
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
+    allowlist: RuleSet = field(init=False)
+    blocklist: RuleSet = field(init=False)
+    threshold: float = field(init=False)
 
     def __post_init__(self):
-        if self.allowlist.role != "allowlist" or self.blocklist.role != "blocklist":
-            raise ValueError("ruleset roles do not match their slots")
+        for role, text in (("allowlist", self.allow_text), ("blocklist", self.block_text)):
+            object.__setattr__(self, role, _parse_named(text, role, f"{role}.yar"))
+        try:
+            threshold = check_number(self.metadata.get("threshold"), "threshold", 0, 1)
+        except ValueError as exc:
+            raise SpecInvalid(f"model.json: {exc}") from None
+        object.__setattr__(self, "threshold", float(threshold))
 
     def stage(self, raw: bytes) -> Route:
         """Rules first; the model scores only what no rule decides."""
@@ -129,8 +136,7 @@ def _route_training(records, allow: RuleSet, block: RuleSet, report: FilterRepor
     and yields (record, raw) for every file no rule fires on."""
     for rec in records:
         try:
-            with open(rec.path, "rb") as fh:
-                raw = fh.read()
+            raw = evaluation.read_bytes(rec.path)
         except OSError as exc:
             report.io_failures.append(f"{rec.path}: {exc}")
             continue
@@ -218,9 +224,7 @@ def train_system(records, allow: RuleSet, block: RuleSet, cfg: TrainConfig,
         "calibration_samples": int(n_calib),
         "config": cfg.to_dict(),
     }
-    return AiSystem(allowlist=allow, blocklist=block, model=model,
-                    threshold=float(threshold), allow_text=allow_text,
-                    block_text=block_text, metadata=metadata)
+    return AiSystem(allow_text, block_text, model, metadata)
 
 
 def evaluate(system: AiSystem, samples) -> dict:
@@ -231,8 +235,7 @@ def evaluate(system: AiSystem, samples) -> dict:
     a rule decided, for the bare curve."""
     routes, bare_scores = [], []
     for s in samples:
-        with open(s.path, "rb") as fh:
-            raw = fh.read()
+        raw = evaluation.read_bytes(s.path)
         route = system.stage(raw)
         routes.append(route)
         rule_decided = route.stage in ("allowlist", "blocklist")
@@ -285,23 +288,28 @@ def save_system(system: AiSystem, directory):
         "metadata": system.metadata, "model": system.model.to_dict()})
 
 
+def _parse_named(text: str, role: str, name) -> RuleSet:
+    """parse_rules(text, role), with a parse error that names the file."""
+    try:
+        return parse_rules(text, role=role)
+    except ParseError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def read_rules(path, role: str) -> tuple:
     """(text, RuleSet) of a rule file (evaluation.read_text), or no rules for an
     empty path; a parse error names the file."""
     text = evaluation.read_text(path) if path else ""
-    try:
-        return text, parse_rules(text, role=role)
-    except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    return text, _parse_named(text, role, path)
 
 
 def load_system(directory) -> AiSystem:
-    """The system save_system wrote. A rule file read_rules refuses, or a
-    model.json that is not a system document, whose threshold is not a number
-    in [0, 1] or whose model does not read DIM features, raises naming it."""
-    allow_text, allowlist = read_rules(os.path.join(directory, "allowlist.yar"), "allowlist")
-    block_text, blocklist = read_rules(os.path.join(directory, "blocklist.yar"), "blocklist")
+    """The system save_system wrote. A rule file or threshold AiSystem refuses,
+    or a model.json that is not a system document or whose model does not read
+    DIM features, raises naming the file."""
+    allow_text, block_text = (evaluation.read_text(os.path.join(directory, f"{role}.yar"))
+                              for role in ("allowlist", "blocklist"))
     path = os.path.join(directory, "model.json")
     doc = evaluation.read_report(path)
     try:
@@ -312,12 +320,13 @@ def load_system(directory) -> AiSystem:
         metadata = doc.get("metadata")
         if not isinstance(metadata, dict):
             raise SpecInvalid("no 'metadata' object")
-        threshold = check_number(metadata.get("threshold"), "threshold", 0, 1)
         model = model_from_dict(doc.get("model"))
         if model.n_features != DIM:
             raise SpecInvalid(f"the model reads {model.n_features} features, not {DIM}")
     except (SpecInvalid, ValueError) as exc:
         raise SpecInvalid(f"{path}: {exc}") from None
-    return AiSystem(allowlist=allowlist, blocklist=blocklist, model=model,
-                    threshold=float(threshold), allow_text=allow_text,
-                    block_text=block_text, metadata=metadata)
+    try:
+        return AiSystem(allow_text, block_text, model, metadata)
+    except (ParseError, SpecInvalid) as exc:  # the message starts with the file's name
+        exc.args = (os.path.join(directory, str(exc)),)
+        raise

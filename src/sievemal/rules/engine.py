@@ -399,8 +399,7 @@ class CompiledRuleSet:
         if self._digest_only:
             matched = (self._digest_fired(hashlib.sha256(data).hexdigest(), len(data))
                        if self._hashes(len(data)) else ())
-            return MatchResult(fired=tuple((rule.name, {}) for _, rule in matched),
-                               verdict=bool(matched))
+            return MatchResult(fired=tuple((rule.name, {}) for _, rule in matched))
         hits = self._hits(data)
         ctx = _EvalContext(data)
         size = (ctx.filesize, ctx.filesize)
@@ -416,7 +415,7 @@ class CompiledRuleSet:
             if matched:
                 fired.extend((pos, (rule.name, {})) for pos, rule in matched)
                 fired.sort(key=lambda item: item[0])
-        return MatchResult(fired=tuple(entry for _, entry in fired), verdict=bool(fired))
+        return MatchResult(fired=tuple(entry for _, entry in fired))
 
 
 class _EvalContext:

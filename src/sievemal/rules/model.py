@@ -115,7 +115,10 @@ class RuleSet:
 @dataclass(frozen=True)
 class MatchResult:
     fired: tuple                  # ((rule_name, {pattern_id: (offsets...)}), ...)
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return bool(self.fired)
 
     @property
     def rule_names(self):

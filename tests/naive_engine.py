@@ -65,7 +65,7 @@ class NaiveRuleSet:
             counts = {pid: len(found) for pid, found in offsets.items()}
             if _truth(rule.condition, counts, counts, size, ctx):
                 fired.append((rule.name, offsets))
-        return MatchResult(fired=tuple(fired), verdict=bool(fired))
+        return MatchResult(fired=tuple(fired))
 
 
 def scan(data, rs):

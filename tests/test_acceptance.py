@@ -155,12 +155,10 @@ def test_c4_composite_roc_floor(default_corpus, bare_model):
     start = time.perf_counter()
     spec, manifest = default_corpus
     # bank rules plus one deliberately false-positive-prone count rule
-    fp_block = parse_rules(
-        emit_rules_from_bank(spec) + "\n"
-        'rule fp_prone { strings: $a = "InstallShield Setup" condition: #a >= 12 }\n')
-    system = AiSystem(
-        allowlist=RuleSet(rules=(), role="allowlist"), blocklist=fp_block,
-        model=bare_model.model, threshold=bare_model.threshold)
+    fp_text = (emit_rules_from_bank(spec) + "\n"
+               'rule fp_prone { strings: $a = "InstallShield Setup" condition: #a >= 12 }\n')
+    system = AiSystem("", fp_text, bare_model.model, bare_model.metadata)
+    fp_block = system.blocklist
 
     samples = manifest.samples("present-test")
     pairs = [(read(s.path), s.label) for s in samples]
@@ -329,10 +327,8 @@ def test_c7_attack_properties(default_corpus, bare_model):
     assert adv_rate < clean_rate
 
     # (c) the rule-armed pipeline resists at least as well per payload bucket
-    block = parse_rules(emit_rules_from_bank(spec))
-    allow = parse_rules(emit_allowlist(manifest), role="allowlist")
-    pipeline = AiSystem(allowlist=allow, blocklist=block,
-                        model=bare_model.model, threshold=threshold)
+    pipeline = AiSystem(emit_allowlist(manifest), emit_rules_from_bank(spec),
+                        bare_model.model, bare_model.metadata)
     oracle, probe = make_oracle(pipeline)
     planted = [read(rec.path) for rec in manifest.samples("present-test") if rec.planted][:10]
     pipe_rows = [attack_sample(oracle, raw, pool, cfg, probe)[0] for raw in planted]

@@ -476,8 +476,7 @@ def test_settled_oracle_gives_the_full_oracle_trace(unit_system_dir, unit_corpus
 def allowing(system, digest):
     """system with an allowlist of one hash rule, on digest."""
     text = f'rule allowed_mutant {{ condition: hash.sha256(0, filesize) == "{digest}" }}\n'
-    return dataclasses.replace(system, allowlist=parse_rules(text, role="allowlist"),
-                               allow_text=text)
+    return dataclasses.replace(system, allow_text=text)
 
 
 @pytest.mark.parametrize("threshold", [0.5, 0.0])

@@ -28,7 +28,6 @@ from sievemal.attack import (
 )
 from sievemal.pe import InjectionPlan, build_pe, parse_pe
 from sievemal.pipeline import load_system, make_oracle, route_rules, save_system
-from sievemal.rules import parse_rules
 
 TINY_COUNTS = {"present-train": (30, 20), "present-test": (10, 10), "future": (10, 10)}
 
@@ -595,9 +594,9 @@ def test_attack_order_does_not_change_a_target_that_leaves_the_schedule(
     mutant, _ = apply_manipulation(plan, pool, scheduled.queries[20][0])
     allow = (f'rule allowed_mutant {{ condition: hash.sha256(0, filesize) == '
              f'"{hashlib.sha256(mutant).hexdigest()}" }}\n')
-    save_system(dataclasses.replace(
-        base, allowlist=parse_rules(allow, role="allowlist"), allow_text=allow, threshold=0.5,
-        metadata={**base.metadata, "threshold": 0.5}), tmp_path / "system")
+    save_system(dataclasses.replace(base, allow_text=allow,
+                                    metadata={**base.metadata, "threshold": 0.5}),
+                tmp_path / "system")
 
     outs = []
     for order in ([a, b], [b, a]):

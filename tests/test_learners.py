@@ -12,7 +12,6 @@ from sievemal.learners.gbdt import GbdtModel, predict_gbdt, train_gbdt
 from sievemal.learners.io import model_from_dict
 from sievemal.learners.svm import RbfSvmModel, predict_svm_rbf, rbf_kernel, train_svm_rbf
 from sievemal.pipeline import AiSystem, load_system, save_system
-from sievemal.rules import RuleSet
 
 
 def xor_data(n=400, seed=0):
@@ -268,8 +267,7 @@ def through_system_document(model, cfg, directory):
     """model saved in a bare system by save_system and loaded by load_system;
     the metadata comes back as it was saved."""
     metadata = {"threshold": 0.5, "config": cfg.to_dict()}
-    save_system(AiSystem(RuleSet(rules=(), role="allowlist"), RuleSet(rules=(), role="blocklist"),
-                         model, 0.5, metadata=metadata), directory)
+    save_system(AiSystem("", "", model, metadata), directory)
     loaded = load_system(directory)
     assert loaded.metadata == metadata
     return loaded.model

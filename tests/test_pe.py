@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievemal.errors import MalformedPe, SectionLimitExceeded
-from sievemal.pe import InjectionPlan, align_up, build_pe, inject_section, parse_pe, serialize_pe
+from sievemal.pe import (InjectionPlan, align_up, build_pe, check_injectable, inject_section,
+                         parse_pe, serialize_pe)
 
 EXEC = 0x60000020
 DATA = 0xC0000040
@@ -133,6 +134,19 @@ def test_inject_respects_section_limit():
     crowded = dataclasses.replace(pe, num_sections=65535)
     with pytest.raises(SectionLimitExceeded):
         inject_section(crowded, b".x", b"y")
+
+
+def test_check_injectable_refuses_a_table_without_room():
+    pe = parse_pe(simple_pe())
+    lengths = (100,) * 10
+    check_injectable(dataclasses.replace(pe, num_sections=65525), lengths)
+    with pytest.raises(SectionLimitExceeded) as info:
+        check_injectable(dataclasses.replace(pe, num_sections=65526), lengths)
+    assert str(info.value) == "65526 sections leave no room for 10 more (at most 65535)"
+    # the alignment check comes first
+    with pytest.raises(ValueError, match="^file alignment must be"):
+        check_injectable(dataclasses.replace(pe, num_sections=65535, file_alignment=0x20000),
+                         lengths)
 
 
 def test_inject_rejects_long_name():

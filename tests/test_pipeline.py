@@ -6,7 +6,8 @@ import pytest
 
 from sievemal.attack import AttackConfig, attack_sample, harvest_sections
 from sievemal.corpus import ManifestRecord, emit_allowlist, emit_rules_from_bank
-from sievemal.errors import DegenerateData
+from sievemal.errors import DegenerateData, ParseError, SpecInvalid
+from sievemal.evaluation import read_bytes
 from sievemal.features import extract_features
 from sievemal.learners import TrainConfig, train_model
 from sievemal.pe import build_pe
@@ -24,7 +25,7 @@ from sievemal.pipeline import (
     save_system,
     train_system,
 )
-from sievemal.rules import RuleSet, parse_rules
+from sievemal.rules import parse_rules
 
 DATA = 0xC0000040
 
@@ -71,26 +72,17 @@ def test_allowlist_beats_blocklist():
     import hashlib
     raw = build_pe([(b".d", b"contains mal_marker here", DATA)])
     digest = hashlib.sha256(raw).hexdigest()
-    allow = parse_rules(
-        'rule h { condition: hash.sha256(0, filesize) == "%s" }' % digest,
-        role="allowlist")
-    block = parse_rules('rule m { strings: $a = "mal_marker" condition: $a }')
-    system = AiSystem(allowlist=allow, blocklist=block, model=None, threshold=0.5)
+    allow = 'rule h { condition: hash.sha256(0, filesize) == "%s" }' % digest
+    block = 'rule m { strings: $a = "mal_marker" condition: $a }'
+    system = AiSystem(allow, block, None, {"threshold": 0.5})
     assert predict(system, raw).stage == "benign_by_allowlist"
     # without the allowlist entry, the same bytes are blocked
-    bare = AiSystem(allowlist=RuleSet(rules=(), role="allowlist"),
-                    blocklist=block, model=None, threshold=0.5)
+    bare = AiSystem("", block, None, {"threshold": 0.5})
     assert predict(bare, raw).stage == "malicious_by_blocklist"
     # the oracle for a file known to be blocklisted keeps the precedence
     for composite, score in ((system, 0.0), (bare, 1.0)):
         score_fn, _ = make_oracle(composite)
         assert score_fn(raw, blocklisted=True) == score_fn(raw) == score
-
-
-def test_ruleset_role_slots_enforced():
-    block = parse_rules('rule m { strings: $a = "x" condition: $a }')
-    with pytest.raises(ValueError):
-        AiSystem(allowlist=block, blocklist=block, model=None, threshold=0.5)
 
 
 def test_unparsable_file_reports_error(filtered_system):
@@ -157,21 +149,20 @@ def test_filter_training_records_io_failures(empty_allowlist, empty_blocklist):
 
 def test_train_system_reads_each_file_once(unit_corpus, unit_spec, unit_allowlist,
                                            unit_blocklist, monkeypatch):
-    import builtins
-
+    import sievemal.evaluation
     import sievemal.pipeline
 
     opened, extracted = [], []
 
-    def counted_open(path, *args, **kwargs):
+    def counted_read(path):
         opened.append(path)
-        return builtins.open(path, *args, **kwargs)
+        return read_bytes(path)
 
     def counted_extract(*args):
         extracted.append(args)
         return extract_features(*args)
 
-    monkeypatch.setattr(sievemal.pipeline, "open", counted_open, raising=False)
+    monkeypatch.setattr(sievemal.evaluation, "read_bytes", counted_read)
     monkeypatch.setattr(sievemal.pipeline, "extract_features", counted_extract)
     samples = unit_corpus.samples("present-train")
     system = train_system(samples, unit_allowlist, unit_blocklist, GBDT_CFG,
@@ -332,3 +323,87 @@ def test_system_save_load_without_rules(unit_corpus, empty_allowlist,
     loaded = load_system(tmp_path / "bare")
     assert loaded.allowlist.rules == ()
     assert loaded.blocklist.rules == ()
+
+
+# --- a system is what save_system writes -------------------------------------
+
+def test_a_replaced_threshold_is_saved(filtered_system, tmp_path):
+    system = dataclasses.replace(filtered_system,
+                                 metadata={**filtered_system.metadata, "threshold": 0.25})
+    assert system.threshold == 0.25
+    save_system(system, tmp_path / "system")
+    assert load_system(tmp_path / "system").threshold == 0.25
+
+
+def test_an_all_data_model_behind_the_rules_saves_and_loads(
+        unit_corpus, unit_spec, empty_allowlist, empty_blocklist, tmp_path):
+    """Arm B of the study: the bare model's metadata behind the corpus rule texts."""
+    bare = train_system(unit_corpus.samples("present-train"), empty_allowlist,
+                        empty_blocklist, GBDT_CFG)
+    arm_b = AiSystem(emit_allowlist(unit_corpus), emit_rules_from_bank(unit_spec),
+                     bare.model, bare.metadata)
+    save_system(arm_b, tmp_path / "arm-b")
+    loaded = load_system(tmp_path / "arm-b")
+    assert loaded.threshold == arm_b.threshold == bare.threshold
+    for role in ("allowlist", "blocklist"):
+        names = [r.name for r in getattr(loaded, role).rules]
+        assert names and names == [r.name for r in getattr(arm_b, role).rules]
+    recs = unit_corpus.samples("present-test")
+    files = [next(r for r in recs if r.allowlisted), next(r for r in recs if r.planted),
+             next(r for r in recs if not r.planted and not r.allowlisted)]
+    routes = [loaded.stage(read(r.path)) for r in files]
+    assert [route.stage for route in routes] == ["allowlist", "blocklist", "ml"]
+    assert routes == [arm_b.stage(read(r.path)) for r in files]
+
+
+def test_a_replaced_rule_text_is_scanned_and_saved(filtered_system, unit_corpus, tmp_path):
+    import hashlib
+    plain = next(r for r in unit_corpus.samples("present-test")
+                 if not r.planted and not r.allowlisted)
+    raw = read(plain.path)
+    text = ('rule allowed { condition: hash.sha256(0, filesize) == "%s" }\n'
+            % hashlib.sha256(raw).hexdigest())
+    system = dataclasses.replace(filtered_system, allow_text=text)
+    allowed = Route("allowlist", 0.0, ("allowed",))
+    assert [r.name for r in system.allowlist.rules] == ["allowed"]
+    assert system.stage(raw) == allowed
+    save_system(system, tmp_path / "system")
+    loaded = load_system(tmp_path / "system")
+    assert loaded.allow_text == text and loaded.stage(raw) == allowed
+
+
+@pytest.mark.parametrize("field", ["allowlist", "blocklist", "threshold"])
+def test_a_derived_field_cannot_be_replaced(filtered_system, field):
+    with pytest.raises(ValueError, match=f"field {field} is declared with init=False"):
+        dataclasses.replace(filtered_system, **{field: getattr(filtered_system, field)})
+
+
+@pytest.mark.parametrize("metadata, shown", [({}, "None"), ({"threshold": float("nan")}, "nan"),
+                                             ({"threshold": 7.5}, "7.5")],
+                         ids=["missing", "nan", "7.5"])
+def test_construction_refuses_a_threshold_outside_the_unit_interval(metadata, shown):
+    with pytest.raises(SpecInvalid) as info:
+        AiSystem("", "", None, metadata)
+    assert str(info.value) == f"model.json: threshold must be a finite number in [0, 1], not {shown}"
+
+
+@pytest.mark.parametrize("role", ["allowlist", "blocklist"])
+def test_construction_names_the_rule_file_a_parse_error_is_in(role):
+    texts = {"allowlist": "", "blocklist": "", role: "rule {"}
+    with pytest.raises(ParseError, match=f"^{role}.yar: "):
+        AiSystem(texts["allowlist"], texts["blocklist"], None, {"threshold": 0.5})
+
+
+def test_load_system_parses_each_rule_file_once(unit_system_dir, monkeypatch):
+    import sievemal.pipeline
+
+    roles = []
+
+    def counted_parse(text, role="blocklist"):
+        roles.append(role)
+        return parse_rules(text, role=role)
+
+    monkeypatch.setattr(sievemal.pipeline, "parse_rules", counted_parse)
+    system = load_system(unit_system_dir / "system")
+    assert roles == ["allowlist", "blocklist"]
+    assert len(system.allowlist.rules) and len(system.blocklist.rules)

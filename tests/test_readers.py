@@ -27,7 +27,6 @@ from sievemal.learners import TrainConfig
 from sievemal.learners.svm import train_svm_rbf
 from sievemal.pe import SECTION_HEADER_SIZE, parse_pe
 from sievemal.pipeline import AiSystem, save_system
-from sievemal.rules import RuleSet
 
 BROKEN_RULE = "rule r\n{\n  @\n}\n"
 BROKEN_RULE_ERROR = "unexpected character '@' (line 3, col 3)"
@@ -175,8 +174,7 @@ def svm_system_dir(tmp_path_factory):
     cfg = TrainConfig(kind="svm", seed=0, gamma=1e-3, max_iters=200)
     model = train_svm_rbf(X, np.repeat([0, 1], 20), cfg)
     system = tmp_path_factory.mktemp("svm") / "system"
-    save_system(AiSystem(RuleSet(rules=(), role="allowlist"), RuleSet(rules=(), role="blocklist"),
-                         model, 0.5, metadata={"threshold": 0.5}), system)
+    save_system(AiSystem("", "", model, {"threshold": 0.5}), system)
     return system
 
 
